@@ -15,8 +15,7 @@ from pathlib import Path
 from . import __version__
 from .config import (AnalysisConfig, load_analysis_config, load_study_config,
                      parse_scenario)
-from .core import (Scenario, SensitivityPoint, cep, check_assumptions,
-                   fit_scenario)
+from .core import SensitivityPoint, cep, check_assumptions, fit_scenario
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, PsemError)
 from .records import load_csv, summarize
@@ -80,10 +79,6 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
     report = check_assumptions(records, weighted)
     summary = summarize(records)
 
-    targets = ["cep_00", "cep_10", "mu"]
-    if cfg.scenario is Scenario.A:
-        targets.insert(2, "cep_11")
-
     zero = SensitivityPoint(cfg.scenario, {})
     base_est = fit_scenario(weighted, zero)
     base_cep = cep(base_est, cfg.contrast)
@@ -96,7 +91,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
                                  contrast=cfg.contrast)
         grid = sweep(weighted, sens)
         intervals = {}
-        for target in targets:
+        for target in grid.targets:
             res = interval_for(grid, target)
             intervals[target] = {
                 "estimate_lower": res.estimate_lower,
@@ -262,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", help="output directory (overrides config)")
     p_an.add_argument("--seed", type=int, default=None, help="echoed into results")
     p_an.add_argument("--scenario", help="override the config scenario")
-    p_an.add_argument("--threads", type=int, default=None, help="unused; accepted "
-                      "for interface symmetry")
     p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="run a replicated simulation study")

@@ -127,6 +127,10 @@ def load_analysis_config(path) -> AnalysisConfig:
                 raise ConfigError(f"unknown contrast {sec['contrast']!r}") from None
         if "scales" in sec:
             scales = _floats(sec["scales"])
+            if ranges:
+                raise ConfigError(
+                    "[sensitivity] takes either scales or per-parameter "
+                    f"ranges, not both; got scales and {sorted(ranges)}")
 
     out_dir = Path(ini["output"].get("dir", "psem-out")) if "output" in ini \
         else Path("psem-out")

@@ -122,6 +122,11 @@ class _Stack:
         self.fns.append(fn)
         self.sol[name] = float(value)
 
+    def copy(self) -> "_Stack":
+        new = _Stack(self.cells)
+        new.names, new.fns, new.sol = list(self.names), list(self.fns), dict(self.sol)
+        return new
+
     def theta(self) -> np.ndarray:
         return np.array([self.sol[n] for n in self.names])
 
@@ -167,16 +172,33 @@ def _wmean(cells, sel, resp, what: str) -> float:
     return float(np.sum(cells.count * sel * resp) / denom)
 
 
-def _odds_row(p1: str, p2: str, beta: float) -> Callable:
-    """Odds-ratio constraint odds(p1)/odds(p2) = exp(beta) in product form
-    (polynomial, so finite-difference safe at boundary risks)."""
+def _split(st: "_Stack", a: str, b: str, target: str, w: str, beta: float,
+           w_b: str | None = None) -> tuple[float, float]:
+    """Odds-ratio split of the mixture ``target`` = w a + (1 - w) b, with
+    odds(a)/odds(b) = exp(beta) as a product-form row (polynomial, so
+    finite-difference safe at boundary risks). ``w_b`` names b's weight
+    where it is a parameter of its own. Adds both rows; returns (a, b)."""
+    va, vb = solve_logit_mixture(st.sol[target], st.sol[w], beta)
     eb = math.exp(beta)
+    st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - eb * d[b] * (1.0 - d[a]))
+    st.add(b, vb, (lambda d: d[target] - d[w] * d[a] - (1 - d[w]) * d[b])
+           if w_b is None else (lambda d: d[target] - d[w] * d[a] - d[w_b] * d[b]))
+    return va, vb
 
-    def fn(d):
-        a, b = d[p1], d[p2]
-        return a * (1.0 - b) - eb * b * (1.0 - a)
 
-    return fn
+def _selection(st: "_Stack", alpha: str, out: str, lo: str, hi: str, q: str,
+               beta: float) -> tuple[float, float]:
+    """Logistic selection solve: ``alpha`` solves the margin identity
+    lo = hi ((1-q) expit(alpha) + q expit(alpha+beta)) and
+    ``out`` = expit(alpha+beta) q hi / lo. Adds both rows; returns them."""
+    rho = st.sol[lo] / st.sol[hi]
+    w1, w0 = solve_logit_mixture(rho, st.sol[q], beta)
+    a, adjusted = math.log(w0 / (1.0 - w0)), w1 * st.sol[q] / rho
+    st.add(alpha, a, lambda d: d[lo] - d[hi] * ((1 - d[q]) * expit(d[alpha])
+                                                + d[q] * expit(d[alpha] + beta)))
+    st.add(out, adjusted,
+           lambda d: d[out] * d[lo] - expit(d[alpha] + beta) * d[q] * d[hi])
+    return a, adjusted
 
 
 def _features(cells):
@@ -193,6 +215,21 @@ def _features(cells):
         pos=(cells.s == S_POS).astype(float),
         m=m,
     )
+
+
+def _opening(weighted: WeightedRecords, build: Callable):
+    """(stack copy, values) of the beta-free opening block ``build(weighted)``.
+
+    The block is solved once per dataset and cached on ``weighted``, so every
+    fit of that dataset, point-only or with covariance, continues from the
+    same solved rows and a grid point pays only for its mixture solves. A
+    block that raises is not cached: each fit raises it again.
+    """
+    blocks = weighted.fit_blocks
+    if build not in blocks:
+        blocks[build] = build(weighted)
+    st, v = blocks[build]
+    return st.copy(), v
 
 
 def _check_unit_interval(name: str, value: float, context: str) -> None:
@@ -347,24 +384,17 @@ def estimate_identified(weighted: WeightedRecords,
         raise ConfigError("risk_z and the mixing proportions are directly "
                           "identified only in scenarios A and B")
     cells = weighted.cells
-    f = _features(cells)
-    st = _Stack(cells)
+    st, v = _opening(weighted, _identified)
+    f = v.f
     point = SensitivityPoint(scenario, {})
-
-    risk1 = _wmean(cells, f.z * f.surv, f.y, "arm-1 survivors")
-    risk0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
-    p00 = _wmean(cells, f.z * f.m, f.neg, "measured arm-1 survivor markers")
-    st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
-    st.add("risk0", risk0, lambda d: (1 - f.z) * f.surv * (f.y - d["risk0"]))
-    st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
     if scenario is Scenario.A:
         p11 = _wmean(cells, (1 - f.z) * f.m, f.pos,
                      "measured arm-0 survivor markers")
         st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
-        p10 = 1.0 - p00 - p11
+        p10 = 1.0 - v.p00 - p11
         st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
     else:
-        p10 = 1.0 - p00
+        p10 = 1.0 - v.p00
         st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
     if p10 <= 0.0:
         raise EstimationError(
@@ -453,55 +483,25 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
     st.add("q1", q1, lambda d: f.z * m_vals * s_vals * (f.y - d["q1"]))
     st.add("q0", q0, lambda d: (1 - f.z) * m_vals * s_vals * (f.y - d["q0"]))
 
-    if direction is Direction.STANDARD_MONOTONE:
-        hi, lo, q_mix = pS0, pS1, q0
-    else:
-        hi, lo, q_mix = pS1, pS0, q1
-    if not lo < hi:
+    standard = direction is Direction.STANDARD_MONOTONE
+    lo, hi, q, out, direct, other = (("pS1", "pS0", "q0", "p11c", "q1", "p11t")
+                                     if standard else
+                                     ("pS0", "pS1", "q1", "p11t", "q0", "p11c"))
+    if not st.sol[lo] < st.sol[hi]:
         raise OrderingError(
             f"{ordering_label} fails: the selection model needs "
-            f"P(S=1) = {lo:.4g} in the shrinking arm below {hi:.4g} in the "
-            "other arm; estimates would not be asymptotically normal")
-    rho = lo / hi
-    if rho <= 0.0:
+            f"P(S=1) = {st.sol[lo]:.4g} in the shrinking arm below "
+            f"{st.sol[hi]:.4g} in the other arm; estimates would not be "
+            "asymptotically normal")
+    if st.sol[lo] / st.sol[hi] <= 0.0:
         raise EstimationError("no intermediate-positive mass in the shrinking arm")
-    # alpha solves the margin identity rho = (1-q) expit(a) + q expit(a+beta)
-    w1v, w0v = solve_logit_mixture(rho, q_mix, beta)
-    alpha = math.log(w0v / (1.0 - w0v))
-    adjusted = w1v * q_mix / rho
-
-    if direction is Direction.STANDARD_MONOTONE:
-        p11_t, p11_c = q1, adjusted
-
-        def alpha_row(d):
-            return d["pS1"] - d["pS0"] * ((1 - d["q0"]) * expit(d["alpha"])
-                                          + d["q0"] * expit(d["alpha"] + beta))
-
-        def adj_row(d):
-            return d["p11c"] * d["pS1"] - expit(d["alpha"] + beta) * d["q0"] * d["pS0"]
-
-        st.add("alpha", alpha, alpha_row)
-        st.add("p11c", adjusted, adj_row)
-        st.add("p11t", q1, lambda d: d["q1"] - d["p11t"])
-        report = ("p11t", "p11c")
-    else:
-        p11_t, p11_c = adjusted, q0
-
-        def alpha_row(d):
-            return d["pS0"] - d["pS1"] * ((1 - d["q1"]) * expit(d["alpha"])
-                                          + d["q1"] * expit(d["alpha"] + beta))
-
-        def adj_row(d):
-            return d["p11t"] * d["pS0"] - expit(d["alpha"] + beta) * d["q1"] * d["pS1"]
-
-        st.add("alpha", alpha, alpha_row)
-        st.add("p11t", adjusted, adj_row)
-        st.add("p11c", q0, lambda d: d["q0"] - d["p11c"])
-        report = ("p11t", "p11c")
+    alpha, _ = _selection(st, "alpha", out, lo, hi, q, beta)
+    st.add(other, st.sol[direct], lambda d: d[direct] - d[other])
+    report = ("p11t", "p11c")
 
     theta, cov = st.sandwich()
     idx = [st.names.index(r) for r in report]
-    return SaceFit(p11_treated=p11_t, p11_control=p11_c,
+    return SaceFit(p11_treated=st.sol["p11t"], p11_control=st.sol["p11c"],
                    cov=cov[np.ix_(idx, idx)], alpha=alpha)
 
 
@@ -509,34 +509,27 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
 # scenario fits
 
 
-def _identified_block(st, f, cells):
+# Opening blocks: everything a scenario fit does before its first mixture
+# solve. Each takes the dataset and returns (stack, values) for _opening.
+
+
+def _identified(weighted):
+    cells = weighted.cells
+    f = _features(cells)
+    st = _Stack(cells)
     risk1 = _wmean(cells, f.z * f.surv, f.y, "arm-1 survivors")
     risk0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
     p00 = _wmean(cells, f.z * f.m, f.neg, "measured arm-1 survivor markers")
     st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
     st.add("risk0", risk0, lambda d: (1 - f.z) * f.surv * (f.y - d["risk0"]))
     st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
-    return risk1, risk0, p00
+    return st, SimpleNamespace(f=f, risk1=risk1, risk0=risk0, p00=p00)
 
 
-def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
-                   with_cov: bool = True) -> RiskEstimates:
-    """Scenario B fit: equal early clinical risk plus a constant control-arm
-    marker, selection bias indexed by ``beta0``.
-
-    risk_1(0,0) and the mixing proportion are direct IPW means among active-
-    arm survivors; risk_0(0,0) and risk_0(1,0) jointly solve the odds-ratio
-    model odds(risk_0(0,0)) / odds(risk_0(1,0)) = exp(beta0) together with
-    the mixture identity for the identified control survivor risk; and
-    risk_1(1,0) is recovered from the mixture identity for the active arm,
-    which makes the mixing identity hold exactly by construction.
-    """
-    point = SensitivityPoint(Scenario.B, {"beta0": beta0})
-    cells = weighted.cells
-    f = _features(cells)
-    st = _Stack(cells)
-    risk1, risk0, p00 = _identified_block(st, f, cells)
-    p10 = 1.0 - p00
+def _b_opening(weighted):
+    st, v = _opening(weighted, _identified)
+    cells, f = weighted.cells, v.f
+    p10 = 1.0 - v.p00
     if p10 <= 0.0:
         raise EstimationError(
             f"estimated p(1,0) = {p10:.6g} is not positive; no marker-positive "
@@ -544,44 +537,15 @@ def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
     r100 = _wmean(cells, f.z * f.m * f.neg, f.y, "active-arm marker-negative survivors")
     st.add("risk1_00", r100, lambda d: f.z * f.m * f.neg * (f.y - d["risk1_00"]))
     st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
-
-    r000, r010 = solve_logit_mixture(risk0, p00, beta0)
-    st.add("risk0_00", r000, _odds_row("risk0_00", "risk0_10", beta0))
-    st.add("risk0_10", r010,
-           lambda d: d["risk0"] - d["p00"] * d["risk0_00"] - d["p10"] * d["risk0_10"])
-
-    r110 = (risk1 - p00 * r100) / p10
-    _check_unit_interval("risk1_10", r110,
-                         "active-arm mixture identity; check the weights")
-    st.add("risk1_10", r110,
-           lambda d: d["risk1"] - d["p00"] * d["risk1_00"] - d["p10"] * d["risk1_10"])
-
-    names, theta, cov = _finalize(st, with_cov)
-    return RiskEstimates(scenario=Scenario.B, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=cells.n)
+    return st, SimpleNamespace(**vars(v), p10=p10, r100=r100)
 
 
-def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
-                   beta1_reversed: float = 0.0,
-                   with_cov: bool = True) -> RiskEstimates:
-    """Scenario A fit: equal early clinical risk with a varying control-arm
-    marker under marker monotonicity.
-
-    Two selection-model solves run back to back: the standard direction on
-    state (survivor and marker-negative) recovers the (0,0) stratum risks
-    with ``beta0``; the reversed direction on state (survivor and marker-
-    positive) recovers the (1,1) stratum risks with ``beta1_reversed``. The
-    (1,0) risks then come from the three-component mixture identity.
-    """
-    point = SensitivityPoint(Scenario.A, {
-        "beta0": beta0, "beta1_reversed": beta1_reversed})
-    cells = weighted.cells
-    f = _features(cells)
-    st = _Stack(cells)
-    risk1, risk0, p00 = _identified_block(st, f, cells)
+def _a_opening(weighted):
+    st, v = _opening(weighted, _identified)
+    cells, f = weighted.cells, v.f
     p11 = _wmean(cells, (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
     st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
-    p10 = 1.0 - p00 - p11
+    p10 = 1.0 - v.p00 - p11
     if p11 <= 0.0:
         raise EstimationError(
             "estimated p(1,1) is not positive: the control-arm marker never "
@@ -603,20 +567,110 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
             "(control); the standard-direction solve is invalid")
     qa0 = _wmean(cells, (1 - f.z) * ma * sa, f.y, "control negative survivors")
     r100 = _wmean(cells, f.z * ma * sa, f.y, "active negative survivors")
-    rho_a = pSa1 / pSa0
-    w1a, w0a = solve_logit_mixture(rho_a, qa0, beta0)
-    alpha_a = math.log(w0a / (1.0 - w0a))
-    r000 = w1a * qa0 / rho_a
     st.add("pSa1", pSa1, lambda d: f.z * ma * (sa - d["pSa1"]))
     st.add("pSa0", pSa0, lambda d: (1 - f.z) * ma * (sa - d["pSa0"]))
     st.add("qa0", qa0, lambda d: (1 - f.z) * ma * sa * (f.y - d["qa0"]))
     st.add("risk1_00", r100, lambda d: f.z * ma * sa * (f.y - d["risk1_00"]))
-    st.add("alpha_a", alpha_a,
-           lambda d: d["pSa1"] - d["pSa0"] * ((1 - d["qa0"]) * expit(d["alpha_a"])
-                                              + d["qa0"] * expit(d["alpha_a"] + beta0)))
-    st.add("risk0_00", r000,
-           lambda d: d["risk0_00"] * d["pSa1"]
-           - expit(d["alpha_a"] + beta0) * d["qa0"] * d["pSa0"])
+    return st, SimpleNamespace(**vars(v), p11=p11, p10=p10, ma=ma, r100=r100)
+
+
+def _early_rates(weighted, risk0_name: str):
+    """Control survivor risk and the per-arm early-event rates (scenario C)."""
+    cells = weighted.cells
+    f = _features(cells)
+    st = _Stack(cells)
+    risk0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
+    pyt1 = _wmean(cells, f.z, 1 - f.surv, "arm-1 records")
+    pyt0 = _wmean(cells, 1 - f.z, 1 - f.surv, "arm-0 records")
+    st.add(risk0_name, risk0, lambda d: (1 - f.z) * f.surv * (f.y - d[risk0_name]))
+    st.add("pyt1", pyt1, lambda d: f.z * (1 - f.surv - d["pyt1"]))
+    st.add("pyt0", pyt0, lambda d: (1 - f.z) * (1 - f.surv - d["pyt0"]))
+    return st, f, risk0, pyt1, pyt0
+
+
+def _c_protect_opening(weighted):
+    cells = weighted.cells
+    st, f, risk0, pyt1, pyt0 = _early_rates(weighted, "risk0")
+    if not pyt1 < pyt0:
+        raise OrderingError(
+            "early-event ordering (A4'') fails: the active-arm early rate "
+            f"{pyt1:.4g} is not below the control rate {pyt0:.4g}; Wald "
+            "inference under early no-harm monotonicity is invalid here")
+    phi = (1.0 - pyt0) / (1.0 - pyt1)   # P(control survives early | active does)
+    st.add("phi", phi, lambda d: d["phi"] * (1 - d["pyt1"]) - (1 - d["pyt0"]))
+
+    s1m = _wmean(cells, f.z * f.m, f.pos, "measured arm-1 survivor markers")
+    mr1 = _wmean(cells, f.z * f.m * f.pos, f.y, "active positive survivors")
+    mr0 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
+    st.add("s1m", s1m, lambda d: f.z * f.m * (f.pos - d["s1m"]))
+    st.add("mrisk1_1", mr1, lambda d: f.z * f.m * f.pos * (f.y - d["mrisk1_1"]))
+    st.add("mrisk1_0", mr0, lambda d: f.z * f.m * f.neg * (f.y - d["mrisk1_0"]))
+    return st, SimpleNamespace(risk0=risk0, phi=phi, s1m=s1m, mr1=mr1, mr0=mr0)
+
+
+def _c_harm_opening(weighted):
+    cells = weighted.cells
+    st, f, riskm0, pyt1, pyt0 = _early_rates(weighted, "riskm0")
+    phi_r = (1.0 - pyt1) / (1.0 - pyt0)   # P(active survives early | control does)
+    st.add("phi_r", phi_r, lambda d: d["phi_r"] * (1 - d["pyt0"]) - (1 - d["pyt1"]))
+
+    risk1 = _wmean(cells, f.z * f.surv, f.y, "arm-1 survivors")
+    p00 = _wmean(cells, f.z * f.m, f.neg, "measured arm-1 survivor markers")
+    r100 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
+    st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
+    st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
+    st.add("risk1_00", r100, lambda d: f.z * f.m * f.neg * (f.y - d["risk1_00"]))
+    p10 = 1.0 - p00
+    if p10 <= 0.0:
+        raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
+    st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
+    return st, SimpleNamespace(riskm0=riskm0, phi_r=phi_r, risk1=risk1,
+                               p00=p00, p10=p10, r100=r100)
+
+
+def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
+                   with_cov: bool = True) -> RiskEstimates:
+    """Scenario B fit: equal early clinical risk plus a constant control-arm
+    marker, selection bias indexed by ``beta0``.
+
+    risk_1(0,0) and the mixing proportion are direct IPW means among active-
+    arm survivors; risk_0(0,0) and risk_0(1,0) jointly solve the odds-ratio
+    model odds(risk_0(0,0)) / odds(risk_0(1,0)) = exp(beta0) together with
+    the mixture identity for the identified control survivor risk; and
+    risk_1(1,0) is recovered from the mixture identity for the active arm,
+    which makes the mixing identity hold exactly by construction.
+    """
+    point = SensitivityPoint(Scenario.B, {"beta0": beta0})
+    st, v = _opening(weighted, _b_opening)
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
+    r110 = (v.risk1 - v.p00 * v.r100) / v.p10
+    _check_unit_interval("risk1_10", r110,
+                         "active-arm mixture identity; check the weights")
+    st.add("risk1_10", r110,
+           lambda d: d["risk1"] - d["p00"] * d["risk1_00"] - d["p10"] * d["risk1_10"])
+
+    names, theta, cov = _finalize(st, with_cov)
+    return RiskEstimates(scenario=Scenario.B, sensitivity=point,
+                         names=names, theta=theta, cov=cov, n=weighted.cells.n)
+
+
+def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
+                   beta1_reversed: float = 0.0,
+                   with_cov: bool = True) -> RiskEstimates:
+    """Scenario A fit: equal early clinical risk with a varying control-arm
+    marker under marker monotonicity.
+
+    Two selection-model solves run back to back: the standard direction on
+    state (survivor and marker-negative) recovers the (0,0) stratum risks
+    with ``beta0``; the reversed direction on state (survivor and marker-
+    positive) recovers the (1,1) stratum risks with ``beta1_reversed``. The
+    (1,0) risks then come from the three-component mixture identity.
+    """
+    point = SensitivityPoint(Scenario.A, {
+        "beta0": beta0, "beta1_reversed": beta1_reversed})
+    st, v = _opening(weighted, _a_opening)
+    cells, f, ma = weighted.cells, v.f, v.ma
+    _, r000 = _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", beta0)
 
     # survivor & marker-positive state, reversed monotonicity direction
     sb = f.surv * f.pos
@@ -629,23 +683,15 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
             "direction solve is invalid")
     qb1 = _wmean(cells, f.z * ma * sb, f.y, "active positive survivors")
     r011 = _wmean(cells, (1 - f.z) * ma * sb, f.y, "control positive survivors")
-    rho_b = pSb0 / pSb1
-    w1b, w0b = solve_logit_mixture(rho_b, qb1, beta1_reversed)
-    alpha_b = math.log(w0b / (1.0 - w0b))
-    r111 = w1b * qb1 / rho_b
     st.add("pSb1", pSb1, lambda d: f.z * ma * (sb - d["pSb1"]))
     st.add("pSb0", pSb0, lambda d: (1 - f.z) * ma * (sb - d["pSb0"]))
     st.add("qb1", qb1, lambda d: f.z * ma * sb * (f.y - d["qb1"]))
     st.add("risk0_11", r011, lambda d: (1 - f.z) * ma * sb * (f.y - d["risk0_11"]))
-    st.add("alpha_b", alpha_b,
-           lambda d: d["pSb0"] - d["pSb1"] * ((1 - d["qb1"]) * expit(d["alpha_b"])
-                                              + d["qb1"] * expit(d["alpha_b"] + beta1_reversed)))
-    st.add("risk1_11", r111,
-           lambda d: d["risk1_11"] * d["pSb0"]
-           - expit(d["alpha_b"] + beta1_reversed) * d["qb1"] * d["pSb1"])
+    _, r111 = _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1",
+                         beta1_reversed)
 
-    r110 = (risk1 - p00 * r100 - p11 * r111) / p10
-    r010 = (risk0 - p00 * r000 - p11 * r011) / p10
+    r110 = (v.risk1 - v.p00 * v.r100 - v.p11 * r111) / v.p10
+    r010 = (v.risk0 - v.p00 * r000 - v.p11 * r011) / v.p10
     _check_unit_interval("risk1_10", r110, "three-component mixture, active arm")
     _check_unit_interval("risk0_10", r010, "three-component mixture, control arm")
     st.add("risk1_10", r110,
@@ -679,46 +725,15 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
     """
     point = SensitivityPoint(Scenario.C_PROTECT, {
         "beta0": beta0, "beta2": beta2, "beta3": beta3, "beta4": beta4})
-    cells = weighted.cells
-    f = _features(cells)
-    st = _Stack(cells)
-
-    risk0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
-    pyt1 = _wmean(cells, f.z, 1 - f.surv, "arm-1 records")
-    pyt0 = _wmean(cells, 1 - f.z, 1 - f.surv, "arm-0 records")
-    st.add("risk0", risk0, lambda d: (1 - f.z) * f.surv * (f.y - d["risk0"]))
-    st.add("pyt1", pyt1, lambda d: f.z * (1 - f.surv - d["pyt1"]))
-    st.add("pyt0", pyt0, lambda d: (1 - f.z) * (1 - f.surv - d["pyt0"]))
-    if not pyt1 < pyt0:
-        raise OrderingError(
-            "early-event ordering (A4'') fails: the active-arm early rate "
-            f"{pyt1:.4g} is not below the control rate {pyt0:.4g}; Wald "
-            "inference under early no-harm monotonicity is invalid here")
-    phi = (1.0 - pyt0) / (1.0 - pyt1)   # P(control survives early | active does)
-    st.add("phi", phi, lambda d: d["phi"] * (1 - d["pyt1"]) - (1 - d["pyt0"]))
-
-    s1m = _wmean(cells, f.z * f.m, f.pos, "measured arm-1 survivor markers")
-    mr1 = _wmean(cells, f.z * f.m * f.pos, f.y, "active positive survivors")
-    mr0 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
-    st.add("s1m", s1m, lambda d: f.z * f.m * (f.pos - d["s1m"]))
-    st.add("mrisk1_1", mr1, lambda d: f.z * f.m * f.pos * (f.y - d["mrisk1_1"]))
-    st.add("mrisk1_0", mr0, lambda d: f.z * f.m * f.neg * (f.y - d["mrisk1_0"]))
-
-    p10, q_ep = solve_logit_mixture(s1m, phi, beta4)
+    st, v = _opening(weighted, _c_protect_opening)
+    phi, s1m = v.phi, v.s1m
+    p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", beta4)
     p00 = 1.0 - p10
     if p10 <= 0.0 or p00 <= 0.0:
         raise EstimationError(
             f"always-survivor marker split degenerate: p(1,0) = {p10:.6g}")
-    st.add("p10", p10, _odds_row("p10", "ep_pos_rate", beta4))
-    st.add("ep_pos_rate", q_ep,
-           lambda d: d["s1m"] - d["phi"] * d["p10"]
-           - (1 - d["phi"]) * d["ep_pos_rate"])
     st.add("p00", p00, lambda d: 1.0 - d["p10"] - d["p00"])
-
-    r000, r010 = solve_logit_mixture(risk0, p00, beta0)
-    st.add("risk0_00", r000, _odds_row("risk0_00", "risk0_10", beta0))
-    st.add("risk0_10", r010,
-           lambda d: d["risk0"] - d["p00"] * d["risk0_00"] - d["p10"] * d["risk0_10"])
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
 
     if s1m <= 0.0 or s1m >= 1.0:
         raise EstimationError(
@@ -731,16 +746,8 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
     st.add("w1s", w1s, lambda d: d["w1s"] * d["s1m"] - d["p10"] * d["phi"])
     st.add("w0s", w0s, lambda d: d["w0s"] * (1 - d["s1m"]) - d["p00"] * d["phi"])
 
-    r110, r11u = solve_logit_mixture(mr1, w1s, beta3)
-    r100, r10u = solve_logit_mixture(mr0, w0s, beta2)
-    st.add("risk1_10", r110, _odds_row("risk1_10", "risk1_1star", beta3))
-    st.add("risk1_1star", r11u,
-           lambda d: d["mrisk1_1"] - d["w1s"] * d["risk1_10"]
-           - (1 - d["w1s"]) * d["risk1_1star"])
-    st.add("risk1_00", r100, _odds_row("risk1_00", "risk1_0star", beta2))
-    st.add("risk1_0star", r10u,
-           lambda d: d["mrisk1_0"] - d["w0s"] * d["risk1_00"]
-           - (1 - d["w0s"]) * d["risk1_0star"])
+    r110, _ = _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", beta3)
+    r100, _ = _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", beta2)
 
     risk1 = p00 * r100 + p10 * r110
     st.add("risk1", risk1,
@@ -751,7 +758,7 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
               "ep_pos_rate", "phi"]
     names, theta, cov = _finalize(st, with_cov, report)
     return RiskEstimates(scenario=Scenario.C_PROTECT, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=cells.n)
+                         names=names, theta=theta, cov=cov, n=weighted.cells.n)
 
 
 def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
@@ -768,42 +775,11 @@ def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
     """
     point = SensitivityPoint(Scenario.C_HARM, {
         "beta0": beta0, "beta1_marginal": beta1_marginal})
-    cells = weighted.cells
-    f = _features(cells)
-    st = _Stack(cells)
+    st, v = _opening(weighted, _c_harm_opening)
+    _split(st, "risk0", "eh_risk", "riskm0", "phi_r", beta1_marginal)
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
 
-    riskm0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
-    pyt1 = _wmean(cells, f.z, 1 - f.surv, "arm-1 records")
-    pyt0 = _wmean(cells, 1 - f.z, 1 - f.surv, "arm-0 records")
-    st.add("riskm0", riskm0, lambda d: (1 - f.z) * f.surv * (f.y - d["riskm0"]))
-    st.add("pyt1", pyt1, lambda d: f.z * (1 - f.surv - d["pyt1"]))
-    st.add("pyt0", pyt0, lambda d: (1 - f.z) * (1 - f.surv - d["pyt0"]))
-    phi_r = (1.0 - pyt1) / (1.0 - pyt0)   # P(active survives early | control does)
-    st.add("phi_r", phi_r, lambda d: d["phi_r"] * (1 - d["pyt0"]) - (1 - d["pyt1"]))
-
-    risk1 = _wmean(cells, f.z * f.surv, f.y, "arm-1 survivors")
-    p00 = _wmean(cells, f.z * f.m, f.neg, "measured arm-1 survivor markers")
-    r100 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
-    st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
-    st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
-    st.add("risk1_00", r100, lambda d: f.z * f.m * f.neg * (f.y - d["risk1_00"]))
-    p10 = 1.0 - p00
-    if p10 <= 0.0:
-        raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
-    st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
-
-    risk0, r_eh = solve_logit_mixture(riskm0, phi_r, beta1_marginal)
-    st.add("risk0", risk0, _odds_row("risk0", "eh_risk", beta1_marginal))
-    st.add("eh_risk", r_eh,
-           lambda d: d["riskm0"] - d["phi_r"] * d["risk0"]
-           - (1 - d["phi_r"]) * d["eh_risk"])
-
-    r000, r010 = solve_logit_mixture(risk0, p00, beta0)
-    st.add("risk0_00", r000, _odds_row("risk0_00", "risk0_10", beta0))
-    st.add("risk0_10", r010,
-           lambda d: d["risk0"] - d["p00"] * d["risk0_00"] - d["p10"] * d["risk0_10"])
-
-    r110 = (risk1 - p00 * r100) / p10
+    r110 = (v.risk1 - v.p00 * v.r100) / v.p10
     _check_unit_interval("risk1_10", r110, "active-arm mixture identity")
     st.add("risk1_10", r110,
            lambda d: d["risk1"] - d["p00"] * d["risk1_00"] - d["p10"] * d["risk1_10"])
@@ -812,7 +788,7 @@ def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
               "risk0_00", "risk0_10", "eh_risk", "phi_r"]
     names, theta, cov = _finalize(st, with_cov, report)
     return RiskEstimates(scenario=Scenario.C_HARM, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=cells.n)
+                         names=names, theta=theta, cov=cov, n=weighted.cells.n)
 
 
 _FITTERS = {
@@ -851,9 +827,8 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
     if scenario not in (Scenario.A, Scenario.B):
         raise ConfigError("the mean-shift method applies to scenarios A and B")
     cells = weighted.cells
-    f = _features(cells)
-    st = _Stack(cells)
-    risk1, risk0, p00 = _identified_block(st, f, cells)
+    st, v = _opening(weighted, _identified)
+    f, risk1, risk0, p00 = v.f, v.risk1, v.risk0, v.p00
     mu10 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
     mu00 = _wmean(cells, (1 - f.z) * f.m * f.neg, f.y, "control negative survivors")
     mu11 = _wmean(cells, f.z * f.m * f.pos, f.y, "active positive survivors")

@@ -76,19 +76,16 @@ class SensitivityConfig:
         return [SensitivityPoint(self.scenario, dict(zip(keys, combo)))
                 for combo in itertools.product(*(axes[k] for k in keys))]
 
-    def corner_points(self) -> list[SensitivityPoint]:
-        axes = self.axes()
-        keys = list(axes)
-        corners = [(v[0], v[-1]) if len(v) > 1 else (v[0],) for v in axes.values()]
-        return [SensitivityPoint(self.scenario, dict(zip(keys, combo)))
-                for combo in itertools.product(*corners)]
-
 
 @dataclass
 class SweepCell:
+    """One grid point. ``values`` holds the point estimate of every sweep
+    target; ``estimates`` is the point fit, replaced by the fit with
+    covariance (and ``cep`` set) where the cell holds a target's extreme."""
     point: SensitivityPoint
     estimates: RiskEstimates | None
-    cep: CepResult | None
+    values: dict[str, float] | None
+    cep: CepResult | None = None
     error: str | None = None
 
 
@@ -96,6 +93,7 @@ class SweepCell:
 class SweepResult:
     config: SensitivityConfig
     cells: list[SweepCell]
+    targets: tuple[str, ...]
 
     def ok_cells(self) -> list[SweepCell]:
         return [c for c in self.cells if c.error is None]
@@ -104,40 +102,60 @@ class SweepResult:
 TARGETS_CEP = {"cep_00": "00", "cep_10": "10", "cep_11": "11"}
 
 
-def _extract(cell: SweepCell, target: str) -> tuple[float, float]:
-    if target == "mu":
-        return cell.cep.mu, cell.cep.mu_se
-    if target in TARGETS_CEP:
-        s = TARGETS_CEP[target]
-        if s not in cell.cep.values:
-            raise KeyError(f"{target} not available in scenario "
-                           f"{cell.point.scenario.value}")
-        return cell.cep.values[s], cell.cep.ses[s]
-    est = cell.estimates
-    return est.value(target), est.se(target)
+def _default_targets(scenario: Scenario) -> tuple[str, ...]:
+    """Every CEP target of the scenario: cep_11 exists only in scenario A."""
+    return (("cep_00", "cep_10", "cep_11", "mu") if scenario is Scenario.A
+            else ("cep_00", "cep_10", "mu"))
 
 
-def sweep(weighted: WeightedRecords, config: SensitivityConfig) -> SweepResult:
-    """Refit the scenario at every grid point of the sensitivity region.
+def _point_values(est: RiskEstimates, contrast: Contrast) -> dict[str, float]:
+    """Every CEP target of a fit, by the float operations of ``cep``."""
+    h = {s: contrast.apply(est.value(f"risk1_{s}"), est.value(f"risk0_{s}"))
+         for s in TARGETS_CEP.values() if est.has(f"risk1_{s}")}
+    return {**{f"cep_{s}": v for s, v in h.items()}, "mu": h["10"] - h["00"]}
 
-    Individual grid-point failures are recorded per cell rather than
-    raised, unless every cell fails.
+
+def _se(cell: SweepCell, target: str) -> float:
+    return cell.cep.mu_se if target == "mu" else cell.cep.ses[TARGETS_CEP[target]]
+
+
+def _extremes(ok: list[SweepCell], target: str) -> tuple[SweepCell, SweepCell]:
+    """First cells, in grid order, holding the target's minimum and maximum."""
+    return (min(ok, key=lambda c: c.values[target]),
+            max(ok, key=lambda c: c.values[target]))
+
+
+def sweep(weighted: WeightedRecords, config: SensitivityConfig,
+          targets: tuple[str, ...] | None = None) -> SweepResult:
+    """Point fits at every grid point of the sensitivity region; fits with
+    covariance and contrast errors only at each target's argmin and argmax.
+
+    ``targets`` defaults to every CEP target of the scenario. Grid-point
+    failures are recorded per cell rather than raised, unless every cell
+    fails. A cell whose covariance fit fails is marked failed and the
+    extremes are taken again over the remaining cells.
     """
-    cells = []
+    result = SweepResult(config, [], tuple(targets or _default_targets(config.scenario)))
     for point in config.points():
         try:
-            est = fit_scenario(weighted, point)
-            cells.append(SweepCell(point=point, estimates=est,
-                                   cep=cep(est, config.contrast)))
+            est = fit_scenario(weighted, point, with_cov=False)
+            result.cells.append(SweepCell(point, est, _point_values(est, config.contrast)))
         except PsemError as exc:
-            cells.append(SweepCell(point=point, estimates=None, cep=None,
-                                   error=f"{type(exc).__name__}: {exc}"))
-    result = SweepResult(config=config, cells=cells)
-    if not result.ok_cells():
-        raise EstimationError(
-            "every sensitivity grid point failed; first error: "
-            + str(cells[0].error))
-    return result
+            result.cells.append(SweepCell(point, None, None,
+                                          error=f"{type(exc).__name__}: {exc}"))
+    while ok := result.ok_cells():
+        pending = {id(c): c for t in result.targets for c in _extremes(ok, t)
+                   if c.cep is None}
+        if not pending:
+            return result
+        for cell in pending.values():
+            try:
+                cell.estimates = fit_scenario(weighted, cell.point)
+                cell.cep = cep(cell.estimates, config.contrast)
+            except PsemError as exc:
+                cell.error = f"{type(exc).__name__}: {exc}"
+    raise EstimationError("every sensitivity grid point failed; first error: "
+                          + str(result.cells[0].error))
 
 
 @dataclass
@@ -162,19 +180,19 @@ def ignorance_interval(grid: SweepResult, target: str = "mu") -> IgnoranceInterv
     problem and triggers a warning, while for the scenario C variants
     corner attainment is only measured and reported.
     """
+    if target not in grid.targets:
+        raise KeyError(f"{target!r} is not a target of this sweep; "
+                       f"targets: {list(grid.targets)}")
     ok = grid.ok_cells()
     if not ok:
         raise EstimationError("no successful grid cells")
-    vals = [_extract(c, target) for c in ok]
-    i_lo = min(range(len(ok)), key=lambda i: vals[i][0])
-    i_hi = max(range(len(ok)), key=lambda i: vals[i][0])
-    corner_vals = {tuple(sorted(p.as_dict().items()))
-                   for p in grid.config.corner_points()}
+    lo, hi = _extremes(ok, target)
+    axes = grid.config.axes()
 
     def on_corner(cell):
-        return tuple(sorted(cell.point.as_dict().items())) in corner_vals
+        return all(cell.point.get(k) in (v[0], v[-1]) for k, v in axes.items())
 
-    on_corners = on_corner(ok[i_lo]) and on_corner(ok[i_hi])
+    on_corners = on_corner(lo) and on_corner(hi)
     if not on_corners and grid.config.scenario is Scenario.B:
         warnings.warn(
             f"ignorance-interval extremes for {target} fall inside the "
@@ -183,9 +201,9 @@ def ignorance_interval(grid: SweepResult, target: str = "mu") -> IgnoranceInterv
             stacklevel=2)
     return IgnoranceInterval(
         target=target,
-        lower=vals[i_lo][0], upper=vals[i_hi][0],
-        se_lower=vals[i_lo][1], se_upper=vals[i_hi][1],
-        point_lower=ok[i_lo].point, point_upper=ok[i_hi].point,
+        lower=lo.values[target], upper=hi.values[target],
+        se_lower=_se(lo, target), se_upper=_se(hi, target),
+        point_lower=lo.point, point_upper=hi.point,
         extrema_on_corners=on_corners,
         n_failed=len(grid.cells) - len(ok))
 

@@ -34,10 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .core import Contrast, Scenario, SensitivityPoint, cep, fit_scenario
+# cep and fit_scenario stay bound here: bench/tracer.py patches them in this
+# namespace
+from .core import Contrast, Scenario, cep, fit_scenario  # noqa: F401
 from .errors import ConfigError, PsemError
 from .records import Marker, ObservedRecord
-from .sensitivity import SensitivityConfig, eui
+from .sensitivity import SensitivityConfig, eui, ignorance_interval, sweep
 from .tables import S_MISS, S_NEG, S_POS, S_UNDEF
 from .weights import WeightModel, fit_missingness
 
@@ -359,16 +361,11 @@ def _gamma_config(design: str, scale: float, grid_points: int,
                              contrast=Contrast.ADDITIVE)
 
 
-def _mu_point(est) -> float:
-    return ((est.value("risk1_10") - est.value("risk0_10"))
-            - (est.value("risk1_00") - est.value("risk0_00")))
+def _one_replicate(design, n, nu, a, b, gamma, seed, cell_id, rep):
+    """Generate, sweep the sensitivity grid, and summarize one draw.
 
-
-def _one_replicate(design, n, nu, a, b, points, alpha, seed, cell_id, rep):
-    """Generate, fit across the sensitivity grid, and summarize one draw.
-
-    Returns (mu_min, se_min, mu_max, se_max, eui_lo, eui_hi) or an error
-    string when any required fit fails.
+    Returns (mu_min, se_min, mu_max, se_max, eui_lo, eui_hi), or the first
+    error string when any grid cell fails.
     """
     rng = _rng_for(seed, cell_id, rep)
     cfg = GeneratorConfig(design=design, n=n, a=a, b=b, nu=nu, seed=seed)
@@ -376,26 +373,20 @@ def _one_replicate(design, n, nu, a, b, points, alpha, seed, cell_id, rep):
     try:
         cells = tables.from_arrays(arrs["z"], arrs["yt"], arrs["s_code"], arrs["y"])
         weighted = fit_missingness(cells, WeightModel.design_known(nu))
-        mus = [_mu_point(fit_scenario(weighted, pt, with_cov=False))
-               for pt in points]
-        i_min = min(range(len(mus)), key=mus.__getitem__)
-        i_max = max(range(len(mus)), key=mus.__getitem__)
-        ses = {}
-        for i in {i_min, i_max}:
-            est = fit_scenario(weighted, points[i])
-            ses[i] = cep(est, Contrast.ADDITIVE).mu_se
-        result = eui(mus[i_min], ses[i_min], mus[i_max], ses[i_max], n, alpha)
+        grid = sweep(weighted, gamma, targets=("mu",))
     except PsemError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return (mus[i_min], ses[i_min], mus[i_max], ses[i_max], *result.eui)
+    for cell in grid.cells:
+        if cell.error is not None:
+            return cell.error
+    ii = ignorance_interval(grid, "mu")
+    result = eui(ii.lower, ii.se_lower, ii.upper, ii.se_upper, n, gamma.alpha)
+    return (ii.lower, ii.se_lower, ii.upper, ii.se_upper, *result.eui)
 
 
 def _replicate_chunk(args):
-    design, n, nu, a, b, point_dicts, alpha, seed, cell_id, reps = args
-    scenario = _scenario_for(design)
-    points = [SensitivityPoint(scenario, d) for d in point_dicts]
-    return [_one_replicate(design, n, nu, a, b, points, alpha, seed, cell_id, r)
-            for r in reps]
+    *fixed, reps = args
+    return [_one_replicate(*fixed, r) for r in reps]
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -415,11 +406,10 @@ def run_study(config: StudyConfig) -> StudyResult:
         true_mu = oracle_estimands(GeneratorConfig(
             design=cell["design"], n=2, a=a, b=b))["mu"]
         gamma = _gamma_config(cell["design"], cell["gamma_scale"], g, config.alpha)
-        point_dicts = [p.as_dict() for p in gamma.points()]
         reps = list(range(config.replicates))
         chunks = _split(reps, max(1, config.threads) * 4)
-        args = [(cell["design"], cell["n"], cell["nu"], a, b, point_dicts,
-                 config.alpha, config.seed, cell_id, chunk) for chunk in chunks]
+        args = [(cell["design"], cell["n"], cell["nu"], a, b, gamma,
+                 config.seed, cell_id, chunk) for chunk in chunks]
         if config.threads > 1:
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 outs = list(pool.map(_replicate_chunk, args))

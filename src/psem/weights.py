@@ -74,6 +74,9 @@ class WeightedRecords:
     psi: np.ndarray | None = None      # logistic coefficients when estimated
     certainty_cases: bool = False
     _record_pi: np.ndarray | None = field(default=None, repr=False)
+    # beta-free opening blocks of the scenario fits, keyed by builder
+    fit_blocks: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def n(self) -> float:

@@ -132,6 +132,15 @@ def test_analyze_config_error_exit_code(tmp_path, worked_csv):
     assert main(["analyze", "--config", str(cfg)]) == 2
 
 
+def test_analyze_scales_with_ranges_is_config_error(tmp_path, worked_csv, capsys):
+    out = tmp_path / "o"
+    cfg = write_analysis_config(tmp_path, worked_csv, out,
+                                extra_sensitivity="scales = 0, 1\nbeta0 = -1, 1")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "either scales or per-parameter ranges" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_analyze_missing_config():
     assert main(["analyze", "--config", "/nonexistent.ini"]) == 2
 
@@ -263,3 +272,49 @@ dir = {out}
     assert ("mu", "scale=0.5") in rows
     mu = float(rows[("mu", "scale=0")]["point"])
     assert abs(mu - 0.3) < 0.15
+
+
+def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
+    from psem import sensitivity
+    from psem.core import Scenario
+    from psem.errors import EstimationError
+    from psem.records import load_csv
+    from psem.weights import fit_missingness
+
+    real_fit = sensitivity.fit_scenario
+    failed = []
+
+    def fit(weighted, point, with_cov=True):
+        if with_cov and not failed:        # the first extreme's sandwich
+            failed.append(point)
+            raise EstimationError("injected")
+        return real_fit(weighted, point, with_cov)
+
+    monkeypatch.setattr(sensitivity, "fit_scenario", fit)
+    weighted = fit_missingness(load_csv(worked_csv))
+    config = sensitivity.SensitivityConfig(
+        scenario=Scenario.B, ranges={"beta0": (-1.0, 1.0)}, grid_points=5)
+    grid = sensitivity.sweep(weighted, config, targets=("mu",))
+    points = [c.point for c in grid.cells]
+    bad = points.index(failed[0])
+    assert bad in (0, 4)                   # mu is monotone in beta0
+    assert grid.cells[bad].error == "EstimationError: injected"
+    nxt = grid.cells[1 if bad == 0 else 3]
+    with pytest.warns(RuntimeWarning, match="inside the sensitivity region"):
+        res = sensitivity.interval_for(grid, "mu")     # the corner check runs
+    assert nxt.point in (res.point_lower, res.point_upper)
+    assert nxt.values["mu"] in res.ignorance
+    assert nxt.cep.mu_se in (res.se_lower, res.se_upper)
+    assert len(grid.cells) - len(grid.ok_cells()) == 1
+
+    failed.clear()
+    out = tmp_path / "out"
+    cfg = write_analysis_config(tmp_path, worked_csv, out,
+                                extra_sensitivity="beta0 = -1, 1")
+    with pytest.warns(RuntimeWarning, match="inside the sensitivity region"):
+        assert main(["analyze", "--config", str(cfg)]) == 0
+    gamma = json.loads((out / "results.json").read_text())["sensitivity"][0]
+    assert gamma["grid_failures"] == 1
+    for interval in gamma["intervals"].values():
+        assert failed[0].as_dict() not in (interval["gamma_at_lower"],
+                                           interval["gamma_at_upper"])

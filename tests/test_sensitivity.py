@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import psem
+from psem import tables
 from psem.core import Contrast, Scenario
 from psem.errors import ConfigError, EstimationError
 from psem.mathutil import norm_cdf, norm_quantile
 from psem.sensitivity import SensitivityConfig, solve_c_alpha
+from psem.weights import WeightModel, fit_missingness
 
 from conftest import random_cb_dataset
 
@@ -62,7 +66,7 @@ def test_sweep_single_point_equals_plain_fit(worked_weighted):
     grid = psem.sweep(worked_weighted, b_config(0.0, 0.0))
     assert len(grid.cells) == 1
     direct = psem.cep(psem.fit_scenario_b(worked_weighted, 0.0), Contrast.ADDITIVE)
-    assert grid.cells[0].cep.mu == pytest.approx(direct.mu, abs=1e-14)
+    assert grid.cells[0].values["mu"] == pytest.approx(direct.mu, abs=1e-14)
 
 
 def test_sweep_monotone_extremes_at_endpoints(worked_weighted):
@@ -70,7 +74,7 @@ def test_sweep_monotone_extremes_at_endpoints(worked_weighted):
     ii = psem.ignorance_interval(grid, "mu")
     assert ii.extrema_on_corners
     assert ii.point_lower.get("beta0") in (-1.0, 1.0)
-    mus = [c.cep.mu for c in grid.cells]
+    mus = [c.values["mu"] for c in grid.cells]
     assert min(mus) == mus[0] or min(mus) == mus[-1]
 
 
@@ -237,3 +241,79 @@ def test_all_cells_failing_raises(worked_weighted):
     # worked fixture has equal early rates (none), so A4'' fails everywhere
     with pytest.raises(EstimationError, match="every sensitivity grid point"):
         psem.sweep(worked_weighted, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the sweep against full-covariance fits at every cell
+
+# per scenario: (active early rate, control early rate, control marker rate)
+SCENARIO_DATA = {
+    Scenario.A: (0.15, 0.15, 0.3),
+    Scenario.B: (0.15, 0.15, 0.0),
+    Scenario.C_PROTECT: (0.1, 0.25, 0.0),
+    Scenario.C_HARM: (0.25, 0.1, 0.0),
+}
+
+
+def scenario_dataset(scenario, seed, n, nu):
+    """Random case-cohort dataset shaped so that ``scenario`` fits."""
+    early1, early0, ctrl_pos = SCENARIO_DATA[scenario]
+    rng = np.random.default_rng(seed)
+    z = (rng.random(n) < 0.5).astype(int)
+    yt = (rng.random(n) < np.where(z == 1, early1, early0)).astype(int)
+    pos = (rng.random(n) < np.where(z == 1, 0.6, ctrl_pos)) & (yt == 0)
+    risk = np.where(z == 1, np.where(pos, 0.25, 0.45), np.where(pos, 0.3, 0.4))
+    y = np.where(yt == 1, 1, (rng.random(n) < risk).astype(int))
+    measured = (yt == 1) | (y == 1) | (rng.random(n) < nu)
+    s_code = np.where(yt == 1, tables.S_UNDEF,
+                      np.where(measured, np.where(pos, tables.S_POS, tables.S_NEG),
+                               tables.S_MISS))
+    return fit_missingness(tables.from_arrays(z, yt, s_code, y),
+                           WeightModel.design_known(nu))
+
+
+def full_cov_reference(w, cfg, target):
+    """Interval built the slow way: a fit with covariance and ``cep`` at
+    every grid cell."""
+    s = {"cep_00": "00", "cep_10": "10", "cep_11": "11"}.get(target)
+    fits = []
+    for point in cfg.points():
+        c = psem.cep(psem.fit_scenario(w, point), cfg.contrast)
+        fits.append((c.mu, c.mu_se, point) if s is None
+                    else (c.values[s], c.ses[s], point))
+    lo = min(fits, key=lambda t: t[0])
+    hi = max(fits, key=lambda t: t[0])
+    return psem.eui(lo[0], lo[1], hi[0], hi[1], w.n, cfg.alpha), lo[2], hi[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(list(Scenario)),
+       contrast=st.sampled_from(list(Contrast)),
+       seed=st.integers(0, 2**32 - 1),
+       n=st.integers(800, 2500),
+       nu=st.sampled_from([1.0, 0.5]),
+       scale=st.floats(0.1, 1.0))
+def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, scale):
+    w = scenario_dataset(scenario, seed, n, nu)
+    cfg = SensitivityConfig(
+        scenario=scenario, ranges={k: (-scale, scale) for k in scenario.sensitivity_keys},
+        grid_points=2 if scenario is Scenario.C_PROTECT else 4, contrast=contrast)
+    try:
+        full = [psem.cep(psem.fit_scenario(w, p), contrast) for p in cfg.points()]
+    except psem.PsemError:
+        assume(False)
+    grid = psem.sweep(w, cfg)
+    assert len(grid.ok_cells()) == len(grid.cells)
+    for cell, c in zip(grid.cells, full):
+        assert cell.values["mu"] == c.mu
+        for s, value in c.values.items():
+            assert cell.values[f"cep_{s}"] == value
+    for target in grid.targets:
+        res = psem.interval_for(grid, target)
+        ref, p_lo, p_hi = full_cov_reference(w, cfg, target)
+        assert res.ignorance == ref.ignorance
+        assert (res.se_lower, res.se_upper) == (ref.se_lower, ref.se_upper)
+        assert res.eui == ref.eui
+        assert res.c_alpha == ref.c_alpha
+        assert res.point_lower == p_lo and res.point_upper == p_hi
+

@@ -8,7 +8,7 @@ reproducible Monte Carlo study harness.
 __version__ = "0.1.0"
 
 from .core import (CepResult, Contrast, RiskEstimates, Scenario,
-                   SensitivityPoint, cep, check_assumptions,
+                   SensitivityPoint, cep, check_assumptions, delta_method,
                    estimate_identified, fit_scenario, fit_scenario_a,
                    fit_scenario_b, fit_scenario_c_harm,
                    fit_scenario_c_protect, mean_shift_cep, selection_sace,
@@ -16,7 +16,6 @@ from .core import (CepResult, Contrast, RiskEstimates, Scenario,
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError, PsemError,
                      PositivityError, SeparationError)
-from .estimating import EstimatingSystem, FitResult, delta_method, sandwich_cov, solve_system
 from .records import DatasetSummary, Marker, ObservedRecord, load_csv, summarize, write_csv
 from .sensitivity import (IntervalResult, SensitivityConfig, eui,
                           ignorance_interval, interval_for, sweep,

@@ -34,6 +34,7 @@ standard errors for any contrast come from a single consistent object.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -43,7 +44,6 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError)
-from .estimating import _fd_jacobian, delta_method
 from .mathutil import expit, fisher_exact_two_sided, solve_logit_mixture
 from .tables import S_NEG, S_POS, S_UNDEF
 from .weights import WeightedRecords, fit_missingness
@@ -99,6 +99,55 @@ class Direction(enum.Enum):
 # ---------------------------------------------------------------------------
 # stacked-system plumbing
 
+FD_REL_STEP = 1e-6
+
+
+def _fd_step(scale: float) -> float:
+    """Step of size about FD_REL_STEP * scale, rounded to a power of two so
+    that x +/- h and the difference (x+h) - (x-h) stay exact for linear
+    maps."""
+    return 2.0 ** round(math.log2(FD_REL_STEP * max(1.0, scale)))
+
+
+def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian, step h_j ~ FD_REL_STEP * max(1, |theta_j|)."""
+    p = theta.size
+    jac = np.empty((p, p))
+    for j in range(p):
+        h = _fd_step(abs(theta[j]))
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        jac[:, j] = (f(tp) - f(tm)) / (tp[j] - tm[j])
+    return jac
+
+
+def delta_method(g: Callable[[np.ndarray], float], theta_hat, cov) -> tuple[float, float]:
+    """Value and variance of a smooth scalar map of theta_hat.
+
+    The gradient is computed by central finite differences with the same
+    relative step as the stacked-system bread; variance = grad^T cov grad,
+    floored at zero against round-off.
+    """
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    value = float(g(theta_hat))
+    if not math.isfinite(value):
+        raise ValueError("g is not finite at theta_hat")
+    p = theta_hat.size
+    grad = np.empty(p)
+    for j in range(p):
+        h = _fd_step(abs(theta_hat[j]))
+        tp, tm = theta_hat.copy(), theta_hat.copy()
+        tp[j] += h
+        tm[j] -= h
+        gp, gm = float(g(tp)), float(g(tm))
+        if not (math.isfinite(gp) and math.isfinite(gm)):
+            raise ValueError("g is not finite in a neighborhood of theta_hat")
+        grad[j] = (gp - gm) / (tp[j] - tm[j])
+    var = float(grad @ cov @ grad)
+    return value, max(var, 0.0)
+
 
 class _Stack:
     """Named estimating-function rows over the dataset cells.
@@ -106,7 +155,15 @@ class _Stack:
     Rows are either per-cell functions (length-ncells arrays) or
     deterministic constraints (scalars, zero at the solution). Solutions
     are computed blockwise by the scenario builders; this class assembles
-    the joint sandwich covariance and verifies the stacked residual.
+    the joint sandwich covariance and verifies the stacked residual. With
+    cell counts c_i, n = sum_i c_i and per-cell rows psi_i(theta):
+
+        A = d/dtheta (1/n) sum_i c_i psi_i,   B = (1/n) sum_i c_i psi_i psi_i^T,
+        cov(theta_hat) = A^{-1} B A^{-T} / n.
+
+    Constraint rows add nothing to B at the solution while A carries their
+    Jacobian, which gives derived parameters delta-method-consistent
+    variances inside one stacked system (Stefanski and Boos, 2002).
     """
 
     def __init__(self, cells):
@@ -201,6 +258,31 @@ def _selection(st: "_Stack", alpha: str, out: str, lo: str, hi: str, q: str,
     return a, adjusted
 
 
+@functools.cache
+def _remainder_names(z: int, strata: tuple[str, ...]):
+    return f"risk{z}", f"risk{z}_10", tuple((f"p{s}", f"risk{z}_{s}") for s in strata)
+
+
+def _remainder(st: "_Stack", z: int, strata: tuple[str, ...], context: str) -> None:
+    """Mixture-identity remainder risk_z(1,0) = (risk_z - sum_s p_s
+    risk_z(s)) / p(1,0) over the other ``strata``, subtracted in the order
+    given. Checks it lies in [0, 1] and adds its row."""
+    total, out, terms = _remainder_names(z, strata)
+    value = st.sol[total]
+    for p, r in terms:
+        value = value - st.sol[p] * st.sol[r]
+    value = value / st.sol["p10"]
+    _check_unit_interval(out, value, context)
+
+    def row(d):
+        acc = d[total]
+        for p, r in terms:
+            acc = acc - d[p] * d[r]
+        return acc - d["p10"] * d[out]
+
+    st.add(out, value, row)
+
+
 def _features(cells):
     """Common per-cell selectors; marker weight m is 1/pi on measured
     survivor cells and 0 on unmeasured ones (IPW drop-and-reweight)."""
@@ -218,7 +300,7 @@ def _features(cells):
 
 
 def _opening(weighted: WeightedRecords, build: Callable):
-    """(stack copy, values) of the beta-free opening block ``build(weighted)``.
+    """(stack copy, selectors) of the beta-free opening block ``build(weighted)``.
 
     The block is solved once per dataset and cached on ``weighted``, so every
     fit of that dataset, point-only or with covariance, continues from the
@@ -228,8 +310,8 @@ def _opening(weighted: WeightedRecords, build: Callable):
     blocks = weighted.fit_blocks
     if build not in blocks:
         blocks[build] = build(weighted)
-    st, v = blocks[build]
-    return st.copy(), v
+    st, selectors = blocks[build]
+    return st.copy(), selectors
 
 
 def _check_unit_interval(name: str, value: float, context: str) -> None:
@@ -384,26 +466,24 @@ def estimate_identified(weighted: WeightedRecords,
         raise ConfigError("risk_z and the mixing proportions are directly "
                           "identified only in scenarios A and B")
     cells = weighted.cells
-    st, v = _opening(weighted, _identified)
-    f = v.f
+    st, f = _opening(weighted, _identified)
     point = SensitivityPoint(scenario, {})
     if scenario is Scenario.A:
         p11 = _wmean(cells, (1 - f.z) * f.m, f.pos,
                      "measured arm-0 survivor markers")
         st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
-        p10 = 1.0 - v.p00 - p11
+        p10 = 1.0 - st.sol["p00"] - p11
         st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
     else:
-        p10 = 1.0 - v.p00
+        p10 = 1.0 - st.sol["p00"]
         st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
     if p10 <= 0.0:
         raise EstimationError(
             f"estimated p(1,0) = {p10:.6g} is not positive; the always-"
             "survivor effect-modification stratum is empty in these data")
-    theta, cov = st.sandwich()
+    names, theta, cov = _finalize(st, True)
     return RiskEstimates(scenario=scenario, sensitivity=point,
-                         names=tuple(st.names), theta=theta, cov=cov,
-                         n=cells.n)
+                         names=names, theta=theta, cov=cov, n=cells.n)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +577,9 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
         raise EstimationError("no intermediate-positive mass in the shrinking arm")
     alpha, _ = _selection(st, "alpha", out, lo, hi, q, beta)
     st.add(other, st.sol[direct], lambda d: d[direct] - d[other])
-    report = ("p11t", "p11c")
-
-    theta, cov = st.sandwich()
-    idx = [st.names.index(r) for r in report]
+    _, _, cov = _finalize(st, True, ("p11t", "p11c"))
     return SaceFit(p11_treated=st.sol["p11t"], p11_control=st.sol["p11c"],
-                   cov=cov[np.ix_(idx, idx)], alpha=alpha)
+                   cov=cov, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +587,8 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
 
 
 # Opening blocks: everything a scenario fit does before its first mixture
-# solve. Each takes the dataset and returns (stack, values) for _opening.
+# solve. Each takes the dataset and returns, for _opening, the stack and the
+# per-cell selectors later rows read; solved values are read from st.sol.
 
 
 def _identified(weighted):
@@ -523,13 +601,13 @@ def _identified(weighted):
     st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
     st.add("risk0", risk0, lambda d: (1 - f.z) * f.surv * (f.y - d["risk0"]))
     st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
-    return st, SimpleNamespace(f=f, risk1=risk1, risk0=risk0, p00=p00)
+    return st, f
 
 
 def _b_opening(weighted):
-    st, v = _opening(weighted, _identified)
-    cells, f = weighted.cells, v.f
-    p10 = 1.0 - v.p00
+    st, f = _opening(weighted, _identified)
+    cells = weighted.cells
+    p10 = 1.0 - st.sol["p00"]
     if p10 <= 0.0:
         raise EstimationError(
             f"estimated p(1,0) = {p10:.6g} is not positive; no marker-positive "
@@ -537,15 +615,15 @@ def _b_opening(weighted):
     r100 = _wmean(cells, f.z * f.m * f.neg, f.y, "active-arm marker-negative survivors")
     st.add("risk1_00", r100, lambda d: f.z * f.m * f.neg * (f.y - d["risk1_00"]))
     st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
-    return st, SimpleNamespace(**vars(v), p10=p10, r100=r100)
+    return st, f
 
 
 def _a_opening(weighted):
-    st, v = _opening(weighted, _identified)
-    cells, f = weighted.cells, v.f
+    st, f = _opening(weighted, _identified)
+    cells = weighted.cells
     p11 = _wmean(cells, (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
     st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
-    p10 = 1.0 - v.p00 - p11
+    p10 = 1.0 - st.sol["p00"] - p11
     if p11 <= 0.0:
         raise EstimationError(
             "estimated p(1,1) is not positive: the control-arm marker never "
@@ -571,7 +649,7 @@ def _a_opening(weighted):
     st.add("pSa0", pSa0, lambda d: (1 - f.z) * ma * (sa - d["pSa0"]))
     st.add("qa0", qa0, lambda d: (1 - f.z) * ma * sa * (f.y - d["qa0"]))
     st.add("risk1_00", r100, lambda d: f.z * ma * sa * (f.y - d["risk1_00"]))
-    return st, SimpleNamespace(**vars(v), p11=p11, p10=p10, ma=ma, r100=r100)
+    return st, (f, ma)
 
 
 def _early_rates(weighted, risk0_name: str):
@@ -585,12 +663,12 @@ def _early_rates(weighted, risk0_name: str):
     st.add(risk0_name, risk0, lambda d: (1 - f.z) * f.surv * (f.y - d[risk0_name]))
     st.add("pyt1", pyt1, lambda d: f.z * (1 - f.surv - d["pyt1"]))
     st.add("pyt0", pyt0, lambda d: (1 - f.z) * (1 - f.surv - d["pyt0"]))
-    return st, f, risk0, pyt1, pyt0
+    return st, f, pyt1, pyt0
 
 
 def _c_protect_opening(weighted):
     cells = weighted.cells
-    st, f, risk0, pyt1, pyt0 = _early_rates(weighted, "risk0")
+    st, f, pyt1, pyt0 = _early_rates(weighted, "risk0")
     if not pyt1 < pyt0:
         raise OrderingError(
             "early-event ordering (A4'') fails: the active-arm early rate "
@@ -605,12 +683,12 @@ def _c_protect_opening(weighted):
     st.add("s1m", s1m, lambda d: f.z * f.m * (f.pos - d["s1m"]))
     st.add("mrisk1_1", mr1, lambda d: f.z * f.m * f.pos * (f.y - d["mrisk1_1"]))
     st.add("mrisk1_0", mr0, lambda d: f.z * f.m * f.neg * (f.y - d["mrisk1_0"]))
-    return st, SimpleNamespace(risk0=risk0, phi=phi, s1m=s1m, mr1=mr1, mr0=mr0)
+    return st, f
 
 
 def _c_harm_opening(weighted):
     cells = weighted.cells
-    st, f, riskm0, pyt1, pyt0 = _early_rates(weighted, "riskm0")
+    st, f, pyt1, pyt0 = _early_rates(weighted, "riskm0")
     phi_r = (1.0 - pyt1) / (1.0 - pyt0)   # P(active survives early | control does)
     st.add("phi_r", phi_r, lambda d: d["phi_r"] * (1 - d["pyt0"]) - (1 - d["pyt1"]))
 
@@ -624,8 +702,7 @@ def _c_harm_opening(weighted):
     if p10 <= 0.0:
         raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
     st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
-    return st, SimpleNamespace(riskm0=riskm0, phi_r=phi_r, risk1=risk1,
-                               p00=p00, p10=p10, r100=r100)
+    return st, f
 
 
 def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
@@ -641,13 +718,9 @@ def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
     which makes the mixing identity hold exactly by construction.
     """
     point = SensitivityPoint(Scenario.B, {"beta0": beta0})
-    st, v = _opening(weighted, _b_opening)
+    st, _ = _opening(weighted, _b_opening)
     _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
-    r110 = (v.risk1 - v.p00 * v.r100) / v.p10
-    _check_unit_interval("risk1_10", r110,
-                         "active-arm mixture identity; check the weights")
-    st.add("risk1_10", r110,
-           lambda d: d["risk1"] - d["p00"] * d["risk1_00"] - d["p10"] * d["risk1_10"])
+    _remainder(st, 1, ("00",), "active-arm mixture identity; check the weights")
 
     names, theta, cov = _finalize(st, with_cov)
     return RiskEstimates(scenario=Scenario.B, sensitivity=point,
@@ -668,9 +741,9 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
     """
     point = SensitivityPoint(Scenario.A, {
         "beta0": beta0, "beta1_reversed": beta1_reversed})
-    st, v = _opening(weighted, _a_opening)
-    cells, f, ma = weighted.cells, v.f, v.ma
-    _, r000 = _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", beta0)
+    st, (f, ma) = _opening(weighted, _a_opening)
+    cells = weighted.cells
+    _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", beta0)
 
     # survivor & marker-positive state, reversed monotonicity direction
     sb = f.surv * f.pos
@@ -687,19 +760,10 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
     st.add("pSb0", pSb0, lambda d: (1 - f.z) * ma * (sb - d["pSb0"]))
     st.add("qb1", qb1, lambda d: f.z * ma * sb * (f.y - d["qb1"]))
     st.add("risk0_11", r011, lambda d: (1 - f.z) * ma * sb * (f.y - d["risk0_11"]))
-    _, r111 = _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1",
-                         beta1_reversed)
+    _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1", beta1_reversed)
 
-    r110 = (v.risk1 - v.p00 * v.r100 - v.p11 * r111) / v.p10
-    r010 = (v.risk0 - v.p00 * r000 - v.p11 * r011) / v.p10
-    _check_unit_interval("risk1_10", r110, "three-component mixture, active arm")
-    _check_unit_interval("risk0_10", r010, "three-component mixture, control arm")
-    st.add("risk1_10", r110,
-           lambda d: d["risk1"] - d["p00"] * d["risk1_00"]
-           - d["p11"] * d["risk1_11"] - d["p10"] * d["risk1_10"])
-    st.add("risk0_10", r010,
-           lambda d: d["risk0"] - d["p00"] * d["risk0_00"]
-           - d["p11"] * d["risk0_11"] - d["p10"] * d["risk0_10"])
+    _remainder(st, 1, ("00", "11"), "three-component mixture, active arm")
+    _remainder(st, 0, ("00", "11"), "three-component mixture, control arm")
 
     report = ["risk1", "risk0", "p00", "p11", "p10", "risk1_00", "risk1_10",
               "risk1_11", "risk0_00", "risk0_10", "risk0_11"]
@@ -725,8 +789,8 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
     """
     point = SensitivityPoint(Scenario.C_PROTECT, {
         "beta0": beta0, "beta2": beta2, "beta3": beta3, "beta4": beta4})
-    st, v = _opening(weighted, _c_protect_opening)
-    phi, s1m = v.phi, v.s1m
+    st, _ = _opening(weighted, _c_protect_opening)
+    phi, s1m = st.sol["phi"], st.sol["s1m"]
     p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", beta4)
     p00 = 1.0 - p10
     if p10 <= 0.0 or p00 <= 0.0:
@@ -775,14 +839,10 @@ def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
     """
     point = SensitivityPoint(Scenario.C_HARM, {
         "beta0": beta0, "beta1_marginal": beta1_marginal})
-    st, v = _opening(weighted, _c_harm_opening)
+    st, _ = _opening(weighted, _c_harm_opening)
     _split(st, "risk0", "eh_risk", "riskm0", "phi_r", beta1_marginal)
     _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
-
-    r110 = (v.risk1 - v.p00 * v.r100) / v.p10
-    _check_unit_interval("risk1_10", r110, "active-arm mixture identity")
-    st.add("risk1_10", r110,
-           lambda d: d["risk1"] - d["p00"] * d["risk1_00"] - d["p10"] * d["risk1_10"])
+    _remainder(st, 1, ("00",), "active-arm mixture identity")
 
     report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
               "risk0_00", "risk0_10", "eh_risk", "phi_r"]
@@ -827,8 +887,8 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
     if scenario not in (Scenario.A, Scenario.B):
         raise ConfigError("the mean-shift method applies to scenarios A and B")
     cells = weighted.cells
-    st, v = _opening(weighted, _identified)
-    f, risk1, risk0, p00 = v.f, v.risk1, v.risk0, v.p00
+    st, f = _opening(weighted, _identified)
+    p00 = st.sol["p00"]
     mu10 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
     mu00 = _wmean(cells, (1 - f.z) * f.m * f.neg, f.y, "control negative survivors")
     mu11 = _wmean(cells, f.z * f.m * f.pos, f.y, "active positive survivors")
@@ -838,6 +898,8 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
     st.add("risk1_00", mu10, lambda d: d["mu10"] - d["risk1_00"])
     st.add("risk0_00", mu00 + alpha0, lambda d: d["mu00"] + alpha0 - d["risk0_00"])
 
+    report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
+              "risk0_00", "risk0_10"]
     if scenario is Scenario.A:
         mu01 = _wmean(cells, (1 - f.z) * f.m * f.pos, f.y,
                       "control positive survivors")
@@ -848,44 +910,22 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
         st.add("risk1_11", mu11 - alpha1, lambda d: d["mu11"] - alpha1 - d["risk1_11"])
         st.add("risk0_11", mu01, lambda d: d["mu01"] - d["risk0_11"])
         p10 = 1.0 - p00 - p11
+        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
+        strata = ("00", "11")
+        report += ["p11", "risk1_11", "risk0_11"]
     else:
-        p11, mu01 = 0.0, 0.0
         p10 = 1.0 - p00
+        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
+        strata = ("00",)
     if p10 <= 0.0:
         raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
-    if scenario is Scenario.A:
-        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
-        r110 = (risk1 - p00 * mu10 - p11 * (mu11 - alpha1)) / p10
-        r010 = (risk0 - p00 * (mu00 + alpha0) - p11 * mu01) / p10
-        st.add("risk1_10", r110,
-               lambda d: d["risk1"] - d["p00"] * d["risk1_00"]
-               - d["p11"] * d["risk1_11"] - d["p10"] * d["risk1_10"])
-        st.add("risk0_10", r010,
-               lambda d: d["risk0"] - d["p00"] * d["risk0_00"]
-               - d["p11"] * d["risk0_11"] - d["p10"] * d["risk0_10"])
-    else:
-        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
-        r110 = (risk1 - p00 * mu10) / p10
-        r010 = (risk0 - p00 * (mu00 + alpha0)) / p10
-        st.add("risk1_10", r110,
-               lambda d: d["risk1"] - d["p00"] * d["risk1_00"]
-               - d["p10"] * d["risk1_10"])
-        st.add("risk0_10", r010,
-               lambda d: d["risk0"] - d["p00"] * d["risk0_00"]
-               - d["p10"] * d["risk0_10"])
-    for nm, val in (("risk1_10", r110), ("risk0_10", r010)):
-        _check_unit_interval(nm, val, "mean-shift mixture identity")
+    for z in (1, 0):
+        _remainder(st, z, strata, "mean-shift mixture identity")
 
-    theta, cov = st.sandwich()
-    report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
-              "risk0_00", "risk0_10"]
-    if scenario is Scenario.A:
-        report += ["p11", "risk1_11", "risk0_11"]
-    idx = [st.names.index(nm) for nm in report]
+    names, theta, cov = _finalize(st, True, report)
     est = RiskEstimates(scenario=scenario,
                         sensitivity=SensitivityPoint(scenario, {}),
-                        names=tuple(report), theta=theta[idx],
-                        cov=cov[np.ix_(idx, idx)], n=cells.n)
+                        names=names, theta=theta, cov=cov, n=cells.n)
     return cep(est, Contrast.ADDITIVE)
 
 

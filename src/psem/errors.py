@@ -30,10 +30,6 @@ class ConvergenceError(EstimationError):
     """Root finder did not converge; carries the last iterate and residual."""
 
 
-class SingularSystemError(EstimationError):
-    """Jacobian or bread matrix is singular; carries condition diagnostics."""
-
-
 class OrderingError(EstimationError):
     """A testable ordering assumption (A4'' or A5') fails in the data."""
 

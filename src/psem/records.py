@@ -113,11 +113,19 @@ def _parse_marker(token: str) -> Marker:
     raise DataError(f"unreadable marker value {token!r} (expected 0, 1, '*' or empty)")
 
 
-def _parse_binary(token: str, column: str, row: int) -> int:
+def _parse_binary(token: str, column: str) -> int:
     token = token.strip()
     if token not in ("0", "1"):
-        raise DataError(f"row {row}: column {column!r} must be 0 or 1, got {token!r}")
+        raise DataError(f"column {column!r} must be 0 or 1, got {token!r}")
     return int(token)
+
+
+def _parse_covariate(token: str, column: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(f"covariate column {column!r} must be numeric, "
+                        f"got {token!r}") from None
 
 
 def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]:
@@ -147,19 +155,24 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
         seen: set[str] = set()
         for i, row in enumerate(reader, start=2):
             try:
-                marker = _parse_marker(row[names["marker"]] or "")
+                if None in row.values():
+                    short = [c for c, v in row.items() if v is None]
+                    raise DataError(f"row has fewer fields than the header; "
+                                    f"no value for {short}")
+                marker = _parse_marker(row[names["marker"]])
                 if has_measured:
-                    measured = _parse_binary(row[names["measured"]], names["measured"], i)
+                    measured = _parse_binary(row[names["measured"]], names["measured"])
                 else:
                     measured = 0 if marker is Marker.MISSING else 1
                 rec = ObservedRecord(
                     id=row[names["id"]].strip(),
-                    z=_parse_binary(row[names["z"]], names["z"], i),
-                    y_tau=_parse_binary(row[names["y_tau"]], names["y_tau"], i),
+                    z=_parse_binary(row[names["z"]], names["z"]),
+                    y_tau=_parse_binary(row[names["y_tau"]], names["y_tau"]),
                     marker=marker,
-                    y=_parse_binary(row[names["y"]], names["y"], i),
+                    y=_parse_binary(row[names["y"]], names["y"]),
                     measured=measured,
-                    w=tuple(float(row[c]) for c in covariate_cols if row[c] not in (None, "")),
+                    w=tuple(_parse_covariate(row[c], c) for c in covariate_cols
+                            if row[c] != ""),
                 )
                 rec.validate()
             except DataError as exc:

@@ -176,9 +176,10 @@ def ignorance_interval(grid: SweepResult, target: str = "mu") -> IgnoranceInterv
     sensitivity-parameter points retained.
 
     The full grid is scanned even where monotonicity guarantees corner
-    extremes; in scenario B a non-corner extreme indicates a numerical
-    problem and triggers a warning, while for the scenario C variants
-    corner attainment is only measured and reported.
+    extremes; in scenario B a non-corner extreme triggers a warning that
+    names the failed corner points, whose loss narrows the region, or
+    else points to a numerical problem. For the scenario C variants corner
+    attainment is only measured and reported.
     """
     if target not in grid.targets:
         raise KeyError(f"{target!r} is not a target of this sweep; "
@@ -194,11 +195,17 @@ def ignorance_interval(grid: SweepResult, target: str = "mu") -> IgnoranceInterv
 
     on_corners = on_corner(lo) and on_corner(hi)
     if not on_corners and grid.config.scenario is Scenario.B:
+        failed = [c for c in grid.cells if c.error and on_corner(c)]
+        cause = "check for numerical problems"
+        if failed:
+            cause = ("the fit failed at region corner(s) " + "; ".join(
+                "(" + ", ".join(f"{k}={v:g}" for k, v in c.point.as_dict().items())
+                + f": {c.error})" for c in failed)
+                + ", so the interval covers a narrowed region")
         warnings.warn(
             f"ignorance-interval extremes for {target} fall inside the "
             "sensitivity region in scenario B, where the estimate is "
-            "monotone; check for numerical problems", RuntimeWarning,
-            stacklevel=2)
+            f"monotone; {cause}", RuntimeWarning, stacklevel=2)
     return IgnoranceInterval(
         target=target,
         lower=lo.values[target], upper=hi.values[target],

@@ -177,6 +177,10 @@ def test_diagnose_bad_file_exit_code(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
     assert main(["diagnose", "--input", str(empty)]) == 3
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("id,z,y_tau,s_star,y,r\np1,1,0,1,0,1\np2,1\n",
+                         encoding="utf-8")
+    assert main(["diagnose", "--input", str(truncated)]) == 3
 
 
 def test_simulate_and_determinism(tmp_path):
@@ -300,8 +304,11 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     assert bad in (0, 4)                   # mu is monotone in beta0
     assert grid.cells[bad].error == "EstimationError: injected"
     nxt = grid.cells[1 if bad == 0 else 3]
-    with pytest.warns(RuntimeWarning, match="inside the sensitivity region"):
+    with pytest.warns(RuntimeWarning, match="inside the sensitivity region") as rec:
         res = sensitivity.interval_for(grid, "mu")     # the corner check runs
+    corner = f"beta0={failed[0].get('beta0'):g}"
+    assert (f"fit failed at region corner(s) ({corner}: EstimationError: injected)"
+            ", so the interval covers a narrowed region") in str(rec[0].message)
     assert nxt.point in (res.point_lower, res.point_upper)
     assert nxt.values["mu"] in res.ignorance
     assert nxt.cep.mu_se in (res.se_lower, res.se_upper)

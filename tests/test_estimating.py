@@ -3,82 +3,120 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psem.errors import ConvergenceError, SingularSystemError
-from psem.estimating import (EstimatingSystem, delta_method, sandwich_cov,
-                             solve_system)
+import psem
+from psem import core
+from psem.core import Scenario, SensitivityPoint, delta_method
+from psem.errors import PsemError
+from psem.weights import WeightModel
 
-
-def mean_system(init=0.0):
-    return EstimatingSystem(dim=1, evaluate=lambda y, t: [y - t[0]], init=[init])
-
-
-def test_mean_equation():
-    fit = solve_system(mean_system(), [0, 1, 1, 1])
-    assert fit.theta[0] == pytest.approx(0.75, abs=1e-12)
-    assert fit.residual_norm <= 1e-10
+from conftest import make_records, random_cb_dataset, weighted_from_blocks
 
 
-def test_weighted_mean():
-    weights = {0: 2.0, 1: 1.0, 2: 1.0, 3: 1.0}
-    system = EstimatingSystem(dim=1, evaluate=lambda i, t: [[0, 1, 1, 1][i] - t[0]],
-                              init=[0.0], weight=lambda i: weights[i])
-    fit = solve_system(system, [0, 1, 2, 3])
-    assert fit.theta[0] == pytest.approx(3 / 5, abs=1e-12)
+# ---------------------------------------------------------------------------
+# the stacked sandwich on the cell path
 
 
-def test_stacked_mean_and_second_moment():
-    system = EstimatingSystem(
-        dim=2, evaluate=lambda y, t: [y - t[0], y * y - t[1]], init=[0.0, 1.0])
-    fit = solve_system(system, [1, 2, 3])
-    assert fit.theta[0] == pytest.approx(2.0, abs=1e-10)
-    assert fit.theta[1] == pytest.approx(14 / 3, abs=1e-10)
+def test_identified_subgroup_mean_se_is_closed_form():
+    worked = [(20, 1, 0, 0, 1), (20, 1, 0, 0, 0), (6, 1, 0, 1, 1),
+              (54, 1, 0, 1, 0), (30, 0, 0, 0, 1), (70, 0, 0, 0, 0)]
+    # 3 active survivors and 2 controls: population, not n - 1, convention
+    tiny = [(1, 1, 0, 0, 1), (2, 1, 0, 1, 0), (1, 0, 0, 0, 1), (1, 0, 0, 0, 0)]
+    for blocks in (worked, tiny):
+        est = psem.estimate_identified(
+            weighted_from_blocks(blocks, WeightModel.design_known(1.0)), Scenario.B)
+        survivors = [r for r in make_records(blocks) if r.y_tau == 0]
+        groups = {
+            "risk1": [r.y for r in survivors if r.z == 1],
+            "risk0": [r.y for r in survivors if r.z == 0],
+            "p00": [1 - r.marker.value for r in survivors if r.z == 1],
+        }
+        for name, values in groups.items():
+            p, n_sel = sum(values) / len(values), len(values)
+            assert est.value(name) == pytest.approx(p, abs=1e-15)
+            assert est.se(name) == pytest.approx(math.sqrt(p * (1 - p) / n_sel),
+                                                 abs=1e-12)
 
 
-def test_sandwich_bernoulli_mean():
-    cov = sandwich_cov(mean_system(), [0, 1, 1, 1], np.array([0.75]))
-    assert cov[0, 0] == pytest.approx(0.75 * 0.25 / 4, abs=1e-12)
+def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
+    weighted = random_cb_dataset(np.random.default_rng(11), n=400, nu=0.5)
+    stacks = []
+    real_finalize = core._finalize
 
+    def capture(st, with_cov, report=None):
+        stacks.append(st)
+        return real_finalize(st, with_cov, report)
 
-def test_sandwich_small_sample_population_convention():
-    cov = sandwich_cov(mean_system(), [1, 2, 3], np.array([2.0]))
-    assert cov[0, 0] == pytest.approx((2 / 3) / 3, abs=1e-12)
+    monkeypatch.setattr(core, "_finalize", capture)
+    fit = psem.fit_scenario_b(weighted, beta0=0.7)
+    (st,) = stacks
+    assert fit.names == tuple(st.names)
 
+    # independent assembly: one row per record, a fixed step of 1e-5
+    cells_of_records = np.repeat(np.arange(len(st.cells.count)),
+                                 st.cells.count.astype(int))
+    n = cells_of_records.size
 
-def test_sandwich_matches_brute_force_on_stacked_system():
-    rng = random.Random(5)
-    data = [rng.gauss(0.4, 1.3) for _ in range(20)]
-    system = EstimatingSystem(
-        dim=2, evaluate=lambda y, t: [y - t[0], (y - t[0]) ** 2 - t[1]],
-        init=[0.0, 1.0])
-    fit = solve_system(system, data)
-    # independent brute force: explicit per-record outer products and a
-    # Jacobian from a different finite-difference step
-    n = len(data)
-    p = 2
-    meat = np.zeros((p, p))
-    for y in data:
-        u = np.array(system.evaluate(y, fit.theta))
-        meat += np.outer(u, u) / n
+    def per_record(theta):
+        return st.contribs(theta)[cells_of_records]
 
-    def mean_eq(t):
-        return sum(np.array(system.evaluate(y, t)) for y in data) / n
-
+    u = per_record(fit.theta)
+    meat = sum(np.outer(row, row) for row in u) / n
     h = 1e-5
-    bread = np.zeros((p, p))
+    p = fit.theta.size
+    bread = np.empty((p, p))
     for j in range(p):
         tp, tm = fit.theta.copy(), fit.theta.copy()
         tp[j] += h
         tm[j] -= h
-        bread[:, j] = (mean_eq(tp) - mean_eq(tm)) / (2 * h)
+        bread[:, j] = (per_record(tp).sum(axis=0) - per_record(tm).sum(axis=0)) / (2 * h * n)
     binv = np.linalg.inv(bread)
     expected = binv @ meat @ binv.T / n
-    assert np.allclose(fit.cov, expected, atol=1e-8)
+    assert np.allclose(fit.cov, expected, rtol=0, atol=1e-8)
+
+
+# cell blocks (z, y_tau, marker, y[, measured]) covering every scenario's
+# strata, including unmeasured survivors so the logistic weights are fitted
+_BLOCK_TYPES = [
+    (1, 0, 0, 1), (1, 0, 0, 0), (1, 0, 1, 1), (1, 0, 1, 0),
+    (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0),
+    (1, 1, "*", 1), (0, 1, "*", 1), (1, 0, None, 0), (0, 0, None, 0),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(counts=st.lists(st.integers(1, 25), min_size=len(_BLOCK_TYPES),
+                       max_size=len(_BLOCK_TYPES)),
+       beta=st.floats(-1.5, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_fit_invariant_to_record_order(counts, beta, seed):
+    records = make_records([(c, *b) for c, b in zip(counts, _BLOCK_TYPES)])
+    shuffled = records[:]
+    random.Random(seed).shuffle(shuffled)
+
+    def fits(recs):
+        weighted = psem.fit_missingness(recs)
+        out = []
+        for scenario in Scenario:
+            point = SensitivityPoint(scenario, dict.fromkeys(scenario.sensitivity_keys, beta))
+            try:
+                est = psem.fit_scenario(weighted, point)
+                out.append((est.theta.tobytes(), est.cov.tobytes()))
+            except PsemError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    assert fits(records) == fits(shuffled)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference derivatives and the delta method
 
 
 def test_fd_gradient_matches_analytic_polynomial():
     # F(t) = (t0^2 + 2 t1 - 3, t0 t1 - 1): check the internal Jacobian
-    from psem.estimating import _fd_jacobian
+    from psem.core import _fd_jacobian
     theta = np.array([1.3, -0.7])
     jac = _fd_jacobian(lambda t: np.array([t[0] ** 2 + 2 * t[1] - 3,
                                            t[0] * t[1] - 1]), theta)
@@ -112,37 +150,3 @@ def test_delta_invariant_to_additive_constant():
     _, v1 = delta_method(lambda t: t[0] * t[1], theta, cov)
     _, v2 = delta_method(lambda t: t[0] * t[1] + 17.0, theta, cov)
     assert v1 == pytest.approx(v2, rel=1e-6)    # FD gradients, not exact
-
-
-def test_solve_permutation_invariance():
-    rng = random.Random(3)
-    data = [rng.random() for _ in range(500)]
-    shuffled = data[:]
-    rng.shuffle(shuffled)
-    t1 = solve_system(mean_system(), data).theta[0]
-    t2 = solve_system(mean_system(), shuffled).theta[0]
-    assert abs(t1 - t2) <= 1e-10
-
-
-def test_nonconvergence_carries_state():
-    system = EstimatingSystem(dim=1, evaluate=lambda y, t: [math.tanh(t[0]) + 2.0],
-                              init=[0.0])
-    with pytest.raises(ConvergenceError) as err:
-        solve_system(system, [1.0], max_iter=5)
-    assert err.value.theta is not None
-    assert err.value.residual is not None and err.value.residual > 0
-
-
-def test_singular_jacobian_detected():
-    system = EstimatingSystem(
-        dim=2, evaluate=lambda y, t: [t[0] + t[1] - y, t[0] + t[1] - y],
-        init=[0.0, 0.0])
-    with pytest.raises(SingularSystemError):
-        solve_system(system, [1.0, 2.0])
-
-
-def test_bad_inputs():
-    with pytest.raises(ValueError):
-        solve_system(mean_system(), [])
-    with pytest.raises(ValueError):
-        solve_system(mean_system(), [1.0], tol=0.0)

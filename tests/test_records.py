@@ -51,13 +51,27 @@ def test_load_missing_marker_cell(tmp_path):
 
 def test_load_rejects_bad_z(tmp_path):
     path = _write(tmp_path, HEADER + "p1,2,0,0,1,1\n")
-    with pytest.raises(DataError, match="row 2"):
+    with pytest.raises(DataError, match="row 2") as err:
         load_csv(path)
+    assert str(err.value).count("row 2") == 1
 
 
 def test_load_rejects_early_event_with_marker_value(tmp_path):
     path = _write(tmp_path, HEADER + "p1,1,1,1,1,1\n")
     with pytest.raises(DataError, match="row 2"):
+        load_csv(path)
+
+
+def test_load_rejects_truncated_row(tmp_path):
+    path = _write(tmp_path, HEADER + "p1,1,0,0,1,1\np2,1\n")
+    with pytest.raises(DataError, match=r"row 3: row has fewer fields .*'y_tau'"):
+        load_csv(path)
+
+
+def test_load_rejects_non_numeric_covariate(tmp_path):
+    path = _write(tmp_path, "id,z,y_tau,y,r,s_star,w_1\n"
+                  "p1,1,0,0,1,1,0.5\np2,1,0,0,1,1,abc\n")
+    with pytest.raises(DataError, match=r"row 3: covariate column 'w_1' .*'abc'"):
         load_csv(path)
 
 

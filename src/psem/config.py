@@ -9,6 +9,7 @@ file values. The README documents every key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,9 +36,24 @@ def parse_scenario(text: str) -> Scenario:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        if all(map(math.isfinite, vals)):
+            return vals
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        pass
+    raise ConfigError(f"expected comma-separated finite numbers, got {text!r}")
+
+
+def _number(sec, key: str, kind, fallback):
+    """``sec[key]`` parsed by ``kind`` (int or float); ``fallback`` if absent."""
+    if key not in sec:
+        return fallback
+    try:
+        return kind(sec[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"[{sec.name}] {key} must be {what}, got {sec[key]!r}") from None
 
 
 @dataclass
@@ -90,11 +106,12 @@ def load_analysis_config(path) -> AnalysisConfig:
     if "weights" in ini:
         wsec = ini["weights"]
         kind = wsec.get("model", "auto").strip().lower()
-        eps = wsec.getfloat("eps", fallback=0.01)
+        eps = _number(wsec, "eps", float, 0.01)
         if kind == "design":
             if "nu" not in wsec:
                 raise ConfigError("design-known weights need a 'nu' key")
-            weight_model = WeightModel.design_known(wsec.getfloat("nu"), eps=eps)
+            weight_model = WeightModel.design_known(_number(wsec, "nu", float, None),
+                                                    eps=eps)
         elif kind == "logistic":
             terms = tuple(t.strip() for t in
                           wsec.get("terms", "intercept, y").split(","))
@@ -118,8 +135,8 @@ def load_analysis_config(path) -> AnalysisConfig:
             else:
                 raise ConfigError(f"sensitivity key {key!r} needs one value "
                                   "or a low, high pair")
-        grid_points = sec.getint("grid_points", fallback=21)
-        alpha = sec.getfloat("alpha", fallback=0.05)
+        grid_points = _number(sec, "grid_points", int, 21)
+        alpha = _number(sec, "alpha", float, 0.05)
         if "contrast" in sec:
             try:
                 contrast = Contrast(sec["contrast"].strip().lower())
@@ -127,6 +144,8 @@ def load_analysis_config(path) -> AnalysisConfig:
                 raise ConfigError(f"unknown contrast {sec['contrast']!r}") from None
         if "scales" in sec:
             scales = _floats(sec["scales"])
+            if not all(s >= 0 for s in scales):
+                raise ConfigError(f"[sensitivity] scales must be >= 0, got {scales}")
             if ranges:
                 raise ConfigError(
                     "[sensitivity] takes either scales or per-parameter "
@@ -153,12 +172,11 @@ def load_study_config(path) -> tuple[StudyConfig, Path]:
             nu_values=tuple(_floats(sec.get("nu", "1"))),
             deltas=tuple(_floats(sec.get("delta", "0"))),
             gamma_scales=tuple(_floats(sec.get("gamma_scales", "0"))),
-            replicates=sec.getint("replicates", fallback=1000),
-            seed=sec.getint("seed", fallback=0),
-            grid_points=(sec.getint("grid_points")
-                         if "grid_points" in sec else None),
-            alpha=sec.getfloat("alpha", fallback=0.05),
-            threads=sec.getint("threads", fallback=1),
+            replicates=_number(sec, "replicates", int, 1000),
+            seed=_number(sec, "seed", int, 0),
+            grid_points=_number(sec, "grid_points", int, None),
+            alpha=_number(sec, "alpha", float, 0.05),
+            threads=_number(sec, "threads", int, 1),
         )
     except ValueError as exc:
         raise ConfigError(f"bad study config value: {exc}") from None

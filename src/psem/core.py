@@ -110,41 +110,33 @@ def _fd_step(scale: float) -> float:
 
 
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, step h_j ~ FD_REL_STEP * max(1, |theta_j|)."""
-    p = theta.size
-    jac = np.empty((p, p))
-    for j in range(p):
+    """Central-difference (m x p) Jacobian of f: R^p -> R^m, step
+    h_j ~ FD_REL_STEP * max(1, |theta_j|)."""
+    cols = []
+    for j in range(theta.size):
         h = _fd_step(abs(theta[j]))
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
-        jac[:, j] = (f(tp) - f(tm)) / (tp[j] - tm[j])
-    return jac
+        cols.append((f(tp) - f(tm)) / (tp[j] - tm[j]))
+    return np.array(cols).reshape(theta.size, -1).T
 
 
 def delta_method(g: Callable[[np.ndarray], float], theta_hat, cov) -> tuple[float, float]:
     """Value and variance of a smooth scalar map of theta_hat.
 
-    The gradient is computed by central finite differences with the same
-    relative step as the stacked-system bread; variance = grad^T cov grad,
-    floored at zero against round-off.
+    The gradient is the one-row _fd_jacobian of g, with the same relative
+    step as the stacked-system bread; variance = grad^T cov grad, floored
+    at zero against round-off.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     cov = np.asarray(cov, dtype=float)
     value = float(g(theta_hat))
     if not math.isfinite(value):
         raise ValueError("g is not finite at theta_hat")
-    p = theta_hat.size
-    grad = np.empty(p)
-    for j in range(p):
-        h = _fd_step(abs(theta_hat[j]))
-        tp, tm = theta_hat.copy(), theta_hat.copy()
-        tp[j] += h
-        tm[j] -= h
-        gp, gm = float(g(tp)), float(g(tm))
-        if not (math.isfinite(gp) and math.isfinite(gm)):
-            raise ValueError("g is not finite in a neighborhood of theta_hat")
-        grad[j] = (gp - gm) / (tp[j] - tm[j])
+    grad = _fd_jacobian(lambda t: float(g(t)), theta_hat)[0]
+    if not np.isfinite(grad).all():
+        raise ValueError("g is not finite in a neighborhood of theta_hat")
     var = float(grad @ cov @ grad)
     return value, max(var, 0.0)
 
@@ -200,18 +192,13 @@ class _Stack:
         n = float(count.sum())
         theta = self.theta()
         u = self.contribs(theta)
-        resid = count @ u / n
-        if float(np.max(np.abs(resid))) > 1e-8:
+        resid = float(np.max(np.abs(count @ u / n)))
+        if resid > 1e-8:
             raise EstimationError(
-                f"stacked residual {float(np.max(np.abs(resid))):.3e} exceeds "
-                "tolerance; the blockwise solution is inconsistent",
-                theta=theta, residual=float(np.max(np.abs(resid))))
+                f"stacked residual {resid:.3e} exceeds tolerance; the "
+                "blockwise solution is inconsistent", theta=theta, residual=resid)
         meat = (u * count[:, None]).T @ u / n
-
-        def mean_eq(t):
-            return count @ self.contribs(t) / n
-
-        bread = _fd_jacobian(mean_eq, theta)
+        bread = _fd_jacobian(lambda t: count @ self.contribs(t) / n, theta)
         try:
             bread_inv = np.linalg.inv(bread)
         except np.linalg.LinAlgError:
@@ -221,12 +208,34 @@ class _Stack:
         return theta, 0.5 * (cov + cov.T)
 
 
-def _wmean(cells, sel, resp, what: str) -> float:
-    """Weighted mean of resp over cells, selection weights sel >= 0."""
-    denom = float(np.sum(cells.count * sel))
+def _mean(st: "_Stack", name: str, sel, resp, what: str) -> float:
+    """Weighted mean ``name`` of resp over the cells, selection weights
+    sel >= 0. Adds its row sel * (resp - theta) and returns the value."""
+    count = st.cells.count
+    denom = float(np.sum(count * sel))
     if denom <= 0.0:
         raise EstimationError(f"empty stratum: no observations for {what}")
-    return float(np.sum(cells.count * sel * resp) / denom)
+    value = float(np.sum(count * sel * resp) / denom)
+    st.add(name, value, lambda d: sel * (resp - d[name]))
+    return value
+
+
+def _p10(st: "_Stack", others: tuple[str, ...]) -> float:
+    """Mixing share p(1,0) = 1 - sum of the shares ``others``, subtracted in
+    the order given. Checks it is positive, adds its row, returns it."""
+    def share(v):
+        acc = 1.0
+        for o in others:
+            acc = acc - v[o]
+        return acc
+
+    value = share(st.sol)
+    if value <= 0.0:
+        raise EstimationError(
+            f"estimated p(1,0) = {value:.6g} is not positive; the always-"
+            "survivor effect-modification stratum is empty in these data")
+    st.add("p10", value, lambda d: share(d) - d["p10"])
+    return value
 
 
 def _split(st: "_Stack", a: str, b: str, target: str, w: str, beta: float,
@@ -465,25 +474,14 @@ def estimate_identified(weighted: WeightedRecords,
     if scenario not in (Scenario.A, Scenario.B):
         raise ConfigError("risk_z and the mixing proportions are directly "
                           "identified only in scenarios A and B")
-    cells = weighted.cells
     st, f = _opening(weighted, _identified)
     point = SensitivityPoint(scenario, {})
     if scenario is Scenario.A:
-        p11 = _wmean(cells, (1 - f.z) * f.m, f.pos,
-                     "measured arm-0 survivor markers")
-        st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
-        p10 = 1.0 - st.sol["p00"] - p11
-        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
+        _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
+        _p10(st, ("p00", "p11"))
     else:
-        p10 = 1.0 - st.sol["p00"]
-        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
-    if p10 <= 0.0:
-        raise EstimationError(
-            f"estimated p(1,0) = {p10:.6g} is not positive; the always-"
-            "survivor effect-modification stratum is empty in these data")
-    names, theta, cov = _finalize(st, True)
-    return RiskEstimates(scenario=scenario, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=cells.n)
+        _p10(st, ("p00",))
+    return RiskEstimates(point.scenario, point, *_finalize(st, True), st.cells.n)
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +552,10 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
     s_vals, m_vals = _cell_s_values(cells, s_definition)
     st = _Stack(cells)
 
-    pS1 = _wmean(cells, f.z * m_vals, s_vals, "arm-1 intermediate states")
-    pS0 = _wmean(cells, (1 - f.z) * m_vals, s_vals, "arm-0 intermediate states")
-    st.add("pS1", pS1, lambda d: f.z * m_vals * (s_vals - d["pS1"]))
-    st.add("pS0", pS0, lambda d: (1 - f.z) * m_vals * (s_vals - d["pS0"]))
-    q1 = _wmean(cells, f.z * m_vals * s_vals, f.y, "treated S=1 outcomes")
-    q0 = _wmean(cells, (1 - f.z) * m_vals * s_vals, f.y, "control S=1 outcomes")
-    st.add("q1", q1, lambda d: f.z * m_vals * s_vals * (f.y - d["q1"]))
-    st.add("q0", q0, lambda d: (1 - f.z) * m_vals * s_vals * (f.y - d["q0"]))
+    _mean(st, "pS1", f.z * m_vals, s_vals, "arm-1 intermediate states")
+    _mean(st, "pS0", (1 - f.z) * m_vals, s_vals, "arm-0 intermediate states")
+    _mean(st, "q1", f.z * m_vals * s_vals, f.y, "treated S=1 outcomes")
+    _mean(st, "q0", (1 - f.z) * m_vals * s_vals, f.y, "control S=1 outcomes")
 
     standard = direction is Direction.STANDARD_MONOTONE
     lo, hi, q, out, direct, other = (("pS1", "pS0", "q0", "p11c", "q1", "p11t")
@@ -595,60 +589,42 @@ def _identified(weighted):
     cells = weighted.cells
     f = _features(cells)
     st = _Stack(cells)
-    risk1 = _wmean(cells, f.z * f.surv, f.y, "arm-1 survivors")
-    risk0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
-    p00 = _wmean(cells, f.z * f.m, f.neg, "measured arm-1 survivor markers")
-    st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
-    st.add("risk0", risk0, lambda d: (1 - f.z) * f.surv * (f.y - d["risk0"]))
-    st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
+    _mean(st, "risk1", f.z * f.surv, f.y, "arm-1 survivors")
+    _mean(st, "risk0", (1 - f.z) * f.surv, f.y, "arm-0 survivors")
+    _mean(st, "p00", f.z * f.m, f.neg, "measured arm-1 survivor markers")
     return st, f
 
 
 def _b_opening(weighted):
     st, f = _opening(weighted, _identified)
-    cells = weighted.cells
-    p10 = 1.0 - st.sol["p00"]
-    if p10 <= 0.0:
-        raise EstimationError(
-            f"estimated p(1,0) = {p10:.6g} is not positive; no marker-positive "
-            "mass among active-arm survivors")
-    r100 = _wmean(cells, f.z * f.m * f.neg, f.y, "active-arm marker-negative survivors")
-    st.add("risk1_00", r100, lambda d: f.z * f.m * f.neg * (f.y - d["risk1_00"]))
-    st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
+    _mean(st, "risk1_00", f.z * f.m * f.neg, f.y,
+          "active-arm marker-negative survivors")
+    _p10(st, ("p00",))
     return st, f
 
 
 def _a_opening(weighted):
     st, f = _opening(weighted, _identified)
-    cells = weighted.cells
-    p11 = _wmean(cells, (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
-    st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
-    p10 = 1.0 - st.sol["p00"] - p11
+    p11 = _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
     if p11 <= 0.0:
         raise EstimationError(
             "estimated p(1,1) is not positive: the control-arm marker never "
             "varies in these data, so use scenario B instead of A")
-    if p10 <= 0.0:
-        raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
-    st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
+    _p10(st, ("p00", "p11"))
 
     # survivor & marker-negative state: S computable without the marker only
     # for early-event cells (state 0); measured survivor cells carry weight w
     sa = f.surv * f.neg
     ma = np.where(f.surv > 0, f.m, 1.0)
-    pSa1 = _wmean(cells, f.z * ma, sa, "arm-1 negative-survivor states")
-    pSa0 = _wmean(cells, (1 - f.z) * ma, sa, "arm-0 negative-survivor states")
+    pSa1 = _mean(st, "pSa1", f.z * ma, sa, "arm-1 negative-survivor states")
+    pSa0 = _mean(st, "pSa0", (1 - f.z) * ma, sa, "arm-0 negative-survivor states")
     if not pSa1 < pSa0:
         raise OrderingError(
             "marker ordering (A5') fails in the negative direction: "
             f"P(survivor & negative) is {pSa1:.4g} (active) vs {pSa0:.4g} "
             "(control); the standard-direction solve is invalid")
-    qa0 = _wmean(cells, (1 - f.z) * ma * sa, f.y, "control negative survivors")
-    r100 = _wmean(cells, f.z * ma * sa, f.y, "active negative survivors")
-    st.add("pSa1", pSa1, lambda d: f.z * ma * (sa - d["pSa1"]))
-    st.add("pSa0", pSa0, lambda d: (1 - f.z) * ma * (sa - d["pSa0"]))
-    st.add("qa0", qa0, lambda d: (1 - f.z) * ma * sa * (f.y - d["qa0"]))
-    st.add("risk1_00", r100, lambda d: f.z * ma * sa * (f.y - d["risk1_00"]))
+    _mean(st, "qa0", (1 - f.z) * ma * sa, f.y, "control negative survivors")
+    _mean(st, "risk1_00", f.z * ma * sa, f.y, "active negative survivors")
     return st, (f, ma)
 
 
@@ -657,17 +633,13 @@ def _early_rates(weighted, risk0_name: str):
     cells = weighted.cells
     f = _features(cells)
     st = _Stack(cells)
-    risk0 = _wmean(cells, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
-    pyt1 = _wmean(cells, f.z, 1 - f.surv, "arm-1 records")
-    pyt0 = _wmean(cells, 1 - f.z, 1 - f.surv, "arm-0 records")
-    st.add(risk0_name, risk0, lambda d: (1 - f.z) * f.surv * (f.y - d[risk0_name]))
-    st.add("pyt1", pyt1, lambda d: f.z * (1 - f.surv - d["pyt1"]))
-    st.add("pyt0", pyt0, lambda d: (1 - f.z) * (1 - f.surv - d["pyt0"]))
+    _mean(st, risk0_name, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
+    pyt1 = _mean(st, "pyt1", f.z, 1 - f.surv, "arm-1 records")
+    pyt0 = _mean(st, "pyt0", 1 - f.z, 1 - f.surv, "arm-0 records")
     return st, f, pyt1, pyt0
 
 
 def _c_protect_opening(weighted):
-    cells = weighted.cells
     st, f, pyt1, pyt0 = _early_rates(weighted, "risk0")
     if not pyt1 < pyt0:
         raise OrderingError(
@@ -677,31 +649,21 @@ def _c_protect_opening(weighted):
     phi = (1.0 - pyt0) / (1.0 - pyt1)   # P(control survives early | active does)
     st.add("phi", phi, lambda d: d["phi"] * (1 - d["pyt1"]) - (1 - d["pyt0"]))
 
-    s1m = _wmean(cells, f.z * f.m, f.pos, "measured arm-1 survivor markers")
-    mr1 = _wmean(cells, f.z * f.m * f.pos, f.y, "active positive survivors")
-    mr0 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
-    st.add("s1m", s1m, lambda d: f.z * f.m * (f.pos - d["s1m"]))
-    st.add("mrisk1_1", mr1, lambda d: f.z * f.m * f.pos * (f.y - d["mrisk1_1"]))
-    st.add("mrisk1_0", mr0, lambda d: f.z * f.m * f.neg * (f.y - d["mrisk1_0"]))
+    _mean(st, "s1m", f.z * f.m, f.pos, "measured arm-1 survivor markers")
+    _mean(st, "mrisk1_1", f.z * f.m * f.pos, f.y, "active positive survivors")
+    _mean(st, "mrisk1_0", f.z * f.m * f.neg, f.y, "active negative survivors")
     return st, f
 
 
 def _c_harm_opening(weighted):
-    cells = weighted.cells
     st, f, pyt1, pyt0 = _early_rates(weighted, "riskm0")
     phi_r = (1.0 - pyt1) / (1.0 - pyt0)   # P(active survives early | control does)
     st.add("phi_r", phi_r, lambda d: d["phi_r"] * (1 - d["pyt0"]) - (1 - d["pyt1"]))
 
-    risk1 = _wmean(cells, f.z * f.surv, f.y, "arm-1 survivors")
-    p00 = _wmean(cells, f.z * f.m, f.neg, "measured arm-1 survivor markers")
-    r100 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
-    st.add("risk1", risk1, lambda d: f.z * f.surv * (f.y - d["risk1"]))
-    st.add("p00", p00, lambda d: f.z * f.m * (f.neg - d["p00"]))
-    st.add("risk1_00", r100, lambda d: f.z * f.m * f.neg * (f.y - d["risk1_00"]))
-    p10 = 1.0 - p00
-    if p10 <= 0.0:
-        raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
-    st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
+    _mean(st, "risk1", f.z * f.surv, f.y, "arm-1 survivors")
+    _mean(st, "p00", f.z * f.m, f.neg, "measured arm-1 survivor markers")
+    _mean(st, "risk1_00", f.z * f.m * f.neg, f.y, "active negative survivors")
+    _p10(st, ("p00",))
     return st, f
 
 
@@ -721,10 +683,7 @@ def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
     st, _ = _opening(weighted, _b_opening)
     _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
     _remainder(st, 1, ("00",), "active-arm mixture identity; check the weights")
-
-    names, theta, cov = _finalize(st, with_cov)
-    return RiskEstimates(scenario=Scenario.B, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=weighted.cells.n)
+    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov), st.cells.n)
 
 
 def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
@@ -742,24 +701,19 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
     point = SensitivityPoint(Scenario.A, {
         "beta0": beta0, "beta1_reversed": beta1_reversed})
     st, (f, ma) = _opening(weighted, _a_opening)
-    cells = weighted.cells
     _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", beta0)
 
     # survivor & marker-positive state, reversed monotonicity direction
     sb = f.surv * f.pos
-    pSb1 = _wmean(cells, f.z * ma, sb, "arm-1 positive-survivor states")
-    pSb0 = _wmean(cells, (1 - f.z) * ma, sb, "arm-0 positive-survivor states")
+    pSb1 = _mean(st, "pSb1", f.z * ma, sb, "arm-1 positive-survivor states")
+    pSb0 = _mean(st, "pSb0", (1 - f.z) * ma, sb, "arm-0 positive-survivor states")
     if not pSb0 < pSb1:
         raise OrderingError(
             "marker ordering (A5') fails: P(survivor & positive) is "
             f"{pSb1:.4g} (active) vs {pSb0:.4g} (control); the reversed-"
             "direction solve is invalid")
-    qb1 = _wmean(cells, f.z * ma * sb, f.y, "active positive survivors")
-    r011 = _wmean(cells, (1 - f.z) * ma * sb, f.y, "control positive survivors")
-    st.add("pSb1", pSb1, lambda d: f.z * ma * (sb - d["pSb1"]))
-    st.add("pSb0", pSb0, lambda d: (1 - f.z) * ma * (sb - d["pSb0"]))
-    st.add("qb1", qb1, lambda d: f.z * ma * sb * (f.y - d["qb1"]))
-    st.add("risk0_11", r011, lambda d: (1 - f.z) * ma * sb * (f.y - d["risk0_11"]))
+    _mean(st, "qb1", f.z * ma * sb, f.y, "active positive survivors")
+    _mean(st, "risk0_11", (1 - f.z) * ma * sb, f.y, "control positive survivors")
     _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1", beta1_reversed)
 
     _remainder(st, 1, ("00", "11"), "three-component mixture, active arm")
@@ -767,9 +721,8 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
 
     report = ["risk1", "risk0", "p00", "p11", "p10", "risk1_00", "risk1_10",
               "risk1_11", "risk0_00", "risk0_10", "risk0_11"]
-    names, theta, cov = _finalize(st, with_cov, report)
-    return RiskEstimates(scenario=Scenario.A, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=cells.n)
+    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report),
+                         st.cells.n)
 
 
 def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
@@ -820,9 +773,8 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
     report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
               "risk0_00", "risk0_10", "risk1_0star", "risk1_1star",
               "ep_pos_rate", "phi"]
-    names, theta, cov = _finalize(st, with_cov, report)
-    return RiskEstimates(scenario=Scenario.C_PROTECT, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=weighted.cells.n)
+    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report),
+                         st.cells.n)
 
 
 def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
@@ -846,27 +798,22 @@ def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
 
     report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
               "risk0_00", "risk0_10", "eh_risk", "phi_r"]
-    names, theta, cov = _finalize(st, with_cov, report)
-    return RiskEstimates(scenario=Scenario.C_HARM, sensitivity=point,
-                         names=names, theta=theta, cov=cov, n=weighted.cells.n)
+    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report),
+                         st.cells.n)
 
 
 _FITTERS = {
-    Scenario.A: lambda w, p, c: fit_scenario_a(
-        w, p.get("beta0"), p.get("beta1_reversed"), with_cov=c),
-    Scenario.B: lambda w, p, c: fit_scenario_b(w, p.get("beta0"), with_cov=c),
-    Scenario.C_PROTECT: lambda w, p, c: fit_scenario_c_protect(
-        w, p.get("beta0"), p.get("beta2"), p.get("beta3"), p.get("beta4"),
-        with_cov=c),
-    Scenario.C_HARM: lambda w, p, c: fit_scenario_c_harm(
-        w, p.get("beta0"), p.get("beta1_marginal"), with_cov=c),
+    Scenario.A: fit_scenario_a,
+    Scenario.B: fit_scenario_b,
+    Scenario.C_PROTECT: fit_scenario_c_protect,
+    Scenario.C_HARM: fit_scenario_c_harm,
 }
 
 
 def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
                  with_cov: bool = True) -> RiskEstimates:
     """Dispatch to the scenario fitter named by the sensitivity point."""
-    return _FITTERS[point.scenario](weighted, point, with_cov)
+    return _FITTERS[point.scenario](weighted, **point.as_dict(), with_cov=with_cov)
 
 
 # ---------------------------------------------------------------------------
@@ -886,46 +833,31 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
     """
     if scenario not in (Scenario.A, Scenario.B):
         raise ConfigError("the mean-shift method applies to scenarios A and B")
-    cells = weighted.cells
     st, f = _opening(weighted, _identified)
-    p00 = st.sol["p00"]
-    mu10 = _wmean(cells, f.z * f.m * f.neg, f.y, "active negative survivors")
-    mu00 = _wmean(cells, (1 - f.z) * f.m * f.neg, f.y, "control negative survivors")
-    mu11 = _wmean(cells, f.z * f.m * f.pos, f.y, "active positive survivors")
-    st.add("mu10", mu10, lambda d: f.z * f.m * f.neg * (f.y - d["mu10"]))
-    st.add("mu00", mu00, lambda d: (1 - f.z) * f.m * f.neg * (f.y - d["mu00"]))
-    st.add("mu11", mu11, lambda d: f.z * f.m * f.pos * (f.y - d["mu11"]))
+    mu10 = _mean(st, "mu10", f.z * f.m * f.neg, f.y, "active negative survivors")
+    mu00 = _mean(st, "mu00", (1 - f.z) * f.m * f.neg, f.y, "control negative survivors")
+    mu11 = _mean(st, "mu11", f.z * f.m * f.pos, f.y, "active positive survivors")
     st.add("risk1_00", mu10, lambda d: d["mu10"] - d["risk1_00"])
     st.add("risk0_00", mu00 + alpha0, lambda d: d["mu00"] + alpha0 - d["risk0_00"])
 
     report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
               "risk0_00", "risk0_10"]
     if scenario is Scenario.A:
-        mu01 = _wmean(cells, (1 - f.z) * f.m * f.pos, f.y,
-                      "control positive survivors")
-        p11 = _wmean(cells, (1 - f.z) * f.m, f.pos,
-                     "measured arm-0 survivor markers")
-        st.add("mu01", mu01, lambda d: (1 - f.z) * f.m * f.pos * (f.y - d["mu01"]))
-        st.add("p11", p11, lambda d: (1 - f.z) * f.m * (f.pos - d["p11"]))
+        mu01 = _mean(st, "mu01", (1 - f.z) * f.m * f.pos, f.y,
+                     "control positive survivors")
+        _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
         st.add("risk1_11", mu11 - alpha1, lambda d: d["mu11"] - alpha1 - d["risk1_11"])
         st.add("risk0_11", mu01, lambda d: d["mu01"] - d["risk0_11"])
-        p10 = 1.0 - p00 - p11
-        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p11"] - d["p10"])
         strata = ("00", "11")
         report += ["p11", "risk1_11", "risk0_11"]
     else:
-        p10 = 1.0 - p00
-        st.add("p10", p10, lambda d: 1.0 - d["p00"] - d["p10"])
         strata = ("00",)
-    if p10 <= 0.0:
-        raise EstimationError(f"estimated p(1,0) = {p10:.6g} is not positive")
+    _p10(st, tuple(f"p{s}" for s in strata))
     for z in (1, 0):
         _remainder(st, z, strata, "mean-shift mixture identity")
 
-    names, theta, cov = _finalize(st, True, report)
-    est = RiskEstimates(scenario=scenario,
-                        sensitivity=SensitivityPoint(scenario, {}),
-                        names=names, theta=theta, cov=cov, n=cells.n)
+    point = SensitivityPoint(scenario, {})
+    est = RiskEstimates(scenario, point, *_finalize(st, True, report), st.cells.n)
     return cep(est, Contrast.ADDITIVE)
 
 

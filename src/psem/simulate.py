@@ -282,6 +282,8 @@ class StudyConfig:
         for d in self.deltas:
             if abs(d) > 0.8:
                 raise ConfigError(f"delta {d} leaves the (a,b) parameterization")
+        if not all(g >= 0 for g in self.gamma_scales):
+            raise ConfigError(f"gamma scales must be >= 0, got {list(self.gamma_scales)}")
 
     def cells(self) -> list[dict]:
         out = []

@@ -204,6 +204,12 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
             out[~fit_rows] = 1.0
         pi[surv] = out
 
+    blind = missing & (cells.count > 0) & (pi >= 1.0)
+    if blind.any():
+        offenders = [f"(z={cells.z[i]}, y={cells.y[i]})" for i in np.nonzero(blind)[0]]
+        raise DataError(
+            "markers missing for survivors sampled with certainty (pi = 1) in "
+            f"cells {offenders}; they would be dropped without reweighting")
     low = surv & (pi < model.eps)
     if low.any():
         offenders = [f"(z={cells.z[i]}, y={cells.y[i]}, pi={pi[i]:.4g})"

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -139,6 +140,43 @@ def test_analyze_scales_with_ranges_is_config_error(tmp_path, worked_csv, capsys
     assert main(["analyze", "--config", str(cfg)]) == 2
     assert "either scales or per-parameter ranges" in capsys.readouterr().err
     assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sensitivity", "grid_points", "abc"), ("sensitivity", "alpha", "x"),
+    ("weights", "nu", "abc"), ("weights", "eps", "x")])
+def test_analyze_non_numeric_value_is_config_error(tmp_path, worked_csv, capsys,
+                                                   section, key, value):
+    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
+                                extra_sensitivity="beta0 = 0",
+                                weights="[weights]\nmodel = design\nnu = 1\neps = 0.01")
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg.read_text(),
+                          flags=re.M), encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert f"[{section}] {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sensitivity, message", [
+    ("scales = 0, -1", "scales must be >= 0"),
+    ("scales = inf", "finite numbers"), ("beta0 = -inf, 1", "finite numbers")])
+def test_analyze_bad_scale_is_config_error(tmp_path, worked_csv, capsys,
+                                           sensitivity, message):
+    out = tmp_path / "o"
+    cfg = write_analysis_config(tmp_path, worked_csv, out,
+                                extra_sensitivity=sensitivity)
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+def test_simulate_negative_gamma_scale_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "study.ini"
+    out = tmp_path / "s"
+    cfg.write_text(f"[study]\ndesign = B\nn = 400\ngamma_scales = -1\n"
+                   f"replicates = 5\n\n[output]\ndir = {out}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "gamma scales must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_missing_config():

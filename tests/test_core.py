@@ -56,6 +56,31 @@ def test_identified_degenerate_marker_split():
         psem.estimate_identified(w, Scenario.B)
 
 
+_P10_CALLERS = {
+    "identified_A": lambda w: psem.estimate_identified(w, Scenario.A),
+    "identified_B": lambda w: psem.estimate_identified(w, Scenario.B),
+    "fit_B": lambda w: psem.fit_scenario_b(w, 0.5),
+    "fit_A": lambda w: psem.fit_scenario_a(w, 0.5, -0.5),
+    "fit_C_harm": lambda w: psem.fit_scenario_c_harm(w, 0.5, 0.5),
+    "mean_shift_A": lambda w: psem.mean_shift_cep(w, 0.0, 0.0, Scenario.A),
+    "mean_shift_B": lambda w: psem.mean_shift_cep(w, 0.0, 0.0, Scenario.B),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_P10_CALLERS))
+def test_p10_callers_share_one_error(caller):
+    # the lone active-arm positive is a case (weight 1) beside controls of
+    # weight 1e17, so the IPW p(0,0) rounds to 1: p(1,0) is 0 in scenario B
+    # and C_harm, and 1 - 1 - p(1,1) = -0.5 in scenario A
+    w = weighted_from_blocks(
+        [(100, 1, 0, 0, 0), (1, 1, 0, 1, 1), (10, 0, 0, 0, 0), (10, 0, 0, 1, 0)],
+        WeightModel.design_known(1e-17, eps=1e-18))
+    with pytest.raises(EstimationError,
+                       match=r"^estimated p\(1,0\) = (0|-0\.5) is not positive; the "
+                             r"always-survivor effect-modification stratum is empty"):
+        _P10_CALLERS[caller](w)
+
+
 def test_identified_scenario_c_rejected(worked_weighted):
     with pytest.raises(ConfigError):
         psem.estimate_identified(worked_weighted, Scenario.C_PROTECT)

@@ -124,6 +124,24 @@ def test_fd_gradient_matches_analytic_polynomial():
     assert np.max(np.abs(jac - exact)) / np.max(np.abs(exact)) < 1e-6
 
 
+def test_fd_jacobian_non_square():
+    from psem.core import _fd_jacobian
+    theta = np.array([0.5, -1.2, 2.0])
+    jac = _fd_jacobian(lambda t: np.array([t[0] * t[1] + t[2], t[2] ** 2 - t[0]]),
+                       theta)
+    exact = np.array([[theta[1], theta[0], 1.0], [-1.0, 0.0, 2 * theta[2]]])
+    assert jac.shape == (2, 3)
+    assert np.max(np.abs(jac - exact)) < 1e-9
+
+
+def test_delta_rejects_infinite_neighbor():
+    def g(t):
+        return math.inf if t[0] > 0.3 else t[0]
+
+    with pytest.raises(ValueError, match="neighborhood"):
+        delta_method(g, np.array([0.3, 1.0]), np.eye(2))
+
+
 def test_delta_identity():
     value, var = delta_method(lambda t: t[0], np.array([0.3]), np.array([[0.04]]))
     assert value == pytest.approx(0.3)

@@ -76,6 +76,19 @@ def test_positivity_floor():
                              WeightModel.design_known(0.001))
 
 
+def test_design_known_rejects_unmeasured_certainty_survivors():
+    # cases have pi = 1 under the case-cohort design, so an unmeasured case
+    # would be dropped without anyone carrying its weight
+    blocks = [(2, 1, 0, 0, 1), (8, 1, 0, None, 1), (20, 1, 0, 0, 0),
+              (10, 0, 0, 0, 0), (5, 0, 0, None, 0)]
+    with pytest.raises(DataError, match="pi = 1") as exc:
+        weighted_from_blocks(blocks, WeightModel.design_known(1.0))
+    assert "(z=1, y=1)" in str(exc.value) and "(z=0, y=0)" in str(exc.value)
+    with pytest.raises(DataError, match="pi = 1") as exc:
+        weighted_from_blocks(blocks, WeightModel.design_known(0.5))
+    assert "(z=1, y=1)" in str(exc.value) and "(z=0, y=0)" not in str(exc.value)
+
+
 def test_effective_sample_equal_weights():
     w = weighted_from_blocks([(100, 1, 0, 0, 0)])
     assert effective_sample(w) == pytest.approx(100.0)

@@ -21,8 +21,8 @@ from .sensitivity import (IntervalResult, SensitivityConfig, eui,
                           ignorance_interval, interval_for, sweep,
                           test_effect_modification)
 from .simulate import (GeneratorConfig, PotentialRecord, StudyConfig,
-                       StudyResult, apply_case_cohort, gen_scenario_b,
-                       gen_scenario_c, oracle_estimands, run_study)
+                       StudyResult, apply_case_cohort, generate,
+                       oracle_estimands, run_study)
 from .weights import WeightModel, WeightedRecords, effective_sample, fit_missingness
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import Contrast, Scenario
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .sensitivity import symmetric_ranges
 from .simulate import StudyConfig
 from .weights import WeightModel
 
@@ -73,15 +74,17 @@ class AnalysisConfig:
         """Named Gamma regions to analyze: either the symmetric scales or
         the explicit per-parameter ranges."""
         if self.scales is not None:
-            keys = self.scenario.sensitivity_keys
-            return [(f"scale={s:g}", {k: (-s, s) for k in keys} if s > 0 else {})
+            return [(f"scale={s:g}", symmetric_ranges(self.scenario, s))
                     for s in self.scales]
         return [("custom", dict(self.ranges))]
 
 
 def _read_ini(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    found = parser.read(path)
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config: {exc}") from None
     if not found:
         raise ConfigError(f"config file not found: {path}")
     return parser
@@ -107,17 +110,20 @@ def load_analysis_config(path) -> AnalysisConfig:
         wsec = ini["weights"]
         kind = wsec.get("model", "auto").strip().lower()
         eps = _number(wsec, "eps", float, 0.01)
-        if kind == "design":
-            if "nu" not in wsec:
-                raise ConfigError("design-known weights need a 'nu' key")
-            weight_model = WeightModel.design_known(_number(wsec, "nu", float, None),
-                                                    eps=eps)
-        elif kind == "logistic":
-            terms = tuple(t.strip() for t in
-                          wsec.get("terms", "intercept, y").split(","))
-            weight_model = WeightModel.estimated_logistic(terms, eps=eps)
-        elif kind != "auto":
-            raise ConfigError(f"unknown weight model {kind!r}")
+        try:
+            if kind == "design":
+                if "nu" not in wsec:
+                    raise ConfigError("design-known weights need a 'nu' key")
+                weight_model = WeightModel.design_known(
+                    _number(wsec, "nu", float, None), eps=eps)
+            elif kind == "logistic":
+                terms = tuple(t.strip() for t in
+                              wsec.get("terms", "intercept, y").split(","))
+                weight_model = WeightModel.estimated_logistic(terms, eps=eps)
+            elif kind != "auto":
+                raise ConfigError(f"unknown weight model {kind!r}")
+        except DataError as exc:
+            raise ConfigError(f"[weights] {exc}") from None
 
     ranges: dict[str, tuple[float, float]] = {}
     scales = None

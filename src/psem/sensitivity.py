@@ -49,6 +49,8 @@ class SensitivityConfig:
             raise ConfigError(f"sensitivity keys {sorted(illegal)} are not "
                               f"legal for scenario {self.scenario.value}")
         for k, (lo, hi) in self.ranges.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"range for {k} must be finite: [{lo}, {hi}]")
             if lo > hi:
                 raise ConfigError(f"range for {k} has lower > upper: [{lo}, {hi}]")
         if self.grid_points < 2 and any(lo < hi for lo, hi in self.ranges.values()):
@@ -75,6 +77,13 @@ class SensitivityConfig:
         keys = list(axes)
         return [SensitivityPoint(self.scenario, dict(zip(keys, combo)))
                 for combo in itertools.product(*(axes[k] for k in keys))]
+
+
+def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
+    """The region [-scale, scale] on every legal parameter of ``scenario``;
+    scale 0 is the no-selection-bias point (no ranges)."""
+    return ({k: (-scale, scale) for k in scenario.sensitivity_keys}
+            if scale > 0 else {})
 
 
 @dataclass

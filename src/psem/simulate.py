@@ -1,18 +1,14 @@
 """Data generators and the Monte Carlo study harness.
 
-Two finite-support generators are implemented, matching the two assumption
-scenarios they exercise:
-
-* design B: the early-event pair (Ytau(1), Ytau(0)) is (0,0) or (1,1) with
-  probabilities 0.8/0.2 (equal early clinical risk holds); among early
-  survivors the marker pair (S*(1), S*(0)) is (0,0) or (1,0) with
-  probabilities 0.4/0.6 (constant control marker); Y(1) is Bernoulli(a) or
-  Bernoulli(b) as the active marker is negative/positive and Y(0) is
-  Bernoulli(0.5), so the effect-modification contrast is b - a.
-* design C: the early pair is (0,0), (0,1) or (1,1) with probabilities
-  0.7/0.2/0.1 (no-harm monotonicity holds, equal early risk fails); the
-  marker and outcome mechanics are as in design B, with the early-protected
-  stratum sharing the 0.4/0.6 marker split.
+Each built-in design is one row of ``DESIGNS``: the law of the early-event
+pair (Ytau(1), Ytau(0)), the scenario its studies are analyzed under and
+its default grid points per Gamma axis. Design B has equal early clinical
+risk (scenario B); design C has no-harm monotonicity but unequal early
+risk (scenario C_protect). The marker and outcome mechanics are shared:
+among active-arm early survivors S*(1) is positive with probability 0.6,
+the control marker is 0 wherever defined, Y(1) is Bernoulli(a) or
+Bernoulli(b) as S*(1) is 0/1, Y(0) is Bernoulli(0.5) and early events are
+cases, so the effect-modification contrast is b - a.
 
 Arm assignment is Bernoulli(1/2); under case-cohort sampling the marker of
 a survivor is observed iff they are a case (y = 1) or fall in a
@@ -20,16 +16,18 @@ Bernoulli(nu) subcohort.
 
 Randomness is counter-based (Philox) with one documented stream per
 (seed, study cell, replicate): key = [seed, cell_index * 2^32 + replicate].
-Within a replicate, draws occur in a fixed order (strata, marker, y1, y0,
-arm, subcohort), so results are bit-identical regardless of how replicates
-are scheduled across workers.
+Within a replicate, draws occur in a fixed order (early pair, marker, y1,
+y0, arm, subcohort), so results are bit-identical regardless of how
+replicates are scheduled across workers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -39,14 +37,33 @@ from . import tables
 from .core import Contrast, Scenario, cep, fit_scenario  # noqa: F401
 from .errors import ConfigError, PsemError
 from .records import Marker, ObservedRecord
-from .sensitivity import SensitivityConfig, eui, ignorance_interval, sweep
+from .sensitivity import (SensitivityConfig, eui, ignorance_interval,
+                          symmetric_ranges, sweep)
 from .tables import S_MISS, S_NEG, S_POS, S_UNDEF
 from .weights import WeightModel, fit_missingness
 
 MARKER_POS_RATE = 0.6     # P(active marker positive | early survivor)
 CONTROL_RISK = 0.5        # P(Y(0)=1 | always survivor)
-DESIGN_B_EARLY = 0.2      # P(early pair = (1,1))
-DESIGN_C_PROBS = (0.7, 0.2, 0.1)   # (0,0), (0,1), (1,1)
+
+
+@dataclass(frozen=True)
+class Design:
+    early: tuple          # ((Ytau(1), Ytau(0)), probability), in draw order
+    scenario: Scenario    # the scenario its studies are analyzed under
+    grid_points: int      # default grid points per Gamma axis
+
+
+DESIGNS = {
+    "B": Design((((1, 1), 0.2), ((0, 0), 0.8)), Scenario.B, 21),
+    "C": Design((((0, 0), 0.7), ((0, 1), 0.2), ((1, 1), 0.1)),
+                Scenario.C_PROTECT, 2),
+}
+
+
+def _check_design(design: str) -> None:
+    if design not in DESIGNS:
+        raise ConfigError(f"design must be {' or '.join(map(repr, DESIGNS))}, "
+                          f"got {design!r}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +76,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.design not in ("B", "C"):
-            raise ConfigError(f"design must be 'B' or 'C', got {self.design!r}")
+        _check_design(self.design)
         for name in ("a", "b"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -92,14 +108,9 @@ def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
     """Vectorized draw of potential and observed arrays (see module docstring
     for the fixed draw order that pins determinism)."""
     n = config.n
-    u = rng.random(n)
-    if config.design == "B":
-        yt1 = u < DESIGN_B_EARLY
-        yt0 = yt1.copy()
-    else:
-        p00, p01, _ = DESIGN_C_PROBS
-        yt1 = u >= p00 + p01          # (1,1) stratum
-        yt0 = u >= p00                # (0,1) or (1,1)
+    pairs, probs = zip(*DESIGNS[config.design].early)
+    k = np.searchsorted(np.cumsum(probs)[:-1], rng.random(n), side="right")
+    yt1, yt0 = (np.array(col, dtype=bool)[k] for col in zip(*pairs))
     s1 = (rng.random(n) < MARKER_POS_RATE) & ~yt1
     mean1 = np.where(s1, config.b, config.a)
     y1 = np.where(yt1, True, rng.random(n) < mean1)
@@ -122,11 +133,15 @@ def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _records_from_arrays(arrs, prefix: str):
-    pot, obs = [], []
+def generate(config: GeneratorConfig):
+    """One draw of ``config``; returns (potential records, observed records).
+    Record ids are the lower-case design name followed by 1, 2, ..."""
+    arrs = _gen_arrays(config, _rng_for(config.seed, 0, 0))
     code_to_marker = {S_NEG: Marker.NEGATIVE, S_POS: Marker.POSITIVE,
                       S_UNDEF: Marker.UNDEFINED, S_MISS: Marker.MISSING}
-    for i in range(len(arrs["z"])):
+    prefix = config.design.lower()
+    pot, obs = [], []
+    for i in range(config.n):
         yt1, yt0 = int(arrs["yt1"][i]), int(arrs["yt0"][i])
         pot.append(PotentialRecord(
             y_tau_1=yt1, y_tau_0=yt0,
@@ -138,22 +153,6 @@ def _records_from_arrays(arrs, prefix: str):
             marker=code_to_marker[int(arrs["s_code"][i])],
             y=int(arrs["y"][i]), measured=int(arrs["measured"][i])))
     return pot, obs
-
-
-def gen_scenario_b(config: GeneratorConfig):
-    """Design-B draw; returns (potential records, observed records)."""
-    if config.design != "B":
-        raise ConfigError("gen_scenario_b requires design='B'")
-    arrs = _gen_arrays(config, _rng_for(config.seed, 0, 0))
-    return _records_from_arrays(arrs, "b")
-
-
-def gen_scenario_c(config: GeneratorConfig):
-    """Design-C draw; returns (potential records, observed records)."""
-    if config.design != "C":
-        raise ConfigError("gen_scenario_c requires design='C'")
-    arrs = _gen_arrays(config, _rng_for(config.seed, 0, 0))
-    return _records_from_arrays(arrs, "c")
 
 
 def apply_case_cohort(observed, nu: float, seed: int = 0):
@@ -179,72 +178,48 @@ def apply_case_cohort(observed, nu: float, seed: int = 0):
 # exact estimands by enumerating the generator law
 
 
-def _law(config: GeneratorConfig):
-    """Probability over the full potential-outcome tuple
-    (yt1, yt0, s1, s0, y1, y0); markers are None when undefined."""
-    if config.design == "B":
-        strata = [((0, 0), 1.0 - DESIGN_B_EARLY), ((1, 1), DESIGN_B_EARLY)]
-    else:
-        p00, p01, p11 = DESIGN_C_PROBS
-        strata = [((0, 0), p00), ((0, 1), p01), ((1, 1), p11)]
-    for (t1, t0), pt in strata:
-        s1_opts = [(None, 1.0)] if t1 else [(0, 1.0 - MARKER_POS_RATE),
-                                            (1, MARKER_POS_RATE)]
-        s0 = None if t0 else 0
+def _law(config: GeneratorConfig) -> np.ndarray:
+    """Columns (yt1, yt0, s1, y1, y0, p) of the generator law over the
+    potential outcomes; s1 = -1 where undefined (early event under arm 1).
+    The control marker is 0 wherever defined, so it needs no column."""
+    def bern(m):
+        return ((1, m), (0, 1.0 - m))
+
+    rows = []
+    for (t1, t0), pt in DESIGNS[config.design].early:
+        s1_opts = ((-1, 1.0),) if t1 else bern(MARKER_POS_RATE)
         for s1, ps in s1_opts:
-            if t1:
-                y1_opts = [(1, 1.0)]
-            else:
-                m1 = config.b if s1 == 1 else config.a
-                y1_opts = [(1, m1), (0, 1.0 - m1)] if 0.0 < m1 < 1.0 else \
-                    [(1 if m1 >= 1.0 else 0, 1.0)]
-            y0_opts = [(1, 1.0)] if t0 else [(1, CONTROL_RISK),
-                                             (0, 1.0 - CONTROL_RISK)]
-            for y1, p1 in y1_opts:
-                for y0, p0 in y0_opts:
-                    yield (t1, t0, s1, s0, y1, y0), pt * ps * p1 * p0
+            y1_opts = ((1, 1.0),) if t1 else bern(config.b if s1 == 1 else config.a)
+            y0_opts = ((1, 1.0),) if t0 else bern(CONTROL_RISK)
+            rows += [(t1, t0, s1, y1, y0, pt * ps * p1 * p0)
+                     for y1, p1 in y1_opts for y0, p0 in y0_opts]
+    return np.array(rows).T
 
 
 def oracle_estimands(config: GeneratorConfig) -> dict[str, float]:
     """Exact values of every estimand, computed by enumerating the finite
     support of the generator law (no simulation)."""
-    law = list(_law(config))
+    t1, t0, s1, y1, y0, p = _law(config)
 
-    def prob(pred):
-        return math.fsum(p for tup, p in law if pred(*tup))
+    def cond(num, den):
+        d = math.fsum(p[den])
+        return math.fsum(p[num & den]) / d if d > 0 else float("nan")
 
-    def cond(pred_num, pred_den):
-        den = prob(pred_den)
-        return prob(lambda *t: pred_num(*t) and pred_den(*t)) / den if den > 0 else float("nan")
-
-    def eas(t1, t0, s1, s0, y1, y0):
-        return t1 == 0 and t0 == 0
-
-    out = {}
-    out["p00"] = cond(lambda t1, t0, s1, s0, y1, y0: s1 == 0, eas)
-    out["p10"] = cond(lambda t1, t0, s1, s0, y1, y0: s1 == 1, eas)
-    out["p11"] = 0.0
-    for z in (0, 1):
-        yz = (lambda t1, t0, s1, s0, y1, y0: y1 == 1) if z else \
-            (lambda t1, t0, s1, s0, y1, y0: y0 == 1)
+    eas = (t1 == 0) & (t0 == 0)
+    out = {"p00": cond(s1 == 0, eas), "p10": cond(s1 == 1, eas), "p11": 0.0}
+    for z, yz in ((0, y0 == 1), (1, y1 == 1)):
         out[f"risk{z}"] = cond(yz, eas)
         for sv in (0, 1):
-            out[f"risk{z}_{sv}0"] = cond(
-                yz, lambda t1, t0, s1, s0, y1, y0, sv=sv:
-                eas(t1, t0, s1, s0, y1, y0) and s1 == sv)
+            out[f"risk{z}_{sv}0"] = cond(yz, eas & (s1 == sv))
     out["cep_00"] = out["risk1_00"] - out["risk0_00"]
     out["cep_10"] = out["risk1_10"] - out["risk0_10"]
     out["mu"] = out["cep_10"] - out["cep_00"]
-    if config.design == "C":
-        surv1 = lambda t1, t0, s1, s0, y1, y0: t1 == 0
-        ep = lambda t1, t0, s1, s0, y1, y0: t1 == 0 and t0 == 1
-        out["phi"] = cond(lambda t1, t0, s1, s0, y1, y0: t0 == 0, surv1)
-        out["ep_pos_rate"] = cond(lambda t1, t0, s1, s0, y1, y0: s1 == 1, ep)
+    ep = (t1 == 0) & (t0 == 1)
+    if ep.any():
+        out["phi"] = cond(t0 == 0, t1 == 0)
+        out["ep_pos_rate"] = cond(s1 == 1, ep)
         for sv in (0, 1):
-            out[f"risk1_{sv}star"] = cond(
-                lambda t1, t0, s1, s0, y1, y0: y1 == 1,
-                lambda t1, t0, s1, s0, y1, y0, sv=sv: ep(t1, t0, s1, s0, y1, y0)
-                and s1 == sv)
+            out[f"risk1_{sv}star"] = cond(y1 == 1, ep & (s1 == sv))
     return out
 
 
@@ -259,8 +234,9 @@ class StudyConfig:
     ``deltas`` are target values of CEP(1,0) - CEP(0,0); each maps to
     (a, b) = (0.4 - d/2, 0.4 + d/2). ``gamma_scales`` are symmetric
     sensitivity ranges [-s, s] applied to every scenario-legal parameter
-    (scale 0 is the no-selection-bias analysis). Design B is analyzed
-    under scenario B, design C under scenario C_protect.
+    (scale 0 is the no-selection-bias analysis). Each design is analyzed
+    under its ``DESIGNS`` scenario; ``grid_points=None`` takes the
+    design's default.
     """
 
     design: str
@@ -270,13 +246,12 @@ class StudyConfig:
     gamma_scales: tuple[float, ...] = (0.0,)
     replicates: int = 1000
     seed: int = 0
-    grid_points: int | None = None     # default 21 (design B), 2 (design C)
+    grid_points: int | None = None     # None: the design's default
     alpha: float = 0.05
     threads: int = 1
 
     def __post_init__(self):
-        if self.design not in ("B", "C"):
-            raise ConfigError(f"design must be 'B' or 'C', got {self.design!r}")
+        _check_design(self.design)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         for d in self.deltas:
@@ -286,19 +261,11 @@ class StudyConfig:
             raise ConfigError(f"gamma scales must be >= 0, got {list(self.gamma_scales)}")
 
     def cells(self) -> list[dict]:
-        out = []
-        for n in self.n_values:
-            for nu in self.nu_values:
-                for d in self.deltas:
-                    for g in self.gamma_scales:
-                        out.append({"design": self.design, "n": n, "nu": nu,
-                                    "delta": d, "gamma_scale": g})
-        return out
-
-    def effective_grid_points(self) -> int:
-        if self.grid_points is not None:
-            return self.grid_points
-        return 21 if self.design == "B" else 2
+        return [{"design": self.design, "n": n, "nu": nu, "delta": d,
+                 "gamma_scale": g}
+                for n, nu, d, g in itertools.product(
+                    self.n_values, self.nu_values, self.deltas,
+                    self.gamma_scales)]
 
 
 @dataclass
@@ -324,13 +291,8 @@ class StudyCellResult:
     mc_se_power: float
     mc_se_coverage: float
 
-    FIELDS = ("design", "n", "nu", "delta", "gamma_scale", "true_mu",
-              "replicates", "failures", "power", "coverage", "mean_width",
-              "sd_width", "bias_min", "bias_max", "ese_min", "ase_min",
-              "ese_max", "ase_max", "mc_se_power", "mc_se_coverage")
-
     def row(self) -> list:
-        return [getattr(self, f) for f in self.FIELDS]
+        return list(astuple(self))
 
 
 @dataclass
@@ -339,7 +301,8 @@ class StudyResult:
     rows: list[StudyCellResult] = field(default_factory=list)
 
     def as_table(self) -> tuple[tuple[str, ...], list[list]]:
-        return StudyCellResult.FIELDS, [r.row() for r in self.rows]
+        header = tuple(f.name for f in fields(StudyCellResult))
+        return header, [r.row() for r in self.rows]
 
     def cell(self, **kw) -> StudyCellResult:
         for r in self.rows:
@@ -349,16 +312,11 @@ class StudyResult:
         raise KeyError(f"no study cell matching {kw}")
 
 
-def _scenario_for(design: str) -> Scenario:
-    return Scenario.B if design == "B" else Scenario.C_PROTECT
-
-
 def _gamma_config(design: str, scale: float, grid_points: int,
                   alpha: float) -> SensitivityConfig:
-    scenario = _scenario_for(design)
-    ranges = {k: (-scale, scale) for k in scenario.sensitivity_keys} \
-        if scale > 0 else {}
-    return SensitivityConfig(scenario=scenario, ranges=ranges,
+    scenario = DESIGNS[design].scenario
+    return SensitivityConfig(scenario=scenario,
+                             ranges=symmetric_ranges(scenario, scale),
                              grid_points=max(grid_points, 2), alpha=alpha,
                              contrast=Contrast.ADDITIVE)
 
@@ -386,11 +344,6 @@ def _one_replicate(design, n, nu, a, b, gamma, seed, cell_id, rep):
     return (ii.lower, ii.se_lower, ii.upper, ii.se_upper, *result.eui)
 
 
-def _replicate_chunk(args):
-    *fixed, reps = args
-    return [_one_replicate(*fixed, r) for r in reps]
-
-
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the replicated study over all cells and compute the operating
     characteristics: rejection rate (power / type I), EUI coverage of the
@@ -401,33 +354,29 @@ def run_study(config: StudyConfig) -> StudyResult:
     the worker count.
     """
     result = StudyResult(config=config)
-    g = config.effective_grid_points()
+    g = config.grid_points
+    if g is None:
+        g = DESIGNS[config.design].grid_points
+    reps = range(config.replicates)
     for cell_id, cell in enumerate(config.cells()):
         d = cell["delta"]
         a, b = 0.4 - d / 2.0, 0.4 + d / 2.0
         true_mu = oracle_estimands(GeneratorConfig(
             design=cell["design"], n=2, a=a, b=b))["mu"]
         gamma = _gamma_config(cell["design"], cell["gamma_scale"], g, config.alpha)
-        reps = list(range(config.replicates))
-        chunks = _split(reps, max(1, config.threads) * 4)
-        args = [(cell["design"], cell["n"], cell["nu"], a, b, gamma,
-                 config.seed, cell_id, chunk) for chunk in chunks]
+        one = functools.partial(_one_replicate, cell["design"], cell["n"],
+                                cell["nu"], a, b, gamma, config.seed, cell_id)
         if config.threads > 1:
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                outs = list(pool.map(_replicate_chunk, args))
+                outs = list(pool.map(one, reps, chunksize=math.ceil(
+                    config.replicates / (4 * config.threads))))
         else:
-            outs = [_replicate_chunk(a_) for a_ in args]
-        flat = [r for chunk in outs for r in chunk]
-        result.rows.append(_summarize_cell(cell, true_mu, flat, config.replicates))
+            outs = list(map(one, reps))
+        result.rows.append(_summarize_cell(cell, true_mu, outs))
     return result
 
 
-def _split(items, k):
-    size = max(1, -(-len(items) // k))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _summarize_cell(cell, true_mu, outcomes, requested) -> StudyCellResult:
+def _summarize_cell(cell, true_mu, outcomes) -> StudyCellResult:
     ok = [o for o in outcomes if not isinstance(o, str)]
     failures = len(outcomes) - len(ok)
     if not ok:

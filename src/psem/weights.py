@@ -178,7 +178,6 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
             raise SeparationError(
                 "every marker is measured; the logistic missingness model is "
                 "not estimable (use design-known weights with nu = 1)")
-        meas_mask = surv & (cells.s != S_MISS)
         z_s, y_s = cells.z[surv], cells.y[surv]
         n_s = cells.count[surv]
         m_s = np.where(cells.s[surv] != S_MISS, cells.count[surv], 0.0)

@@ -179,6 +179,29 @@ def test_simulate_negative_gamma_scale_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("grid_points = 21", "beta0 = 0\nbeta0 = 1\ngrid_points = 21"),
+    lambda text: "beta0 = 0\n" + text.lstrip()], ids=["duplicate_key", "no_section"])
+def test_analyze_unparsable_config_is_config_error(tmp_path, worked_csv, capsys,
+                                                   edit):
+    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o")
+    cfg.write_text(edit(cfg.read_text()), encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "cannot parse config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", [
+    "model = design\nnu = 0.5\neps = 0.7", "model = design\nnu = 0",
+    "model = logistic\nterms = intercept, q"], ids=["eps", "nu", "terms"])
+def test_analyze_bad_weights_value_is_config_error(tmp_path, worked_csv, capsys,
+                                                   weights):
+    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
+                                extra_sensitivity="beta0 = 0",
+                                weights=f"[weights]\n{weights}")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "[weights]" in capsys.readouterr().err
+
+
 def test_analyze_missing_config():
     assert main(["analyze", "--config", "/nonexistent.ini"]) == 2
 
@@ -288,9 +311,9 @@ def test_exit_code_mapping_covers_sensitivity_errors():
 
 
 def test_analyze_scenario_c_protect_on_design_c_data(tmp_path):
-    from psem.simulate import GeneratorConfig, gen_scenario_c
-    _, obs = gen_scenario_c(GeneratorConfig(design="C", n=4000, a=0.2, b=0.5,
-                                            seed=13))
+    from psem.simulate import GeneratorConfig, generate
+    _, obs = generate(GeneratorConfig(design="C", n=4000, a=0.2, b=0.5,
+                                      seed=13))
     data = tmp_path / "c.csv"
     write_csv(obs, data)
     out = tmp_path / "out"

@@ -44,6 +44,9 @@ def test_config_validation():
                           grid_points=1)
     with pytest.raises(ConfigError):
         SensitivityConfig(scenario=Scenario.B, alpha=0.7)
+    for bad in ((-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            SensitivityConfig(scenario=Scenario.B, ranges={"beta0": bad})
 
 
 def test_grid_construction():

@@ -1,13 +1,14 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from psem.errors import ConfigError
-from psem.simulate import (GeneratorConfig, StudyConfig, _gen_arrays,
-                           _rng_for, apply_case_cohort, gen_scenario_b,
-                           gen_scenario_c, oracle_estimands, run_study)
+from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _gen_arrays,
+                           _law, _rng_for, apply_case_cohort, generate,
+                           oracle_estimands, run_study)
 
 
 def mc_tol(p, n, k=3.5):
@@ -24,6 +25,30 @@ def test_design_b_marginals_large_n():
     assert pos == pytest.approx(0.6, abs=mc_tol(0.6, eas.sum()))
     assert np.all(arrs["yt1"] == arrs["yt0"])          # equal early risk
     assert np.all(arrs["y1"][arrs["yt1"] == 1] == 1)   # early events are cases
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_early_pair_shares_match_design_table(design):
+    cfg = GeneratorConfig(design=design, n=1_000_000, a=0.3, b=0.3)
+    arrs = _gen_arrays(cfg, _rng_for(3, 0, 0))
+    for (t1, t0), prob in DESIGNS[design].early:
+        share = float(np.mean((arrs["yt1"] == t1) & (arrs["yt0"] == t0)))
+        assert share == pytest.approx(prob, abs=mc_tol(prob, cfg.n))
+    for a, b in ((0.3, 0.5), (0.0, 1.0), (1.0, 0.0)):
+        law = _law(dataclasses.replace(cfg, a=a, b=b))
+        assert math.fsum(law[-1]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("design, digest", [
+    ("B", "fdbcb5a5e9d8335d891d36d5fe158a31056f328b051ce2e725b67a15bc318ca9"),
+    ("C", "e6d6ac58e118624be9203b6201ceb37bfd0124e5b096e11f082de98c9d22a61d")],
+    ids=["B", "C"])
+def test_draw_stream_is_pinned(design, digest):
+    """Any change to the draw order or the design table changes the bytes."""
+    arrs = _gen_arrays(GeneratorConfig(design=design, n=1000, a=0.3, b=0.5,
+                                       nu=0.5), _rng_for(7, 0, 0))
+    got = hashlib.sha256(b"".join(arrs[k].tobytes() for k in sorted(arrs)))
+    assert got.hexdigest() == digest
 
 
 def test_design_c_marginals_large_n():
@@ -89,8 +114,8 @@ def test_oracle_design_c_vs_empirical_frequencies():
 
 
 def test_record_layer_invariants_design_b():
-    pot, obs = gen_scenario_b(GeneratorConfig(design="B", n=3000, a=0.4, b=0.5,
-                                              nu=0.5, seed=5))
+    pot, obs = generate(GeneratorConfig(design="B", n=3000, a=0.4, b=0.5,
+                                        nu=0.5, seed=5))
     assert len(pot) == len(obs) == 3000
     for p in pot:
         assert p.y_tau_1 == p.y_tau_0
@@ -105,8 +130,8 @@ def test_record_layer_invariants_design_b():
 
 
 def test_record_layer_invariants_design_c():
-    pot, obs = gen_scenario_c(GeneratorConfig(design="C", n=3000, a=0.4, b=0.5,
-                                              seed=6))
+    pot, obs = generate(GeneratorConfig(design="C", n=3000, a=0.4, b=0.5,
+                                        seed=6))
     assert all(p.y_tau_1 <= p.y_tau_0 for p in pot)
     for o in obs:
         o.validate()
@@ -114,19 +139,17 @@ def test_record_layer_invariants_design_c():
 
 def test_design_mismatch_rejected():
     with pytest.raises(ConfigError):
-        gen_scenario_b(GeneratorConfig(design="C", n=10, a=0.4, b=0.4))
-    with pytest.raises(ConfigError):
         GeneratorConfig(design="X", n=10, a=0.4, b=0.4)
 
 
 def test_case_cohort_identity_at_full_fraction():
-    _, obs = gen_scenario_b(GeneratorConfig(design="B", n=500, a=0.4, b=0.5, seed=1))
+    _, obs = generate(GeneratorConfig(design="B", n=500, a=0.4, b=0.5, seed=1))
     assert apply_case_cohort(obs, 1.0, seed=3) == obs
 
 
 def test_case_cohort_masking_rate():
-    _, obs = gen_scenario_b(GeneratorConfig(design="B", n=100_000, a=0.4,
-                                            b=0.5, seed=2))
+    _, obs = generate(GeneratorConfig(design="B", n=100_000, a=0.4,
+                                      b=0.5, seed=2))
     masked = apply_case_cohort(obs, 0.25, seed=4)
     controls = [m for m in masked if m.y_tau == 0 and m.y == 0]
     rate = sum(m.measured for m in controls) / len(controls)

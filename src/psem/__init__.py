@@ -16,13 +16,14 @@ from .core import (CepResult, Contrast, RiskEstimates, Scenario,
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError, PsemError,
                      PositivityError, SeparationError)
-from .records import DatasetSummary, Marker, ObservedRecord, load_csv, summarize, write_csv
+from .records import Marker, ObservedRecord, load_csv, write_csv
 from .sensitivity import (IntervalResult, SensitivityConfig, eui,
                           ignorance_interval, interval_for, sweep,
                           test_effect_modification)
 from .simulate import (GeneratorConfig, PotentialRecord, StudyConfig,
                        StudyResult, apply_case_cohort, generate,
                        oracle_estimands, run_study)
+from .tables import DatasetSummary, summarize
 from .weights import WeightModel, WeightedRecords, effective_sample, fit_missingness
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,9 +18,10 @@ from .config import (AnalysisConfig, load_analysis_config, load_study_config,
 from .core import SensitivityPoint, cep, check_assumptions, fit_scenario
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, PsemError)
-from .records import load_csv, summarize
+from .records import load_csv
 from .sensitivity import SensitivityConfig, interval_for, sweep
 from .simulate import run_study
+from .tables import summarize
 from .weights import effective_sample, fit_missingness
 
 EXIT_CODES = (
@@ -74,10 +75,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
-    records = load_csv(cfg.path, cfg.schema or None)
-    weighted = fit_missingness(records, cfg.weight_model)
-    report = check_assumptions(records, weighted)
-    summary = summarize(records)
+    weighted = fit_missingness(load_csv(cfg.path, cfg.schema or None),
+                               cfg.weight_model)
+    report = check_assumptions(weighted.cells, weighted)
+    summary = summarize(weighted.cells)
 
     zero = SensitivityPoint(cfg.scenario, {})
     base_est = fit_scenario(weighted, zero)
@@ -195,9 +196,7 @@ def cmd_simulate(args) -> int:
             writer.writerow([_fmt(v) for v in row])
     _write_json(out_dir / "study.json", {
         "version": __version__,
-        "config": {f.name: getattr(study, f.name) if not isinstance(
-            getattr(study, f.name), tuple) else list(getattr(study, f.name))
-            for f in dataclasses.fields(study)},
+        "config": dataclasses.asdict(study),
         "rows": [dict(zip(header, r.row())) for r in result.rows],
     })
     print(f"wrote {out_dir / 'study.csv'} and {out_dir / 'study.json'}")
@@ -208,9 +207,9 @@ def cmd_diagnose(args) -> int:
     schema = {}
     if args.marker_column:
         schema["marker"] = args.marker_column
-    records = load_csv(args.input, schema or None)
-    summary = summarize(records)
-    report = check_assumptions(records)
+    weighted = fit_missingness(load_csv(args.input, schema or None))
+    summary = summarize(weighted.cells)
+    report = check_assumptions(weighted.cells, weighted)
     lines = []
     for z in (1, 0):
         ev, n = report.early_counts[z]

@@ -122,6 +122,8 @@ def load_analysis_config(path) -> AnalysisConfig:
                 weight_model = WeightModel.estimated_logistic(terms, eps=eps)
             elif kind != "auto":
                 raise ConfigError(f"unknown weight model {kind!r}")
+            elif "eps" in wsec:
+                raise ConfigError("[weights] eps needs model = design or logistic")
         except DataError as exc:
             raise ConfigError(f"[weights] {exc}") from None
 

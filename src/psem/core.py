@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError)
 from .mathutil import expit, fisher_exact_two_sided, solve_logit_mixture
-from .tables import S_NEG, S_POS, S_UNDEF
+from .tables import S_NEG, S_POS, S_UNDEF, summarize
 from .weights import WeightedRecords, fit_missingness
 
 
@@ -812,8 +812,14 @@ _FITTERS = {
 
 def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
                  with_cov: bool = True) -> RiskEstimates:
-    """Dispatch to the scenario fitter named by the sensitivity point."""
-    return _FITTERS[point.scenario](weighted, **point.as_dict(), with_cov=with_cov)
+    """Dispatch to the scenario fitter named by the sensitivity point.
+    Covariance fits are cached per point on ``weighted``; failures are not."""
+    if not with_cov:
+        return _FITTERS[point.scenario](weighted, **point.as_dict(), with_cov=False)
+    key = (point.scenario, tuple(point.as_dict().items()))
+    if key not in weighted.fit_blocks:
+        weighted.fit_blocks[key] = _FITTERS[point.scenario](weighted, **point.as_dict())
+    return weighted.fit_blocks[key]
 
 
 # ---------------------------------------------------------------------------
@@ -908,13 +914,8 @@ def check_assumptions(records, weighted: WeightedRecords | None = None,
         weighted = fit_missingness(records)
     cells = weighted.cells
     f = _features(cells)
-    counts, rates = {}, {}
-    for z in (0, 1):
-        arm = f.z == z
-        n_arm = cells.subset_count(arm)
-        ev = cells.subset_count(arm & (cells.yt == 1))
-        counts[z] = (int(ev), int(n_arm))
-        rates[z] = ev / n_arm if n_arm > 0 else float("nan")
+    counts = {z: (a.early_events, a.n) for z, a in summarize(cells).arms.items()}
+    rates = {z: ev / n if n > 0 else float("nan") for z, (ev, n) in counts.items()}
     a, n1 = counts[1]
     c, n0 = counts[0]
     fisher_p = fisher_exact_two_sided(a, n1 - a, c, n0 - c)

@@ -1,4 +1,4 @@
-"""Observed trial records: CSV ingestion, validation, and summaries.
+"""Observed trial records: CSV ingestion and validation.
 
 A record holds one participant's observed data: arm ``z``, early-event
 indicator ``y_tau`` (clinical event by the marker measurement time), the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError
 
@@ -79,27 +79,6 @@ class ObservedRecord:
                 raise DataError(
                     f"record {self.id!r}: measured survivor needs marker 0 or 1, "
                     f"got {self.marker}")
-
-
-@dataclass(frozen=True)
-class ArmSummary:
-    n: int = 0
-    early_events: int = 0
-    final_events: int = 0
-    marker_measured: int = 0
-    measured_cases: int = 0           # measured survivors with y = 1
-    measured_controls: int = 0        # measured survivors with y = 0
-    positive_cases: int = 0
-    positive_controls: int = 0
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    arms: dict[int, ArmSummary] = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return sum(a.n for a in self.arms.values())
 
 
 def _parse_marker(token: str) -> Marker:
@@ -207,31 +186,3 @@ def write_csv(records, path, schema: dict[str, str] | None = None) -> None:
             row += [repr(v) for v in r.w]
             row += [""] * (n_cov - len(r.w))
             writer.writerow(row)
-
-
-def summarize(records) -> DatasetSummary:
-    """Exhaustive per-arm tallies; permutation-invariant in record order."""
-    if not records:
-        raise DataError("cannot summarize an empty record list")
-    counts = {z: dict.fromkeys(
-        ("n", "early", "events", "meas", "mc", "mu", "pc", "pu"), 0) for z in (0, 1)}
-    for r in records:
-        c = counts[r.z]
-        c["n"] += 1
-        c["early"] += r.y_tau
-        c["events"] += r.y
-        if r.y_tau == 0 and r.measured == 1:
-            c["meas"] += 1
-            pos = 1 if r.marker is Marker.POSITIVE else 0
-            if r.y == 1:
-                c["mc"] += 1
-                c["pc"] += pos
-            else:
-                c["mu"] += 1
-                c["pu"] += pos
-    arms = {z: ArmSummary(
-        n=c["n"], early_events=c["early"], final_events=c["events"],
-        marker_measured=c["meas"], measured_cases=c["mc"], measured_controls=c["mu"],
-        positive_cases=c["pc"], positive_controls=c["pu"])
-        for z, c in counts.items()}
-    return DatasetSummary(arms=arms)

@@ -137,8 +137,7 @@ def generate(config: GeneratorConfig):
     """One draw of ``config``; returns (potential records, observed records).
     Record ids are the lower-case design name followed by 1, 2, ..."""
     arrs = _gen_arrays(config, _rng_for(config.seed, 0, 0))
-    code_to_marker = {S_NEG: Marker.NEGATIVE, S_POS: Marker.POSITIVE,
-                      S_UNDEF: Marker.UNDEFINED, S_MISS: Marker.MISSING}
+    code_to_marker = {code: m for m, code in tables._MARKER_CODE.items()}
     prefix = config.design.lower()
     pot, obs = [], []
     for i in range(config.n):

@@ -50,46 +50,66 @@ class CellTable:
     def n(self) -> float:
         return float(self.count.sum())
 
-    def subset_count(self, mask) -> float:
-        return float(self.count[mask].sum())
-
 
 def cell_code(z, yt, s, y):
     return ((z * 2 + yt) * 4 + s) * 2 + y
 
 
 def from_records(records) -> CellTable:
-    counts: dict[tuple[int, int, int, int], int] = {}
+    codes = []
     for r in records:
         if not isinstance(r, ObservedRecord):
             raise DataError(f"expected ObservedRecord, got {type(r).__name__}")
-        key = (r.z, r.y_tau, _MARKER_CODE[r.marker], r.y)
-        counts[key] = counts.get(key, 0) + 1
-    return _from_count_map(counts)
+        codes.append(cell_code(r.z, r.y_tau, _MARKER_CODE[r.marker], r.y))
+    return _from_codes(np.array(codes, dtype=np.int64))
 
 
 def from_arrays(z, yt, s, y) -> CellTable:
     """Aggregate parallel integer arrays (marker state already coded)."""
-    code = cell_code(np.asarray(z, dtype=np.int64), np.asarray(yt, dtype=np.int64),
-                     np.asarray(s, dtype=np.int64), np.asarray(y, dtype=np.int64))
+    z, yt, s, y = (np.asarray(a, dtype=np.int64) for a in (z, yt, s, y))
+    return _from_codes(cell_code(z, yt, s, y))
+
+
+def _from_codes(code) -> CellTable:
+    """One row per occupied cell, in ascending ``cell_code`` order."""
     tallies = np.bincount(code, minlength=32)
-    counts = {}
-    for code_val in np.nonzero(tallies)[0]:
-        y_v = code_val % 2
-        s_v = (code_val // 2) % 4
-        yt_v = (code_val // 8) % 2
-        z_v = code_val // 16
-        counts[(int(z_v), int(yt_v), int(s_v), int(y_v))] = int(tallies[code_val])
-    return _from_count_map(counts)
-
-
-def _from_count_map(counts) -> CellTable:
-    if not counts:
+    c = np.flatnonzero(tallies)
+    if not c.size:
         raise DataError("empty dataset")
-    keys = sorted(counts)
-    z = np.array([k[0] for k in keys], dtype=np.int64)
-    yt = np.array([k[1] for k in keys], dtype=np.int64)
-    s = np.array([k[2] for k in keys], dtype=np.int64)
-    y = np.array([k[3] for k in keys], dtype=np.int64)
-    count = np.array([float(counts[k]) for k in keys])
-    return CellTable(z=z, yt=yt, s=s, y=y, count=count)
+    return CellTable(z=c // 16, yt=c // 8 % 2, s=c // 2 % 4, y=c % 2,
+                     count=tallies[c].astype(float))
+
+
+@dataclass(frozen=True)
+class ArmSummary:
+    n: int = 0
+    early_events: int = 0
+    final_events: int = 0
+    marker_measured: int = 0
+    measured_cases: int = 0           # measured survivors with y = 1
+    measured_controls: int = 0        # measured survivors with y = 0
+    positive_cases: int = 0
+    positive_controls: int = 0
+
+
+@dataclass(frozen=True)
+class DatasetSummary:
+    arms: dict[int, ArmSummary] = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return sum(a.n for a in self.arms.values())
+
+
+def summarize(data) -> DatasetSummary:
+    """Per-arm tallies of records, or of their CellTable."""
+    c = data if isinstance(data, CellTable) else from_records(data)
+    meas = (c.yt == 0) & (c.s <= S_POS)
+    pos, case, control = meas & (c.s == S_POS), c.y == 1, c.y == 0
+    masks = {"n": True, "early_events": c.yt == 1, "final_events": case,
+             "marker_measured": meas, "measured_cases": meas & case,
+             "measured_controls": meas & control, "positive_cases": pos & case,
+             "positive_controls": pos & control}
+    return DatasetSummary(arms={z: ArmSummary(**{
+        k: int(c.count[(c.z == z) & m].sum()) for k, m in masks.items()})
+        for z in (0, 1)})

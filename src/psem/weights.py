@@ -29,7 +29,6 @@ import numpy as np
 from . import tables
 from .errors import DataError, PositivityError, SeparationError
 from .mathutil import expit
-from .records import ObservedRecord
 from .tables import CellTable, S_MISS
 
 ALLOWED_TERMS = ("intercept", "z", "y", "z*y")
@@ -70,32 +69,15 @@ class WeightedRecords:
 
     cells: CellTable
     model: WeightModel
-    records: list[ObservedRecord] | None = None
     psi: np.ndarray | None = None      # logistic coefficients when estimated
     certainty_cases: bool = False
-    _record_pi: np.ndarray | None = field(default=None, repr=False)
-    # beta-free opening blocks of the scenario fits, keyed by builder
+    # cached beta-free opening blocks (keyed by builder) and covariance fits
     fit_blocks: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
     @property
     def n(self) -> float:
         return self.cells.n
-
-    def record_pi(self) -> np.ndarray:
-        """Per-record pi-hat (NaN for early-event records); requires records."""
-        if self.records is None:
-            raise DataError("record-level output requires record-backed input")
-        if self._record_pi is None:
-            lookup = {}
-            for i in range(len(self.cells.count)):
-                key = (int(self.cells.z[i]), int(self.cells.yt[i]),
-                       int(self.cells.s[i]), int(self.cells.y[i]))
-                lookup[key] = float(self.cells.pi[i])
-            self._record_pi = np.array([
-                lookup[(r.z, r.y_tau, tables._MARKER_CODE[r.marker], r.y)]
-                for r in self.records])
-        return self._record_pi
 
     def normalized_weights(self) -> np.ndarray:
         """Diagnostic only: measured-survivor weights rescaled to mean 1."""
@@ -155,11 +137,7 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
     weights with nu = 1 and anything else the default logistic model on
     {intercept, y}.
     """
-    if isinstance(records, CellTable):
-        cells, record_list = records, None
-    else:
-        record_list = list(records)
-        cells = tables.from_records(record_list)
+    cells = records if isinstance(records, CellTable) else tables.from_records(records)
 
     surv = cells.yt == 0
     missing = surv & (cells.s == S_MISS)
@@ -221,8 +199,8 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
     w[surv] = 1.0 / pi[surv]
     cells = CellTable(z=cells.z, yt=cells.yt, s=cells.s, y=cells.y,
                       count=cells.count, pi=pi, w=w)
-    return WeightedRecords(cells=cells, model=model, records=record_list,
-                           psi=psi, certainty_cases=certainty)
+    return WeightedRecords(cells=cells, model=model, psi=psi,
+                           certainty_cases=certainty)
 
 
 def effective_sample(weighted: WeightedRecords) -> float:

@@ -192,7 +192,8 @@ def test_analyze_unparsable_config_is_config_error(tmp_path, worked_csv, capsys,
 
 @pytest.mark.parametrize("weights", [
     "model = design\nnu = 0.5\neps = 0.7", "model = design\nnu = 0",
-    "model = logistic\nterms = intercept, q"], ids=["eps", "nu", "terms"])
+    "model = logistic\nterms = intercept, q", "model = auto\neps = 0.7",
+    "eps = 0.05"], ids=["eps", "nu", "terms", "eps_auto", "eps_no_model"])
 def test_analyze_bad_weights_value_is_config_error(tmp_path, worked_csv, capsys,
                                                    weights):
     cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
@@ -200,6 +201,21 @@ def test_analyze_bad_weights_value_is_config_error(tmp_path, worked_csv, capsys,
                                 weights=f"[weights]\n{weights}")
     assert main(["analyze", "--config", str(cfg)]) == 2
     assert "[weights]" in capsys.readouterr().err
+
+
+def test_analyze_fits_zero_point_covariance_once(tmp_path, worked_csv, monkeypatch):
+    # the no-selection-bias fit and the scale-0 sweep cell are the same point
+    from psem import core
+    cov_fits = []
+    for scenario, fitter in list(core._FITTERS.items()):
+        def counted(*args, _fit=fitter, **kwargs):
+            cov_fits.append(kwargs.get("with_cov", True))
+            return _fit(*args, **kwargs)
+        monkeypatch.setitem(core._FITTERS, scenario, counted)
+    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
+                                extra_sensitivity="scales = 0")
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert cov_fits.count(True) == 1
 
 
 def test_analyze_missing_config():

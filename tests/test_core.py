@@ -474,8 +474,8 @@ def test_check_assumptions_trial_counts():
 def test_check_assumptions_identical_arms():
     blocks = [(5, z, 1, "*", 1) for z in (0, 1)]
     blocks += [(95, z, 0, 0, 0) for z in (0, 1)]
-    report = psem.check_assumptions(
-        weighted_from_blocks(blocks).records or [], weighted_from_blocks(blocks))
+    weighted = weighted_from_blocks(blocks)
+    report = psem.check_assumptions(weighted.cells, weighted)
     assert report.fisher_p == pytest.approx(1.0)
     assert report.a4_plausible
 

@@ -1,10 +1,15 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psem import tables
 from psem.errors import DataError
-from psem.records import (DEFAULT_SCHEMA, Marker, ObservedRecord, load_csv,
-                          summarize, write_csv)
+from psem.records import DEFAULT_SCHEMA, Marker, ObservedRecord, load_csv, write_csv
+from psem.tables import ArmSummary, summarize
 
 from conftest import make_records
 
@@ -158,6 +163,55 @@ def test_summarize_permutation_invariant():
 def test_summarize_empty_errors():
     with pytest.raises(DataError):
         summarize([])
+
+
+# (y_tau, marker, measured) of each valid record kind; early events have y = 1
+_KINDS = {"early": (1, Marker.UNDEFINED, 1), "neg": (0, Marker.NEGATIVE, 1),
+          "pos": (0, Marker.POSITIVE, 1), "missing": (0, Marker.MISSING, 0)}
+
+
+def _reference_summary(records):
+    """Per-record tally loop, the reference for the cell-mask summarize."""
+    arms = {}
+    for z in (0, 1):
+        arm = [r for r in records if r.z == z]
+        meas = [r for r in arm if r.y_tau == 0 and r.measured == 1]
+        pos = [r for r in meas if r.marker is Marker.POSITIVE]
+        arms[z] = ArmSummary(
+            n=len(arm), early_events=sum(r.y_tau for r in arm),
+            final_events=sum(r.y for r in arm), marker_measured=len(meas),
+            measured_cases=sum(r.y for r in meas),
+            measured_controls=sum(1 - r.y for r in meas),
+            positive_cases=sum(r.y for r in pos),
+            positive_controls=sum(1 - r.y for r in pos))
+    return arms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(_KINDS)),
+                          st.integers(0, 1)), min_size=1, max_size=60))
+def test_from_records_matches_from_arrays_and_summary(rows):
+    records = []
+    for i, (z, kind, y) in enumerate(rows):
+        y_tau, marker, measured = _KINDS[kind]
+        records.append(ObservedRecord(id=str(i), z=z, y_tau=y_tau, marker=marker,
+                                      y=y | y_tau, measured=measured))
+        records[-1].validate()
+    cells = tables.from_records(records)
+    columns = zip(*[(r.z, r.y_tau, tables._MARKER_CODE[r.marker], r.y)
+                    for r in records])
+    arrays = tables.from_arrays(*map(np.array, columns))
+    for name, dtype in (("z", np.int64), ("yt", np.int64), ("s", np.int64),
+                        ("y", np.int64), ("count", np.float64)):
+        assert getattr(cells, name).dtype == getattr(arrays, name).dtype == dtype
+        np.testing.assert_array_equal(getattr(cells, name), getattr(arrays, name))
+    codes = tables.cell_code(cells.z, cells.yt, cells.s, cells.y)
+    assert np.all(np.diff(codes) > 0) and cells.n == len(records)
+    summary = summarize(records)
+    assert summary == summarize(cells)
+    assert summary.arms == _reference_summary(records)
+    assert all(type(v) is int for a in summary.arms.values()
+               for v in dataclasses.astuple(a))
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -117,15 +117,6 @@ def test_normalized_weights_mean_one():
     assert np.sum(norm * counts) / np.sum(counts) == pytest.approx(1.0)
 
 
-def test_record_pi_exposed():
-    records = make_records([(4, 1, 0, 0, 0), (2, 1, 0, None, 0), (1, 1, 1, "*", 1)])
-    w = fit_missingness(records, WeightModel.design_known(0.5))
-    pis = w.record_pi()
-    assert len(pis) == 7
-    assert np.isnan(pis[-1])          # early event: no sampling probability
-    assert pis[0] == pytest.approx(0.5)
-
-
 def test_horvitz_thompson_unbiased_marker_rate():
     # two-phase masking leaves the weighted positive rate unbiased
     rng = np.random.default_rng(17)

@@ -18,8 +18,7 @@ from .errors import (ConfigError, DataError, EstimationError,
                      PositivityError, SeparationError)
 from .records import Marker, ObservedRecord, load_csv, write_csv
 from .sensitivity import (IntervalResult, SensitivityConfig, eui,
-                          ignorance_interval, interval_for, sweep,
-                          test_effect_modification)
+                          interval_for, sweep, test_effect_modification)
 from .simulate import (GeneratorConfig, PotentialRecord, StudyConfig,
                        StudyResult, apply_case_cohort, generate,
                        oracle_estimands, run_study)

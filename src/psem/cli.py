@@ -77,7 +77,7 @@ def _write_json(path: Path, obj) -> None:
 def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
     weighted = fit_missingness(load_csv(cfg.path, cfg.schema or None),
                                cfg.weight_model)
-    report = check_assumptions(weighted.cells, weighted)
+    report = check_assumptions(weighted)
     summary = summarize(weighted.cells)
 
     zero = SensitivityPoint(cfg.scenario, {})
@@ -105,7 +105,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
                 "gamma_at_lower": res.point_lower.as_dict(),
                 "gamma_at_upper": res.point_upper.as_dict(),
             }
-            point, point_se = _point_for(base_cep, target)
+            point, point_se = base_cep.get(target)
             csv_rows.append([target, cfg.contrast.value, label,
                              _fmt(point), _fmt(point_se),
                              _fmt(res.ignorance[0]), _fmt(res.ignorance[1]),
@@ -134,7 +134,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
             "arms": {str(z): dataclasses.asdict(a) for z, a in summary.arms.items()},
             "effective_marker_sample": effective_sample(weighted),
         },
-        "diagnostics": report.as_dict(),
+        "diagnostics": dataclasses.asdict(report),
         "no_selection_bias_fit": {
             "risks": base_est.as_dict(),
             "ses": {n: base_est.se(n) for n in base_est.names},
@@ -147,13 +147,6 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
         "sensitivity": gamma_results,
     }
     return payload, csv_rows
-
-
-def _point_for(base_cep, target):
-    if target == "mu":
-        return base_cep.mu, base_cep.mu_se
-    key = target.split("_")[1]
-    return base_cep.values[key], base_cep.ses[key]
 
 
 CSV_HEADER = ["target", "contrast", "gamma", "point", "point_se",
@@ -209,7 +202,7 @@ def cmd_diagnose(args) -> int:
         schema["marker"] = args.marker_column
     weighted = fit_missingness(load_csv(args.input, schema or None))
     summary = summarize(weighted.cells)
-    report = check_assumptions(weighted.cells, weighted)
+    report = check_assumptions(weighted)
     lines = []
     for z in (1, 0):
         ev, n = report.early_counts[z]
@@ -233,7 +226,7 @@ def cmd_diagnose(args) -> int:
         _write_json(out_dir / "diagnostics.json", {
             "version": __version__,
             "dataset": {"n": summary.n},
-            "report": report.as_dict(),
+            "report": dataclasses.asdict(report),
         })
         (out_dir / "diagnostics.txt").write_text(text + "\n", encoding="utf-8")
     return 0

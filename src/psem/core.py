@@ -429,6 +429,13 @@ class CepResult:
     mu_se: float
     sensitivity: SensitivityPoint
 
+    def get(self, target: str) -> tuple[float, float]:
+        """(value, standard error) of "cep_00", "cep_10", "cep_11" or "mu"."""
+        if target == "mu":
+            return self.mu, self.mu_se
+        s = target.removeprefix("cep_")
+        return self.values[s], self.ses[s]
+
 
 def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
     """Per-stratum contrasts of the fitted risks with delta-method errors.
@@ -884,23 +891,8 @@ class AssumptionReport:
     recommended: list[str]
     notes: list[str]
 
-    def as_dict(self) -> dict:
-        return {
-            "early_counts": {str(k): list(v) for k, v in self.early_counts.items()},
-            "early_rates": {str(k): v for k, v in self.early_rates.items()},
-            "fisher_p": self.fisher_p,
-            "a4_plausible": self.a4_plausible,
-            "a4pp_ordering": self.a4pp_ordering,
-            "marker_pos_rates": {str(k): v for k, v in self.marker_pos_rates.items()},
-            "a5p_ordering": self.a5p_ordering,
-            "constant_control_marker": self.constant_control_marker,
-            "recommended": self.recommended,
-            "notes": self.notes,
-        }
 
-
-def check_assumptions(records, weighted: WeightedRecords | None = None,
-                      alpha: float = 0.05) -> AssumptionReport:
+def check_assumptions(data, alpha: float = 0.05) -> AssumptionReport:
     """Testable-implication diagnostics and a scenario recommendation.
 
     Reports per-arm early-event rates with a two-sided Fisher exact test of
@@ -908,11 +900,12 @@ def check_assumptions(records, weighted: WeightedRecords | None = None,
     ordering needed by scenario C_protect (A4''), and weighted marker-
     positive rates among survivors with the ordering (A5') needed by the
     always-survivor solves. Diagnostics are always computable; degenerate
-    tables are reported as such.
+    tables are reported as such. ``data`` is weighted data, or records or
+    cells that get ``fit_missingness``'s default weights.
     """
-    if weighted is None:
-        weighted = fit_missingness(records)
-    cells = weighted.cells
+    if not isinstance(data, WeightedRecords):
+        data = fit_missingness(data)
+    cells = data.cells
     f = _features(cells)
     counts = {z: (a.early_events, a.n) for z, a in summarize(cells).arms.items()}
     rates = {z: ev / n if n > 0 else float("nan") for z, (ev, n) in counts.items()}

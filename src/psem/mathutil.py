@@ -32,18 +32,23 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def norm_quantile(q: float, tol: float = 1e-12) -> float:
-    """Inverse standard normal CDF by bisection on norm_cdf."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile requires q in (0,1), got {q}")
-    lo, hi = -40.0, 40.0
+def bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Root of an increasing f on [lo, hi] by plain bisection: the bracket
+    halves until narrower than ``tol``, then its midpoint is returned."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if norm_cdf(mid) < q:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def norm_quantile(q: float, tol: float = 1e-12) -> float:
+    """Inverse standard normal CDF by bisection on norm_cdf."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile requires q in (0,1), got {q}")
+    return bisect(lambda x: norm_cdf(x) - q, -40.0, 40.0, tol)
 
 
 def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-14,

@@ -40,6 +40,11 @@ class Marker(enum.Enum):
     MISSING = "."
 
 
+_MARKER_TOKEN = {Marker.NEGATIVE: "0", Marker.POSITIVE: "1",
+                 Marker.UNDEFINED: "*", Marker.MISSING: ""}
+_TOKEN_MARKER = {token: m for m, token in _MARKER_TOKEN.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class ObservedRecord:
     id: str
@@ -82,14 +87,11 @@ class ObservedRecord:
 
 
 def _parse_marker(token: str) -> Marker:
-    token = token.strip()
-    if token == "":
-        return Marker.MISSING
-    if token == "*":
-        return Marker.UNDEFINED
-    if token in ("0", "1"):
-        return Marker(int(token))
-    raise DataError(f"unreadable marker value {token!r} (expected 0, 1, '*' or empty)")
+    try:
+        return _TOKEN_MARKER[token.strip()]
+    except KeyError:
+        raise DataError(f"unreadable marker value {token.strip()!r} "
+                        "(expected 0, 1, '*' or empty)") from None
 
 
 def _parse_binary(token: str, column: str) -> int:
@@ -176,13 +178,7 @@ def write_csv(records, path, schema: dict[str, str] | None = None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in records:
-            if r.marker in (Marker.NEGATIVE, Marker.POSITIVE):
-                m = str(r.marker.value)
-            elif r.marker is Marker.UNDEFINED:
-                m = "*"
-            else:
-                m = ""
-            row = [r.id, r.z, r.y_tau, m, r.y, r.measured]
+            row = [r.id, r.z, r.y_tau, _MARKER_TOKEN[r.marker], r.y, r.measured]
             row += [repr(v) for v in r.w]
             row += [""] * (n_cov - len(r.w))
             writer.writerow(row)

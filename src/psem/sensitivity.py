@@ -28,7 +28,7 @@ import numpy as np
 from .core import (CepResult, Contrast, RiskEstimates, Scenario,
                    SensitivityPoint, cep, fit_scenario)
 from .errors import ConfigError, EstimationError, PsemError
-from .mathutil import norm_cdf, norm_quantile
+from .mathutil import bisect, norm_cdf, norm_quantile
 from .weights import WeightedRecords
 
 MAX_GRID_CELLS = 200_000
@@ -89,10 +89,9 @@ def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
 @dataclass
 class SweepCell:
     """One grid point. ``values`` holds the point estimate of every sweep
-    target; ``estimates`` is the point fit, replaced by the fit with
-    covariance (and ``cep`` set) where the cell holds a target's extreme."""
+    target; ``cep``, from a fit with covariance, is set where the cell holds
+    a target's extreme."""
     point: SensitivityPoint
-    estimates: RiskEstimates | None
     values: dict[str, float] | None
     cep: CepResult | None = None
     error: str | None = None
@@ -101,14 +100,12 @@ class SweepCell:
 @dataclass
 class SweepResult:
     config: SensitivityConfig
+    n: float                      # weighted sample size of the swept data
     cells: list[SweepCell]
     targets: tuple[str, ...]
 
     def ok_cells(self) -> list[SweepCell]:
         return [c for c in self.cells if c.error is None]
-
-
-TARGETS_CEP = {"cep_00": "00", "cep_10": "10", "cep_11": "11"}
 
 
 def _default_targets(scenario: Scenario) -> tuple[str, ...]:
@@ -120,12 +117,8 @@ def _default_targets(scenario: Scenario) -> tuple[str, ...]:
 def _point_values(est: RiskEstimates, contrast: Contrast) -> dict[str, float]:
     """Every CEP target of a fit, by the float operations of ``cep``."""
     h = {s: contrast.apply(est.value(f"risk1_{s}"), est.value(f"risk0_{s}"))
-         for s in TARGETS_CEP.values() if est.has(f"risk1_{s}")}
+         for s in ("00", "10", "11") if est.has(f"risk1_{s}")}
     return {**{f"cep_{s}": v for s, v in h.items()}, "mu": h["10"] - h["00"]}
-
-
-def _se(cell: SweepCell, target: str) -> float:
-    return cell.cep.mu_se if target == "mu" else cell.cep.ses[TARGETS_CEP[target]]
 
 
 def _extremes(ok: list[SweepCell], target: str) -> tuple[SweepCell, SweepCell]:
@@ -144,13 +137,14 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
     fails. A cell whose covariance fit fails is marked failed and the
     extremes are taken again over the remaining cells.
     """
-    result = SweepResult(config, [], tuple(targets or _default_targets(config.scenario)))
+    result = SweepResult(config=config, n=weighted.n, cells=[],
+                         targets=tuple(targets or _default_targets(config.scenario)))
     for point in config.points():
         try:
             est = fit_scenario(weighted, point, with_cov=False)
-            result.cells.append(SweepCell(point, est, _point_values(est, config.contrast)))
+            result.cells.append(SweepCell(point, _point_values(est, config.contrast)))
         except PsemError as exc:
-            result.cells.append(SweepCell(point, None, None,
+            result.cells.append(SweepCell(point, None,
                                           error=f"{type(exc).__name__}: {exc}"))
     while ok := result.ok_cells():
         pending = {id(c): c for t in result.targets for c in _extremes(ok, t)
@@ -159,8 +153,7 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
             return result
         for cell in pending.values():
             try:
-                cell.estimates = fit_scenario(weighted, cell.point)
-                cell.cep = cep(cell.estimates, config.contrast)
+                cell.cep = cep(fit_scenario(weighted, cell.point), config.contrast)
             except PsemError as exc:
                 cell.error = f"{type(exc).__name__}: {exc}"
     raise EstimationError("every sensitivity grid point failed; first error: "
@@ -168,27 +161,82 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
 
 
 @dataclass
-class IgnoranceInterval:
+class IntervalResult:
     target: str
-    lower: float
-    upper: float
+    estimate_lower: float
+    estimate_upper: float
     se_lower: float
     se_upper: float
-    point_lower: SensitivityPoint
-    point_upper: SensitivityPoint
-    extrema_on_corners: bool
-    n_failed: int
+    eui: tuple[float, float]
+    c_alpha: float
+    alpha: float
+    n: float
+    degenerate: bool = False
+    # set by interval_for; None from a bare eui()
+    point_lower: SensitivityPoint | None = None
+    point_upper: SensitivityPoint | None = None
+    extrema_on_corners: bool | None = None
+
+    @property
+    def ignorance(self) -> tuple[float, float]:
+        return self.estimate_lower, self.estimate_upper
 
 
-def ignorance_interval(grid: SweepResult, target: str = "mu") -> IgnoranceInterval:
-    """Span of the point estimates over the grid, with the achieving
-    sensitivity-parameter points retained.
+def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
+    """Critical value on [z_{1-a}, z_{1-a/2}] by bisection; the gap is the
+    ignorance-interval width in units of the larger standard error."""
+    if scaled_gap < 0:
+        raise ValueError("scaled gap must be nonnegative")
+    lo = norm_quantile(1.0 - alpha)
+    hi = norm_quantile(1.0 - alpha / 2.0)
 
-    The full grid is scanned even where monotonicity guarantees corner
+    def f(c):
+        return norm_cdf(c + scaled_gap) - norm_cdf(-c) - (1.0 - alpha)
+
+    if f(lo) >= 0.0:
+        return lo
+    return bisect(f, lo, hi, tol)
+
+
+def eui(est_l: float, se_l: float, est_u: float, se_u: float, n: float,
+        alpha: float = 0.05, target: str = "") -> IntervalResult:
+    """Imbens-Manski estimated uncertainty interval.
+
+    ``se_l``/``se_u`` are the standard errors of the lower/upper estimates
+    (root-n scaling already inside, see the module docstring); ``n`` is kept
+    for reporting only. With a degenerate region (est_l = est_u, equal SEs)
+    the EUI is the usual two-sided Wald interval.
+    """
+    if est_l > est_u:
+        raise ValueError("est_l must not exceed est_u")
+    if se_l < 0 or se_u < 0:
+        raise ValueError("standard errors must be nonnegative")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    max_se = max(se_l, se_u)
+    if max_se == 0.0:
+        return IntervalResult(target=target, estimate_lower=est_l,
+                              estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
+                              eui=(est_l, est_u),
+                              c_alpha=float("nan"), alpha=alpha, n=n,
+                              degenerate=True)
+    c = solve_c_alpha((est_u - est_l) / max_se, alpha)
+    return IntervalResult(target=target, estimate_lower=est_l,
+                          estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
+                          eui=(est_l - c * se_l, est_u + c * se_u),
+                          c_alpha=c, alpha=alpha, n=n)
+
+
+def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
+    """Ignorance interval plus EUI for one target of a completed sweep.
+
+    The ignorance interval is the span of the point estimates over the
+    grid, with the achieving sensitivity-parameter points retained. The
+    full grid is scanned even where monotonicity guarantees corner
     extremes; in scenario B a non-corner extreme triggers a warning that
     names the failed corner points, whose loss narrows the region, or
     else points to a numerical problem. For the scenario C variants corner
-    attainment is only measured and reported.
+    attainment is only measured and reported (``extrema_on_corners``).
     """
     if target not in grid.targets:
         raise KeyError(f"{target!r} is not a target of this sweep; "
@@ -215,91 +263,11 @@ def ignorance_interval(grid: SweepResult, target: str = "mu") -> IgnoranceInterv
             f"ignorance-interval extremes for {target} fall inside the "
             "sensitivity region in scenario B, where the estimate is "
             f"monotone; {cause}", RuntimeWarning, stacklevel=2)
-    return IgnoranceInterval(
-        target=target,
-        lower=lo.values[target], upper=hi.values[target],
-        se_lower=_se(lo, target), se_upper=_se(hi, target),
-        point_lower=lo.point, point_upper=hi.point,
-        extrema_on_corners=on_corners,
-        n_failed=len(grid.cells) - len(ok))
-
-
-@dataclass
-class IntervalResult:
-    target: str
-    estimate_lower: float
-    estimate_upper: float
-    se_lower: float
-    se_upper: float
-    ignorance: tuple[float, float]
-    eui: tuple[float, float]
-    c_alpha: float
-    alpha: float
-    n: float
-    degenerate: bool = False
-    point_lower: SensitivityPoint | None = None
-    point_upper: SensitivityPoint | None = None
-
-
-def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
-    """Critical value on [z_{1-a}, z_{1-a/2}] by bisection; the gap is the
-    ignorance-interval width in units of the larger standard error."""
-    if scaled_gap < 0:
-        raise ValueError("scaled gap must be nonnegative")
-    lo = norm_quantile(1.0 - alpha)
-    hi = norm_quantile(1.0 - alpha / 2.0)
-
-    def f(c):
-        return norm_cdf(c + scaled_gap) - norm_cdf(-c) - (1.0 - alpha)
-
-    if f(lo) >= 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def eui(est_l: float, se_l: float, est_u: float, se_u: float, n: float,
-        alpha: float = 0.05, target: str = "") -> IntervalResult:
-    """Imbens-Manski estimated uncertainty interval.
-
-    ``se_l``/``se_u`` are the standard errors of the lower/upper estimates
-    (root-n scaling already inside, see the module docstring); ``n`` is kept
-    for reporting only. With a degenerate region (est_l = est_u, equal SEs)
-    the EUI is the usual two-sided Wald interval.
-    """
-    if est_l > est_u:
-        raise ValueError("est_l must not exceed est_u")
-    if se_l < 0 or se_u < 0:
-        raise ValueError("standard errors must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    max_se = max(se_l, se_u)
-    if max_se == 0.0:
-        return IntervalResult(target=target, estimate_lower=est_l,
-                              estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
-                              ignorance=(est_l, est_u), eui=(est_l, est_u),
-                              c_alpha=float("nan"), alpha=alpha, n=n,
-                              degenerate=True)
-    c = solve_c_alpha((est_u - est_l) / max_se, alpha)
-    return IntervalResult(target=target, estimate_lower=est_l,
-                          estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
-                          ignorance=(est_l, est_u),
-                          eui=(est_l - c * se_l, est_u + c * se_u),
-                          c_alpha=c, alpha=alpha, n=n)
-
-
-def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
-    """Ignorance interval plus EUI for one target of a completed sweep."""
-    ii = ignorance_interval(grid, target)
-    n = grid.ok_cells()[0].estimates.n
-    res = eui(ii.lower, ii.se_lower, ii.upper, ii.se_upper, n,
+    (_, se_l), (_, se_u) = lo.cep.get(target), hi.cep.get(target)
+    res = eui(lo.values[target], se_l, hi.values[target], se_u, grid.n,
               grid.config.alpha, target=target)
-    res.point_lower, res.point_upper = ii.point_lower, ii.point_upper
+    res.point_lower, res.point_upper = lo.point, hi.point
+    res.extrema_on_corners = on_corners
     return res
 
 

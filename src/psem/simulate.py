@@ -32,13 +32,14 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import tables
-# cep and fit_scenario stay bound here: bench/tracer.py patches them in this
-# namespace
-from .core import Contrast, Scenario, cep, fit_scenario  # noqa: F401
+# cep, fit_scenario and eui stay bound here: bench/tracer.py patches them in
+# this namespace
+from .core import Scenario, cep, fit_scenario  # noqa: F401
+from .sensitivity import eui  # noqa: F401
 from .errors import ConfigError, PsemError
 from .records import Marker, ObservedRecord
-from .sensitivity import (SensitivityConfig, eui, ignorance_interval,
-                          symmetric_ranges, sweep)
+from .sensitivity import (SensitivityConfig, interval_for, symmetric_ranges,
+                          sweep)
 from .tables import S_MISS, S_NEG, S_POS, S_UNDEF
 from .weights import WeightModel, fit_missingness
 
@@ -258,6 +259,10 @@ class StudyConfig:
                 raise ConfigError(f"delta {d} leaves the (a,b) parameterization")
         if not all(g >= 0 for g in self.gamma_scales):
             raise ConfigError(f"gamma scales must be >= 0, got {list(self.gamma_scales)}")
+        if self.grid_points is not None and self.grid_points < 2:
+            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def cells(self) -> list[dict]:
         return [{"design": self.design, "n": n, "nu": nu, "delta": d,
@@ -311,15 +316,6 @@ class StudyResult:
         raise KeyError(f"no study cell matching {kw}")
 
 
-def _gamma_config(design: str, scale: float, grid_points: int,
-                  alpha: float) -> SensitivityConfig:
-    scenario = DESIGNS[design].scenario
-    return SensitivityConfig(scenario=scenario,
-                             ranges=symmetric_ranges(scenario, scale),
-                             grid_points=max(grid_points, 2), alpha=alpha,
-                             contrast=Contrast.ADDITIVE)
-
-
 def _one_replicate(design, n, nu, a, b, gamma, seed, cell_id, rep):
     """Generate, sweep the sensitivity grid, and summarize one draw.
 
@@ -338,9 +334,9 @@ def _one_replicate(design, n, nu, a, b, gamma, seed, cell_id, rep):
     for cell in grid.cells:
         if cell.error is not None:
             return cell.error
-    ii = ignorance_interval(grid, "mu")
-    result = eui(ii.lower, ii.se_lower, ii.upper, ii.se_upper, n, gamma.alpha)
-    return (ii.lower, ii.se_lower, ii.upper, ii.se_upper, *result.eui)
+    res = interval_for(grid, "mu")
+    return (res.estimate_lower, res.se_lower, res.estimate_upper, res.se_upper,
+            *res.eui)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -362,7 +358,11 @@ def run_study(config: StudyConfig) -> StudyResult:
         a, b = 0.4 - d / 2.0, 0.4 + d / 2.0
         true_mu = oracle_estimands(GeneratorConfig(
             design=cell["design"], n=2, a=a, b=b))["mu"]
-        gamma = _gamma_config(cell["design"], cell["gamma_scale"], g, config.alpha)
+        scenario = DESIGNS[cell["design"]].scenario
+        gamma = SensitivityConfig(
+            scenario=scenario,
+            ranges=symmetric_ranges(scenario, cell["gamma_scale"]),
+            grid_points=g, alpha=config.alpha)
         one = functools.partial(_one_replicate, cell["design"], cell["n"],
                                 cell["nu"], a, b, gamma, config.seed, cell_id)
         if config.threads > 1:

@@ -179,6 +179,22 @@ def test_simulate_negative_gamma_scale_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("grid_points = 1", "grid_points must be >= 2"),
+    ("grid_points = -4", "grid_points must be >= 2"),
+    ("threads = 0", "threads must be >= 1"),
+    ("threads = -3", "threads must be >= 1")])
+def test_simulate_bad_grid_points_or_threads_is_config_error(tmp_path, capsys,
+                                                             setting, message):
+    cfg = tmp_path / "study.ini"
+    out = tmp_path / "s"
+    cfg.write_text(f"[study]\ndesign = B\nn = 400\nreplicates = 5\n{setting}\n"
+                   f"\n[output]\ndir = {out}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text.replace("grid_points = 21", "beta0 = 0\nbeta0 = 1\ngrid_points = 21"),
     lambda text: "beta0 = 0\n" + text.lstrip()], ids=["duplicate_key", "no_section"])

@@ -475,7 +475,7 @@ def test_check_assumptions_identical_arms():
     blocks = [(5, z, 1, "*", 1) for z in (0, 1)]
     blocks += [(95, z, 0, 0, 0) for z in (0, 1)]
     weighted = weighted_from_blocks(blocks)
-    report = psem.check_assumptions(weighted.cells, weighted)
+    report = psem.check_assumptions(weighted)
     assert report.fisher_p == pytest.approx(1.0)
     assert report.a4_plausible
 

@@ -74,7 +74,7 @@ def test_sweep_single_point_equals_plain_fit(worked_weighted):
 
 def test_sweep_monotone_extremes_at_endpoints(worked_weighted):
     grid = psem.sweep(worked_weighted, b_config(-1.0, 1.0))
-    ii = psem.ignorance_interval(grid, "mu")
+    ii = psem.interval_for(grid, "mu")
     assert ii.extrema_on_corners
     assert ii.point_lower.get("beta0") in (-1.0, 1.0)
     mus = [c.values["mu"] for c in grid.cells]
@@ -83,8 +83,8 @@ def test_sweep_monotone_extremes_at_endpoints(worked_weighted):
 
 def test_ignorance_interval_degenerate(worked_weighted):
     grid = psem.sweep(worked_weighted, b_config(0.0, 0.0))
-    ii = psem.ignorance_interval(grid, "mu")
-    assert ii.lower == ii.upper
+    ii = psem.interval_for(grid, "mu")
+    assert ii.estimate_lower == ii.estimate_upper
 
 
 def test_ignorance_interval_worked_endpoints(worked_weighted):
@@ -109,22 +109,22 @@ def test_ignorance_interval_worked_endpoints(worked_weighted):
     assert cep10[-1] == pytest.approx(-0.2476897124, abs=1e-9)
 
     grid = psem.sweep(worked_weighted, b_config(-b, b))
-    ii = psem.ignorance_interval(grid, "cep_10")
-    assert ii.lower == pytest.approx(cep10[-1], abs=1e-9)
-    assert ii.upper == pytest.approx(cep10[1], abs=1e-9)
+    ii = psem.interval_for(grid, "cep_10")
+    assert ii.estimate_lower == pytest.approx(cep10[-1], abs=1e-9)
+    assert ii.estimate_upper == pytest.approx(cep10[1], abs=1e-9)
 
 
 def test_ignorance_endpoints_equal_endpoint_fits():
     rng = np.random.default_rng(77)
     w = random_cb_dataset(rng, n=500)
     grid = psem.sweep(w, b_config(-0.8, 0.8))
-    ii = psem.ignorance_interval(grid, "mu")
+    ii = psem.interval_for(grid, "mu")
     lo_fit = psem.cep(psem.fit_scenario_b(w, ii.point_lower.get("beta0")),
                       Contrast.ADDITIVE).mu
     hi_fit = psem.cep(psem.fit_scenario_b(w, ii.point_upper.get("beta0")),
                       Contrast.ADDITIVE).mu
-    assert ii.lower == pytest.approx(lo_fit, abs=1e-12)
-    assert ii.upper == pytest.approx(hi_fit, abs=1e-12)
+    assert ii.estimate_lower == pytest.approx(lo_fit, abs=1e-12)
+    assert ii.estimate_upper == pytest.approx(hi_fit, abs=1e-12)
 
 
 def test_eui_collapsed_is_wald():
@@ -196,10 +196,10 @@ def test_widening_gamma_never_shrinks_interval():
     rng = np.random.default_rng(8)
     for _ in range(10):
         w = random_cb_dataset(rng, n=400)
-        inner = psem.ignorance_interval(psem.sweep(w, b_config(-0.5, 0.5, g=5)), "mu")
-        outer = psem.ignorance_interval(psem.sweep(w, b_config(-1.5, 1.5, g=7)), "mu")
-        assert outer.lower <= inner.lower + 1e-12
-        assert outer.upper >= inner.upper - 1e-12
+        inner = psem.interval_for(psem.sweep(w, b_config(-0.5, 0.5, g=5)), "mu")
+        outer = psem.interval_for(psem.sweep(w, b_config(-1.5, 1.5, g=7)), "mu")
+        assert outer.estimate_lower <= inner.estimate_lower + 1e-12
+        assert outer.estimate_upper >= inner.estimate_upper - 1e-12
 
 
 def test_richardson_fixed_extreme_points_scenario_b():
@@ -210,7 +210,7 @@ def test_richardson_fixed_extreme_points_scenario_b():
     for _ in range(100):
         w = random_cb_dataset(rng, n=250, a=0.5, b=0.25)
         grid = psem.sweep(w, b_config(-1.0, 1.0, g=5))
-        ii = psem.ignorance_interval(grid, "mu")
+        ii = psem.interval_for(grid, "mu")
         corners.add((ii.point_lower.get("beta0"), ii.point_upper.get("beta0")))
     assert corners == {(-1.0, 1.0)}
 
@@ -319,4 +319,7 @@ def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, sca
         assert res.eui == ref.eui
         assert res.c_alpha == ref.c_alpha
         assert res.point_lower == p_lo and res.point_upper == p_hi
+        assert res.eui[0] <= res.estimate_lower <= res.estimate_upper <= res.eui[1]
+        if scenario is Scenario.B:
+            assert res.extrema_on_corners
 

@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 
 from .core import (CepResult, Contrast, RiskEstimates, Scenario,
                    SensitivityPoint, cep, check_assumptions, delta_method,
-                   estimate_identified, fit_scenario, fit_scenario_a,
-                   fit_scenario_b, fit_scenario_c_harm,
-                   fit_scenario_c_protect, mean_shift_cep, selection_sace,
-                   Direction)
+                   estimate_identified, fit_scenario, mean_shift_cep,
+                   selection_sace, Direction)
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError, PsemError,
                      PositivityError, SeparationError)

@@ -173,10 +173,13 @@ def load_study_config(path) -> tuple[StudyConfig, Path]:
         raise ConfigError("simulation config needs a [study] section")
     sec = ini["study"]
     design = sec.get("design", "B").strip().upper()
+    n_values = _floats(sec.get("n", "400"))
+    if any(v != int(v) for v in n_values):
+        raise ConfigError(f"[study] n must be integers, got {sec['n']!r}")
     try:
         study = StudyConfig(
             design=design,
-            n_values=tuple(int(v) for v in _floats(sec.get("n", "400"))),
+            n_values=tuple(map(int, n_values)),
             nu_values=tuple(_floats(sec.get("nu", "1"))),
             deltas=tuple(_floats(sec.get("delta", "0"))),
             gamma_scales=tuple(_floats(sec.get("gamma_scales", "0"))),

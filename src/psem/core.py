@@ -38,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -57,15 +57,12 @@ class Scenario(enum.Enum):
 
     @property
     def sensitivity_keys(self) -> tuple[str, ...]:
-        return _SENSITIVITY_KEYS[self]
+        return _SCENARIOS[self].keys
 
-
-_SENSITIVITY_KEYS = {
-    Scenario.A: ("beta0", "beta1_reversed"),
-    Scenario.B: ("beta0",),
-    Scenario.C_PROTECT: ("beta0", "beta2", "beta3", "beta4"),
-    Scenario.C_HARM: ("beta0", "beta1_marginal"),
-}
+    @property
+    def strata(self) -> tuple[str, ...]:
+        """Marker strata with a CEP: "00", "10" and, in scenario A, "11"."""
+        return _SCENARIOS[self].strata
 
 
 @dataclass(frozen=True)
@@ -381,23 +378,14 @@ class RiskEstimates:
         i = self.index(name)
         return math.sqrt(max(float(self.cov[i, i]), 0.0))
 
-    def has(self, name: str) -> bool:
-        return name in self.names
-
     def as_dict(self) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.names, self.theta)}
 
     def mixing_residual(self) -> float:
         """Largest violation of risk_z = sum_s p(s) risk_z(s) over z."""
-        worst = 0.0
-        p11 = self.value("p11") if self.has("p11") else 0.0
-        for z in (0, 1):
-            mix = (self.value("p00") * self.value(f"risk{z}_00")
-                   + self.value("p10") * self.value(f"risk{z}_10"))
-            if self.has("p11"):
-                mix += p11 * self.value(f"risk{z}_11")
-            worst = max(worst, abs(self.value(f"risk{z}") - mix))
-        return worst
+        return max(abs(self.value(f"risk{z}") - sum(
+            self.value(f"p{s}") * self.value(f"risk{z}_{s}")
+            for s in self.scenario.strata)) for z in (0, 1))
 
 
 class Contrast(enum.Enum):
@@ -447,9 +435,8 @@ def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
         contrast = Contrast(contrast.lower())
     if estimates.cov is None:
         raise EstimationError("contrast errors need a fit with covariance")
-    strata = ["00", "10"] + (["11"] if estimates.has("risk1_11") else [])
     values, ses = {}, {}
-    for s in strata:
+    for s in estimates.scenario.strata:
         i1, i0 = estimates.index(f"risk1_{s}"), estimates.index(f"risk0_{s}")
 
         def g(t, i1=i1, i0=i0):
@@ -482,13 +469,11 @@ def estimate_identified(weighted: WeightedRecords,
         raise ConfigError("risk_z and the mixing proportions are directly "
                           "identified only in scenarios A and B")
     st, f = _opening(weighted, _identified)
-    point = SensitivityPoint(scenario, {})
     if scenario is Scenario.A:
         _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
-        _p10(st, ("p00", "p11"))
-    else:
-        _p10(st, ("p00",))
-    return RiskEstimates(point.scenario, point, *_finalize(st, True), st.cells.n)
+    _p10(st, tuple(f"p{s}" for s in scenario.strata if s != "10"))
+    return RiskEstimates(scenario, SensitivityPoint(scenario),
+                         *_finalize(st, True), st.cells.n)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +575,7 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
 # Opening blocks: everything a scenario fit does before its first mixture
 # solve. Each takes the dataset and returns, for _opening, the stack and the
 # per-cell selectors later rows read; solved values are read from st.sol.
+# A scenario's solve then adds its rows at one sensitivity point.
 
 
 def _identified(weighted):
@@ -674,9 +660,8 @@ def _c_harm_opening(weighted):
     return st, f
 
 
-def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
-                   with_cov: bool = True) -> RiskEstimates:
-    """Scenario B fit: equal early clinical risk plus a constant control-arm
+def _b_solve(st, f, point):
+    """Scenario B: equal early clinical risk plus a constant control-arm
     marker, selection bias indexed by ``beta0``.
 
     risk_1(0,0) and the mixing proportion are direct IPW means among active-
@@ -686,17 +671,12 @@ def fit_scenario_b(weighted: WeightedRecords, beta0: float = 0.0,
     risk_1(1,0) is recovered from the mixture identity for the active arm,
     which makes the mixing identity hold exactly by construction.
     """
-    point = SensitivityPoint(Scenario.B, {"beta0": beta0})
-    st, _ = _opening(weighted, _b_opening)
-    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", point.get("beta0"), "p10")
     _remainder(st, 1, ("00",), "active-arm mixture identity; check the weights")
-    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov), st.cells.n)
 
 
-def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
-                   beta1_reversed: float = 0.0,
-                   with_cov: bool = True) -> RiskEstimates:
-    """Scenario A fit: equal early clinical risk with a varying control-arm
+def _a_solve(st, selectors, point):
+    """Scenario A: equal early clinical risk with a varying control-arm
     marker under marker monotonicity.
 
     Two selection-model solves run back to back: the standard direction on
@@ -705,10 +685,8 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
     positive) recovers the (1,1) stratum risks with ``beta1_reversed``. The
     (1,0) risks then come from the three-component mixture identity.
     """
-    point = SensitivityPoint(Scenario.A, {
-        "beta0": beta0, "beta1_reversed": beta1_reversed})
-    st, (f, ma) = _opening(weighted, _a_opening)
-    _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", beta0)
+    f, ma = selectors
+    _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", point.get("beta0"))
 
     # survivor & marker-positive state, reversed monotonicity direction
     sb = f.surv * f.pos
@@ -721,23 +699,16 @@ def fit_scenario_a(weighted: WeightedRecords, beta0: float = 0.0,
             "direction solve is invalid")
     _mean(st, "qb1", f.z * ma * sb, f.y, "active positive survivors")
     _mean(st, "risk0_11", (1 - f.z) * ma * sb, f.y, "control positive survivors")
-    _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1", beta1_reversed)
+    _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1",
+               point.get("beta1_reversed"))
 
     _remainder(st, 1, ("00", "11"), "three-component mixture, active arm")
     _remainder(st, 0, ("00", "11"), "three-component mixture, control arm")
 
-    report = ["risk1", "risk0", "p00", "p11", "p10", "risk1_00", "risk1_10",
-              "risk1_11", "risk0_00", "risk0_10", "risk0_11"]
-    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report),
-                         st.cells.n)
 
-
-def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
-                           beta2: float = 0.0, beta3: float = 0.0,
-                           beta4: float = 0.0,
-                           with_cov: bool = True) -> RiskEstimates:
-    """Scenario C fit under early no-harm monotonicity (active arm never
-    causes the early event) and a constant control-arm marker.
+def _c_protect_solve(st, f, point):
+    """Scenario C under early no-harm monotonicity (active arm never causes
+    the early event) and a constant control-arm marker.
 
     Active-arm survivors mix the always-survivor stratum with the early-
     protected (EP) stratum, so three extra odds-ratio models split them:
@@ -747,17 +718,14 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
     Requires the testable ordering A4'': the active arm must show the lower
     early-event rate.
     """
-    point = SensitivityPoint(Scenario.C_PROTECT, {
-        "beta0": beta0, "beta2": beta2, "beta3": beta3, "beta4": beta4})
-    st, _ = _opening(weighted, _c_protect_opening)
     phi, s1m = st.sol["phi"], st.sol["s1m"]
-    p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", beta4)
+    p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", point.get("beta4"))
     p00 = 1.0 - p10
     if p10 <= 0.0 or p00 <= 0.0:
         raise EstimationError(
             f"always-survivor marker split degenerate: p(1,0) = {p10:.6g}")
     st.add("p00", p00, lambda d: 1.0 - d["p10"] - d["p00"])
-    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", point.get("beta0"), "p10")
 
     if s1m <= 0.0 or s1m >= 1.0:
         raise EstimationError(
@@ -770,24 +738,16 @@ def fit_scenario_c_protect(weighted: WeightedRecords, beta0: float = 0.0,
     st.add("w1s", w1s, lambda d: d["w1s"] * d["s1m"] - d["p10"] * d["phi"])
     st.add("w0s", w0s, lambda d: d["w0s"] * (1 - d["s1m"]) - d["p00"] * d["phi"])
 
-    r110, _ = _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", beta3)
-    r100, _ = _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", beta2)
+    r110, _ = _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", point.get("beta3"))
+    r100, _ = _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", point.get("beta2"))
 
     risk1 = p00 * r100 + p10 * r110
     st.add("risk1", risk1,
            lambda d: d["p00"] * d["risk1_00"] + d["p10"] * d["risk1_10"] - d["risk1"])
 
-    report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
-              "risk0_00", "risk0_10", "risk1_0star", "risk1_1star",
-              "ep_pos_rate", "phi"]
-    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report),
-                         st.cells.n)
 
-
-def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
-                        beta1_marginal: float = 0.0,
-                        with_cov: bool = True) -> RiskEstimates:
-    """Scenario C fit with the monotonicity direction reversed (active arm
+def _c_harm_solve(st, f, point):
+    """Scenario C with the monotonicity direction reversed (active arm
     never prevents the early event), constant control-arm marker.
 
     Active-arm survivors are then exactly the always-survivor stratum, so
@@ -796,37 +756,54 @@ def fit_scenario_c_harm(weighted: WeightedRecords, beta0: float = 0.0,
     harmed stratum. ``beta1_marginal`` is the log odds ratio between those
     two control risks; at 0 this fit equals scenario B's exactly.
     """
-    point = SensitivityPoint(Scenario.C_HARM, {
-        "beta0": beta0, "beta1_marginal": beta1_marginal})
-    st, _ = _opening(weighted, _c_harm_opening)
-    _split(st, "risk0", "eh_risk", "riskm0", "phi_r", beta1_marginal)
-    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta0, "p10")
+    _split(st, "risk0", "eh_risk", "riskm0", "phi_r", point.get("beta1_marginal"))
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", point.get("beta0"), "p10")
     _remainder(st, 1, ("00",), "active-arm mixture identity")
 
-    report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
-              "risk0_00", "risk0_10", "eh_risk", "phi_r"]
-    return RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report),
-                         st.cells.n)
+
+class _Row(NamedTuple):
+    keys: tuple[str, ...]        # legal sensitivity parameters
+    strata: tuple[str, ...]      # marker strata (s1, s0) with a CEP
+    opening: Callable            # beta-free opening block, see _opening
+    solve: Callable              # solve(st, selectors, point): rows after it
+    report: list[str] | None     # reported names; None reports every row
 
 
-_FITTERS = {
-    Scenario.A: fit_scenario_a,
-    Scenario.B: fit_scenario_b,
-    Scenario.C_PROTECT: fit_scenario_c_protect,
-    Scenario.C_HARM: fit_scenario_c_harm,
+_SCENARIOS = {
+    Scenario.A: _Row(
+        ("beta0", "beta1_reversed"), ("00", "10", "11"), _a_opening, _a_solve,
+        ["risk1", "risk0", "p00", "p11", "p10", "risk1_00", "risk1_10",
+         "risk1_11", "risk0_00", "risk0_10", "risk0_11"]),
+    Scenario.B: _Row(("beta0",), ("00", "10"), _b_opening, _b_solve, None),
+    Scenario.C_PROTECT: _Row(
+        ("beta0", "beta2", "beta3", "beta4"), ("00", "10"), _c_protect_opening,
+        _c_protect_solve,
+        ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10", "risk0_00",
+         "risk0_10", "risk1_0star", "risk1_1star", "ep_pos_rate", "phi"]),
+    Scenario.C_HARM: _Row(
+        ("beta0", "beta1_marginal"), ("00", "10"), _c_harm_opening, _c_harm_solve,
+        ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10", "risk0_00",
+         "risk0_10", "eh_risk", "phi_r"]),
 }
 
 
 def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
                  with_cov: bool = True) -> RiskEstimates:
-    """Dispatch to the scenario fitter named by the sensitivity point.
-    Covariance fits are cached per point on ``weighted``; failures are not."""
-    if not with_cov:
-        return _FITTERS[point.scenario](weighted, **point.as_dict(), with_cov=False)
-    key = (point.scenario, tuple(point.as_dict().items()))
-    if key not in weighted.fit_blocks:
-        weighted.fit_blocks[key] = _FITTERS[point.scenario](weighted, **point.as_dict())
-    return weighted.fit_blocks[key]
+    """Fit the scenario of ``point`` at its sensitivity values: the cached
+    opening block, then the scenario's solve. Covariance fits are cached
+    per point on ``weighted``; failures are not."""
+    if with_cov:
+        key = (point.scenario, tuple(point.as_dict().items()))
+        if key in weighted.fit_blocks:
+            return weighted.fit_blocks[key]
+    row = _SCENARIOS[point.scenario]
+    st, selectors = _opening(weighted, row.opening)
+    row.solve(st, selectors, point)
+    est = RiskEstimates(point.scenario, point,
+                        *_finalize(st, with_cov, row.report), st.cells.n)
+    if with_cov:
+        weighted.fit_blocks[key] = est
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -861,16 +838,14 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
         _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
         st.add("risk1_11", mu11 - alpha1, lambda d: d["mu11"] - alpha1 - d["risk1_11"])
         st.add("risk0_11", mu01, lambda d: d["mu01"] - d["risk0_11"])
-        strata = ("00", "11")
         report += ["p11", "risk1_11", "risk0_11"]
-    else:
-        strata = ("00",)
-    _p10(st, tuple(f"p{s}" for s in strata))
+    others = tuple(s for s in scenario.strata if s != "10")
+    _p10(st, tuple(f"p{s}" for s in others))
     for z in (1, 0):
-        _remainder(st, z, strata, "mean-shift mixture identity")
+        _remainder(st, z, others, "mean-shift mixture identity")
 
-    point = SensitivityPoint(scenario, {})
-    est = RiskEstimates(scenario, point, *_finalize(st, True, report), st.cells.n)
+    est = RiskEstimates(scenario, SensitivityPoint(scenario),
+                        *_finalize(st, True, report), st.cells.n)
     return cep(est, Contrast.ADDITIVE)
 
 

@@ -108,16 +108,10 @@ class SweepResult:
         return [c for c in self.cells if c.error is None]
 
 
-def _default_targets(scenario: Scenario) -> tuple[str, ...]:
-    """Every CEP target of the scenario: cep_11 exists only in scenario A."""
-    return (("cep_00", "cep_10", "cep_11", "mu") if scenario is Scenario.A
-            else ("cep_00", "cep_10", "mu"))
-
-
 def _point_values(est: RiskEstimates, contrast: Contrast) -> dict[str, float]:
     """Every CEP target of a fit, by the float operations of ``cep``."""
     h = {s: contrast.apply(est.value(f"risk1_{s}"), est.value(f"risk0_{s}"))
-         for s in ("00", "10", "11") if est.has(f"risk1_{s}")}
+         for s in est.scenario.strata}
     return {**{f"cep_{s}": v for s, v in h.items()}, "mu": h["10"] - h["00"]}
 
 
@@ -137,8 +131,8 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
     fails. A cell whose covariance fit fails is marked failed and the
     extremes are taken again over the remaining cells.
     """
-    result = SweepResult(config=config, n=weighted.n, cells=[],
-                         targets=tuple(targets or _default_targets(config.scenario)))
+    targets = targets or (*(f"cep_{s}" for s in config.scenario.strata), "mu")
+    result = SweepResult(config=config, n=weighted.n, cells=[], targets=tuple(targets))
     for point in config.points():
         try:
             est = fit_scenario(weighted, point, with_cov=False)

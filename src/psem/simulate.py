@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
@@ -67,6 +68,14 @@ def _check_design(design: str) -> None:
                           f"got {design!r}")
 
 
+def _check_sample(n, nu) -> None:
+    """Sample checks shared by GeneratorConfig and StudyConfig."""
+    if not 0.0 < nu <= 1.0:
+        raise ConfigError(f"nu must lie in (0,1], got {nu}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     design: str
@@ -82,10 +91,7 @@ class GeneratorConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {v}")
-        if not 0.0 < self.nu <= 1.0:
-            raise ConfigError(f"nu must lie in (0,1], got {self.nu}")
-        if self.n < 1:
-            raise ConfigError("n must be positive")
+        _check_sample(self.n, self.nu)
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,6 +260,8 @@ class StudyConfig:
         _check_design(self.design)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        for n, nu in itertools.product(self.n_values, self.nu_values):
+            _check_sample(n, nu)
         for d in self.deltas:
             if abs(d) > 0.8:
                 raise ConfigError(f"delta {d} leaves the (a,b) parameterization")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psem import tables
+from psem.core import SensitivityPoint, fit_scenario
 from psem.records import Marker, ObservedRecord
 from psem.weights import WeightModel, fit_missingness
 
@@ -30,6 +31,11 @@ def make_records(blocks):
 
 def weighted_from_blocks(blocks, model=None):
     return fit_missingness(make_records(blocks), model)
+
+
+def fit(weighted, scenario, with_cov=True, **betas):
+    """fit_scenario at the sensitivity point ``betas`` of ``scenario``."""
+    return fit_scenario(weighted, SensitivityPoint(scenario, betas), with_cov)
 
 
 @pytest.fixture

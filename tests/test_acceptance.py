@@ -17,7 +17,7 @@ from psem.demo import implied_weight_model, synthetic_trial
 from psem.simulate import GeneratorConfig, StudyConfig, run_study
 from psem.weights import fit_missingness
 
-from conftest import random_cb_dataset
+from conftest import fit, random_cb_dataset
 
 
 def _report(num, text):
@@ -169,8 +169,8 @@ def test_criterion_7_b_c_equivalence():
     for dataset in range(100):
         w = random_cb_dataset(rng, n=400, nu=0.6)
         for beta0 in (-1.0, 0.0, 1.0):
-            eb = psem.fit_scenario_b(w, beta0)
-            ec = psem.fit_scenario_c_harm(w, beta0, 0.0)
+            eb = fit(w, psem.Scenario.B, beta0=beta0)
+            ec = fit(w, psem.Scenario.C_HARM, beta0=beta0, beta1_marginal=0.0)
             assert eb.mixing_residual() <= 1e-10
             assert ec.mixing_residual() <= 1e-10
             for name in eb.names:
@@ -189,14 +189,14 @@ def test_criterion_8_oracle_equivalence():
     from psem.simulate import _gen_arrays, _rng_for, oracle_estimands
     from psem.weights import WeightModel
     worst = {}
-    for design, fitter in (("B", psem.fit_scenario_b),
-                           ("C", psem.fit_scenario_c_protect)):
+    for design, scenario in (("B", psem.Scenario.B),
+                             ("C", psem.Scenario.C_PROTECT)):
         cfg = GeneratorConfig(design=design, n=100_000, a=0.25, b=0.55)
         arrs = _gen_arrays(cfg, _rng_for(20260818, 0, 0))
         cells = tables.from_arrays(arrs["z"], arrs["yt"], arrs["s_code"],
                                    arrs["y"])
         w = fit_missingness(cells, WeightModel.design_known(1.0))
-        est = fitter(w)
+        est = fit(w, scenario)
         assert est.mixing_residual() <= 1e-10
         truth = oracle_estimands(cfg)
         errs = {}
@@ -215,7 +215,7 @@ def test_criterion_8_oracle_equivalence():
 
 
 def test_criterion_9_worked_algebra(worked_weighted):
-    est = psem.fit_scenario_b(worked_weighted, math.log(1.8))
+    est = fit(worked_weighted, psem.Scenario.B, beta0=math.log(1.8))
     assert est.value("risk0_10") == pytest.approx(0.25, abs=1e-9)
     assert est.value("risk0_00") == pytest.approx(0.375, abs=1e-9)
     _report(9, "beta0 = ln 1.8 solves to risk0(1,0)=0.25, risk0(0,0)=0.375 "
@@ -234,7 +234,7 @@ def test_criterion_10_eui_solver_endpoints():
 def test_criterion_11_application_reconstruction():
     records = synthetic_trial()
     w = fit_missingness(records, implied_weight_model())
-    est = psem.fit_scenario_b(w, 0.0)
+    est = fit(w, psem.Scenario.B, beta0=0.0)
     assert est.mixing_residual() <= 1e-10
     result = psem.cep(est, Contrast.VE)
     ve1, ve0 = result.values["10"], result.values["00"]

@@ -195,6 +195,21 @@ def test_simulate_bad_grid_points_or_threads_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sample, message", [
+    ("n = 400.7", "[study] n must be integers"),
+    ("n = 400, 0", "n must be a positive integer"),
+    ("n = 400\nnu = 1, 0", "nu must lie in (0,1]"),
+], ids=["fractional_n", "zero_n", "zero_nu"])
+def test_simulate_bad_n_or_nu_is_config_error(tmp_path, capsys, sample, message):
+    cfg = tmp_path / "study.ini"
+    out = tmp_path / "s"
+    cfg.write_text(f"[study]\ndesign = B\n{sample}\nreplicates = 5\n"
+                   f"\n[output]\ndir = {out}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "study.csv").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text.replace("grid_points = 21", "beta0 = 0\nbeta0 = 1\ngrid_points = 21"),
     lambda text: "beta0 = 0\n" + text.lstrip()], ids=["duplicate_key", "no_section"])
@@ -222,16 +237,18 @@ def test_analyze_bad_weights_value_is_config_error(tmp_path, worked_csv, capsys,
 def test_analyze_fits_zero_point_covariance_once(tmp_path, worked_csv, monkeypatch):
     # the no-selection-bias fit and the scale-0 sweep cell are the same point
     from psem import core
-    cov_fits = []
-    for scenario, fitter in list(core._FITTERS.items()):
-        def counted(*args, _fit=fitter, **kwargs):
-            cov_fits.append(kwargs.get("with_cov", True))
-            return _fit(*args, **kwargs)
-        monkeypatch.setitem(core._FITTERS, scenario, counted)
+    sandwiches = []
+    real_sandwich = core._Stack.sandwich
+
+    def counted(st):
+        sandwiches.append(st)
+        return real_sandwich(st)
+
+    monkeypatch.setattr(core._Stack, "sandwich", counted)
     cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
                                 extra_sensitivity="scales = 0")
     assert main(["analyze", "--config", str(cfg)]) == 0
-    assert cov_fits.count(True) == 1
+    assert len(sandwiches) == 1
 
 
 def test_analyze_missing_config():

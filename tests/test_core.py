@@ -11,7 +11,7 @@ from psem.errors import (ConfigError, EstimationError, OrderingError)
 from psem.mathutil import expit, fisher_exact_two_sided, logit
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import random_cb_dataset, weighted_from_blocks
+from conftest import fit, random_cb_dataset, weighted_from_blocks
 
 
 def s_survivor(r):
@@ -59,9 +59,9 @@ def test_identified_degenerate_marker_split():
 _P10_CALLERS = {
     "identified_A": lambda w: psem.estimate_identified(w, Scenario.A),
     "identified_B": lambda w: psem.estimate_identified(w, Scenario.B),
-    "fit_B": lambda w: psem.fit_scenario_b(w, 0.5),
-    "fit_A": lambda w: psem.fit_scenario_a(w, 0.5, -0.5),
-    "fit_C_harm": lambda w: psem.fit_scenario_c_harm(w, 0.5, 0.5),
+    "fit_B": lambda w: fit(w, Scenario.B, beta0=0.5),
+    "fit_A": lambda w: fit(w, Scenario.A, beta0=0.5, beta1_reversed=-0.5),
+    "fit_C_harm": lambda w: fit(w, Scenario.C_HARM, beta0=0.5, beta1_marginal=0.5),
     "mean_shift_A": lambda w: psem.mean_shift_cep(w, 0.0, 0.0, Scenario.A),
     "mean_shift_B": lambda w: psem.mean_shift_cep(w, 0.0, 0.0, Scenario.B),
 }
@@ -163,7 +163,7 @@ def test_selection_sace_reversed_direction():
 
 
 def test_scenario_b_no_bias(worked_weighted):
-    est = psem.fit_scenario_b(worked_weighted, 0.0)
+    est = fit(worked_weighted, Scenario.B, beta0=0.0)
     assert est.value("risk0_00") == est.value("risk0_10") == est.value("risk0")
     result = psem.cep(est, Contrast.ADDITIVE)
     assert result.values["00"] == pytest.approx(0.2, abs=1e-12)
@@ -172,7 +172,7 @@ def test_scenario_b_no_bias(worked_weighted):
 
 
 def test_scenario_b_worked_algebra(worked_weighted):
-    est = psem.fit_scenario_b(worked_weighted, math.log(1.8))
+    est = fit(worked_weighted, Scenario.B, beta0=math.log(1.8))
     assert est.value("risk0_10") == pytest.approx(0.25, abs=1e-9)
     assert est.value("risk0_00") == pytest.approx(0.375, abs=1e-9)
     # the solved pair reproduces the odds-ratio and mixing constraints
@@ -188,7 +188,7 @@ def test_scenario_b_simulation_parameterization():
     for rep in range(60):
         rng = np.random.default_rng(100 + rep)
         w = random_cb_dataset(rng, n=900, a=0.5, b=0.5)
-        result = psem.cep(psem.fit_scenario_b(w, 0.0), Contrast.ADDITIVE)
+        result = psem.cep(fit(w, Scenario.B, beta0=0.0), Contrast.ADDITIVE)
         mus.append(result.mu)
     assert abs(np.mean(mus)) < 3 * np.std(mus, ddof=1) / math.sqrt(len(mus))
 
@@ -197,14 +197,14 @@ def test_scenario_b_mixing_identity_random_datasets():
     for rep in range(25):
         rng = np.random.default_rng(rep)
         w = random_cb_dataset(rng, n=500, nu=0.5)
-        est = psem.fit_scenario_b(w, float(rng.normal()))
+        est = fit(w, Scenario.B, beta0=float(rng.normal()))
         assert est.mixing_residual() <= 1e-10
 
 
 def test_scenario_b_null_collapse_exact():
     rng = np.random.default_rng(42)
     w = random_cb_dataset(rng, n=400, nu=0.7)
-    est = psem.fit_scenario_b(w, 0.0)
+    est = fit(w, Scenario.B, beta0=0.0)
     assert est.value("risk0_00") == est.value("risk0")
     assert est.value("risk0_10") == est.value("risk0")
 
@@ -214,7 +214,7 @@ def test_scenario_b_monotone_in_beta0():
     for rep in range(10):
         rng = np.random.default_rng(rep + 1000)
         w = random_cb_dataset(rng, n=400, nu=0.8)
-        values = [psem.fit_scenario_b(w, b, with_cov=False).value("risk0_00")
+        values = [fit(w, Scenario.B, beta0=b, with_cov=False).value("risk0_00")
                   for b in grid]
         assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
 
@@ -225,8 +225,8 @@ def test_scenario_b_weight_floor_consistency(worked_weighted):
     w1 = fit_missingness(tables.CellTable(
         z=cells.z, yt=cells.yt, s=cells.s, y=cells.y, count=cells.count),
         WeightModel.design_known(1.0))
-    est_a = psem.fit_scenario_b(worked_weighted, 0.3)
-    est_b = psem.fit_scenario_b(w1, 0.3)
+    est_a = fit(worked_weighted, Scenario.B, beta0=0.3)
+    est_b = fit(w1, Scenario.B, beta0=0.3)
     assert np.allclose(est_a.theta, est_b.theta, atol=1e-12)
 
 
@@ -259,7 +259,7 @@ def gen_scenario_a_dataset(rng, n, r1=(0.5, 0.2, 0.2), r0=(0.35, 0.35, 0.15),
 def test_scenario_a_oracle_recovery():
     rng = np.random.default_rng(3)
     w = gen_scenario_a_dataset(rng, 200_000)
-    est = psem.fit_scenario_a(w, 0.0, 0.0)
+    est = fit(w, Scenario.A, beta0=0.0, beta1_reversed=0.0)
     truth = dict(risk1=0.3 * 0.5 + 0.7 * 0.2, risk0=0.7 * 0.35 + 0.3 * 0.15,
                  p00=0.3, p10=0.4, p11=0.3,
                  risk1_00=0.5, risk1_10=0.2, risk1_11=0.2,
@@ -273,14 +273,15 @@ def test_scenario_a_null_generator():
     rng = np.random.default_rng(9)
     w = gen_scenario_a_dataset(rng, 150_000, r1=(0.3, 0.3, 0.3),
                                r0=(0.3, 0.3, 0.3))
-    result = psem.cep(psem.fit_scenario_a(w, 0.0, 0.0), Contrast.ADDITIVE)
+    result = psem.cep(fit(w, Scenario.A, beta0=0.0, beta1_reversed=0.0),
+                      Contrast.ADDITIVE)
     for key in ("00", "10", "11"):
         assert abs(result.values[key]) < 4 * result.ses[key] + 0.01
 
 
 def test_scenario_a_rejects_constant_control_marker(worked_weighted):
     with pytest.raises(EstimationError, match="scenario B"):
-        psem.fit_scenario_a(worked_weighted, 0.0, 0.0)
+        fit(worked_weighted, Scenario.A, beta0=0.0, beta1_reversed=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +298,16 @@ def test_scenario_c_protect_reduces_to_b_when_split_vanishes():
     ]
     w = weighted_from_blocks(blocks)
     for beta0 in (0.0, 0.5):
-        eb = psem.fit_scenario_b(w, beta0)
-        ec = psem.fit_scenario_c_protect(w, beta0, 0.0, 0.0, 0.0)
+        eb = fit(w, Scenario.B, beta0=beta0)
+        ec = fit(w, Scenario.C_PROTECT, beta0=beta0, beta2=0.0, beta3=0.0,
+                 beta4=0.0)
         for name in eb.names:
             assert ec.value(name) == pytest.approx(eb.value(name), abs=1e-8), name
 
 
 def test_scenario_c_protect_requires_early_ordering(worked_weighted):
     with pytest.raises(OrderingError, match="A4"):
-        psem.fit_scenario_c_protect(worked_weighted)
+        fit(worked_weighted, Scenario.C_PROTECT)
 
 
 def test_scenario_c_protect_oracle_recovery():
@@ -314,7 +316,7 @@ def test_scenario_c_protect_oracle_recovery():
     arrs = _gen_arrays(cfg, _rng_for(21, 0, 0))
     cells = tables.from_arrays(arrs["z"], arrs["yt"], arrs["s_code"], arrs["y"])
     w = fit_missingness(cells, WeightModel.design_known(1.0))
-    est = psem.fit_scenario_c_protect(w)
+    est = fit(w, Scenario.C_PROTECT)
     truth = oracle_estimands(cfg)
     for name in ("risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
                  "risk0_00", "risk0_10", "risk1_0star", "risk1_1star",
@@ -332,8 +334,8 @@ def test_scenario_c_harm_equals_b_at_zero():
         rng = np.random.default_rng(rep + 50)
         w = random_cb_dataset(rng, n=400, nu=0.6)
         for beta0 in (-1.0, 0.0, 1.0):
-            eb = psem.fit_scenario_b(w, beta0)
-            ec = psem.fit_scenario_c_harm(w, beta0, 0.0)
+            eb = fit(w, Scenario.B, beta0=beta0)
+            ec = fit(w, Scenario.C_HARM, beta0=beta0, beta1_marginal=0.0)
             for name in eb.names:
                 assert abs(eb.value(name) - ec.value(name)) <= 1e-8
                 assert abs(eb.se(name) - ec.se(name)) <= 1e-8
@@ -351,7 +353,7 @@ def test_scenario_c_harm_grid_oracle():
     ]
     w = weighted_from_blocks(blocks)
     beta1 = 1.0
-    est = psem.fit_scenario_c_harm(w, 0.0, beta1)
+    est = fit(w, Scenario.C_HARM, beta0=0.0, beta1_marginal=beta1)
     phi_r = (1 - 25 / 125) / (1 - 10 / 100)
     riskm0 = 27 / 90
     grid = np.linspace(1e-6, 1 - 1e-6, 2_000_001)
@@ -368,7 +370,7 @@ def test_scenario_c_harm_no_early_events():
     ]
     w = weighted_from_blocks(blocks)
     for beta1 in (-2.0, 0.0, 2.0):
-        est = psem.fit_scenario_c_harm(w, 0.0, beta1)
+        est = fit(w, Scenario.C_HARM, beta0=0.0, beta1_marginal=beta1)
         assert est.value("risk0") == pytest.approx(0.3, abs=1e-12)
 
 
@@ -409,7 +411,7 @@ def test_mean_shift_scenario_a():
 
 
 def test_cep_contrast_values(worked_weighted):
-    est = psem.fit_scenario_b(worked_weighted, 0.0)
+    est = fit(worked_weighted, Scenario.B, beta0=0.0)
     add = psem.cep(est, "additive")
     ve = psem.cep(est, "ve")
     lrr = psem.cep(est, "log_rr")
@@ -442,7 +444,7 @@ def test_zero_event_stratum_degenerate():
         (100, 0, 0, 0, 0),
     ]
     w = weighted_from_blocks(blocks)
-    est = psem.fit_scenario_b(w, 1.3)
+    est = fit(w, Scenario.B, beta0=1.3)
     assert est.value("risk0_00") == 0.0 and est.se("risk0_00") == 0.0
     with pytest.raises(EstimationError):
         psem.cep(est, Contrast.VE)

@@ -50,7 +50,7 @@ def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
         return real_finalize(st, with_cov, report)
 
     monkeypatch.setattr(core, "_finalize", capture)
-    fit = psem.fit_scenario_b(weighted, beta0=0.7)
+    fit = psem.fit_scenario(weighted, SensitivityPoint(Scenario.B, {"beta0": 0.7}))
     (st,) = stacks
     assert fit.names == tuple(st.names)
 

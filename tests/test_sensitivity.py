@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 import psem
 from psem import tables
-from psem.core import Contrast, Scenario
+from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError
 from psem.mathutil import norm_cdf, norm_quantile
 from psem.sensitivity import SensitivityConfig, solve_c_alpha
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import random_cb_dataset
+from conftest import fit, random_cb_dataset
 
 
 def b_config(lo, hi, g=21, contrast=Contrast.ADDITIVE, alpha=0.05):
@@ -68,7 +68,7 @@ def test_grid_construction():
 def test_sweep_single_point_equals_plain_fit(worked_weighted):
     grid = psem.sweep(worked_weighted, b_config(0.0, 0.0))
     assert len(grid.cells) == 1
-    direct = psem.cep(psem.fit_scenario_b(worked_weighted, 0.0), Contrast.ADDITIVE)
+    direct = psem.cep(fit(worked_weighted, Scenario.B, beta0=0.0), Contrast.ADDITIVE)
     assert grid.cells[0].values["mu"] == pytest.approx(direct.mu, abs=1e-14)
 
 
@@ -119,9 +119,9 @@ def test_ignorance_endpoints_equal_endpoint_fits():
     w = random_cb_dataset(rng, n=500)
     grid = psem.sweep(w, b_config(-0.8, 0.8))
     ii = psem.interval_for(grid, "mu")
-    lo_fit = psem.cep(psem.fit_scenario_b(w, ii.point_lower.get("beta0")),
+    lo_fit = psem.cep(fit(w, Scenario.B, beta0=ii.point_lower.get("beta0")),
                       Contrast.ADDITIVE).mu
-    hi_fit = psem.cep(psem.fit_scenario_b(w, ii.point_upper.get("beta0")),
+    hi_fit = psem.cep(fit(w, Scenario.B, beta0=ii.point_upper.get("beta0")),
                       Contrast.ADDITIVE).mu
     assert ii.estimate_lower == pytest.approx(lo_fit, abs=1e-12)
     assert ii.estimate_upper == pytest.approx(hi_fit, abs=1e-12)
@@ -273,6 +273,24 @@ def scenario_dataset(scenario, seed, n, nu):
                                tables.S_MISS))
     return fit_missingness(tables.from_arrays(z, yt, s_code, y),
                            WeightModel.design_known(nu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=st.sampled_from(list(Scenario)), data=st.data())
+def test_fit_scenario_mixing_identity_and_cache(scenario, data):
+    # a dataset the scenario fits at beta = 0; each legal beta in [-2, 2]
+    w = scenario_dataset(scenario, 7, 2000, 0.5)
+    psem.fit_scenario(w, SensitivityPoint(scenario))
+    point = SensitivityPoint(scenario, {
+        k: data.draw(st.floats(-2.0, 2.0), label=k) for k in scenario.sensitivity_keys})
+    try:
+        point_fit = psem.fit_scenario(w, point, with_cov=False)
+        cov_fit = psem.fit_scenario(w, point)
+    except psem.PsemError:
+        return
+    assert cov_fit.mixing_residual() <= 1e-10
+    assert point_fit.theta.tobytes() == cov_fit.theta.tobytes()
+    assert psem.fit_scenario(w, point) is cov_fit
 
 
 def full_cov_reference(w, cfg, target):

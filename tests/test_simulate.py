@@ -142,6 +142,16 @@ def test_design_mismatch_rejected():
         GeneratorConfig(design="X", n=10, a=0.4, b=0.4)
 
 
+@pytest.mark.parametrize("sample", [
+    {"n_values": (400.7,)}, {"n_values": (400, 0)},
+    {"n_values": (400,), "nu_values": (1.0, 0.0)}],
+    ids=["fractional_n", "zero_n", "zero_nu"])
+def test_study_config_checks_every_n_and_nu(sample):
+    # rejected when built, before any study cell runs
+    with pytest.raises(ConfigError):
+        StudyConfig(design="B", **sample)
+
+
 def test_case_cohort_identity_at_full_fraction():
     _, obs = generate(GeneratorConfig(design="B", n=500, a=0.4, b=0.5, seed=1))
     assert apply_case_cohort(obs, 1.0, seed=3) == obs

@@ -19,7 +19,7 @@ from .core import SensitivityPoint, cep, check_assumptions, fit_scenario
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, PsemError)
 from .records import load_csv
-from .sensitivity import SensitivityConfig, interval_for, sweep
+from .sensitivity import interval_for, sweep
 from .simulate import run_study
 from .tables import summarize
 from .weights import effective_sample, fit_missingness
@@ -75,6 +75,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
+    regions = cfg.gamma_choices()       # validated before the data are read
     weighted = fit_missingness(load_csv(cfg.path, cfg.schema or None),
                                cfg.weight_model)
     report = check_assumptions(weighted)
@@ -86,10 +87,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
 
     gamma_results = []
     csv_rows = []
-    for label, ranges in cfg.gamma_choices():
-        sens = SensitivityConfig(scenario=cfg.scenario, ranges=ranges,
-                                 grid_points=cfg.grid_points, alpha=cfg.alpha,
-                                 contrast=cfg.contrast)
+    for label, sens in regions:
         grid = sweep(weighted, sens)
         intervals = {}
         for target in grid.targets:
@@ -113,7 +111,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
                              _fmt(res.eui[0]), _fmt(res.eui[1]),
                              _fmt(res.c_alpha)])
         gamma_results.append({"gamma": label, "ranges": {
-            k: list(v) for k, v in (ranges or {}).items()},
+            k: list(v) for k, v in sens.ranges.items()},
             "grid_failures": len(grid.cells) - len(grid.ok_cells()),
             "intervals": intervals})
 

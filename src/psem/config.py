@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .core import Contrast, Scenario
 from .errors import ConfigError, DataError
-from .sensitivity import symmetric_ranges
+from .sensitivity import SensitivityConfig, symmetric_ranges
 from .simulate import StudyConfig
 from .weights import WeightModel
 
@@ -38,7 +38,7 @@ def parse_scenario(text: str) -> Scenario:
 def _floats(text: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        if all(map(math.isfinite, vals)):
+        if vals and all(map(math.isfinite, vals)):
             return vals
     except ValueError:
         pass
@@ -70,21 +70,25 @@ class AnalysisConfig:
     contrast: Contrast = Contrast.ADDITIVE
     out_dir: Path = Path("psem-out")
 
-    def gamma_choices(self) -> list[tuple[str, dict[str, tuple[float, float]]]]:
-        """Named Gamma regions to analyze: either the symmetric scales or
-        the explicit per-parameter ranges."""
-        if self.scales is not None:
-            return [(f"scale={s:g}", symmetric_ranges(self.scenario, s))
-                    for s in self.scales]
-        return [("custom", dict(self.ranges))]
+    def gamma_choices(self) -> list[tuple[str, SensitivityConfig]]:
+        """Named Gamma regions to analyze, either the symmetric scales or the
+        explicit per-parameter ranges; building them validates them."""
+        choices = ([(f"scale={s:g}", symmetric_ranges(self.scenario, s))
+                    for s in self.scales] if self.scales is not None
+                   else [("custom", dict(self.ranges))])
+        return [(label, SensitivityConfig(self.scenario, ranges, self.grid_points,
+                                          self.alpha, self.contrast))
+                for label, ranges in choices]
 
 
 def _read_ini(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        found = parser.read(path)
+        found = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     if not found:
         raise ConfigError(f"config file not found: {path}")
     return parser
@@ -159,8 +163,7 @@ def load_analysis_config(path) -> AnalysisConfig:
                     "[sensitivity] takes either scales or per-parameter "
                     f"ranges, not both; got scales and {sorted(ranges)}")
 
-    out_dir = Path(ini["output"].get("dir", "psem-out")) if "output" in ini \
-        else Path("psem-out")
+    out_dir = Path(ini.get("output", "dir", fallback="psem-out"))
     return AnalysisConfig(path=Path(data["path"]), scenario=scenario,
                           schema=schema, weight_model=weight_model,
                           ranges=ranges, scales=scales, grid_points=grid_points,
@@ -191,6 +194,4 @@ def load_study_config(path) -> tuple[StudyConfig, Path]:
         )
     except ValueError as exc:
         raise ConfigError(f"bad study config value: {exc}") from None
-    out_dir = Path(ini["output"].get("dir", "psem-out")) if "output" in ini \
-        else Path("psem-out")
-    return study, out_dir
+    return study, Path(ini.get("output", "dir", fallback="psem-out"))

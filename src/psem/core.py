@@ -64,6 +64,11 @@ class Scenario(enum.Enum):
         """Marker strata with a CEP: "00", "10" and, in scenario A, "11"."""
         return _SCENARIOS[self].strata
 
+    @property
+    def targets(self) -> tuple[str, ...]:
+        """CEP targets: "cep_<s>" for each stratum, then "mu"."""
+        return (*(f"cep_{s}" for s in self.strata), "mu")
+
 
 @dataclass(frozen=True)
 class SensitivityPoint:
@@ -119,23 +124,24 @@ def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np
     return np.array(cols).reshape(theta.size, -1).T
 
 
-def delta_method(g: Callable[[np.ndarray], float], theta_hat, cov) -> tuple[float, float]:
-    """Value and variance of a smooth scalar map of theta_hat.
-
-    The gradient is the one-row _fd_jacobian of g, with the same relative
-    step as the stacked-system bread; variance = grad^T cov grad, floored
-    at zero against round-off.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    value = float(g(theta_hat))
-    if not math.isfinite(value):
+def _delta(h: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
+           cov: np.ndarray) -> tuple[list[float], list[float]]:
+    """Values of a smooth map h: R^p -> R^m at theta and their variances
+    grad^T cov grad (floored at zero), each grad a row of one _fd_jacobian."""
+    values = np.asarray(h(theta), dtype=float).reshape(-1)
+    if not np.isfinite(values).all():
         raise ValueError("g is not finite at theta_hat")
-    grad = _fd_jacobian(lambda t: float(g(t)), theta_hat)[0]
-    if not np.isfinite(grad).all():
+    jac = np.ascontiguousarray(_fd_jacobian(h, theta))
+    if not np.isfinite(jac).all():
         raise ValueError("g is not finite in a neighborhood of theta_hat")
-    var = float(grad @ cov @ grad)
-    return value, max(var, 0.0)
+    return values.tolist(), [max(float(g @ cov @ g), 0.0) for g in jac]
+
+
+def delta_method(g: Callable[[np.ndarray], float], theta_hat, cov) -> tuple[float, float]:
+    """Value and variance of a smooth scalar map of theta_hat (see _delta)."""
+    (value,), (var,) = _delta(lambda t: float(g(t)), np.asarray(theta_hat, dtype=float),
+                              np.asarray(cov, dtype=float))
+    return value, var
 
 
 class _Stack:
@@ -262,6 +268,30 @@ def _selection(st: "_Stack", alpha: str, out: str, lo: str, hi: str, q: str,
     st.add(out, adjusted,
            lambda d: d[out] * d[lo] - expit(d[alpha] + beta) * d[q] * d[hi])
     return a, adjusted
+
+
+def _sace_margins(st: "_Stack", f, state, weight, direction: Direction,
+                  names: tuple[str, str, str, str], label: str) -> tuple[str, str]:
+    """Beta-free rows of one always-stratum selection solve on the binary
+    per-cell ``state`` with weights ``weight``. ``names``: the state rate in
+    arm 1 and arm 0, then the outcome mean of state-1 records in the other
+    arm (q) and the shrinking arm (the direct always-stratum mean). Checks
+    the ordering ``label``; returns _selection's (lo, hi) rate names."""
+    arm = (1 - f.z, f.z)
+    for name, z in zip(names, (1, 0)):
+        _mean(st, name, arm[z] * weight, state, f"arm-{z} states for {label}")
+    shrink = 1 if direction is Direction.STANDARD_MONOTONE else 0
+    lo, hi = names[1 - shrink], names[shrink]
+    if not st.sol[lo] < st.sol[hi]:
+        raise OrderingError(
+            f"{label} fails: the selection model needs "
+            f"P(S=1) = {st.sol[lo]:.4g} in the shrinking arm below "
+            f"{st.sol[hi]:.4g} in the other arm; estimates would not be "
+            "asymptotically normal")
+    for name, z in zip(names[2:], (1 - shrink, shrink)):
+        _mean(st, name, arm[z] * weight * state, f.y,
+              f"arm-{z} state-1 outcomes for {label}")
+    return lo, hi
 
 
 @functools.cache
@@ -425,35 +455,36 @@ class CepResult:
         return self.values[s], self.ses[s]
 
 
+def target_map(estimates: RiskEstimates, contrast: Contrast) -> Callable:
+    """h(theta) = every target of ``Scenario.targets``: CEP(s) =
+    contrast(risk_1(s), risk_0(s)) per stratum s, then mu = CEP(1,0) -
+    CEP(0,0) (the strata open with "00", "10")."""
+    idx = [(estimates.index(f"risk1_{s}"), estimates.index(f"risk0_{s}"))
+           for s in estimates.scenario.strata]
+
+    def h(t):
+        v = [contrast.apply(float(t[i1]), float(t[i0])) for i1, i0 in idx]
+        return np.array([*v, v[1] - v[0]])
+
+    return h
+
+
 def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
     """Per-stratum contrasts of the fitted risks with delta-method errors.
 
-    mu = CEP(1,0) - CEP(0,0) is computed jointly, so its standard error
-    carries all covariances among the four risks involved.
+    Every target is a row of one ``target_map`` with one Jacobian, so the
+    standard error of mu = CEP(1,0) - CEP(0,0) carries all covariances
+    among the four risks involved.
     """
     if isinstance(contrast, str):
         contrast = Contrast(contrast.lower())
     if estimates.cov is None:
         raise EstimationError("contrast errors need a fit with covariance")
-    values, ses = {}, {}
-    for s in estimates.scenario.strata:
-        i1, i0 = estimates.index(f"risk1_{s}"), estimates.index(f"risk0_{s}")
-
-        def g(t, i1=i1, i0=i0):
-            return contrast.apply(float(t[i1]), float(t[i0]))
-
-        val, var = delta_method(g, estimates.theta, estimates.cov)
-        values[s], ses[s] = val, math.sqrt(max(var, 0.0))
-
-    idx = [estimates.index(f"risk{z}_{s}") for s in ("10", "00") for z in (1, 0)]
-
-    def g_mu(t):
-        return (contrast.apply(float(t[idx[0]]), float(t[idx[1]]))
-                - contrast.apply(float(t[idx[2]]), float(t[idx[3]])))
-
-    mu, mu_var = delta_method(g_mu, estimates.theta, estimates.cov)
-    return CepResult(contrast=contrast, values=values, ses=ses,
-                     mu=mu, mu_se=math.sqrt(max(mu_var, 0.0)),
+    values, variances = _delta(target_map(estimates, contrast), estimates.theta, estimates.cov)
+    ses = [math.sqrt(v) for v in variances]
+    strata = estimates.scenario.strata
+    return CepResult(contrast=contrast, values=dict(zip(strata, values)),
+                     ses=dict(zip(strata, ses)), mu=values[-1], mu_se=ses[-1],
                      sensitivity=estimates.sensitivity)
 
 
@@ -540,29 +571,13 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
     flipped); violations raise OrderingError naming ``ordering_label``.
     """
     cells = weighted.cells
-    f = _features(cells)
     s_vals, m_vals = _cell_s_values(cells, s_definition)
     st = _Stack(cells)
-
-    _mean(st, "pS1", f.z * m_vals, s_vals, "arm-1 intermediate states")
-    _mean(st, "pS0", (1 - f.z) * m_vals, s_vals, "arm-0 intermediate states")
-    _mean(st, "q1", f.z * m_vals * s_vals, f.y, "treated S=1 outcomes")
-    _mean(st, "q0", (1 - f.z) * m_vals * s_vals, f.y, "control S=1 outcomes")
-
-    standard = direction is Direction.STANDARD_MONOTONE
-    lo, hi, q, out, direct, other = (("pS1", "pS0", "q0", "p11c", "q1", "p11t")
-                                     if standard else
-                                     ("pS0", "pS1", "q1", "p11t", "q0", "p11c"))
-    if not st.sol[lo] < st.sol[hi]:
-        raise OrderingError(
-            f"{ordering_label} fails: the selection model needs "
-            f"P(S=1) = {st.sol[lo]:.4g} in the shrinking arm below "
-            f"{st.sol[hi]:.4g} in the other arm; estimates would not be "
-            "asymptotically normal")
-    if st.sol[lo] / st.sol[hi] <= 0.0:
-        raise EstimationError("no intermediate-positive mass in the shrinking arm")
+    q, direct, out = (("q0", "p11t", "p11c") if direction is Direction.STANDARD_MONOTONE
+                      else ("q1", "p11c", "p11t"))
+    lo, hi = _sace_margins(st, _features(cells), s_vals, m_vals, direction,
+                           ("pS1", "pS0", q, direct), ordering_label)
     alpha, _ = _selection(st, "alpha", out, lo, hi, q, beta)
-    st.add(other, st.sol[direct], lambda d: d[direct] - d[other])
     _, _, cov = _finalize(st, True, ("p11t", "p11c"))
     return SaceFit(p11_treated=st.sol["p11t"], p11_control=st.sol["p11c"],
                    cov=cov, alpha=alpha)
@@ -605,20 +620,16 @@ def _a_opening(weighted):
             "varies in these data, so use scenario B instead of A")
     _p10(st, ("p00", "p11"))
 
-    # survivor & marker-negative state: S computable without the marker only
-    # for early-event cells (state 0); measured survivor cells carry weight w
-    sa = f.surv * f.neg
+    # states survivor & marker-negative, survivor & marker-positive: early-
+    # event cells have state 0 and weight 1, measured survivor cells weight w
     ma = np.where(f.surv > 0, f.m, 1.0)
-    pSa1 = _mean(st, "pSa1", f.z * ma, sa, "arm-1 negative-survivor states")
-    pSa0 = _mean(st, "pSa0", (1 - f.z) * ma, sa, "arm-0 negative-survivor states")
-    if not pSa1 < pSa0:
-        raise OrderingError(
-            "marker ordering (A5') fails in the negative direction: "
-            f"P(survivor & negative) is {pSa1:.4g} (active) vs {pSa0:.4g} "
-            "(control); the standard-direction solve is invalid")
-    _mean(st, "qa0", (1 - f.z) * ma * sa, f.y, "control negative survivors")
-    _mean(st, "risk1_00", f.z * ma * sa, f.y, "active negative survivors")
-    return st, (f, ma)
+    _sace_margins(st, f, f.surv * f.neg, ma, Direction.STANDARD_MONOTONE,
+                  ("pSa1", "pSa0", "qa0", "risk1_00"),
+                  "marker ordering (A5') in the negative direction")
+    _sace_margins(st, f, f.surv * f.pos, ma, Direction.REVERSED,
+                  ("pSb1", "pSb0", "qb1", "risk0_11"),
+                  "marker ordering (A5') in the positive direction")
+    return st, f
 
 
 def _early_rates(weighted, risk0_name: str):
@@ -675,33 +686,20 @@ def _b_solve(st, f, point):
     _remainder(st, 1, ("00",), "active-arm mixture identity; check the weights")
 
 
-def _a_solve(st, selectors, point):
+def _a_solve(st, f, point):
     """Scenario A: equal early clinical risk with a varying control-arm
     marker under marker monotonicity.
 
-    Two selection-model solves run back to back: the standard direction on
-    state (survivor and marker-negative) recovers the (0,0) stratum risks
-    with ``beta0``; the reversed direction on state (survivor and marker-
-    positive) recovers the (1,1) stratum risks with ``beta1_reversed``. The
-    (1,0) risks then come from the three-component mixture identity.
+    Two selection-model solves, each the ``selection_sace`` block on the
+    rows _a_opening added: the standard direction on state (survivor and
+    marker-negative) recovers the (0,0) stratum risks with ``beta0``; the
+    reversed direction on state (survivor and marker-positive) recovers the
+    (1,1) stratum risks with ``beta1_reversed``. The (1,0) risks then come
+    from the three-component mixture identity.
     """
-    f, ma = selectors
     _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", point.get("beta0"))
-
-    # survivor & marker-positive state, reversed monotonicity direction
-    sb = f.surv * f.pos
-    pSb1 = _mean(st, "pSb1", f.z * ma, sb, "arm-1 positive-survivor states")
-    pSb0 = _mean(st, "pSb0", (1 - f.z) * ma, sb, "arm-0 positive-survivor states")
-    if not pSb0 < pSb1:
-        raise OrderingError(
-            "marker ordering (A5') fails: P(survivor & positive) is "
-            f"{pSb1:.4g} (active) vs {pSb0:.4g} (control); the reversed-"
-            "direction solve is invalid")
-    _mean(st, "qb1", f.z * ma * sb, f.y, "active positive survivors")
-    _mean(st, "risk0_11", (1 - f.z) * ma * sb, f.y, "control positive survivors")
     _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1",
                point.get("beta1_reversed"))
-
     _remainder(st, 1, ("00", "11"), "three-component mixture, active arm")
     _remainder(st, 0, ("00", "11"), "three-component mixture, control arm")
 

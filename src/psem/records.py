@@ -115,7 +115,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
     ``schema`` maps logical names (id, z, y_tau, marker, y, measured) to the
     file's column names; defaults are id, z, y_tau, s_star, y, r. Columns
     prefixed ``w_`` are parsed as baseline covariates. Row order is preserved
-    and duplicate ids are rejected.
+    and duplicate ids are rejected; an unreadable or non-UTF-8 file is a DataError.
     """
     names = dict(DEFAULT_SCHEMA)
     if schema:
@@ -123,45 +123,53 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
         if unknown:
             raise DataError(f"unknown schema keys: {sorted(unknown)}")
         names.update(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file (a header row is required)")
-        missing = [c for k, c in names.items() if k != "measured" and c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing required columns {missing}")
-        has_measured = names["measured"] in reader.fieldnames
-        covariate_cols = [c for c in reader.fieldnames if c.startswith(COVARIATE_PREFIX)]
-        records: list[ObservedRecord] = []
-        seen: set[str] = set()
-        for i, row in enumerate(reader, start=2):
-            try:
-                if None in row.values():
-                    short = [c for c, v in row.items() if v is None]
-                    raise DataError(f"row has fewer fields than the header; "
-                                    f"no value for {short}")
-                marker = _parse_marker(row[names["marker"]])
-                if has_measured:
-                    measured = _parse_binary(row[names["measured"]], names["measured"])
-                else:
-                    measured = 0 if marker is Marker.MISSING else 1
-                rec = ObservedRecord(
-                    id=row[names["id"]].strip(),
-                    z=_parse_binary(row[names["z"]], names["z"]),
-                    y_tau=_parse_binary(row[names["y_tau"]], names["y_tau"]),
-                    marker=marker,
-                    y=_parse_binary(row[names["y"]], names["y"]),
-                    measured=measured,
-                    w=tuple(_parse_covariate(row[c], c) for c in covariate_cols
-                            if row[c] != ""),
-                )
-                rec.validate()
-            except DataError as exc:
-                raise DataError(f"{path}: row {i}: {exc}") from None
-            if rec.id in seen:
-                raise DataError(f"{path}: row {i}: duplicate id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _read_records(csv.DictReader(fh), path, names)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_records(reader: csv.DictReader, path, names) -> list[ObservedRecord]:
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: empty file (a header row is required)")
+    missing = [c for k, c in names.items() if k != "measured" and c not in reader.fieldnames]
+    if missing:
+        raise DataError(f"{path}: missing required columns {missing}")
+    has_measured = names["measured"] in reader.fieldnames
+    covariate_cols = [c for c in reader.fieldnames if c.startswith(COVARIATE_PREFIX)]
+    records: list[ObservedRecord] = []
+    seen: set[str] = set()
+    for i, row in enumerate(reader, start=2):
+        try:
+            if None in row.values():
+                short = [c for c, v in row.items() if v is None]
+                raise DataError(f"row has fewer fields than the header; "
+                                f"no value for {short}")
+            marker = _parse_marker(row[names["marker"]])
+            if has_measured:
+                measured = _parse_binary(row[names["measured"]], names["measured"])
+            else:
+                measured = 0 if marker is Marker.MISSING else 1
+            rec = ObservedRecord(
+                id=row[names["id"]].strip(),
+                z=_parse_binary(row[names["z"]], names["z"]),
+                y_tau=_parse_binary(row[names["y_tau"]], names["y_tau"]),
+                marker=marker,
+                y=_parse_binary(row[names["y"]], names["y"]),
+                measured=measured,
+                w=tuple(_parse_covariate(row[c], c) for c in covariate_cols
+                        if row[c] != ""),
+            )
+            rec.validate()
+        except DataError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from None
+        if rec.id in seen:
+            raise DataError(f"{path}: row {i}: duplicate id {rec.id!r}")
+        seen.add(rec.id)
+        records.append(rec)
     return records
 
 

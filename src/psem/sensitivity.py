@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CepResult, Contrast, RiskEstimates, Scenario,
-                   SensitivityPoint, cep, fit_scenario)
+from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,
+                   fit_scenario, target_map)
 from .errors import ConfigError, EstimationError, PsemError
 from .mathutil import bisect, norm_cdf, norm_quantile
 from .weights import WeightedRecords
@@ -100,19 +100,11 @@ class SweepCell:
 @dataclass
 class SweepResult:
     config: SensitivityConfig
-    n: float                      # weighted sample size of the swept data
     cells: list[SweepCell]
     targets: tuple[str, ...]
 
     def ok_cells(self) -> list[SweepCell]:
         return [c for c in self.cells if c.error is None]
-
-
-def _point_values(est: RiskEstimates, contrast: Contrast) -> dict[str, float]:
-    """Every CEP target of a fit, by the float operations of ``cep``."""
-    h = {s: contrast.apply(est.value(f"risk1_{s}"), est.value(f"risk0_{s}"))
-         for s in est.scenario.strata}
-    return {**{f"cep_{s}": v for s, v in h.items()}, "mu": h["10"] - h["00"]}
 
 
 def _extremes(ok: list[SweepCell], target: str) -> tuple[SweepCell, SweepCell]:
@@ -131,12 +123,13 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
     fails. A cell whose covariance fit fails is marked failed and the
     extremes are taken again over the remaining cells.
     """
-    targets = targets or (*(f"cep_{s}" for s in config.scenario.strata), "mu")
-    result = SweepResult(config=config, n=weighted.n, cells=[], targets=tuple(targets))
+    names = config.scenario.targets
+    result = SweepResult(config=config, cells=[], targets=tuple(targets or names))
     for point in config.points():
         try:
             est = fit_scenario(weighted, point, with_cov=False)
-            result.cells.append(SweepCell(point, _point_values(est, config.contrast)))
+            values = target_map(est, config.contrast)(est.theta).tolist()
+            result.cells.append(SweepCell(point, dict(zip(names, values))))
         except PsemError as exc:
             result.cells.append(SweepCell(point, None,
                                           error=f"{type(exc).__name__}: {exc}"))
@@ -164,7 +157,6 @@ class IntervalResult:
     eui: tuple[float, float]
     c_alpha: float
     alpha: float
-    n: float
     degenerate: bool = False
     # set by interval_for; None from a bare eui()
     point_lower: SensitivityPoint | None = None
@@ -192,33 +184,30 @@ def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
     return bisect(f, lo, hi, tol)
 
 
-def eui(est_l: float, se_l: float, est_u: float, se_u: float, n: float,
+def eui(est_l: float, se_l: float, est_u: float, se_u: float,
         alpha: float = 0.05, target: str = "") -> IntervalResult:
     """Imbens-Manski estimated uncertainty interval.
 
     ``se_l``/``se_u`` are the standard errors of the lower/upper estimates
-    (root-n scaling already inside, see the module docstring); ``n`` is kept
-    for reporting only. With a degenerate region (est_l = est_u, equal SEs)
-    the EUI is the usual two-sided Wald interval.
+    (root-n scaling already inside, see the module docstring). With a
+    degenerate region (est_l = est_u, equal SEs) the EUI is the usual
+    two-sided Wald interval.
     """
     if est_l > est_u:
         raise ValueError("est_l must not exceed est_u")
     if se_l < 0 or se_u < 0:
         raise ValueError("standard errors must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     max_se = max(se_l, se_u)
     if max_se == 0.0:
         return IntervalResult(target=target, estimate_lower=est_l,
                               estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
-                              eui=(est_l, est_u),
-                              c_alpha=float("nan"), alpha=alpha, n=n,
-                              degenerate=True)
+                              eui=(est_l, est_u), c_alpha=float("nan"),
+                              alpha=alpha, degenerate=True)
     c = solve_c_alpha((est_u - est_l) / max_se, alpha)
     return IntervalResult(target=target, estimate_lower=est_l,
                           estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
                           eui=(est_l - c * se_l, est_u + c * se_u),
-                          c_alpha=c, alpha=alpha, n=n)
+                          c_alpha=c, alpha=alpha)
 
 
 def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
@@ -258,7 +247,7 @@ def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
             "sensitivity region in scenario B, where the estimate is "
             f"monotone; {cause}", RuntimeWarning, stacklevel=2)
     (_, se_l), (_, se_u) = lo.cep.get(target), hi.cep.get(target)
-    res = eui(lo.values[target], se_l, hi.values[target], se_u, grid.n,
+    res = eui(lo.values[target], se_l, hi.values[target], se_u,
               grid.config.alpha, target=target)
     res.point_lower, res.point_upper = lo.point, hi.point
     res.extrema_on_corners = on_corners

@@ -258,6 +258,8 @@ class StudyConfig:
 
     def __post_init__(self):
         _check_design(self.design)
+        if not all((self.n_values, self.nu_values, self.deltas, self.gamma_scales)):
+            raise ConfigError("n_values, nu_values, deltas and gamma_scales need a value each")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         for n, nu in itertools.product(self.n_values, self.nu_values):

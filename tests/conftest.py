@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psem import tables
-from psem.core import SensitivityPoint, fit_scenario
+from psem.core import Scenario, SensitivityPoint, fit_scenario
 from psem.records import Marker, ObservedRecord
 from psem.weights import WeightModel, fit_missingness
 
@@ -70,3 +70,29 @@ def random_cb_dataset(rng, n=600, nu=1.0, a=0.45, b=0.3, early=0.15):
                                tables.S_MISS))
     cells = tables.from_arrays(z, yt, s_code, y)
     return fit_missingness(cells, WeightModel.design_known(nu))
+
+
+# per scenario: (active early rate, control early rate, control marker rate)
+SCENARIO_DATA = {
+    Scenario.A: (0.15, 0.15, 0.3),
+    Scenario.B: (0.15, 0.15, 0.0),
+    Scenario.C_PROTECT: (0.1, 0.25, 0.0),
+    Scenario.C_HARM: (0.25, 0.1, 0.0),
+}
+
+
+def scenario_dataset(scenario, seed, n, nu):
+    """Random case-cohort dataset shaped so that ``scenario`` fits."""
+    early1, early0, ctrl_pos = SCENARIO_DATA[scenario]
+    rng = np.random.default_rng(seed)
+    z = (rng.random(n) < 0.5).astype(int)
+    yt = (rng.random(n) < np.where(z == 1, early1, early0)).astype(int)
+    pos = (rng.random(n) < np.where(z == 1, 0.6, ctrl_pos)) & (yt == 0)
+    risk = np.where(z == 1, np.where(pos, 0.25, 0.45), np.where(pos, 0.3, 0.4))
+    y = np.where(yt == 1, 1, (rng.random(n) < risk).astype(int))
+    measured = (yt == 1) | (y == 1) | (rng.random(n) < nu)
+    s_code = np.where(yt == 1, tables.S_UNDEF,
+                      np.where(measured, np.where(pos, tables.S_POS, tables.S_NEG),
+                               tables.S_MISS))
+    return fit_missingness(tables.from_arrays(z, yt, s_code, y),
+                           WeightModel.design_known(nu))

@@ -223,9 +223,9 @@ def test_criterion_9_worked_algebra(worked_weighted):
 
 
 def test_criterion_10_eui_solver_endpoints():
-    collapsed = psem.eui(0.2, 0.05, 0.2, 0.05, 900, 0.05)
+    collapsed = psem.eui(0.2, 0.05, 0.2, 0.05, 0.05)
     assert collapsed.c_alpha == pytest.approx(1.959964, abs=1e-5)
-    wide = psem.eui(0.0, 0.05, 0.45, 0.05, 900, 0.05)   # scaled gap 9 > 8
+    wide = psem.eui(0.0, 0.05, 0.45, 0.05, 0.05)   # scaled gap 9 > 8
     assert wide.c_alpha == pytest.approx(1.644854, abs=1e-3)
     _report(10, f"c_alpha = {collapsed.c_alpha:.6f} collapsed and "
                 f"{wide.c_alpha:.6f} at a 9-SE gap")

@@ -251,6 +251,52 @@ def test_analyze_fits_zero_point_covariance_once(tmp_path, worked_csv, monkeypat
     assert len(sandwiches) == 1
 
 
+@pytest.mark.parametrize("case, code", [
+    ("analyze_missing_csv", 3), ("diagnose_missing_csv", 3),
+    ("latin1_csv", 3), ("latin1_config", 2)])
+def test_unreadable_input_is_a_named_error(tmp_path, worked_csv, capsys, case, code):
+    missing, latin1 = tmp_path / "absent.csv", tmp_path / "latin1.csv"
+    latin1.write_bytes("id,z,y_tau,s_star,y,r\nr\xe91,1,0,0,1,1\n".encode("latin-1"))
+    data = {"analyze_missing_csv": missing, "latin1_csv": latin1}.get(case, worked_csv)
+    cfg = write_analysis_config(tmp_path, data, tmp_path / "o",
+                                extra_sensitivity="beta0 = 0")
+    if case == "latin1_config":
+        cfg.write_bytes("; r\xe9sum\xe9\n".encode("latin-1") + cfg.read_bytes())
+    argv = (["diagnose", "--input", str(missing)] if case == "diagnose_missing_csv"
+            else ["analyze", "--config", str(cfg)])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{code}]") and "Traceback" not in err
+    bad = {"diagnose_missing_csv": missing, "latin1_config": cfg}.get(case, data)
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize("setting", [
+    "n = ,", "nu = ,", "delta = ,", "gamma_scales = ,", "scales = ,"])
+def test_empty_list_is_config_error(tmp_path, worked_csv, capsys, setting):
+    out = tmp_path / "o"
+    key, value = (part.strip() for part in setting.split("="))
+    if key == "scales":
+        cfg = write_analysis_config(tmp_path, worked_csv, out, extra_sensitivity=setting)
+        argv = ["analyze", "--config", str(cfg)]
+    else:
+        study = {"design": "B", "n": "400", "replicates": "5", key: value}
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[study]\n" + "".join(f"{k} = {v}\n" for k, v in study.items())
+                       + f"\n[output]\ndir = {out}\n", encoding="utf-8")
+        argv = ["simulate", "--config", str(cfg)]
+    assert main(argv) == 2
+    assert "expected comma-separated finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_checks_region_before_reading_data(tmp_path, capsys):
+    cfg = write_analysis_config(tmp_path, tmp_path / "absent.csv", tmp_path / "o",
+                                extra_sensitivity="beta2 = 0, 1")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "not legal for scenario B" in capsys.readouterr().err
+
+
 def test_analyze_missing_config():
     assert main(["analyze", "--config", "/nonexistent.ini"]) == 2
 

@@ -5,13 +5,13 @@ import pytest
 import scipy.stats
 
 import psem
-from psem import tables
+from psem import core, tables
 from psem.core import Contrast, Direction, Scenario, SensitivityPoint
 from psem.errors import (ConfigError, EstimationError, OrderingError)
 from psem.mathutil import expit, fisher_exact_two_sided, logit
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import fit, random_cb_dataset, weighted_from_blocks
+from conftest import fit, random_cb_dataset, scenario_dataset, weighted_from_blocks
 
 
 def s_survivor(r):
@@ -24,6 +24,14 @@ def s_negative_survivor(r):
     if r.marker is None:
         return None
     return 1 - r.marker
+
+
+def s_positive_survivor(r):
+    if r.y_tau == 1:
+        return 0
+    if r.marker is None:
+        return None
+    return r.marker
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +285,44 @@ def test_scenario_a_null_generator():
                       Contrast.ADDITIVE)
     for key in ("00", "10", "11"):
         assert abs(result.values[key]) < 4 * result.ses[key] + 0.01
+
+
+@pytest.mark.parametrize("seed, nu", [(1, 1.0), (2, 1.0), (3, 0.5), (4, 0.5), (5, 0.25)])
+def test_scenario_a_solves_are_selection_sace(seed, nu):
+    # (0,0) risks: the standard direction on survivor & marker-negative at
+    # beta0; (1,1) risks: the reversed direction on survivor & marker-
+    # positive at beta1_reversed. The extra rows of A's stack do not move
+    # the sandwich of this block (Stefanski and Boos, 2002) beyond round-off.
+    w = scenario_dataset(Scenario.A, seed, 3000, nu)
+    for beta0, beta1 in ((0.0, 0.0), (0.8, -0.5), (-1.2, 1.5)):
+        est = fit(w, Scenario.A, beta0=beta0, beta1_reversed=beta1)
+        neg = psem.selection_sace(w, s_negative_survivor, beta0)
+        pos = psem.selection_sace(w, s_positive_survivor, beta1, Direction.REVERSED)
+        for name, sace, k in (("risk1_00", neg, 0), ("risk0_00", neg, 1),
+                              ("risk1_11", pos, 0), ("risk0_11", pos, 1)):
+            assert est.value(name) == (sace.p11_treated, sace.p11_control)[k], name
+            assert est.se(name) == pytest.approx(math.sqrt(sace.cov[k, k]),
+                                                 rel=1e-12, abs=0), name
+
+
+def test_scenario_solves_add_no_means(monkeypatch):
+    # every beta-free row sits in the cached opening block, so past it a
+    # scenario's solve at a new sensitivity point adds no weighted mean
+    calls = []
+    real_mean = core._mean
+
+    def counted(st, name, *args):
+        calls.append(name)
+        return real_mean(st, name, *args)
+
+    monkeypatch.setattr(core, "_mean", counted)
+    for scenario in Scenario:
+        w = scenario_dataset(scenario, 7, 2000, 0.5)
+        fit(w, scenario, with_cov=False)
+        calls.clear()
+        fit(w, scenario, with_cov=False,
+            **dict.fromkeys(scenario.sensitivity_keys, 0.2))
+        assert calls == [], scenario
 
 
 def test_scenario_a_rejects_constant_control_marker(worked_weighted):

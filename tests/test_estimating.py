@@ -12,7 +12,8 @@ from psem.core import Scenario, SensitivityPoint, delta_method
 from psem.errors import PsemError
 from psem.weights import WeightModel
 
-from conftest import make_records, random_cb_dataset, weighted_from_blocks
+from conftest import (make_records, random_cb_dataset, scenario_dataset,
+                      weighted_from_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,6 @@ def test_identified_subgroup_mean_se_is_closed_form():
 
 
 def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
-    weighted = random_cb_dataset(np.random.default_rng(11), n=400, nu=0.5)
     stacks = []
     real_finalize = core._finalize
 
@@ -50,31 +50,43 @@ def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
         return real_finalize(st, with_cov, report)
 
     monkeypatch.setattr(core, "_finalize", capture)
-    fit = psem.fit_scenario(weighted, SensitivityPoint(Scenario.B, {"beta0": 0.7}))
-    (st,) = stacks
-    assert fit.names == tuple(st.names)
+    cases = [
+        (random_cb_dataset(np.random.default_rng(11), n=400, nu=0.5),
+         SensitivityPoint(Scenario.B, {"beta0": 0.7})),
+        (scenario_dataset(Scenario.A, 11, 1500, 0.5),
+         SensitivityPoint(Scenario.A, {"beta0": 0.7, "beta1_reversed": -0.4})),
+    ]
+    for weighted, point in cases:
+        stacks.clear()
+        fit = psem.fit_scenario(weighted, point)
+        (st,) = stacks
 
-    # independent assembly: one row per record, a fixed step of 1e-5
-    cells_of_records = np.repeat(np.arange(len(st.cells.count)),
-                                 st.cells.count.astype(int))
-    n = cells_of_records.size
+        # independent assembly: one row per record, a fixed step of 1e-5
+        cells_of_records = np.repeat(np.arange(len(st.cells.count)),
+                                     st.cells.count.astype(int))
+        n = cells_of_records.size
 
-    def per_record(theta):
-        return st.contribs(theta)[cells_of_records]
+        def per_record(theta):
+            return st.contribs(theta)[cells_of_records]
 
-    u = per_record(fit.theta)
-    meat = sum(np.outer(row, row) for row in u) / n
-    h = 1e-5
-    p = fit.theta.size
-    bread = np.empty((p, p))
-    for j in range(p):
-        tp, tm = fit.theta.copy(), fit.theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        bread[:, j] = (per_record(tp).sum(axis=0) - per_record(tm).sum(axis=0)) / (2 * h * n)
-    binv = np.linalg.inv(bread)
-    expected = binv @ meat @ binv.T / n
-    assert np.allclose(fit.cov, expected, rtol=0, atol=1e-8)
+        theta = st.theta()
+        u = per_record(theta)
+        meat = sum(np.outer(row, row) for row in u) / n
+        h = 1e-5
+        p = theta.size
+        bread = np.empty((p, p))
+        for j in range(p):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            bread[:, j] = (per_record(tp).sum(axis=0)
+                           - per_record(tm).sum(axis=0)) / (2 * h * n)
+        binv = np.linalg.inv(bread)
+        expected = binv @ meat @ binv.T / n
+        # the reported names, picked out of the full stack by name
+        idx = [st.names.index(name) for name in fit.names]
+        assert np.array_equal(fit.theta, theta[idx])
+        assert np.allclose(fit.cov, expected[np.ix_(idx, idx)], rtol=0, atol=1e-8)
 
 
 # cell blocks (z, y_tau, marker, y[, measured]) covering every scenario's

@@ -7,14 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psem
-from psem import tables
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError
 from psem.mathutil import norm_cdf, norm_quantile
 from psem.sensitivity import SensitivityConfig, solve_c_alpha
-from psem.weights import WeightModel, fit_missingness
 
-from conftest import fit, random_cb_dataset
+from conftest import fit, random_cb_dataset, scenario_dataset
 
 
 def b_config(lo, hi, g=21, contrast=Contrast.ADDITIVE, alpha=0.05):
@@ -128,20 +126,20 @@ def test_ignorance_endpoints_equal_endpoint_fits():
 
 
 def test_eui_collapsed_is_wald():
-    res = psem.eui(0.2, 0.05, 0.2, 0.05, 400, 0.05)
+    res = psem.eui(0.2, 0.05, 0.2, 0.05, 0.05)
     assert res.c_alpha == pytest.approx(1.959964, abs=1e-5)
     assert res.eui[0] == pytest.approx(0.2 - 1.959964 * 0.05, abs=1e-5)
     assert res.eui[1] == pytest.approx(0.2 + 1.959964 * 0.05, abs=1e-5)
 
 
 def test_eui_one_sided_limit():
-    res = psem.eui(0.0, 0.05, 1.0, 0.05, 400, 0.05)   # gap of 20 SEs
+    res = psem.eui(0.0, 0.05, 1.0, 0.05, 0.05)   # gap of 20 SEs
     assert res.c_alpha == pytest.approx(1.644854, abs=1e-3)
 
 
 def test_eui_matches_scalar_root_oracle():
     # est_l=0.1, est_u=0.3, SE=0.05: scaled gap 4
-    res = psem.eui(0.1, 0.05, 0.3, 0.05, 400, 0.05)
+    res = psem.eui(0.1, 0.05, 0.3, 0.05, 0.05)
 
     def f(c):
         return (scipy.stats.norm.cdf(c + 4.0) - scipy.stats.norm.cdf(-c) - 0.95)
@@ -159,17 +157,15 @@ def test_eui_matches_scalar_root_oracle():
 
 
 def test_eui_degenerate_zero_ses():
-    res = psem.eui(0.1, 0.0, 0.3, 0.0, 100, 0.05)
+    res = psem.eui(0.1, 0.0, 0.3, 0.0, 0.05)
     assert res.degenerate and res.eui == (0.1, 0.3)
 
 
 def test_eui_input_validation():
     with pytest.raises(ValueError):
-        psem.eui(0.3, 0.1, 0.1, 0.1, 100)
+        psem.eui(0.3, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
-        psem.eui(0.1, -0.1, 0.3, 0.1, 100)
-    with pytest.raises(ValueError):
-        psem.eui(0.1, 0.1, 0.3, 0.1, 0)
+        psem.eui(0.1, -0.1, 0.3, 0.1)
 
 
 def test_c_alpha_bounds_and_monotonicity():
@@ -220,9 +216,9 @@ def test_effect_modification_decision(worked_weighted):
     assert test.reject == (not (test.interval.eui[0] <= 0 <= test.interval.eui[1]))
     # trivial decision checks on synthetic intervals
     assert not (0.1 <= 0 <= 0.5)
-    r1 = psem.eui(0.1, 0.0001, 0.5, 0.0001, 100)
+    r1 = psem.eui(0.1, 0.0001, 0.5, 0.0001)
     assert not (r1.eui[0] <= 0 <= r1.eui[1])
-    r2 = psem.eui(-0.1, 0.0001, 0.5, 0.0001, 100)
+    r2 = psem.eui(-0.1, 0.0001, 0.5, 0.0001)
     assert r2.eui[0] <= 0 <= r2.eui[1]
 
 
@@ -248,31 +244,6 @@ def test_all_cells_failing_raises(worked_weighted):
 
 # ---------------------------------------------------------------------------
 # the sweep against full-covariance fits at every cell
-
-# per scenario: (active early rate, control early rate, control marker rate)
-SCENARIO_DATA = {
-    Scenario.A: (0.15, 0.15, 0.3),
-    Scenario.B: (0.15, 0.15, 0.0),
-    Scenario.C_PROTECT: (0.1, 0.25, 0.0),
-    Scenario.C_HARM: (0.25, 0.1, 0.0),
-}
-
-
-def scenario_dataset(scenario, seed, n, nu):
-    """Random case-cohort dataset shaped so that ``scenario`` fits."""
-    early1, early0, ctrl_pos = SCENARIO_DATA[scenario]
-    rng = np.random.default_rng(seed)
-    z = (rng.random(n) < 0.5).astype(int)
-    yt = (rng.random(n) < np.where(z == 1, early1, early0)).astype(int)
-    pos = (rng.random(n) < np.where(z == 1, 0.6, ctrl_pos)) & (yt == 0)
-    risk = np.where(z == 1, np.where(pos, 0.25, 0.45), np.where(pos, 0.3, 0.4))
-    y = np.where(yt == 1, 1, (rng.random(n) < risk).astype(int))
-    measured = (yt == 1) | (y == 1) | (rng.random(n) < nu)
-    s_code = np.where(yt == 1, tables.S_UNDEF,
-                      np.where(measured, np.where(pos, tables.S_POS, tables.S_NEG),
-                               tables.S_MISS))
-    return fit_missingness(tables.from_arrays(z, yt, s_code, y),
-                           WeightModel.design_known(nu))
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +275,7 @@ def full_cov_reference(w, cfg, target):
                     else (c.values[s], c.ses[s], point))
     lo = min(fits, key=lambda t: t[0])
     hi = max(fits, key=lambda t: t[0])
-    return psem.eui(lo[0], lo[1], hi[0], hi[1], w.n, cfg.alpha), lo[2], hi[2]
+    return psem.eui(lo[0], lo[1], hi[0], hi[1], cfg.alpha), lo[2], hi[2]
 
 
 @settings(max_examples=40, deadline=None)

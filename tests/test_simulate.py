@@ -222,3 +222,10 @@ def test_study_cell_lookup():
     assert result.cell(n=800).n == 800
     with pytest.raises(KeyError):
         result.cell(n=1600)
+
+
+@pytest.mark.parametrize("axis", ["n_values", "nu_values", "deltas", "gamma_scales"])
+def test_study_config_rejects_an_empty_axis(axis):
+    kwargs = {"design": "B", "n_values": (400,), axis: ()}
+    with pytest.raises(ConfigError, match="need a value each"):
+        StudyConfig(**kwargs)

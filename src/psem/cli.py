@@ -18,10 +18,10 @@ from .config import (AnalysisConfig, load_analysis_config, load_study_config,
 from .core import SensitivityPoint, cep, check_assumptions, fit_scenario
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, PsemError)
-from .records import load_csv
+from .records import load_csv  # noqa: F401  kept bound for bench/tracer.py
 from .sensitivity import interval_for, sweep
 from .simulate import run_study
-from .tables import summarize
+from .tables import read_cells, summarize
 from .weights import effective_sample, fit_missingness
 
 EXIT_CODES = (
@@ -76,7 +76,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
     regions = cfg.gamma_choices()       # validated before the data are read
-    weighted = fit_missingness(load_csv(cfg.path, cfg.schema or None),
+    weighted = fit_missingness(read_cells(cfg.path, cfg.schema or None),
                                cfg.weight_model)
     report = check_assumptions(weighted)
     summary = summarize(weighted.cells)
@@ -198,7 +198,7 @@ def cmd_diagnose(args) -> int:
     schema = {}
     if args.marker_column:
         schema["marker"] = args.marker_column
-    weighted = fit_missingness(load_csv(args.input, schema or None))
+    weighted = fit_missingness(read_cells(args.input, schema or None))
     summary = summarize(weighted.cells)
     report = check_assumptions(weighted)
     lines = []

@@ -4,7 +4,7 @@ Contains the logistic link, a normal CDF built on the stdlib complementary
 error function (absolute error well below 1e-12, no external dependency),
 quantiles by bisection, a safeguarded scalar root finder, the two-component
 logit-offset mixture solve used by all selection-bias models, and a
-two-sided Fisher exact test by full hypergeometric enumeration.
+two-sided Fisher exact test by hypergeometric enumeration.
 """
 
 from __future__ import annotations
@@ -158,9 +158,17 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     lo = max(0, col1 - row2)
     hi = min(col1, row1)
     denom = _log_comb(n, col1)
-    logp = [_log_comb(row1, k) + _log_comb(row2, col1 - k) - denom
-            for k in range(lo, hi + 1)]
-    obs = logp[a - lo]
+    # the pmf is log-concave: walk out from its mode until exp() underflows
+    # to 0.0 (below about -745), so the terms left out would add nothing
+    logp = {}
+    mode = min(max((row1 + 1) * (col1 + 1) // (n + 2), lo), hi)
+    for ks in (range(mode, hi + 1), range(mode - 1, lo - 1, -1)):
+        for k in ks:
+            logp[k] = _log_comb(row1, k) + _log_comb(row2, col1 - k) - denom
+            if logp[k] <= -800.0:
+                break
+    if a not in logp:
+        return 0.0      # the observed table's own probability underflows
     # tolerance absorbs round-off among tables of exactly equal probability
-    total = sum(math.exp(lp) for lp in logp if lp <= obs + 1e-9)
+    total = sum(math.exp(logp[k]) for k in sorted(logp) if logp[k] <= logp[a] + 1e-9)
     return min(1.0, total)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -117,67 +118,82 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
     prefixed ``w_`` are parsed as baseline covariates. Row order is preserved
     and duplicate ids are rejected; an unreadable or non-UTF-8 file is a DataError.
     """
-    names = dict(DEFAULT_SCHEMA)
-    if schema:
-        unknown = set(schema) - set(DEFAULT_SCHEMA)
-        if unknown:
-            raise DataError(f"unknown schema keys: {sorted(unknown)}")
-        names.update(schema)
+    return read_rows(path, schema, lambda lay, rows: [parse_row(lay, i, r) for i, r in rows])
+
+
+# the file's path and header, and the column indices of the id, of z, y_tau,
+# marker, y (and measured when present), and of the w_ covariates
+_Layout = namedtuple("_Layout", "path header id key covariates")
+
+
+def read_rows(path, schema, consume):
+    """``consume(layout, rows)`` for the file's checked header and its data
+    rows as ``(row number, fields)``. The header is row 1; blank lines are
+    skipped and not numbered."""
+    names = {**DEFAULT_SCHEMA, **(schema or {})}
+    if len(names) > len(DEFAULT_SCHEMA):
+        raise DataError(f"unknown schema keys: {sorted(set(names) - set(DEFAULT_SCHEMA))}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return _read_records(csv.DictReader(fh), path, names)
+            reader = csv.reader(fh)
+            if (header := next(reader, None)) is None:
+                raise DataError(f"{path}: empty file (a header row is required)")
+            missing = [c for k, c in names.items() if k != "measured" and c not in header]
+            if missing:
+                raise DataError(f"{path}: missing required columns {missing}")
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise DataError(f"{path}: repeated column names {repeated}")
+            col = {c: j for j, c in enumerate(header)}
+            layout = _Layout(path, header, col[names["id"]], tuple(
+                col[names[k]] for k in ("z", "y_tau", "marker", "y", "measured")
+                if names[k] in col), tuple(
+                j for j, c in enumerate(header) if c.startswith(COVARIATE_PREFIX)))
+            return consume(layout, _rows(layout, filter(None, reader)))
     except OSError as exc:
         raise DataError(f"{path}: cannot read the file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_records(reader: csv.DictReader, path, names) -> list[ObservedRecord]:
-    if reader.fieldnames is None:
-        raise DataError(f"{path}: empty file (a header row is required)")
-    missing = [c for k, c in names.items() if k != "measured" and c not in reader.fieldnames]
-    if missing:
-        raise DataError(f"{path}: missing required columns {missing}")
-    has_measured = names["measured"] in reader.fieldnames
-    covariate_cols = [c for c in reader.fieldnames if c.startswith(COVARIATE_PREFIX)]
-    records: list[ObservedRecord] = []
-    seen: set[str] = set()
-    for i, row in enumerate(reader, start=2):
-        try:
-            if None in row.values():
-                short = [c for c, v in row.items() if v is None]
-                raise DataError(f"row has fewer fields than the header; "
-                                f"no value for {short}")
-            marker = _parse_marker(row[names["marker"]])
-            if has_measured:
-                measured = _parse_binary(row[names["measured"]], names["measured"])
-            else:
-                measured = 0 if marker is Marker.MISSING else 1
-            rec = ObservedRecord(
-                id=row[names["id"]].strip(),
-                z=_parse_binary(row[names["z"]], names["z"]),
-                y_tau=_parse_binary(row[names["y_tau"]], names["y_tau"]),
-                marker=marker,
-                y=_parse_binary(row[names["y"]], names["y"]),
-                measured=measured,
-                w=tuple(_parse_covariate(row[c], c) for c in covariate_cols
-                        if row[c] != ""),
-            )
-            rec.validate()
-        except DataError as exc:
-            raise DataError(f"{path}: row {i}: {exc}") from None
-        if rec.id in seen:
-            raise DataError(f"{path}: row {i}: duplicate id {rec.id!r}")
-        seen.add(rec.id)
-        records.append(rec)
-    return records
+def _rows(layout, rows):
+    width, seen = len(layout.header), set()
+    for i, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise DataError(f"{layout.path}: row {i}: row has " + (
+                f"fewer fields than the header; no value for {layout.header[len(row):]}"
+                if len(row) < width else f"more fields than the header ({len(row)} > {width})"))
+        yield i, row
+        # checked once the caller has parsed the row: its own errors come first
+        rid = row[layout.id].strip()
+        if rid in seen:
+            raise DataError(f"{layout.path}: row {i}: duplicate id {rid!r}")
+        seen.add(rid)
+
+
+def parse_row(layout, i: int, row: list[str]) -> ObservedRecord:
+    """The validated record in data row ``i``; its errors name the row."""
+    head = layout.header
+    jz, jt, jm, jy, *jr = layout.key
+    try:
+        marker = _parse_marker(row[jm])
+        measured = (_parse_binary(row[jr[0]], head[jr[0]]) if jr
+                    else int(marker is not Marker.MISSING))
+        rec = ObservedRecord(
+            row[layout.id].strip(), _parse_binary(row[jz], head[jz]),
+            _parse_binary(row[jt], head[jt]), marker,
+            _parse_binary(row[jy], head[jy]), measured,
+            tuple(_parse_covariate(row[j], head[j])
+                  for j in layout.covariates if row[j] != ""))
+        rec.validate()
+    except DataError as exc:
+        raise DataError(f"{layout.path}: row {i}: {exc}") from None
+    return rec
 
 
 def write_csv(records, path, schema: dict[str, str] | None = None) -> None:
     """Write records in the same format load_csv reads (round-trip exact)."""
-    names = dict(DEFAULT_SCHEMA)
-    if schema:
-        names.update(schema)
+    names = {**DEFAULT_SCHEMA, **(schema or {})}
     n_cov = max((len(r.w) for r in records), default=0)
     cov_cols = [f"{COVARIATE_PREFIX}{k + 1}" for k in range(n_cov)]
     header = [names["id"], names["z"], names["y_tau"], names["marker"],

@@ -14,11 +14,12 @@ Marker state codes: 0 negative, 1 positive, 2 undefined (early event),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
-from .records import Marker, ObservedRecord
+from .records import Marker, ObservedRecord, parse_row, read_rows
 
 S_NEG, S_POS, S_UNDEF, S_MISS = 0, 1, 2, 3
 
@@ -62,6 +63,21 @@ def from_records(records) -> CellTable:
             raise DataError(f"expected ObservedRecord, got {type(r).__name__}")
         codes.append(cell_code(r.z, r.y_tau, _MARKER_CODE[r.marker], r.y))
     return _from_codes(np.array(codes, dtype=np.int64))
+
+
+def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
+    """``from_records(load_csv(path, schema))`` without the record list: each distinct
+    (z, y_tau, marker, y, measured) token tuple is parsed once, or every row if w_ exist."""
+    def codes(layout, rows):
+        key_of, cache, out = itemgetter(*layout.key), {}, []
+        for i, row in rows:
+            code = cache.get(key := key_of(row))
+            if code is None or layout.covariates:
+                r = parse_row(layout, i, row)
+                code = cache[key] = cell_code(r.z, r.y_tau, _MARKER_CODE[r.marker], r.y)
+            out.append(code)
+        return np.array(out, dtype=np.int64)
+    return _from_codes(read_rows(path, schema, codes))
 
 
 def from_arrays(z, yt, s, y) -> CellTable:

@@ -251,6 +251,21 @@ def test_analyze_fits_zero_point_covariance_once(tmp_path, worked_csv, monkeypat
     assert len(sandwiches) == 1
 
 
+def test_analyze_and_diagnose_read_the_csv_straight_to_cells(tmp_path, worked_csv,
+                                                            monkeypatch):
+    from psem import cli, tables
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI built a record list")
+
+    monkeypatch.setattr(tables, "from_records", refuse)
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
+                                extra_sensitivity="beta0 = 0")
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert main(["diagnose", "--input", str(worked_csv)]) == 0
+
+
 @pytest.mark.parametrize("case, code", [
     ("analyze_missing_csv", 3), ("diagnose_missing_csv", 3),
     ("latin1_csv", 3), ("latin1_config", 2)])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psem
 from psem import core, tables
@@ -507,6 +509,35 @@ def test_fisher_matches_scipy_oracle():
         expected = scipy.stats.fisher_exact([[a, b], [c, d]])[1]
         assert fisher_exact_two_sided(a, b, c, d) == pytest.approx(expected,
                                                                    abs=1e-9)
+
+
+def _fisher_full_enumeration(a, b, c, d):
+    """The enumeration over the whole support, kept as the bitwise oracle."""
+    from psem.mathutil import _log_comb
+    row1, row2 = a + b, c + d
+    col1 = a + c
+    n = row1 + row2
+    if n == 0:
+        return 1.0
+    lo = max(0, col1 - row2)
+    hi = min(col1, row1)
+    denom = _log_comb(n, col1)
+    logp = [_log_comb(row1, k) + _log_comb(row2, col1 - k) - denom
+            for k in range(lo, hi + 1)]
+    obs = logp[a - lo]
+    total = sum(math.exp(lp) for lp in logp if lp <= obs + 1e-9)
+    return min(1.0, total)
+
+
+_CELL = st.one_of(st.integers(0, 30), st.integers(0, 3000), st.integers(0, 60000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CELL, _CELL, _CELL, _CELL)
+def test_fisher_drops_only_underflowing_terms(a, b, c, d):
+    p = fisher_exact_two_sided(a, b, c, d)
+    assert type(p) is float
+    assert p.hex() == float(_fisher_full_enumeration(a, b, c, d)).hex()
 
 
 def test_check_assumptions_trial_counts():

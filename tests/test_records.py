@@ -245,3 +245,134 @@ def test_validation_random_corruptions():
 
 def test_default_schema_names():
     assert DEFAULT_SCHEMA["marker"] == "s_star" and DEFAULT_SCHEMA["measured"] == "r"
+
+
+# ---------------------------------------------------------------------------
+# tables.read_cells, the cells-first loader, against the record path
+
+
+def test_load_rejects_repeated_column(tmp_path):
+    path = _write(tmp_path, "id,z,y_tau,s_star,y,r,z\np1,1,0,1,0,1,0\n")
+    with pytest.raises(DataError, match=r"repeated column names \['z'\]"):
+        load_csv(path)
+
+
+def test_load_rejects_wide_row(tmp_path):
+    path = _write(tmp_path, "id,z,y_tau,s_star,y,r\np1,1,0,1,0,1,9,9\n")
+    with pytest.raises(DataError, match=r"row 2: row has more fields than the header"):
+        load_csv(path)
+
+
+_WIDE = "id,z,y_tau,y,r,s_star,w_1\n"
+_INGEST_ERRORS = {
+    "bad_z": HEADER + "p1,2,0,0,1,1\n",
+    "bad_z_after_valid_rows": HEADER + "p0,1,0,0,1,1\n\np1,2,0,0,1,1\np2,2,0,0,1,1\n",
+    "early_with_marker": HEADER + "p1,1,1,1,1,1\n",
+    "bad_marker": HEADER + "p1,1,0,0,1,x\n",
+    "bad_measured": HEADER + "p1,1,0,0,7,1\n",
+    "truncated": HEADER + "p1,1,0,0,1,1\np2,1\n",
+    "wide": HEADER + "p1,1,0,0,1,1\np2,1,0,1,0,1,9,9\n",
+    "bad_covariate": _WIDE + "p1,1,0,0,1,1,0.5\np2,1,0,0,1,1,abc\n",
+    "duplicate_id": HEADER + "p1,1,0,0,1,1\np1,0,0,0,1,0\n",
+    "duplicate_padded_id": HEADER + "p1,1,0,0,1,1\n p1 ,1,0,0,1,1\n",
+    "duplicate_and_invalid": HEADER + "p1,1,0,0,1,1\np1,1,1,0,1,1\n",
+    "missing_columns": "id,z\np1,1\n",
+    "repeated_column": "id,z,y_tau,s_star,y,r,z\np1,1,0,1,0,1,0\n",
+    "blank_first_line": "\n" + HEADER + "p1,1,0,0,1,1\n",
+    "empty_file": "",
+    "header_only": HEADER,
+    "blank_lines_only": HEADER + "\n\n",
+}
+
+
+def _error_text(load):
+    with pytest.raises(DataError) as err:
+        load()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(_INGEST_ERRORS))
+def test_both_loaders_raise_the_same_error(tmp_path, case):
+    path = _write(tmp_path, _INGEST_ERRORS[case])
+    assert (_error_text(lambda: tables.read_cells(path))
+            == _error_text(lambda: tables.from_records(load_csv(path))))
+
+
+def test_row_errors_come_before_its_duplicate_id(tmp_path):
+    path = _write(tmp_path, _INGEST_ERRORS["duplicate_and_invalid"])
+    with pytest.raises(DataError, match="row 3: record 'p1': early event implies"):
+        tables.read_cells(path)
+
+
+@pytest.mark.parametrize("case", ["absent", "latin1", "unknown_schema_key"])
+def test_both_loaders_raise_the_same_file_error(tmp_path, case):
+    path = tmp_path / "data.csv"
+    if case == "latin1":
+        path.write_bytes((HEADER + "r\xe91,1,0,0,1,1\n").encode("latin-1"))
+    schema = {"arm": "z"} if case == "unknown_schema_key" else None
+    assert (_error_text(lambda: tables.read_cells(path, schema))
+            == _error_text(lambda: tables.from_records(load_csv(path, schema))))
+
+
+_REMAPPED = {"id": "pid", "z": "arm", "y_tau": "early", "marker": "mk",
+             "y": "outcome", "measured": "samp"}
+_TOKENS = {Marker.NEGATIVE: "0", Marker.POSITIVE: "1", Marker.UNDEFINED: "*",
+           Marker.MISSING: ""}
+
+
+@st.composite
+def _csv_files(draw):
+    """A valid trial CSV: optional r column, 0-2 w_ columns, default or
+    remapped names in any order, blank lines and space-padded tokens."""
+    has_r, n_cov, remap = draw(st.booleans()), draw(st.integers(0, 2)), draw(st.booleans())
+    names = dict(_REMAPPED if remap else DEFAULT_SCHEMA)
+    keys = [k for k in names if has_r or k != "measured"]
+    columns = draw(st.permutations(keys + [f"w_{j}" for j in range(n_cov)]))
+    pad = st.sampled_from(["", " ", "  "])
+    lines = [",".join(names.get(c, c) for c in columns)]
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(_KINDS)),
+                                   st.integers(0, 1)), min_size=1, max_size=40))
+    for i, (z, kind, y) in enumerate(rows):
+        y_tau, marker, measured = _KINDS[kind]
+        value = {"id": f"p{i}", "z": z, "y_tau": y_tau, "marker": _TOKENS[marker],
+                 "y": y | y_tau, "measured": measured}
+        for j in range(n_cov):
+            value[f"w_{j}"] = draw(st.sampled_from(["", "0.5", "-3", "1e3"]))
+        lines.append(",".join(
+            "" if value[c] == "" and c.startswith("w_")   # a blank covariate
+            else draw(pad) + str(value[c]) + draw(pad) for c in columns))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return "\n".join(lines) + "\n", (_REMAPPED if remap else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files())
+def test_read_cells_matches_record_path(tmp_path_factory, drawn):
+    text, schema = drawn
+    path = _write(tmp_path_factory.mktemp("csv"), text)
+    cells = tables.read_cells(path, schema)
+    ref = tables.from_records(load_csv(path, schema))
+    for name in ("z", "yt", "s", "y", "count", "pi", "w"):
+        got, want = getattr(cells, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_read_cells_parses_each_distinct_token_tuple_once(tmp_path, monkeypatch):
+    rng = random.Random(3)
+    kinds = [(z, y_tau, _TOKENS[marker], y | y_tau, measured)
+             for z in (0, 1) for y in (0, 1)
+             for y_tau, marker, measured in _KINDS.values()]
+    rows = [rng.choice(kinds) for _ in range(10_000)]
+    path = _write(tmp_path, "id,z,y_tau,s_star,y,r\n" + "".join(
+        f"p{i},{z},{t},{m},{y},{r}\n" for i, (z, t, m, y, r) in enumerate(rows)))
+    calls = []
+    real = tables.parse_row
+    monkeypatch.setattr(tables, "parse_row",
+                        lambda *args: calls.append(1) or real(*args))
+    cells = tables.read_cells(path)
+    assert 0 < len(calls) <= len(set(rows))
+    assert cells.n == 10_000
+    np.testing.assert_array_equal(cells.count,
+                                  tables.from_records(load_csv(path)).count)

@@ -18,7 +18,7 @@ from .records import Marker, ObservedRecord, load_csv, write_csv
 from .sensitivity import (IntervalResult, SensitivityConfig, eui,
                           interval_for, sweep, test_effect_modification)
 from .simulate import (GeneratorConfig, PotentialRecord, StudyConfig,
-                       StudyResult, apply_case_cohort, generate,
+                       StudyResult, generate,
                        oracle_estimands, run_study)
 from .tables import DatasetSummary, summarize
 from .weights import WeightModel, WeightedRecords, effective_sample, fit_missingness

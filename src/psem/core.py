@@ -43,8 +43,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import (ConfigError, DataError, EstimationError,
-                     IncompatibleSensitivityError, OrderingError)
-from .mathutil import expit, fisher_exact_two_sided, solve_logit_mixture
+                     IncompatibleSensitivityError, OrderingError, PsemError)
+from .mathutil import Checks, expit, fisher_exact_two_sided, solve_logit_mixture
 from .tables import S_NEG, S_POS, S_UNDEF, summarize
 from .weights import WeightedRecords, fit_missingness
 
@@ -149,8 +149,10 @@ class _Stack:
 
     Rows are either per-cell functions (length-ncells arrays) or
     deterministic constraints (scalars, zero at the solution). Solutions
-    are computed blockwise by the scenario builders; this class assembles
-    the joint sandwich covariance and verifies the stacked residual. With
+    are computed blockwise by the scenario builders: floats before the
+    first mixture solve, then one value per Gamma point (a scalar at one
+    point), failing elementwise through ``checks``. This class assembles
+    the sandwich at one point and verifies the stacked residual. With
     cell counts c_i, n = sum_i c_i and per-cell rows psi_i(theta):
 
         A = d/dtheta (1/n) sum_i c_i psi_i,   B = (1/n) sum_i c_i psi_i psi_i^T,
@@ -165,14 +167,15 @@ class _Stack:
         self.cells = cells
         self.names: list[str] = []
         self.fns: list[Callable] = []
-        self.sol: dict[str, float] = {}
+        self.sol: dict[str, float | np.ndarray] = {}
+        self.checks = Checks()
 
-    def add(self, name: str, value: float, fn: Callable) -> None:
+    def add(self, name: str, value, fn: Callable) -> None:
         if name in self.sol:
             raise ValueError(f"duplicate parameter {name}")
         self.names.append(name)
         self.fns.append(fn)
-        self.sol[name] = float(value)
+        self.sol[name] = value
 
     def copy(self) -> "_Stack":
         new = _Stack(self.cells)
@@ -180,7 +183,11 @@ class _Stack:
         return new
 
     def theta(self) -> np.ndarray:
-        return np.array([self.sol[n] for n in self.names])
+        """Solved values, shape (p,) at one point or (p, G) over a grid."""
+        out = np.empty((len(self.names), *(self.checks.shape or ())))
+        for j, name in enumerate(self.names):
+            out[j] = self.sol[name]
+        return out
 
     def contribs(self, theta: np.ndarray) -> np.ndarray:
         d = dict(zip(self.names, theta))
@@ -247,9 +254,8 @@ def _split(st: "_Stack", a: str, b: str, target: str, w: str, beta: float,
     odds(a)/odds(b) = exp(beta) as a product-form row (polynomial, so
     finite-difference safe at boundary risks). ``w_b`` names b's weight
     where it is a parameter of its own. Adds both rows; returns (a, b)."""
-    va, vb = solve_logit_mixture(st.sol[target], st.sol[w], beta)
-    eb = math.exp(beta)
-    st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - eb * d[b] * (1.0 - d[a]))
+    va, vb = solve_logit_mixture(st.sol[target], st.sol[w], beta, st.checks)
+    st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - math.exp(beta) * d[b] * (1.0 - d[a]))
     st.add(b, vb, (lambda d: d[target] - d[w] * d[a] - (1 - d[w]) * d[b])
            if w_b is None else (lambda d: d[target] - d[w] * d[a] - d[w_b] * d[b]))
     return va, vb
@@ -261,8 +267,8 @@ def _selection(st: "_Stack", alpha: str, out: str, lo: str, hi: str, q: str,
     lo = hi ((1-q) expit(alpha) + q expit(alpha+beta)) and
     ``out`` = expit(alpha+beta) q hi / lo. Adds both rows; returns them."""
     rho = st.sol[lo] / st.sol[hi]
-    w1, w0 = solve_logit_mixture(rho, st.sol[q], beta)
-    a, adjusted = math.log(w0 / (1.0 - w0)), w1 * st.sol[q] / rho
+    w1, w0 = solve_logit_mixture(rho, st.sol[q], beta, st.checks)
+    a, adjusted = np.log(w0 / (1.0 - w0)), w1 * st.sol[q] / rho
     st.add(alpha, a, lambda d: d[lo] - d[hi] * ((1 - d[q]) * expit(d[alpha])
                                                 + d[q] * expit(d[alpha] + beta)))
     st.add(out, adjusted,
@@ -308,7 +314,7 @@ def _remainder(st: "_Stack", z: int, strata: tuple[str, ...], context: str) -> N
     for p, r in terms:
         value = value - st.sol[p] * st.sol[r]
     value = value / st.sol["p10"]
-    _check_unit_interval(out, value, context)
+    _check_unit_interval(st, out, value, context)
 
     def row(d):
         acc = d[total]
@@ -350,11 +356,11 @@ def _opening(weighted: WeightedRecords, build: Callable):
     return st.copy(), selectors
 
 
-def _check_unit_interval(name: str, value: float, context: str) -> None:
-    if not -1e-12 <= value <= 1.0 + 1e-12:
-        raise IncompatibleSensitivityError(
-            f"derived {name} = {value:.6g} lies outside [0, 1]; the "
-            f"sensitivity parameters are incompatible with the data ({context})")
+def _check_unit_interval(st: "_Stack", name: str, value, context: str) -> None:
+    st.checks(np.logical_not((-1e-12 <= value) & (value <= 1.0 + 1e-12)),
+              IncompatibleSensitivityError,
+              lambda v: f"derived {name} = {v:.6g} lies outside [0, 1]; the sensitivity "
+              f"parameters are incompatible with the data ({context})", value)
 
 
 def _finalize(st: "_Stack", with_cov: bool, report: list[str] | None = None):
@@ -423,19 +429,19 @@ class Contrast(enum.Enum):
     VE = "ve"               # h(x, y) = 1 - x/y
     LOG_RR = "log_rr"       # h(x, y) = log(x/y)
 
-    def apply(self, x: float, y: float) -> float:
+    def apply(self, x, y, checks: Checks | None = None):
+        """h(x, y) elementwise; a zero risk that leaves h undefined fails
+        its element through ``checks`` (default: raise)."""
         if self is Contrast.ADDITIVE:
             return x - y
-        if y <= 0.0:
-            raise EstimationError(
-                f"{self.value} contrast undefined: control risk {y} is not "
-                "positive (zero-event stratum)")
+        checks = checks or Checks()
+        checks(y <= 0.0, EstimationError, lambda v: f"{self.value} contrast undefined: "
+               f"control risk {v} is not positive (zero-event stratum)", y)
         if self is Contrast.VE:
             return 1.0 - x / y
-        if x <= 0.0:
-            raise EstimationError(
-                f"log relative risk undefined: active risk {x} is not positive")
-        return math.log(x / y)
+        checks(x <= 0.0, EstimationError,
+               lambda v: f"log relative risk undefined: active risk {v} is not positive", x)
+        return np.log(x / y)
 
 
 @dataclass
@@ -455,15 +461,19 @@ class CepResult:
         return self.values[s], self.ses[s]
 
 
-def target_map(estimates: RiskEstimates, contrast: Contrast) -> Callable:
-    """h(theta) = every target of ``Scenario.targets``: CEP(s) =
+def target_map(scenario: Scenario, names: tuple[str, ...], contrast: Contrast,
+               checks: Checks | None = None) -> Callable:
+    """h(theta) = every target of ``scenario.targets``: CEP(s) =
     contrast(risk_1(s), risk_0(s)) per stratum s, then mu = CEP(1,0) -
-    CEP(0,0) (the strata open with "00", "10")."""
-    idx = [(estimates.index(f"risk1_{s}"), estimates.index(f"risk0_{s}"))
-           for s in estimates.scenario.strata]
+    CEP(0,0) (the strata open with "00", "10"). theta is indexed by
+    ``names``, with shape (p,) at one point or (p, G) over a grid;
+    ``checks`` as in Contrast.apply."""
+    idx = [(names.index(f"risk1_{s}"), names.index(f"risk0_{s}")) for s in scenario.strata]
+    checks = checks or Checks()
 
     def h(t):
-        v = [contrast.apply(float(t[i1]), float(t[i0])) for i1, i0 in idx]
+        t = t.tolist() if t.ndim == 1 else t    # Python floats: same values, faster
+        v = [contrast.apply(t[i1], t[i0], checks) for i1, i0 in idx]
         return np.array([*v, v[1] - v[0]])
 
     return h
@@ -480,7 +490,8 @@ def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
         contrast = Contrast(contrast.lower())
     if estimates.cov is None:
         raise EstimationError("contrast errors need a fit with covariance")
-    values, variances = _delta(target_map(estimates, contrast), estimates.theta, estimates.cov)
+    values, variances = _delta(target_map(estimates.scenario, estimates.names, contrast),
+                               estimates.theta, estimates.cov)
     ses = [math.sqrt(v) for v in variances]
     strata = estimates.scenario.strata
     return CepResult(contrast=contrast, values=dict(zip(strata, values)),
@@ -590,7 +601,8 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
 # Opening blocks: everything a scenario fit does before its first mixture
 # solve. Each takes the dataset and returns, for _opening, the stack and the
 # per-cell selectors later rows read; solved values are read from st.sol.
-# A scenario's solve then adds its rows at one sensitivity point.
+# A scenario's solve then adds its rows at the Gamma points ``beta``
+# (sensitivity key -> length-G array, or a scalar at one point).
 
 
 def _identified(weighted):
@@ -671,7 +683,7 @@ def _c_harm_opening(weighted):
     return st, f
 
 
-def _b_solve(st, f, point):
+def _b_solve(st, f, beta):
     """Scenario B: equal early clinical risk plus a constant control-arm
     marker, selection bias indexed by ``beta0``.
 
@@ -682,11 +694,11 @@ def _b_solve(st, f, point):
     risk_1(1,0) is recovered from the mixture identity for the active arm,
     which makes the mixing identity hold exactly by construction.
     """
-    _split(st, "risk0_00", "risk0_10", "risk0", "p00", point.get("beta0"), "p10")
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta["beta0"], "p10")
     _remainder(st, 1, ("00",), "active-arm mixture identity; check the weights")
 
 
-def _a_solve(st, f, point):
+def _a_solve(st, f, beta):
     """Scenario A: equal early clinical risk with a varying control-arm
     marker under marker monotonicity.
 
@@ -697,14 +709,13 @@ def _a_solve(st, f, point):
     (1,1) stratum risks with ``beta1_reversed``. The (1,0) risks then come
     from the three-component mixture identity.
     """
-    _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", point.get("beta0"))
-    _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1",
-               point.get("beta1_reversed"))
+    _selection(st, "alpha_a", "risk0_00", "pSa1", "pSa0", "qa0", beta["beta0"])
+    _selection(st, "alpha_b", "risk1_11", "pSb0", "pSb1", "qb1", beta["beta1_reversed"])
     _remainder(st, 1, ("00", "11"), "three-component mixture, active arm")
     _remainder(st, 0, ("00", "11"), "three-component mixture, control arm")
 
 
-def _c_protect_solve(st, f, point):
+def _c_protect_solve(st, f, beta):
     """Scenario C under early no-harm monotonicity (active arm never causes
     the early event) and a constant control-arm marker.
 
@@ -717,34 +728,32 @@ def _c_protect_solve(st, f, point):
     early-event rate.
     """
     phi, s1m = st.sol["phi"], st.sol["s1m"]
-    p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", point.get("beta4"))
+    p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", beta["beta4"])
     p00 = 1.0 - p10
-    if p10 <= 0.0 or p00 <= 0.0:
-        raise EstimationError(
-            f"always-survivor marker split degenerate: p(1,0) = {p10:.6g}")
+    st.checks((p10 <= 0.0) | (p00 <= 0.0), EstimationError,
+              lambda v: f"always-survivor marker split degenerate: p(1,0) = {v:.6g}", p10)
     st.add("p00", p00, lambda d: 1.0 - d["p10"] - d["p00"])
-    _split(st, "risk0_00", "risk0_10", "risk0", "p00", point.get("beta0"), "p10")
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta["beta0"], "p10")
 
-    if s1m <= 0.0 or s1m >= 1.0:
-        raise EstimationError(
-            "active-arm survivor markers are all one value; the early-"
-            "protected split is undefined")
+    st.checks(s1m <= 0.0 or s1m >= 1.0, EstimationError,
+              lambda: "active-arm survivor markers are all one value; the early-"
+              "protected split is undefined")
     w1s = p10 * phi / s1m
     w0s = p00 * phi / (1.0 - s1m)
-    _check_unit_interval("always-survivor share among positives", w1s, "B.4 split")
-    _check_unit_interval("always-survivor share among negatives", w0s, "B.4 split")
+    _check_unit_interval(st, "always-survivor share among positives", w1s, "B.4 split")
+    _check_unit_interval(st, "always-survivor share among negatives", w0s, "B.4 split")
     st.add("w1s", w1s, lambda d: d["w1s"] * d["s1m"] - d["p10"] * d["phi"])
     st.add("w0s", w0s, lambda d: d["w0s"] * (1 - d["s1m"]) - d["p00"] * d["phi"])
 
-    r110, _ = _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", point.get("beta3"))
-    r100, _ = _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", point.get("beta2"))
+    r110, _ = _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", beta["beta3"])
+    r100, _ = _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", beta["beta2"])
 
     risk1 = p00 * r100 + p10 * r110
     st.add("risk1", risk1,
            lambda d: d["p00"] * d["risk1_00"] + d["p10"] * d["risk1_10"] - d["risk1"])
 
 
-def _c_harm_solve(st, f, point):
+def _c_harm_solve(st, f, beta):
     """Scenario C with the monotonicity direction reversed (active arm
     never prevents the early event), constant control-arm marker.
 
@@ -754,8 +763,8 @@ def _c_harm_solve(st, f, point):
     harmed stratum. ``beta1_marginal`` is the log odds ratio between those
     two control risks; at 0 this fit equals scenario B's exactly.
     """
-    _split(st, "risk0", "eh_risk", "riskm0", "phi_r", point.get("beta1_marginal"))
-    _split(st, "risk0_00", "risk0_10", "risk0", "p00", point.get("beta0"), "p10")
+    _split(st, "risk0", "eh_risk", "riskm0", "phi_r", beta["beta1_marginal"])
+    _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta["beta0"], "p10")
     _remainder(st, 1, ("00",), "active-arm mixture identity")
 
 
@@ -763,7 +772,7 @@ class _Row(NamedTuple):
     keys: tuple[str, ...]        # legal sensitivity parameters
     strata: tuple[str, ...]      # marker strata (s1, s0) with a CEP
     opening: Callable            # beta-free opening block, see _opening
-    solve: Callable              # solve(st, selectors, point): rows after it
+    solve: Callable              # solve(st, selectors, beta): rows after it
     report: list[str] | None     # reported names; None reports every row
 
 
@@ -785,23 +794,47 @@ _SCENARIOS = {
 }
 
 
+def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
+           checks: Checks) -> tuple[_Stack, list[str] | None]:
+    """The cached opening block of ``scenario``, then its solve at the Gamma
+    points ``beta``, failing elementwise through ``checks``. Returns the
+    stack and the reported names."""
+    row = _SCENARIOS[scenario]
+    st, selectors = _opening(weighted, row.opening)
+    st.checks = checks
+    with np.errstate(all="ignore"):
+        row.solve(st, selectors, beta)
+    return st, row.report
+
+
 def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
                  with_cov: bool = True) -> RiskEstimates:
-    """Fit the scenario of ``point`` at its sensitivity values: the cached
-    opening block, then the scenario's solve. Covariance fits are cached
-    per point on ``weighted``; failures are not."""
+    """Fit the scenario of ``point`` at its sensitivity values: the grid
+    solve of ``fit_targets`` at this one point. The first failed check
+    raises. Covariance fits are cached per point on ``weighted``; failures
+    are not."""
     if with_cov:
         key = (point.scenario, tuple(point.as_dict().items()))
         if key in weighted.fit_blocks:
             return weighted.fit_blocks[key]
-    row = _SCENARIOS[point.scenario]
-    st, selectors = _opening(weighted, row.opening)
-    row.solve(st, selectors, point)
-    est = RiskEstimates(point.scenario, point,
-                        *_finalize(st, with_cov, row.report), st.cells.n)
+    beta = {k: np.float64(v) for k, v in point.as_dict().items()}
+    st, report = _solve(weighted, point.scenario, beta, Checks())
+    est = RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report), st.cells.n)
     if with_cov:
         weighted.fit_blocks[key] = est
     return est
+
+
+def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
+                contrast: Contrast) -> tuple[np.ndarray, dict[int, PsemError]]:
+    """Every target of ``scenario`` (rows as in ``target_map``) at the G Gamma
+    points ``beta`` (key -> length-G array) in one array pass, and each
+    failed point's first failure by index; its column is meaningless."""
+    checks = Checks((len(next(iter(beta.values()))),))
+    st, report = _solve(weighted, scenario, beta, checks)
+    names, theta, _ = _finalize(st, False, report)
+    with np.errstate(all="ignore"):
+        return target_map(scenario, names, contrast, checks)(theta), checks.failed
 
 
 # ---------------------------------------------------------------------------

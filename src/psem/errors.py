@@ -26,10 +26,6 @@ class EstimationError(PsemError):
         self.residual = residual
 
 
-class ConvergenceError(EstimationError):
-    """Root finder did not converge; carries the last iterate and residual."""
-
-
 class OrderingError(EstimationError):
     """A testable ordering assumption (A4'' or A5') fails in the data."""
 
@@ -37,8 +33,8 @@ class OrderingError(EstimationError):
 class IncompatibleSensitivityError(PsemError):
     """Sensitivity parameters are incompatible with the observed data law.
 
-    Raised when a mixture solve leaves [0, 1], a derived risk falls outside
-    [0, 1], or a nuisance equation has no root in its bracket.
+    Raised when a mixture target leaves [0, 1], a mixture solve has no root
+    with logit in [-45, 45], or a derived risk falls outside [0, 1].
     """
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,
-                   fit_scenario, target_map)
+                   fit_scenario, fit_targets)
 from .errors import ConfigError, EstimationError, PsemError
 from .mathutil import bisect, norm_cdf, norm_quantile
 from .weights import WeightedRecords
@@ -109,30 +109,36 @@ class SweepResult:
 
 def _extremes(ok: list[SweepCell], target: str) -> tuple[SweepCell, SweepCell]:
     """First cells, in grid order, holding the target's minimum and maximum."""
-    return (min(ok, key=lambda c: c.values[target]),
-            max(ok, key=lambda c: c.values[target]))
+    values = np.array([c.values[target] for c in ok])
+    return ok[values.argmin()], ok[values.argmax()]
 
 
 def sweep(weighted: WeightedRecords, config: SensitivityConfig,
           targets: tuple[str, ...] | None = None) -> SweepResult:
-    """Point fits at every grid point of the sensitivity region; fits with
-    covariance and contrast errors only at each target's argmin and argmax.
+    """Point estimates at every grid point of the sensitivity region, in one
+    array pass; fits with covariance and contrast errors only at each
+    target's argmin and argmax.
 
     ``targets`` defaults to every CEP target of the scenario. Grid-point
-    failures are recorded per cell rather than raised, unless every cell
-    fails. A cell whose covariance fit fails is marked failed and the
-    extremes are taken again over the remaining cells.
+    failures are recorded per cell, with the error ``fit_scenario`` raises
+    there, rather than raised, unless every cell fails. A cell whose
+    covariance fit fails is marked failed and the extremes are taken again
+    over the remaining cells.
     """
     names = config.scenario.targets
     result = SweepResult(config=config, cells=[], targets=tuple(targets or names))
-    for point in config.points():
-        try:
-            est = fit_scenario(weighted, point, with_cov=False)
-            values = target_map(est, config.contrast)(est.theta).tolist()
-            result.cells.append(SweepCell(point, dict(zip(names, values))))
-        except PsemError as exc:
-            result.cells.append(SweepCell(point, None,
-                                          error=f"{type(exc).__name__}: {exc}"))
+    points, axes = config.points(), config.axes()
+    # the grid flattened in points() order: the last axis varies fastest
+    beta = dict(zip(axes, (g.reshape(-1) for g in np.meshgrid(*axes.values(), indexing="ij"))))
+    try:
+        values, failed = fit_targets(weighted, config.scenario, beta, config.contrast)
+        rows = values.T.tolist()
+    except PsemError as exc:    # a beta-free failure fails every point
+        failed = dict.fromkeys(range(len(points)), exc)
+    for i, point in enumerate(points):
+        exc = failed.get(i)
+        result.cells.append(SweepCell(point, dict(zip(names, rows[i]))) if exc is None
+                            else SweepCell(point, None, error=f"{type(exc).__name__}: {exc}"))
     while ok := result.ok_cells():
         pending = {id(c): c for t in result.targets for c in _extremes(ok, t)
                    if c.cep is None}

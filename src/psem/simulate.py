@@ -161,25 +161,6 @@ def generate(config: GeneratorConfig):
     return pot, obs
 
 
-def apply_case_cohort(observed, nu: float, seed: int = 0):
-    """Mask markers of fully observed records per the case-cohort design:
-    a survivor stays measured iff they are a case or draw into the
-    Bernoulli(nu) subcohort. nu = 1 leaves every record unchanged."""
-    if not 0.0 < nu <= 1.0:
-        raise ConfigError(f"nu must lie in (0,1], got {nu}")
-    rng = _rng_for(seed, 1, 0)
-    sub = rng.random(len(observed)) < nu
-    out = []
-    for i, rec in enumerate(observed):
-        if rec.y_tau == 1 or rec.y == 1 or sub[i]:
-            out.append(rec)
-        else:
-            out.append(ObservedRecord(id=rec.id, z=rec.z, y_tau=rec.y_tau,
-                                      marker=Marker.MISSING, y=rec.y,
-                                      measured=0, w=rec.w))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact estimands by enumerating the generator law
 

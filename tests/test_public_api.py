@@ -10,7 +10,7 @@ PUBLIC = [
     "ObservedRecord", "OrderingError", "PositivityError", "PotentialRecord",
     "PsemError", "RiskEstimates", "Scenario", "SensitivityConfig",
     "SensitivityPoint", "SeparationError", "StudyConfig", "StudyResult",
-    "WeightModel", "WeightedRecords", "apply_case_cohort", "cep",
+    "WeightModel", "WeightedRecords", "cep",
     "check_assumptions", "core", "delta_method", "effective_sample", "errors",
     "estimate_identified", "eui", "fit_missingness", "fit_scenario",
     "generate", "interval_for", "load_csv", "mathutil", "mean_shift_cep",

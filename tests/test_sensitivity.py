@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psem
+from psem import core
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError
 from psem.mathutil import norm_cdf, norm_quantile
@@ -188,14 +189,29 @@ def test_eui_contains_ignorance_always():
         assert res.eui[0] <= res.ignorance[0] <= res.ignorance[1] <= res.eui[1]
 
 
-def test_widening_gamma_never_shrinks_interval():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        w = random_cb_dataset(rng, n=400)
-        inner = psem.interval_for(psem.sweep(w, b_config(-0.5, 0.5, g=5)), "mu")
-        outer = psem.interval_for(psem.sweep(w, b_config(-1.5, 1.5, g=7)), "mu")
-        assert outer.estimate_lower <= inner.estimate_lower + 1e-12
-        assert outer.estimate_upper >= inner.estimate_upper - 1e-12
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.sampled_from(list(Scenario)), seed=st.integers(0, 2**32 - 1),
+       nu=st.sampled_from([1.0, 0.5]), scale=st.floats(0.1, 1.0), extra=st.integers(1, 2))
+def test_widening_gamma_never_shrinks_interval(scenario, seed, nu, scale, extra):
+    # the outer grid keeps the inner spacing and adds ``extra`` points at
+    # each end of every axis, so it contains the inner points
+    w = scenario_dataset(scenario, seed, 1500, nu)
+    g = 3 if scenario is Scenario.C_PROTECT else 5
+    wide = scale + extra * 2 * scale / (g - 1)
+    inner_cfg, outer_cfg = (
+        SensitivityConfig(scenario, {k: (-r, r) for k in scenario.sensitivity_keys},
+                          grid_points=n)
+        for r, n in ((scale, g), (wide, g + 2 * extra)))
+    for k, axis in inner_cfg.axes().items():
+        assert np.abs(axis[:, None] - outer_cfg.axes()[k][None, :]).min(axis=1).max() <= 1e-12
+    try:
+        inner, outer = psem.sweep(w, inner_cfg), psem.sweep(w, outer_cfg)
+    except psem.PsemError:
+        assume(False)
+    for target in inner.targets:
+        i, o = psem.interval_for(inner, target), psem.interval_for(outer, target)
+        assert o.estimate_lower <= i.estimate_lower + 1e-12
+        assert o.estimate_upper >= i.estimate_upper - 1e-12
 
 
 def test_richardson_fixed_extreme_points_scenario_b():
@@ -232,6 +248,51 @@ def test_sweep_records_cell_failures():
     grid = psem.sweep(w, cfg)
     assert len(grid.cells) == 9
     assert len(grid.ok_cells()) >= 1
+
+
+def point_outcome(w, point, contrast):
+    """What a sweep cell holds at ``point`` before any covariance fit: the
+    error that the point fit or the contrast raises there, else the values
+    of every target."""
+    try:
+        est = psem.fit_scenario(w, point, with_cov=False)
+        return core.target_map(point.scenario, est.names, contrast)(est.theta).tolist()
+    except psem.PsemError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# grids where some cells fail in the array pass: no mixture root with logit
+# in [-45, 45] (C_harm), a mixture remainder outside [0, 1] (A; C_protect's
+# always-survivor shares cannot leave [0, 1] when the splits solve)
+FAILING_GRIDS = {
+    "C_harm": (lambda: random_cb_dataset(np.random.default_rng(31), n=200, a=0.9, b=0.1),
+               {"beta0": (-60, 60), "beta1_marginal": (-8, 8)}, 5, "no sign change"),
+    "A": (lambda: scenario_dataset(Scenario.A, 1, 1500, 0.5),
+          dict.fromkeys(Scenario.A.sensitivity_keys, (-10, 10)), 5, "lies outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("contrast", list(Contrast))
+@pytest.mark.parametrize("name", sorted(FAILING_GRIDS))
+def test_sweep_cell_errors_are_the_point_fit_errors(name, contrast):
+    make, ranges, g, message = FAILING_GRIDS[name]
+    w = make()
+    cfg = SensitivityConfig(Scenario(name), ranges, grid_points=g, contrast=contrast)
+    grid = psem.sweep(w, cfg)
+    array_errors = []
+    for cell in grid.cells:
+        expected = point_outcome(w, cell.point, contrast)
+        if isinstance(expected, str):
+            assert cell.error == expected
+            array_errors.append(expected)
+        elif cell.error is None:
+            assert list(cell.values.values()) == expected
+        else:       # failed in the covariance fit at an extreme
+            with pytest.raises(psem.PsemError) as info:
+                psem.cep(psem.fit_scenario(w, cell.point), contrast)
+            assert cell.error == f"{type(info.value).__name__}: {info.value}"
+    assert any(message in e for e in array_errors)
+    assert grid.ok_cells()
 
 
 def test_all_cells_failing_raises(worked_weighted):

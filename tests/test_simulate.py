@@ -7,7 +7,7 @@ import pytest
 
 from psem.errors import ConfigError
 from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _gen_arrays,
-                           _law, _rng_for, apply_case_cohort, generate,
+                           _law, _rng_for, generate,
                            oracle_estimands, run_study)
 
 
@@ -150,32 +150,6 @@ def test_study_config_checks_every_n_and_nu(sample):
     # rejected when built, before any study cell runs
     with pytest.raises(ConfigError):
         StudyConfig(design="B", **sample)
-
-
-def test_case_cohort_identity_at_full_fraction():
-    _, obs = generate(GeneratorConfig(design="B", n=500, a=0.4, b=0.5, seed=1))
-    assert apply_case_cohort(obs, 1.0, seed=3) == obs
-
-
-def test_case_cohort_masking_rate():
-    _, obs = generate(GeneratorConfig(design="B", n=100_000, a=0.4,
-                                      b=0.5, seed=2))
-    masked = apply_case_cohort(obs, 0.25, seed=4)
-    controls = [m for m in masked if m.y_tau == 0 and m.y == 0]
-    rate = sum(m.measured for m in controls) / len(controls)
-    assert rate == pytest.approx(0.25, abs=mc_tol(0.25, len(controls)))
-    for m in masked:
-        m.validate()
-        if m.y_tau == 0 and m.y == 1:
-            assert m.measured == 1          # cases always measured
-
-
-def test_case_cohort_all_cases_fully_measured():
-    from conftest import make_records
-    obs = make_records([(40, 1, 0, 0, 1), (40, 0, 0, 0, 1), (20, 1, 1, "*", 1)])
-    masked = apply_case_cohort(obs, 0.1, seed=9)
-    assert all(m.measured == 1 for m in masked)
-    assert masked == obs
 
 
 def test_study_seed_determinism():

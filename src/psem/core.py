@@ -78,13 +78,19 @@ class SensitivityPoint:
     values: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        legal = set(self.scenario.sensitivity_keys)
-        illegal = set(self.values) - legal
-        if illegal:
+        legal = _LEGAL_KEYS[self.scenario]
+        if not legal.issuperset(self.values):
             raise ConfigError(
-                f"sensitivity keys {sorted(illegal)} are not legal for "
-                f"scenario {self.scenario.value}; legal keys: {sorted(legal)}")
+                f"sensitivity keys {sorted(set(self.values) - legal)} are not legal "
+                f"for scenario {self.scenario.value}; legal keys: {sorted(legal)}")
         object.__setattr__(self, "values", dict(self.values))
+
+    @classmethod
+    def _on_grid(cls, scenario: Scenario, values: dict) -> "SensitivityPoint":
+        """A point of a grid whose keys were checked once: no check or copy."""
+        point = object.__new__(cls)
+        point.__dict__.update(scenario=scenario, values=values)
+        return point
 
     def get(self, key: str) -> float:
         return float(self.values.get(key, 0.0))
@@ -101,22 +107,13 @@ class Direction(enum.Enum):
 # ---------------------------------------------------------------------------
 # stacked-system plumbing
 
-FD_REL_STEP = 1e-6
-
-
-def _fd_step(scale: float) -> float:
-    """Step of size about FD_REL_STEP * scale, rounded to a power of two so
-    that x +/- h and the difference (x+h) - (x-h) stay exact for linear
-    maps."""
-    return 2.0 ** round(math.log2(FD_REL_STEP * max(1.0, scale)))
-
-
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
-    """Central-difference (m x p) Jacobian of f: R^p -> R^m, step
-    h_j ~ FD_REL_STEP * max(1, |theta_j|)."""
+    """Central-difference (m x p) Jacobian of f: R^p -> R^m. The step is
+    about 1e-6 max(1, |theta_j|), rounded to a power of two so that
+    theta_j +/- h and their difference stay exact."""
     cols = []
     for j in range(theta.size):
-        h = _fd_step(abs(theta[j]))
+        h = 2.0 ** round(math.log2(1e-6 * max(1.0, abs(theta[j]))))
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
@@ -124,24 +121,60 @@ def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np
     return np.array(cols).reshape(theta.size, -1).T
 
 
-def _delta(h: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
-           cov: np.ndarray) -> tuple[list[float], list[float]]:
-    """Values of a smooth map h: R^p -> R^m at theta and their variances
-    grad^T cov grad (floored at zero), each grad a row of one _fd_jacobian."""
-    values = np.asarray(h(theta), dtype=float).reshape(-1)
-    if not np.isfinite(values).all():
-        raise ValueError("g is not finite at theta_hat")
-    jac = np.ascontiguousarray(_fd_jacobian(h, theta))
-    if not np.isfinite(jac).all():
-        raise ValueError("g is not finite in a neighborhood of theta_hat")
-    return values.tolist(), [max(float(g @ cov @ g), 0.0) for g in jac]
-
-
 def delta_method(g: Callable[[np.ndarray], float], theta_hat, cov) -> tuple[float, float]:
-    """Value and variance of a smooth scalar map of theta_hat (see _delta)."""
-    (value,), (var,) = _delta(lambda t: float(g(t)), np.asarray(theta_hat, dtype=float),
-                              np.asarray(cov, dtype=float))
-    return value, var
+    """Value of a smooth scalar map g at theta_hat and its variance grad^T cov
+    grad (floored at zero); g is any callable, so grad is by _fd_jacobian."""
+    theta = np.asarray(theta_hat, dtype=float)
+    value = float(g(theta))
+    if not math.isfinite(value):
+        raise ValueError("g is not finite at theta_hat")
+    grad = _fd_jacobian(lambda t: float(g(t)), theta)[0]
+    if not np.isfinite(grad).all():
+        raise ValueError("g is not finite in a neighborhood of theta_hat")
+    return value, max(float(grad @ np.asarray(cov, dtype=float) @ grad), 0.0)
+
+
+def _col(c):
+    """A value, shaped to scale a gradient with a trailing axis."""
+    return c[..., None] if isinstance(c, np.ndarray) else c
+
+
+class _Dual:
+    """Forward-mode dual number (Griewank and Walther, 2008): a value (float or
+    array) and its gradient, whose trailing axis of length p broadcasts against
+    the value's shape. In ``+ - *``, numpy operands defer to it as constants."""
+
+    __slots__ = ("v", "g")
+    __array_ufunc__ = None
+
+    def __init__(self, v, g):
+        self.v, self.g = v, g
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v + o.v, self.g + o.g)
+        return _Dual(self.v + o, self.g)
+
+    def __sub__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v - o.v, self.g - o.g)
+        return _Dual(self.v - o, self.g)
+
+    def __rsub__(self, o):
+        return _Dual(o - self.v, -self.g)
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v * o.v, self.g * _col(o.v) + _col(self.v) * o.g)
+        return _Dual(self.v * o, self.g * _col(o))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _expit(x: _Dual) -> _Dual:
+    """mathutil.expit on duals: d expit = e (1 - e) dx, overflow-free on arrays."""
+    e = expit(x.v) if np.ndim(x.v) == 0 else np.exp(-np.logaddexp(0.0, -x.v))
+    return _Dual(e, x.g * _col(e * (1.0 - e)))
 
 
 class _Stack:
@@ -152,8 +185,8 @@ class _Stack:
     are computed blockwise by the scenario builders: floats before the
     first mixture solve, then one value per Gamma point (a scalar at one
     point), failing elementwise through ``checks``. This class assembles
-    the sandwich at one point and verifies the stacked residual. With
-    cell counts c_i, n = sum_i c_i and per-cell rows psi_i(theta):
+    the sandwich at one point, rows and exact Jacobian from one _Dual pass,
+    and checks the stacked residual. With counts c_i, n = sum_i c_i, rows psi_i:
 
         A = d/dtheta (1/n) sum_i c_i psi_i,   B = (1/n) sum_i c_i psi_i psi_i^T,
         cov(theta_hat) = A^{-1} B A^{-T} / n.
@@ -189,26 +222,22 @@ class _Stack:
             out[j] = self.sol[name]
         return out
 
-    def contribs(self, theta: np.ndarray) -> np.ndarray:
-        d = dict(zip(self.names, theta))
-        ncells = len(self.cells.count)
-        cols = np.empty((ncells, len(self.names)))
-        for j, fn in enumerate(self.fns):
-            cols[:, j] = fn(d)
-        return cols
-
     def sandwich(self) -> tuple[np.ndarray, np.ndarray]:
         count = self.cells.count
         n = float(count.sum())
         theta = self.theta()
-        u = self.contribs(theta)
+        d = dict(zip(self.names, map(_Dual, theta, np.eye(theta.size))))
+        grad = np.empty((theta.size, count.size, theta.size))
+        u = np.empty(grad.shape[1:])
+        for j, row in enumerate(fn(d) for fn in self.fns):
+            u[:, j], grad[j] = row.v, row.g
         resid = float(np.max(np.abs(count @ u / n)))
         if resid > 1e-8:
             raise EstimationError(
                 f"stacked residual {resid:.3e} exceeds tolerance; the "
                 "blockwise solution is inconsistent", theta=theta, residual=resid)
         meat = (u * count[:, None]).T @ u / n
-        bread = _fd_jacobian(lambda t: count @ self.contribs(t) / n, theta)
+        bread = count @ grad / n
         try:
             bread_inv = np.linalg.inv(bread)
         except np.linalg.LinAlgError:
@@ -252,7 +281,7 @@ def _split(st: "_Stack", a: str, b: str, target: str, w: str, beta: float,
            w_b: str | None = None) -> tuple[float, float]:
     """Odds-ratio split of the mixture ``target`` = w a + (1 - w) b, with
     odds(a)/odds(b) = exp(beta) as a product-form row (polynomial, so
-    finite-difference safe at boundary risks). ``w_b`` names b's weight
+    defined at boundary risks, where odds are not). ``w_b`` names b's weight
     where it is a parameter of its own. Adds both rows; returns (a, b)."""
     va, vb = solve_logit_mixture(st.sol[target], st.sol[w], beta, st.checks)
     st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - math.exp(beta) * d[b] * (1.0 - d[a]))
@@ -269,10 +298,10 @@ def _selection(st: "_Stack", alpha: str, out: str, lo: str, hi: str, q: str,
     rho = st.sol[lo] / st.sol[hi]
     w1, w0 = solve_logit_mixture(rho, st.sol[q], beta, st.checks)
     a, adjusted = np.log(w0 / (1.0 - w0)), w1 * st.sol[q] / rho
-    st.add(alpha, a, lambda d: d[lo] - d[hi] * ((1 - d[q]) * expit(d[alpha])
-                                                + d[q] * expit(d[alpha] + beta)))
+    st.add(alpha, a, lambda d: d[lo] - d[hi] * ((1 - d[q]) * _expit(d[alpha])
+                                                + d[q] * _expit(d[alpha] + beta)))
     st.add(out, adjusted,
-           lambda d: d[out] * d[lo] - expit(d[alpha] + beta) * d[q] * d[hi])
+           lambda d: d[out] * d[lo] - _expit(d[alpha] + beta) * d[q] * d[hi])
     return a, adjusted
 
 
@@ -366,10 +395,7 @@ def _check_unit_interval(st: "_Stack", name: str, value, context: str) -> None:
 def _finalize(st: "_Stack", with_cov: bool, report: list[str] | None = None):
     """Extract (names, theta, cov) from a solved stack, optionally skipping
     the sandwich (point-estimate-only path used inside grid sweeps)."""
-    if with_cov:
-        theta, cov = st.sandwich()
-    else:
-        theta, cov = st.theta(), None
+    theta, cov = st.sandwich() if with_cov else (st.theta(), None)
     if report is None:
         return tuple(st.names), theta, cov
     idx = [st.names.index(nm) for nm in report]
@@ -443,6 +469,12 @@ class Contrast(enum.Enum):
                lambda v: f"log relative risk undefined: active risk {v} is not positive", x)
         return np.log(x / y)
 
+    def gradient(self, x: float, y: float) -> tuple[float, float]:
+        """(dh/dx, dh/dy) at risks (x, y) where h is defined."""
+        if self is Contrast.ADDITIVE:
+            return 1.0, -1.0
+        return (-1.0 / y, x / y / y) if self is Contrast.VE else (1.0 / x, -1.0 / y)
+
 
 @dataclass
 class CepResult:
@@ -482,18 +514,24 @@ def target_map(scenario: Scenario, names: tuple[str, ...], contrast: Contrast,
 def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
     """Per-stratum contrasts of the fitted risks with delta-method errors.
 
-    Every target is a row of one ``target_map`` with one Jacobian, so the
-    standard error of mu = CEP(1,0) - CEP(0,0) carries all covariances
-    among the four risks involved.
+    Every target is a row of one ``target_map``, whose Jacobian is exact
+    (``Contrast.gradient``), so the standard error of mu = CEP(1,0) -
+    CEP(0,0) carries all covariances among the four risks involved.
     """
     if isinstance(contrast, str):
         contrast = Contrast(contrast.lower())
     if estimates.cov is None:
         raise EstimationError("contrast errors need a fit with covariance")
-    values, variances = _delta(target_map(estimates.scenario, estimates.names, contrast),
-                               estimates.theta, estimates.cov)
-    ses = [math.sqrt(v) for v in variances]
-    strata = estimates.scenario.strata
+    names, theta, strata = estimates.names, estimates.theta, estimates.scenario.strata
+    values = target_map(estimates.scenario, names, contrast)(theta).tolist()
+    jac = np.zeros((len(values), theta.size))
+    for row, s in zip(jac, strata):
+        idx = [names.index(f"risk1_{s}"), names.index(f"risk0_{s}")]
+        row[idx] = contrast.gradient(*theta[idx].tolist())
+    jac[-1] = jac[1] - jac[0]
+    if not (np.isfinite(values).all() and np.isfinite(jac).all()):
+        raise ValueError("the contrast or its gradient is not finite at theta_hat")
+    ses = [math.sqrt(max(float(g @ estimates.cov @ g), 0.0)) for g in jac]
     return CepResult(contrast=contrast, values=dict(zip(strata, values)),
                      ses=dict(zip(strata, ses)), mu=values[-1], mu_se=ses[-1],
                      sensitivity=estimates.sensitivity)
@@ -792,6 +830,7 @@ _SCENARIOS = {
         ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10", "risk0_00",
          "risk0_10", "eh_risk", "phi_r"]),
 }
+_LEGAL_KEYS = {scenario: frozenset(row.keys) for scenario, row in _SCENARIOS.items()}
 
 
 def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,

@@ -75,7 +75,7 @@ class SensitivityConfig:
     def points(self) -> list[SensitivityPoint]:
         axes = self.axes()
         keys = list(axes)
-        return [SensitivityPoint(self.scenario, dict(zip(keys, combo)))
+        return [SensitivityPoint._on_grid(self.scenario, dict(zip(keys, combo)))
                 for combo in itertools.product(*(axes[k] for k in keys))]
 
 

@@ -27,7 +27,6 @@ import functools
 import itertools
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -357,6 +356,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         one = functools.partial(_one_replicate, cell["design"], cell["n"],
                                 cell["nu"], a, b, gamma, config.seed, cell_id)
         if config.threads > 1:
+            from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 outs = list(pool.map(one, reps, chunksize=math.ceil(
                     config.replicates / (4 * config.threads))))

@@ -576,7 +576,8 @@ def test_check_assumptions_reversed_rates():
 
 
 def test_sensitivity_point_key_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"\['beta1_marginal'\] are not legal "
+                       r"for scenario B; legal keys: \['beta0'\]"):
         SensitivityPoint(Scenario.B, {"beta1_marginal": 0.5})
     point = SensitivityPoint(Scenario.C_HARM, {"beta1_marginal": 0.5})
     assert point.get("beta0") == 0.0

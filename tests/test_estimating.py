@@ -10,6 +10,7 @@ import psem
 from psem import core
 from psem.core import Scenario, SensitivityPoint, delta_method
 from psem.errors import PsemError
+from psem.mathutil import expit
 from psem.weights import WeightModel
 
 from conftest import (make_records, random_cb_dataset, scenario_dataset,
@@ -41,6 +42,14 @@ def test_identified_subgroup_mean_se_is_closed_form():
                                                  abs=1e-12)
 
 
+def _rows_at(st, theta):
+    """Per-cell values (ncells x p) of every row of ``st`` at theta, from
+    constant duals (zero gradient), so nothing here is differentiated."""
+    d = {name: core._Dual(t, 0.0) for name, t in zip(st.names, theta)}
+    return np.column_stack([np.broadcast_to(fn(d).v, st.cells.count.shape)
+                            for fn in st.fns])
+
+
 def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
     stacks = []
     real_finalize = core._finalize
@@ -67,7 +76,7 @@ def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
         n = cells_of_records.size
 
         def per_record(theta):
-            return st.contribs(theta)[cells_of_records]
+            return _rows_at(st, theta)[cells_of_records]
 
         theta = st.theta()
         u = per_record(theta)
@@ -120,6 +129,98 @@ def test_fit_invariant_to_record_order(counts, beta, seed):
         return out
 
     assert fits(records) == fits(shuffled)
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives: dual numbers against analytic and finite differences
+
+
+def test_dual_arithmetic_matches_analytic_derivatives():
+    x = core._Dual(0.3, np.array([1.0, 0.0]))
+    y = core._Dual(-1.2, np.array([0.0, 1.0]))
+    a, c = np.array([0.5, 2.0, -1.0]), np.float64(1.7)
+    cases = [   # (dual result, value, gradient in (x, y))
+        (x * y + c, 0.3 * -1.2 + 1.7, [-1.2, 0.3]),
+        (c - x * y, 1.7 - 0.3 * -1.2, [1.2, -0.3]),
+        (c * x - y * c, 1.7 * 1.5, [1.7, -1.7]),
+        (x - c + 2.0 * y, 0.3 - 1.7 - 2.4, [1.0, 2.0]),
+        (a * x, a * 0.3, np.outer(a, [1.0, 0.0])),
+        (y * a - a, a * -1.2 - a, np.outer(a, [0.0, 1.0])),
+        (a - x * y, a + 0.36, np.broadcast_to([1.2, -0.3], (3, 2))),
+        (c + y, 1.7 - 1.2, [0.0, 1.0]),
+        ((a + x) * (y - a), (0.3 + a) * (-1.2 - a),
+         np.column_stack([-1.2 - a, 0.3 + a])),
+        (1.0 + (a * x) * (y + c), 1.0 + a * 0.3 * 0.5,
+         np.column_stack([a * 0.5, a * 0.3])),
+    ]
+    e = expit(0.3 * -1.2 + 1.7)
+    cases.append((core._expit(x * y + c), e, e * (1 - e) * np.array([-1.2, 0.3])))
+    ea = np.array([expit(v) for v in a * 0.3 - 1.2])
+    cases.append((core._expit(a * x + y), ea,
+                  (ea * (1 - ea))[:, None] * np.column_stack([a, np.ones(3)])))
+    for dual, value, grad in cases:
+        assert isinstance(dual, core._Dual)
+        assert np.allclose(dual.v, value, rtol=1e-15, atol=1e-15)
+        assert np.allclose(np.broadcast_to(dual.g, np.shape(value) + (2,)), grad,
+                           rtol=1e-14, atol=1e-15)
+    assert core._expit(core._Dual(0.25, 0.0)).v == expit(0.25)
+
+
+def _fd_cov(st):
+    """(theta, cov) of ``st``'s sandwich with a central-difference bread."""
+    count = st.cells.count
+    n = count.sum()
+    theta = st.theta()
+    u = _rows_at(st, theta)
+    binv = np.linalg.inv(core._fd_jacobian(lambda t: count @ _rows_at(st, t) / n, theta))
+    return theta, binv @ ((u * count[:, None]).T @ u / n) @ binv.T / n
+
+
+def _assert_rel_close(exact, reference, rtol=1e-7):
+    exact, reference = np.asarray(exact), np.asarray(reference)
+    assert np.all(np.abs(exact - reference) <= rtol * np.abs(reference)), (exact, reference)
+
+
+@pytest.mark.parametrize("kind", [*Scenario, "selection_sace"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16), betas=st.lists(st.floats(-1.5, 1.5), min_size=4,
+                                                  max_size=4))
+def test_exact_ses_match_finite_differences(kind, seed, betas):
+    stacks = []
+    real_finalize = core._finalize
+
+    def capture(st, with_cov, report=None):
+        stacks.append(st)
+        return real_finalize(st, with_cov, report)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_finalize", capture)
+        try:
+            if kind == "selection_sace":   # arm-1 survival below arm-0's: standard
+                w = scenario_dataset(Scenario.C_HARM, seed, 1500, 0.5)
+                fit = psem.selection_sace(w, lambda r: 1 - r.y_tau, betas[0])
+            else:
+                w = scenario_dataset(kind, seed, 1500, 0.5)
+                fit = psem.fit_scenario(w, SensitivityPoint(
+                    kind, dict(zip(kind.sensitivity_keys, betas))))
+        except PsemError:
+            return
+    (stack,) = stacks
+    theta, cov = _fd_cov(stack)
+    report = ("p11t", "p11c") if kind == "selection_sace" else fit.names
+    idx = [stack.names.index(name) for name in report]
+    cov = cov[np.ix_(idx, idx)]
+    _assert_rel_close(np.sqrt(np.diag(fit.cov)), np.sqrt(np.diag(cov)))
+    if kind == "selection_sace":
+        return
+    for contrast in core.Contrast:
+        try:
+            exact = psem.cep(fit, contrast)
+        except PsemError:
+            continue
+        jac = core._fd_jacobian(core.target_map(kind, fit.names, contrast), theta[idx])
+        _assert_rel_close([*exact.ses.values(), exact.mu_se],
+                          np.sqrt(np.diag(jac @ cov @ jac.T)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_config_validation():
             SensitivityConfig(scenario=Scenario.B, ranges={"beta0": bad})
 
 
+def test_grid_points_equal_checked_points():
+    for scenario in Scenario:
+        ranges = dict.fromkeys(scenario.sensitivity_keys, (-1.0, 1.0))
+        points = SensitivityConfig(scenario, ranges, grid_points=3).points()
+        assert len(points) == 3 ** len(ranges)
+        assert points == [SensitivityPoint(scenario, p.values) for p in points]
+
+
 def test_grid_construction():
     cfg = b_config(0.0, 0.0)
     assert len(cfg.points()) == 1
@@ -293,6 +301,18 @@ def test_sweep_cell_errors_are_the_point_fit_errors(name, contrast):
             assert cell.error == f"{type(info.value).__name__}: {info.value}"
     assert any(message in e for e in array_errors)
     assert grid.ok_cells()
+
+
+def test_ve_sweep_keeps_cells_with_tiny_control_risk():
+    # exact contrast gradients evaluate VE only at the fitted risks: a control
+    # risk below a central-difference step (2^-20) no longer fails its cell
+    make, ranges, g, _ = FAILING_GRIDS["C_harm"]
+    cfg = SensitivityConfig(Scenario.C_HARM, ranges, grid_points=g, contrast=Contrast.VE)
+    grid = psem.sweep(make(), cfg)
+    errors = [c.error for c in grid.cells if c.error is not None]
+    assert len(grid.ok_cells()) == 20
+    assert len(errors) == 5
+    assert all(e.startswith("IncompatibleSensitivityError: no sign change") for e in errors)
 
 
 def test_all_cells_failing_raises(worked_weighted):

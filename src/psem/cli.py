@@ -112,7 +112,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
                              _fmt(res.c_alpha)])
         gamma_results.append({"gamma": label, "ranges": {
             k: list(v) for k, v in sens.ranges.items()},
-            "grid_failures": len(grid.cells) - len(grid.ok_cells()),
+            "grid_failures": len(grid.errors),
             "intervals": intervals})
 
     payload = {

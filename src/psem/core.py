@@ -85,13 +85,6 @@ class SensitivityPoint:
                 f"for scenario {self.scenario.value}; legal keys: {sorted(legal)}")
         object.__setattr__(self, "values", dict(self.values))
 
-    @classmethod
-    def _on_grid(cls, scenario: Scenario, values: dict) -> "SensitivityPoint":
-        """A point of a grid whose keys were checked once: no check or copy."""
-        point = object.__new__(cls)
-        point.__dict__.update(scenario=scenario, values=values)
-        return point
-
     def get(self, key: str) -> float:
         return float(self.values.get(key, 0.0))
 

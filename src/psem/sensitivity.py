@@ -18,8 +18,8 @@ the equation above is the estimate spread in standard-error units.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,6 +53,8 @@ class SensitivityConfig:
                 raise ConfigError(f"range for {k} must be finite: [{lo}, {hi}]")
             if lo > hi:
                 raise ConfigError(f"range for {k} has lower > upper: [{lo}, {hi}]")
+        if not isinstance(self.grid_points, numbers.Integral):
+            raise ConfigError(f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 2 and any(lo < hi for lo, hi in self.ranges.values()):
             raise ConfigError("grid_points must be >= 2 for a nondegenerate range")
         if not 0.0 < self.alpha < 0.5:
@@ -64,19 +66,16 @@ class SensitivityConfig:
             raise ConfigError(f"sensitivity grid has {cells} cells; lower "
                               "grid_points or shrink the region")
 
-    def axes(self) -> dict[str, np.ndarray]:
-        out = {}
-        for key in self.scenario.sensitivity_keys:
-            lo, hi = self.ranges.get(key, (0.0, 0.0))
-            out[key] = (np.array([lo]) if lo == hi
-                        else np.linspace(lo, hi, self.grid_points))
-        return out
-
-    def points(self) -> list[SensitivityPoint]:
-        axes = self.axes()
-        keys = list(axes)
-        return [SensitivityPoint._on_grid(self.scenario, dict(zip(keys, combo)))
-                for combo in itertools.product(*(axes[k] for k in keys))]
+    def grid(self) -> np.ndarray:
+        """The Gamma points as a (G, K) array, columns in
+        ``scenario.sensitivity_keys`` order and the last varying fastest:
+        ``grid_points`` evenly spaced values on each nondegenerate range,
+        the one value of a degenerate range, 0 on a key without a range."""
+        axes = [np.array([lo], dtype=float) if lo == hi
+                else np.linspace(lo, hi, self.grid_points)
+                for lo, hi in (self.ranges.get(k, (0.0, 0.0))
+                               for k in self.scenario.sensitivity_keys)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
@@ -87,30 +86,34 @@ def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
 
 
 @dataclass
-class SweepCell:
-    """One grid point. ``values`` holds the point estimate of every sweep
-    target; ``cep``, from a fit with covariance, is set where the cell holds
-    a target's extreme."""
-    point: SensitivityPoint
-    values: dict[str, float] | None
-    cep: CepResult | None = None
-    error: str | None = None
-
-
-@dataclass
 class SweepResult:
+    """The sweep over the (G, K) Gamma points ``cells``. ``values`` (T, G)
+    holds every target of the scenario, rows in ``scenario.targets`` order,
+    at every point; ``errors`` each failed point's first error by index,
+    where its column is meaningless; ``ceps`` the fit with covariance at
+    each point holding a sweep target's extreme."""
     config: SensitivityConfig
-    cells: list[SweepCell]
     targets: tuple[str, ...]
+    cells: np.ndarray
+    values: np.ndarray
+    errors: dict[int, str]
+    ceps: dict[int, CepResult] = field(default_factory=dict)
 
-    def ok_cells(self) -> list[SweepCell]:
-        return [c for c in self.cells if c.error is None]
+    def row(self, target: str) -> np.ndarray:
+        return self.values[self.config.scenario.targets.index(target)]
 
+    def extremes(self, target: str) -> tuple[int, int]:
+        """First points, in grid order, holding the target's minimum and
+        maximum over the points that did not fail."""
+        ok = np.ones(len(self.cells), dtype=bool)
+        ok[list(self.errors)] = False
+        idx = np.flatnonzero(ok)
+        row = self.row(target)[idx]
+        return int(idx[row.argmin()]), int(idx[row.argmax()])
 
-def _extremes(ok: list[SweepCell], target: str) -> tuple[SweepCell, SweepCell]:
-    """First cells, in grid order, holding the target's minimum and maximum."""
-    values = np.array([c.values[target] for c in ok])
-    return ok[values.argmin()], ok[values.argmax()]
+    def point(self, i: int) -> SensitivityPoint:
+        return SensitivityPoint(self.config.scenario, dict(
+            zip(self.config.scenario.sensitivity_keys, self.cells[i].tolist())))
 
 
 def sweep(weighted: WeightedRecords, config: SensitivityConfig,
@@ -120,37 +123,38 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
     target's argmin and argmax.
 
     ``targets`` defaults to every CEP target of the scenario. Grid-point
-    failures are recorded per cell, with the error ``fit_scenario`` raises
-    there, rather than raised, unless every cell fails. A cell whose
+    failures are recorded by index, with the error ``fit_scenario`` raises
+    there, rather than raised, unless every point fails. A point whose
     covariance fit fails is marked failed and the extremes are taken again
-    over the remaining cells.
+    over the remaining points.
     """
     names = config.scenario.targets
-    result = SweepResult(config=config, cells=[], targets=tuple(targets or names))
-    points, axes = config.points(), config.axes()
-    # the grid flattened in points() order: the last axis varies fastest
-    beta = dict(zip(axes, (g.reshape(-1) for g in np.meshgrid(*axes.values(), indexing="ij"))))
+    targets = tuple(targets or names)
+    if unknown := [t for t in targets if t not in names]:
+        raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
+                          f"{config.scenario.value}; targets: {list(names)}")
+    cells, keys = config.grid(), config.scenario.sensitivity_keys
     try:
-        values, failed = fit_targets(weighted, config.scenario, beta, config.contrast)
-        rows = values.T.tolist()
+        values, failed = fit_targets(weighted, config.scenario, dict(zip(keys, cells.T)),
+                                     config.contrast)
     except PsemError as exc:    # a beta-free failure fails every point
-        failed = dict.fromkeys(range(len(points)), exc)
-    for i, point in enumerate(points):
-        exc = failed.get(i)
-        result.cells.append(SweepCell(point, dict(zip(names, rows[i]))) if exc is None
-                            else SweepCell(point, None, error=f"{type(exc).__name__}: {exc}"))
-    while ok := result.ok_cells():
-        pending = {id(c): c for t in result.targets for c in _extremes(ok, t)
-                   if c.cep is None}
+        values = np.full((len(names), len(cells)), np.nan)
+        failed = dict.fromkeys(range(len(cells)), exc)
+    result = SweepResult(config, targets, cells, values,
+                         {i: f"{type(e).__name__}: {e}" for i, e in failed.items()})
+    while len(result.errors) < len(cells):
+        pending = [i for i in dict.fromkeys(i for t in targets for i in result.extremes(t))
+                   if i not in result.ceps]
         if not pending:
             return result
-        for cell in pending.values():
+        for i in pending:
             try:
-                cell.cep = cep(fit_scenario(weighted, cell.point), config.contrast)
+                result.ceps[i] = cep(fit_scenario(weighted, result.point(i)),
+                                     config.contrast)
             except PsemError as exc:
-                cell.error = f"{type(exc).__name__}: {exc}"
+                result.errors[i] = f"{type(exc).__name__}: {exc}"
     raise EstimationError("every sensitivity grid point failed; first error: "
-                          + str(result.cells[0].error))
+                          + result.errors[min(result.errors)])
 
 
 @dataclass
@@ -230,32 +234,30 @@ def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
     if target not in grid.targets:
         raise KeyError(f"{target!r} is not a target of this sweep; "
                        f"targets: {list(grid.targets)}")
-    ok = grid.ok_cells()
-    if not ok:
+    if len(grid.errors) == len(grid.cells):
         raise EstimationError("no successful grid cells")
-    lo, hi = _extremes(ok, target)
-    axes = grid.config.axes()
-
-    def on_corner(cell):
-        return all(cell.point.get(k) in (v[0], v[-1]) for k, v in axes.items())
-
-    on_corners = on_corner(lo) and on_corner(hi)
+    lo, hi = grid.extremes(target)
+    cells = grid.cells
+    corner = ((cells == cells.min(axis=0)) | (cells == cells.max(axis=0))).all(axis=1)
+    on_corners = bool(corner[lo] and corner[hi])
     if not on_corners and grid.config.scenario is Scenario.B:
-        failed = [c for c in grid.cells if c.error and on_corner(c)]
+        keys = grid.config.scenario.sensitivity_keys
+        failed = [i for i in sorted(grid.errors) if corner[i]]
         cause = "check for numerical problems"
         if failed:
             cause = ("the fit failed at region corner(s) " + "; ".join(
-                "(" + ", ".join(f"{k}={v:g}" for k, v in c.point.as_dict().items())
-                + f": {c.error})" for c in failed)
+                "(" + ", ".join(f"{k}={v:g}" for k, v in zip(keys, cells[i].tolist()))
+                + f": {grid.errors[i]})" for i in failed)
                 + ", so the interval covers a narrowed region")
         warnings.warn(
             f"ignorance-interval extremes for {target} fall inside the "
             "sensitivity region in scenario B, where the estimate is "
             f"monotone; {cause}", RuntimeWarning, stacklevel=2)
-    (_, se_l), (_, se_u) = lo.cep.get(target), hi.cep.get(target)
-    res = eui(lo.values[target], se_l, hi.values[target], se_u,
+    (_, se_l), (_, se_u) = grid.ceps[lo].get(target), grid.ceps[hi].get(target)
+    row = grid.row(target)
+    res = eui(float(row[lo]), se_l, float(row[hi]), se_u,
               grid.config.alpha, target=target)
-    res.point_lower, res.point_upper = lo.point, hi.point
+    res.point_lower, res.point_upper = grid.point(lo), grid.point(hi)
     res.extrema_on_corners = on_corners
     return res
 

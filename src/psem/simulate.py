@@ -321,9 +321,8 @@ def _one_replicate(design, n, nu, a, b, gamma, seed, cell_id, rep):
         grid = sweep(weighted, gamma, targets=("mu",))
     except PsemError as exc:
         return f"{type(exc).__name__}: {exc}"
-    for cell in grid.cells:
-        if cell.error is not None:
-            return cell.error
+    if grid.errors:
+        return grid.errors[min(grid.errors)]
     res = interval_for(grid, "mu")
     return (res.estimate_lower, res.se_lower, res.estimate_upper, res.se_upper,
             *res.eui)

@@ -43,22 +43,23 @@ class WeightModel:
 
     @staticmethod
     def design_known(nu: float, eps: float = 0.01) -> "WeightModel":
-        if not 0.0 < nu <= 1.0:
-            raise DataError(f"subcohort fraction nu must be in (0,1], got {nu}")
         return WeightModel(kind="design", nu=nu, eps=eps)
 
     @staticmethod
     def estimated_logistic(terms=("intercept", "y"), eps: float = 0.01) -> "WeightModel":
-        terms = tuple(terms)
-        bad = [t for t in terms if t not in ALLOWED_TERMS]
-        if bad:
-            raise DataError(f"unsupported weight-model terms {bad}; "
-                            f"allowed: {list(ALLOWED_TERMS)}")
-        if "intercept" not in terms:
-            raise DataError("the weight model must include an intercept")
-        return WeightModel(kind="logistic", terms=terms, eps=eps)
+        return WeightModel(kind="logistic", terms=tuple(terms), eps=eps)
 
     def __post_init__(self):
+        if self.kind not in ("design", "logistic"):
+            raise DataError(f"weight model kind must be 'design' or 'logistic', got {self.kind!r}")
+        if self.kind == "design" and (self.nu is None or not 0.0 < self.nu <= 1.0):
+            raise DataError(f"subcohort fraction nu must be in (0,1], got {self.nu}")
+        if self.kind == "logistic":
+            if bad := [t for t in self.terms if t not in ALLOWED_TERMS]:
+                raise DataError(f"unsupported weight-model terms {bad}; "
+                                f"allowed: {list(ALLOWED_TERMS)}")
+            if "intercept" not in self.terms:
+                raise DataError("the weight model must include an intercept")
         if not 0.0 < self.eps < 0.5:
             raise DataError(f"weight floor eps must be in (0, 0.5), got {self.eps}")
 

@@ -16,3 +16,32 @@ WRAPPED = _tracer.WRAPPED
                          ids=[f"{m}.{a}" for m, a, *_ in WRAPPED])
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_tracer_notes_read_a_real_analysis(tmp_path, worked_blocks):
+    """A traced ``psem analyze`` yields the layer metrics that read the sweep
+    and interval results, and restoring puts every original back."""
+    from psem.cli import main
+    from psem.records import write_csv
+
+    from conftest import make_records
+
+    data, out = tmp_path / "worked.csv", tmp_path / "out"
+    write_csv(make_records(worked_blocks), data)
+    cfg = tmp_path / "analysis.ini"
+    cfg.write_text(f"[data]\npath = {data}\n[scenario]\nname = B\n"
+                   f"[sensitivity]\nscales = 0, 0.5\ngrid_points = 3\n"
+                   f"[output]\ndir = {out}\n", encoding="utf-8")
+    originals = {(m, a): getattr(importlib.import_module(m), a) for m, a, *_ in WRAPPED}
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        assert tracer.run("cli.analyze", main, ["analyze", "--config", str(cfg)]) == 0
+    finally:
+        tracer.restore()
+    metrics = _tracer.layer_metrics(tracer.spans, tracer.op)
+    # scale 0 is a single point, scale 0.5 a 3-point beta0 axis
+    assert metrics["sensitivity.sweep.cells"] == 1 + 3
+    assert metrics["sensitivity.cov_fit_useful_share"] > 0
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(module), attr) is original

@@ -470,20 +470,20 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     config = sensitivity.SensitivityConfig(
         scenario=Scenario.B, ranges={"beta0": (-1.0, 1.0)}, grid_points=5)
     grid = sensitivity.sweep(weighted, config, targets=("mu",))
-    points = [c.point for c in grid.cells]
+    points = [grid.point(i) for i in range(len(grid.cells))]
     bad = points.index(failed[0])
     assert bad in (0, 4)                   # mu is monotone in beta0
-    assert grid.cells[bad].error == "EstimationError: injected"
-    nxt = grid.cells[1 if bad == 0 else 3]
+    assert grid.errors[bad] == "EstimationError: injected"
+    nxt = 1 if bad == 0 else 3
     with pytest.warns(RuntimeWarning, match="inside the sensitivity region") as rec:
         res = sensitivity.interval_for(grid, "mu")     # the corner check runs
     corner = f"beta0={failed[0].get('beta0'):g}"
     assert (f"fit failed at region corner(s) ({corner}: EstimationError: injected)"
             ", so the interval covers a narrowed region") in str(rec[0].message)
-    assert nxt.point in (res.point_lower, res.point_upper)
-    assert nxt.values["mu"] in res.ignorance
-    assert nxt.cep.mu_se in (res.se_lower, res.se_upper)
-    assert len(grid.cells) - len(grid.ok_cells()) == 1
+    assert points[nxt] in (res.point_lower, res.point_upper)
+    assert grid.row("mu")[nxt] in res.ignorance
+    assert grid.ceps[nxt].mu_se in (res.se_lower, res.se_upper)
+    assert len(grid.errors) == 1
 
     failed.clear()
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,12 @@ from psem.mathutil import norm_cdf, norm_quantile
 from psem.sensitivity import SensitivityConfig, solve_c_alpha
 
 from conftest import fit, random_cb_dataset, scenario_dataset
+
+
+def grid_points(cfg):
+    """The sweep's Gamma points of ``cfg`` as checked points, in grid order."""
+    keys = cfg.scenario.sensitivity_keys
+    return [SensitivityPoint(cfg.scenario, dict(zip(keys, row))) for row in cfg.grid().tolist()]
 
 
 def b_config(lo, hi, g=21, contrast=Contrast.ADDITIVE, alpha=0.05):
@@ -46,29 +53,35 @@ def test_config_validation():
     for bad in ((-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ConfigError, match="must be finite"):
             SensitivityConfig(scenario=Scenario.B, ranges={"beta0": bad})
+    with pytest.raises(ConfigError, match="grid_points must be an integer"):
+        SensitivityConfig(scenario=Scenario.B, ranges={"beta0": (-1, 1)},
+                          grid_points=2.5)
 
 
 def test_grid_points_equal_checked_points():
+    # rows in itertools.product order over the keys: the last varies fastest
+    axis = np.linspace(-1.0, 1.0, 3)
     for scenario in Scenario:
-        ranges = dict.fromkeys(scenario.sensitivity_keys, (-1.0, 1.0))
-        points = SensitivityConfig(scenario, ranges, grid_points=3).points()
-        assert len(points) == 3 ** len(ranges)
-        assert points == [SensitivityPoint(scenario, p.values) for p in points]
+        keys = scenario.sensitivity_keys
+        cfg = SensitivityConfig(scenario, dict.fromkeys(keys, (-1.0, 1.0)), grid_points=3)
+        assert cfg.grid().shape == (3 ** len(keys), len(keys))
+        assert grid_points(cfg) == [SensitivityPoint(scenario, dict(zip(keys, combo)))
+                                    for combo in itertools.product(axis, repeat=len(keys))]
 
 
 def test_grid_construction():
     cfg = b_config(0.0, 0.0)
-    assert len(cfg.points()) == 1
+    assert len(cfg.grid()) == 1
     cfg = b_config(-1.0, 1.0, g=21)
-    pts = [p.get("beta0") for p in cfg.points()]
+    pts = cfg.grid()[:, 0].tolist()
     assert len(pts) == 21 and pts[0] == -1.0 and pts[-1] == 1.0
     cfg2 = SensitivityConfig(scenario=Scenario.C_HARM,
                              ranges={"beta0": (-1, 1), "beta1_marginal": (-1, 1)},
                              grid_points=5)
-    pts2 = cfg2.points()
+    pts2 = cfg2.grid()
     assert len(pts2) == 25
     corners = {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
-    got = {(p.get("beta0"), p.get("beta1_marginal")) for p in pts2}
+    got = set(map(tuple, pts2.tolist()))      # columns: beta0, beta1_marginal
     assert corners <= got
 
 
@@ -76,7 +89,7 @@ def test_sweep_single_point_equals_plain_fit(worked_weighted):
     grid = psem.sweep(worked_weighted, b_config(0.0, 0.0))
     assert len(grid.cells) == 1
     direct = psem.cep(fit(worked_weighted, Scenario.B, beta0=0.0), Contrast.ADDITIVE)
-    assert grid.cells[0].values["mu"] == pytest.approx(direct.mu, abs=1e-14)
+    assert grid.row("mu")[0] == pytest.approx(direct.mu, abs=1e-14)
 
 
 def test_sweep_monotone_extremes_at_endpoints(worked_weighted):
@@ -84,7 +97,7 @@ def test_sweep_monotone_extremes_at_endpoints(worked_weighted):
     ii = psem.interval_for(grid, "mu")
     assert ii.extrema_on_corners
     assert ii.point_lower.get("beta0") in (-1.0, 1.0)
-    mus = [c.values["mu"] for c in grid.cells]
+    mus = grid.row("mu").tolist()
     assert min(mus) == mus[0] or min(mus) == mus[-1]
 
 
@@ -210,8 +223,10 @@ def test_widening_gamma_never_shrinks_interval(scenario, seed, nu, scale, extra)
         SensitivityConfig(scenario, {k: (-r, r) for k in scenario.sensitivity_keys},
                           grid_points=n)
         for r, n in ((scale, g), (wide, g + 2 * extra)))
-    for k, axis in inner_cfg.axes().items():
-        assert np.abs(axis[:, None] - outer_cfg.axes()[k][None, :]).min(axis=1).max() <= 1e-12
+    inner_grid, outer_grid = inner_cfg.grid(), outer_cfg.grid()
+    for axis, outer_axis in zip(inner_grid.T, outer_grid.T):
+        axis, outer_axis = np.unique(axis), np.unique(outer_axis)
+        assert np.abs(axis[:, None] - outer_axis[None, :]).min(axis=1).max() <= 1e-12
     try:
         inner, outer = psem.sweep(w, inner_cfg), psem.sweep(w, outer_cfg)
     except psem.PsemError:
@@ -255,7 +270,7 @@ def test_sweep_records_cell_failures():
                             grid_points=3)
     grid = psem.sweep(w, cfg)
     assert len(grid.cells) == 9
-    assert len(grid.ok_cells()) >= 1
+    assert len(grid.cells) - len(grid.errors) >= 1
 
 
 def point_outcome(w, point, contrast):
@@ -288,19 +303,20 @@ def test_sweep_cell_errors_are_the_point_fit_errors(name, contrast):
     cfg = SensitivityConfig(Scenario(name), ranges, grid_points=g, contrast=contrast)
     grid = psem.sweep(w, cfg)
     array_errors = []
-    for cell in grid.cells:
-        expected = point_outcome(w, cell.point, contrast)
+    for i in range(len(grid.cells)):
+        point = grid.point(i)
+        expected = point_outcome(w, point, contrast)
         if isinstance(expected, str):
-            assert cell.error == expected
+            assert grid.errors.get(i) == expected
             array_errors.append(expected)
-        elif cell.error is None:
-            assert list(cell.values.values()) == expected
+        elif i not in grid.errors:
+            assert grid.values[:, i].tolist() == expected
         else:       # failed in the covariance fit at an extreme
             with pytest.raises(psem.PsemError) as info:
-                psem.cep(psem.fit_scenario(w, cell.point), contrast)
-            assert cell.error == f"{type(info.value).__name__}: {info.value}"
+                psem.cep(psem.fit_scenario(w, point), contrast)
+            assert grid.errors[i] == f"{type(info.value).__name__}: {info.value}"
     assert any(message in e for e in array_errors)
-    assert grid.ok_cells()
+    assert len(grid.errors) < len(grid.cells)
 
 
 def test_ve_sweep_keeps_cells_with_tiny_control_risk():
@@ -309,10 +325,17 @@ def test_ve_sweep_keeps_cells_with_tiny_control_risk():
     make, ranges, g, _ = FAILING_GRIDS["C_harm"]
     cfg = SensitivityConfig(Scenario.C_HARM, ranges, grid_points=g, contrast=Contrast.VE)
     grid = psem.sweep(make(), cfg)
-    errors = [c.error for c in grid.cells if c.error is not None]
-    assert len(grid.ok_cells()) == 20
+    errors = list(grid.errors.values())
+    assert len(grid.cells) - len(errors) == 20
     assert len(errors) == 5
     assert all(e.startswith("IncompatibleSensitivityError: no sign change") for e in errors)
+
+
+def test_sweep_rejects_unknown_targets(worked_weighted):
+    for targets in (("foo",), ("mu", "cep_11")):     # cep_11 is scenario A's
+        with pytest.raises(ConfigError, match=r"not targets of scenario B; "
+                           r"targets: \['cep_00', 'cep_10', 'mu'\]"):
+            psem.sweep(worked_weighted, b_config(-1.0, 1.0, g=3), targets=targets)
 
 
 def test_all_cells_failing_raises(worked_weighted):
@@ -350,7 +373,7 @@ def full_cov_reference(w, cfg, target):
     every grid cell."""
     s = {"cep_00": "00", "cep_10": "10", "cep_11": "11"}.get(target)
     fits = []
-    for point in cfg.points():
+    for point in grid_points(cfg):
         c = psem.cep(psem.fit_scenario(w, point), cfg.contrast)
         fits.append((c.mu, c.mu_se, point) if s is None
                     else (c.values[s], c.ses[s], point))
@@ -372,15 +395,15 @@ def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, sca
         scenario=scenario, ranges={k: (-scale, scale) for k in scenario.sensitivity_keys},
         grid_points=2 if scenario is Scenario.C_PROTECT else 4, contrast=contrast)
     try:
-        full = [psem.cep(psem.fit_scenario(w, p), contrast) for p in cfg.points()]
+        full = [psem.cep(psem.fit_scenario(w, p), contrast) for p in grid_points(cfg)]
     except psem.PsemError:
         assume(False)
     grid = psem.sweep(w, cfg)
-    assert len(grid.ok_cells()) == len(grid.cells)
-    for cell, c in zip(grid.cells, full):
-        assert cell.values["mu"] == c.mu
+    assert not grid.errors and len(grid.cells) == len(full)
+    for i, c in enumerate(full):
+        assert grid.row("mu")[i] == c.mu
         for s, value in c.values.items():
-            assert cell.values[f"cep_{s}"] == value
+            assert grid.row(f"cep_{s}")[i] == value
     for target in grid.targets:
         res = psem.interval_for(grid, target)
         ref, p_lo, p_hi = full_cov_reference(w, cfg, target)

@@ -149,3 +149,12 @@ def test_bad_terms_rejected():
         WeightModel.estimated_logistic(("y",))
     with pytest.raises(DataError):
         WeightModel(kind="design", nu=0.5, eps=0.7)
+
+
+def test_weight_model_checks_its_own_fields():
+    # the direct constructor checks what the factories check: a design
+    # model without nu would give NaN weights, an unknown kind a logistic fit
+    with pytest.raises(DataError, match=r"nu must be in \(0,1\], got None"):
+        WeightModel("design")
+    with pytest.raises(DataError, match="kind must be 'design' or 'logistic', got 'foo'"):
+        WeightModel("foo")

@@ -175,10 +175,11 @@ class _Stack:
 
     Rows are either per-cell functions (length-ncells arrays) or
     deterministic constraints (scalars, zero at the solution). Solutions
-    are computed blockwise by the scenario builders: floats before the
+    are computed blockwise by the scenario builders: scalars before the
     first mixture solve, then one value per Gamma point (a scalar at one
-    point), failing elementwise through ``checks``. This class assembles
-    the sandwich at one point, rows and exact Jacobian from one _Dual pass,
+    point), failing elementwise through ``checks``; batched cells (counts
+    (B, ncells)) give every value a leading (B, 1). This class assembles the
+    sandwich at one point per replicate, rows and exact Jacobian in one pass,
     and checks the stacked residual. With counts c_i, n = sum_i c_i, rows psi_i:
 
         A = d/dtheta (1/n) sum_i c_i psi_i,   B = (1/n) sum_i c_i psi_i psi_i^T,
@@ -194,7 +195,7 @@ class _Stack:
         self.names: list[str] = []
         self.fns: list[Callable] = []
         self.sol: dict[str, float | np.ndarray] = {}
-        self.checks = Checks()
+        self.checks = Checks((*cells.count.shape[:-1], 1) if cells.count.ndim > 1 else None)
 
     def add(self, name: str, value, fn: Callable) -> None:
         if name in self.sol:
@@ -206,53 +207,57 @@ class _Stack:
     def copy(self) -> "_Stack":
         new = _Stack(self.cells)
         new.names, new.fns, new.sol = list(self.names), list(self.fns), dict(self.sol)
+        new.checks.failed.update(self.checks.failed)
         return new
 
     def theta(self) -> np.ndarray:
-        """Solved values, shape (p,) at one point or (p, G) over a grid."""
+        """Solved values, shape (p, *checks.shape): (p,) at one point."""
         out = np.empty((len(self.names), *(self.checks.shape or ())))
         for j, name in enumerate(self.names):
             out[j] = self.sol[name]
         return out
 
     def sandwich(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, cov): (p,) and (p, p), or (p, B, 1) and (B, 1, p, p) batched."""
         count = self.cells.count
-        n = float(count.sum())
+        c = count[..., None, :]
+        n = c.sum(axis=-1, keepdims=True)
         theta = self.theta()
-        d = dict(zip(self.names, map(_Dual, theta, np.eye(theta.size))))
-        grad = np.empty((theta.size, count.size, theta.size))
-        u = np.empty(grad.shape[1:])
-        for j, row in enumerate(fn(d) for fn in self.fns):
-            u[:, j], grad[j] = row.v, row.g
-        resid = float(np.max(np.abs(count @ u / n)))
-        if resid > 1e-8:
-            raise EstimationError(
-                f"stacked residual {resid:.3e} exceeds tolerance; the "
-                "blockwise solution is inconsistent", theta=theta, residual=resid)
-        meat = (u * count[:, None]).T @ u / n
-        bread = count @ grad / n
+        p = len(theta)
+        d = dict(zip(self.names, map(_Dual, theta, np.eye(p))))
+        u, grad = np.empty((*count.shape, p)), np.empty((*count.shape, p))
+        bread = np.empty((*count.shape[:-1], p, p))
+        for j, row in enumerate(fn(d) for fn in self.fns):   # no (p, *count.shape, p) stack
+            u[..., j], grad[...] = row.v, row.g
+            np.matmul(c, grad, out=bread[..., j:j + 1, :])
+        resid = np.max(np.abs(c @ u / n), axis=-1)
+        self.checks(~(resid <= 1e-8), EstimationError, lambda r: f"stacked residual "
+                    f"{r:.3e} exceeds tolerance; the blockwise solution is inconsistent", resid)
+        meat = np.swapaxes(np.multiply(u, count[..., None], out=grad), -1, -2) @ u / n
+        bread = bread / n
         try:
             bread_inv = np.linalg.inv(bread)
-        except np.linalg.LinAlgError:
-            raise EstimationError("singular bread matrix in the stacked fit",
-                                  theta=theta) from None
-        cov = bread_inv @ meat @ bread_inv.T / n
-        return theta, 0.5 * (cov + cov.T)
+        except np.linalg.LinAlgError:      # fail the singular replicates alone
+            singular = np.linalg.det(bread) == 0.0     # as inv's LU finds a zero pivot
+            self.checks(singular[..., None], EstimationError,
+                        lambda: "singular bread matrix in the stacked fit")
+            bread_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(p), bread))
+        cov = bread_inv @ meat @ np.swapaxes(bread_inv, -1, -2) / n
+        return theta, (0.5 * (cov + np.swapaxes(cov, -1, -2))).reshape(*theta.shape[1:], p, p)
 
 
-def _mean(st: "_Stack", name: str, sel, resp, what: str) -> float:
-    """Weighted mean ``name`` of resp over the cells, selection weights
-    sel >= 0. Adds its row sel * (resp - theta) and returns the value."""
+def _mean(st: "_Stack", name: str, sel, resp, what: str):
+    """Weighted mean ``name`` of resp over the cells ((B, 1) if batched),
+    selection weights sel >= 0. Adds its row sel * (resp - theta); returns it."""
     count = st.cells.count
-    denom = float(np.sum(count * sel))
-    if denom <= 0.0:
-        raise EstimationError(f"empty stratum: no observations for {what}")
-    value = float(np.sum(count * sel * resp) / denom)
+    denom = np.sum(count * sel, axis=-1, keepdims=count.ndim > 1)
+    st.checks(denom <= 0.0, EstimationError, lambda: f"empty stratum: no observations for {what}")
+    value = np.sum(count * sel * resp, axis=-1, keepdims=count.ndim > 1) / denom
     st.add(name, value, lambda d: sel * (resp - d[name]))
     return value
 
 
-def _p10(st: "_Stack", others: tuple[str, ...]) -> float:
+def _p10(st: "_Stack", others: tuple[str, ...]):
     """Mixing share p(1,0) = 1 - sum of the shares ``others``, subtracted in
     the order given. Checks it is positive, adds its row, returns it."""
     def share(v):
@@ -262,10 +267,9 @@ def _p10(st: "_Stack", others: tuple[str, ...]) -> float:
         return acc
 
     value = share(st.sol)
-    if value <= 0.0:
-        raise EstimationError(
-            f"estimated p(1,0) = {value:.6g} is not positive; the always-"
-            "survivor effect-modification stratum is empty in these data")
+    st.checks(value <= 0.0, EstimationError, lambda v: f"estimated p(1,0) = {v:.6g} is "
+              "not positive; the always-survivor effect-modification stratum is "
+              "empty in these data", value)
     st.add("p10", value, lambda d: share(d) - d["p10"])
     return value
 
@@ -277,7 +281,7 @@ def _split(st: "_Stack", a: str, b: str, target: str, w: str, beta: float,
     defined at boundary risks, where odds are not). ``w_b`` names b's weight
     where it is a parameter of its own. Adds both rows; returns (a, b)."""
     va, vb = solve_logit_mixture(st.sol[target], st.sol[w], beta, st.checks)
-    st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - math.exp(beta) * d[b] * (1.0 - d[a]))
+    st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - np.exp(beta) * d[b] * (1.0 - d[a]))
     st.add(b, vb, (lambda d: d[target] - d[w] * d[a] - (1 - d[w]) * d[b])
            if w_b is None else (lambda d: d[target] - d[w] * d[a] - d[w_b] * d[b]))
     return va, vb
@@ -310,12 +314,10 @@ def _sace_margins(st: "_Stack", f, state, weight, direction: Direction,
         _mean(st, name, arm[z] * weight, state, f"arm-{z} states for {label}")
     shrink = 1 if direction is Direction.STANDARD_MONOTONE else 0
     lo, hi = names[1 - shrink], names[shrink]
-    if not st.sol[lo] < st.sol[hi]:
-        raise OrderingError(
-            f"{label} fails: the selection model needs "
-            f"P(S=1) = {st.sol[lo]:.4g} in the shrinking arm below "
-            f"{st.sol[hi]:.4g} in the other arm; estimates would not be "
-            "asymptotically normal")
+    st.checks(np.logical_not(st.sol[lo] < st.sol[hi]), OrderingError,
+              lambda a, b: f"{label} fails: the selection model needs P(S=1) = {a:.4g} "
+              f"in the shrinking arm below {b:.4g} in the other arm; estimates would "
+              "not be asymptotically normal", st.sol[lo], st.sol[hi])
     for name, z in zip(names[2:], (1 - shrink, shrink)):
         _mean(st, name, arm[z] * weight * state, f.y,
               f"arm-{z} state-1 outcomes for {label}")
@@ -373,7 +375,8 @@ def _opening(weighted: WeightedRecords, build: Callable):
     """
     blocks = weighted.fit_blocks
     if build not in blocks:
-        blocks[build] = build(weighted)
+        with np.errstate(all="ignore"):
+            blocks[build] = build(weighted)
     st, selectors = blocks[build]
     return st.copy(), selectors
 
@@ -392,7 +395,7 @@ def _finalize(st: "_Stack", with_cov: bool, report: list[str] | None = None):
     if report is None:
         return tuple(st.names), theta, cov
     idx = [st.names.index(nm) for nm in report]
-    sub = cov[np.ix_(idx, idx)] if cov is not None else None
+    sub = cov[(..., *np.ix_(idx, idx))] if cov is not None else None
     return tuple(report), theta[idx], sub
 
 
@@ -515,19 +518,29 @@ def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
         contrast = Contrast(contrast.lower())
     if estimates.cov is None:
         raise EstimationError("contrast errors need a fit with covariance")
-    names, theta, strata = estimates.names, estimates.theta, estimates.scenario.strata
-    values = target_map(estimates.scenario, names, contrast)(theta).tolist()
-    jac = np.zeros((len(values), theta.size))
-    for row, s in zip(jac, strata):
-        idx = [names.index(f"risk1_{s}"), names.index(f"risk0_{s}")]
-        row[idx] = contrast.gradient(*theta[idx].tolist())
-    jac[-1] = jac[1] - jac[0]
-    if not (np.isfinite(values).all() and np.isfinite(jac).all()):
-        raise ValueError("the contrast or its gradient is not finite at theta_hat")
-    ses = [math.sqrt(max(float(g @ estimates.cov @ g), 0.0)) for g in jac]
-    return CepResult(contrast=contrast, values=dict(zip(strata, values)),
-                     ses=dict(zip(strata, ses)), mu=values[-1], mu_se=ses[-1],
-                     sensitivity=estimates.sensitivity)
+    return _ceps(estimates.scenario, estimates.names, estimates.theta, estimates.cov,
+                 contrast, [estimates.sensitivity])[0]
+
+
+def _ceps(scenario: Scenario, names: tuple[str, ...], theta, cov, contrast: Contrast,
+          points: list, checks: Checks | None = None) -> list[CepResult]:
+    """``cep`` at each of the ``points`` from theta (p, *lead) and cov (*lead,
+    p, p), the fits there, one per replicate if batched; fails through checks."""
+    values = target_map(scenario, names, contrast, checks)(theta)
+    jac = np.zeros((*theta.shape[1:], len(values), len(names)))
+    for k, s in enumerate(scenario.strata):
+        i1, i0 = names.index(f"risk1_{s}"), names.index(f"risk0_{s}")
+        jac[..., k, i1], jac[..., k, i0] = contrast.gradient(theta[i1], theta[i0])
+    jac[..., -1, :] = jac[..., 1, :] - jac[..., 0, :]
+    finite = np.isfinite(values).all(0) & np.isfinite(jac).all((-2, -1))
+    (checks or Checks())(~finite, ValueError,
+                         lambda: "the contrast or its gradient is not finite at theta_hat")
+    var = [(jac[..., t, None, :] @ cov @ jac[..., t, :, None])[..., 0, 0]
+           for t in range(len(values))]
+    ses = np.sqrt(np.maximum(var, 0.0)).reshape(len(values), -1).T.tolist()
+    return [CepResult(contrast, dict(zip(scenario.strata, v)), dict(zip(scenario.strata, s)),
+                      v[-1], s[-1], point)
+            for v, s, point in zip(values.reshape(len(values), -1).T.tolist(), ses, points)]
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +670,9 @@ def _b_opening(weighted):
 def _a_opening(weighted):
     st, f = _opening(weighted, _identified)
     p11 = _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
-    if p11 <= 0.0:
-        raise EstimationError(
-            "estimated p(1,1) is not positive: the control-arm marker never "
-            "varies in these data, so use scenario B instead of A")
+    st.checks(p11 <= 0.0, EstimationError, lambda: "estimated p(1,1) is not positive: "
+              "the control-arm marker never varies in these data, so use scenario B "
+              "instead of A")
     _p10(st, ("p00", "p11"))
 
     # states survivor & marker-negative, survivor & marker-positive: early-
@@ -688,11 +700,10 @@ def _early_rates(weighted, risk0_name: str):
 
 def _c_protect_opening(weighted):
     st, f, pyt1, pyt0 = _early_rates(weighted, "risk0")
-    if not pyt1 < pyt0:
-        raise OrderingError(
-            "early-event ordering (A4'') fails: the active-arm early rate "
-            f"{pyt1:.4g} is not below the control rate {pyt0:.4g}; Wald "
-            "inference under early no-harm monotonicity is invalid here")
+    st.checks(np.logical_not(pyt1 < pyt0), OrderingError,
+              lambda a, b: "early-event ordering (A4'') fails: the active-arm early rate "
+              f"{a:.4g} is not below the control rate {b:.4g}; Wald inference under "
+              "early no-harm monotonicity is invalid here", pyt1, pyt0)
     phi = (1.0 - pyt0) / (1.0 - pyt1)   # P(control survives early | active does)
     st.add("phi", phi, lambda d: d["phi"] * (1 - d["pyt1"]) - (1 - d["pyt0"]))
 
@@ -766,7 +777,7 @@ def _c_protect_solve(st, f, beta):
     st.add("p00", p00, lambda d: 1.0 - d["p10"] - d["p00"])
     _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta["beta0"], "p10")
 
-    st.checks(s1m <= 0.0 or s1m >= 1.0, EstimationError,
+    st.checks((s1m <= 0.0) | (s1m >= 1.0), EstimationError,
               lambda: "active-arm survivor markers are all one value; the early-"
               "protected split is undefined")
     w1s = p10 * phi / s1m
@@ -833,6 +844,8 @@ def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
     stack and the reported names."""
     row = _SCENARIOS[scenario]
     st, selectors = _opening(weighted, row.opening)
+    g = checks.shape[-1] if checks.shape else 0     # a beta-free failure fails all b's points
+    checks.failed.update({b * g + j: e for b, e in st.checks.failed.items() for j in range(g)})
     st.checks = checks
     with np.errstate(all="ignore"):
         row.solve(st, selectors, beta)
@@ -857,16 +870,20 @@ def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
     return est
 
 
-def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
-                contrast: Contrast) -> tuple[np.ndarray, dict[int, PsemError]]:
+def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict, contrast: Contrast,
+                points: list | None = None) -> tuple:
     """Every target of ``scenario`` (rows as in ``target_map``) at the G Gamma
-    points ``beta`` (key -> length-G array) in one array pass, and each
-    failed point's first failure by index; its column is meaningless."""
-    checks = Checks((len(next(iter(beta.values()))),))
+    points ``beta`` (key -> length-G array) in one pass, (T, G) or (T, B, G)
+    batched, and each failed point's first failure by flat index; its values are
+    meaningless. Given ``points``, one per replicate (key -> (B, 1)), their cep."""
+    lead = (*weighted.cells.count.shape[:-1], 1)
+    checks = Checks(np.broadcast_shapes(lead, *map(np.shape, beta.values())))
     st, report = _solve(weighted, scenario, beta, checks)
-    names, theta, _ = _finalize(st, False, report)
     with np.errstate(all="ignore"):
-        return target_map(scenario, names, contrast, checks)(theta), checks.failed
+        names, theta, cov = _finalize(st, points is not None, report)
+        if points is None:
+            return target_map(scenario, names, contrast, checks)(theta), checks.failed
+        return _ceps(scenario, names, theta, cov, contrast, points, checks), checks.failed
 
 
 # ---------------------------------------------------------------------------

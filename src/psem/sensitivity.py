@@ -87,29 +87,34 @@ def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
 
 @dataclass
 class SweepResult:
-    """The sweep over the (G, K) Gamma points ``cells``. ``values`` (T, G)
-    holds every target of the scenario, rows in ``scenario.targets`` order,
-    at every point; ``errors`` each failed point's first error by index,
-    where its column is meaningless; ``ceps`` the fit with covariance at
-    each point holding a sweep target's extreme."""
+    """The sweep over the (G, K) Gamma points ``cells``. ``values`` (T, G),
+    or (T, B, G) over B replicates, holds every target of the scenario, rows
+    in ``scenario.targets`` order, at every point; ``errors`` each failed
+    point's first error by index g, or (b, g), where its value is meaningless;
+    ``ceps`` the fit with covariance at each point holding an extreme."""
     config: SensitivityConfig
     targets: tuple[str, ...]
     cells: np.ndarray
     values: np.ndarray
-    errors: dict[int, str]
-    ceps: dict[int, CepResult] = field(default_factory=dict)
+    errors: dict[int | tuple[int, int], str]
+    ceps: dict[int | tuple[int, int], CepResult] = field(default_factory=dict)
 
     def row(self, target: str) -> np.ndarray:
         return self.values[self.config.scenario.targets.index(target)]
 
-    def extremes(self, target: str) -> tuple[int, int]:
+    def extremes(self, target: str):
         """First points, in grid order, holding the target's minimum and
-        maximum over the points that did not fail."""
-        ok = np.ones(len(self.cells), dtype=bool)
-        ok[list(self.errors)] = False
-        idx = np.flatnonzero(ok)
-        row = self.row(target)[idx]
-        return int(idx[row.argmin()]), int(idx[row.argmax()])
+        maximum over the points that did not fail, per replicate if batched."""
+        row, ok = self.row(target), np.ones(self.values.shape[1:], dtype=bool)
+        ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, ok.ndim).T)] = False
+        return (np.where(ok, row, np.inf).argmin(axis=-1),
+                np.where(ok, row, -np.inf).argmax(axis=-1))
+
+    def replicate(self, b: int) -> "SweepResult":
+        """Replicate b of a batched sweep, as the sweep of its data alone."""
+        return SweepResult(self.config, self.targets, self.cells, self.values[:, b],
+                           {g: e for (r, g), e in self.errors.items() if r == b},
+                           {g: c for (r, g), c in self.ceps.items() if r == b})
 
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
@@ -126,7 +131,8 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
     failures are recorded by index, with the error ``fit_scenario`` raises
     there, rather than raised, unless every point fails. A point whose
     covariance fit fails is marked failed and the extremes are taken again
-    over the remaining points.
+    over the remaining points. Batched data (``tables.from_counts``) are
+    swept in one pass, each replicate as if alone but never raising.
     """
     names = config.scenario.targets
     targets = tuple(targets or names)
@@ -134,25 +140,42 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
         raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
                           f"{config.scenario.value}; targets: {list(names)}")
     cells, keys = config.grid(), config.scenario.sensitivity_keys
+    lead = weighted.cells.count.shape[:-1]
     try:
         values, failed = fit_targets(weighted, config.scenario, dict(zip(keys, cells.T)),
                                      config.contrast)
     except PsemError as exc:    # a beta-free failure fails every point
-        values = np.full((len(names), len(cells)), np.nan)
-        failed = dict.fromkeys(range(len(cells)), exc)
-    result = SweepResult(config, targets, cells, values,
-                         {i: f"{type(e).__name__}: {e}" for i, e in failed.items()})
-    while len(result.errors) < len(cells):
-        pending = [i for i in dict.fromkeys(i for t in targets for i in result.extremes(t))
-                   if i not in result.ceps]
+        values = np.full((len(names), *lead, len(cells)), np.nan)
+        failed = dict.fromkeys(range(values[0].size), exc)
+    result = SweepResult(config, targets, cells, values, {
+        divmod(i, len(cells)) if lead else i: f"{type(e).__name__}: {e}"
+        for i, e in failed.items()})
+    while len(result.errors) < values[0].size:
+        pending = [k for k in dict.fromkeys(
+            k for t in targets for idx in result.extremes(t)
+            for k in (enumerate(idx.tolist()) if lead else [idx]))
+            if k not in result.ceps and k not in result.errors]
         if not pending:
             return result
-        for i in pending:
-            try:
-                result.ceps[i] = cep(fit_scenario(weighted, result.point(i)),
-                                     config.contrast)
-            except PsemError as exc:
-                result.errors[i] = f"{type(exc).__name__}: {exc}"
+        if not lead:
+            for i in pending:
+                try:
+                    result.ceps[i] = cep(fit_scenario(weighted, result.point(i)),
+                                         config.contrast)
+                except PsemError as exc:
+                    result.errors[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        first = dict(reversed(pending))     # each replicate's first pending extreme
+        idx = [first.get(b, 0) for b in range(lead[0])]
+        ceps, failed = fit_targets(weighted, config.scenario, dict(zip(
+            keys, cells[idx].T[..., None])), config.contrast, list(map(result.point, idx)))
+        for b, i in first.items():
+            if b in failed:
+                result.errors[b, i] = f"{type(failed[b]).__name__}: {failed[b]}"
+            else:
+                result.ceps[b, i] = ceps[b]
+    if lead:
+        return result
     raise EstimationError("every sensitivity grid point failed; first error: "
                           + result.errors[min(result.errors)])
 

@@ -23,11 +23,11 @@ replicates are scheduled across workers.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
 from dataclasses import astuple, dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,6 +67,11 @@ def _check_design(design: str) -> None:
                           f"got {design!r}")
 
 
+def _check_count(name: str, value, lo: int, hi: float = math.inf) -> None:
+    if not (isinstance(value, numbers.Integral) and lo <= value < hi):
+        raise ConfigError(f"{name} must be >= {lo} and < {hi}, an integer; got {value!r}")
+
+
 def _check_sample(n, nu) -> None:
     """Sample checks shared by GeneratorConfig and StudyConfig."""
     if not 0.0 < nu <= 1.0:
@@ -91,6 +96,7 @@ class GeneratorConfig:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {v}")
         _check_sample(self.n, self.nu)
+        _check_count("seed", self.seed, 0, 2**64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,8 +246,9 @@ class StudyConfig:
         _check_design(self.design)
         if not all((self.n_values, self.nu_values, self.deltas, self.gamma_scales)):
             raise ConfigError("n_values, nu_values, deltas and gamma_scales need a value each")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        _check_count("replicates", self.replicates, 1)
+        _check_count("threads", self.threads, 1)
+        _check_count("seed", self.seed, 0, 2**64)
         for n, nu in itertools.product(self.n_values, self.nu_values):
             _check_sample(n, nu)
         for d in self.deltas:
@@ -251,8 +258,6 @@ class StudyConfig:
             raise ConfigError(f"gamma scales must be >= 0, got {list(self.gamma_scales)}")
         if self.grid_points is not None and self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def cells(self) -> list[dict]:
         return [{"design": self.design, "n": n, "nu": nu, "delta": d,
@@ -306,26 +311,19 @@ class StudyResult:
         raise KeyError(f"no study cell matching {kw}")
 
 
-def _one_replicate(design, n, nu, a, b, gamma, seed, cell_id, rep):
-    """Generate, sweep the sensitivity grid, and summarize one draw.
+BLOCK = 64    # replicates tallied into one batched cell table and fitted in one pass
 
-    Returns (mu_min, se_min, mu_max, se_max, eui_lo, eui_hi), or the first
-    error string when any grid cell fails.
-    """
-    rng = _rng_for(seed, cell_id, rep)
+
+def _fit_block(design, n, nu, a, b, gamma, seed, cell_id, reps) -> list:
+    """Draw the replicates ``reps`` of a study cell and sweep them in one pass:
+    per replicate, the interval for mu, or the first error of a failed point."""
     cfg = GeneratorConfig(design=design, n=n, a=a, b=b, nu=nu, seed=seed)
-    arrs = _gen_arrays(cfg, rng)
-    try:
-        cells = tables.from_arrays(arrs["z"], arrs["yt"], arrs["s_code"], arrs["y"])
-        weighted = fit_missingness(cells, WeightModel.design_known(nu))
-        grid = sweep(weighted, gamma, targets=("mu",))
-    except PsemError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    if grid.errors:
-        return grid.errors[min(grid.errors)]
-    res = interval_for(grid, "mu")
-    return (res.estimate_lower, res.se_lower, res.estimate_upper, res.se_upper,
-            *res.eui)
+    count = [np.bincount(tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(
+        _gen_arrays(cfg, _rng_for(seed, cell_id, rep)))), minlength=32) for rep in reps]
+    grid = sweep(fit_missingness(tables.from_counts(count), WeightModel.design_known(nu)),
+                 gamma, targets=("mu",))
+    views = [grid.replicate(b) for b in range(len(reps))]
+    return [v.errors[min(v.errors)] if v.errors else interval_for(v, "mu") for v in views]
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -334,35 +332,30 @@ def run_study(config: StudyConfig) -> StudyResult:
     true contrast difference, mean EUI width, bias of the grid-minimum and
     grid-maximum estimates, and the ratio of empirical to average estimated
     standard errors. Per-replicate estimation failures are excluded from
-    the metrics and counted. Deterministic given the seed, independent of
-    the worker count.
+    the metrics and counted. ``threads`` > 1 maps the blocks of ``BLOCK``
+    replicates to one process pool; results do not depend on it, bit for bit.
     """
-    result = StudyResult(config=config)
-    g = config.grid_points
-    if g is None:
-        g = DESIGNS[config.design].grid_points
-    reps = range(config.replicates)
+    g = config.grid_points or DESIGNS[config.design].grid_points
+    cells, jobs, reps = [], [], range(config.replicates)
     for cell_id, cell in enumerate(config.cells()):
         d = cell["delta"]
         a, b = 0.4 - d / 2.0, 0.4 + d / 2.0
-        true_mu = oracle_estimands(GeneratorConfig(
-            design=cell["design"], n=2, a=a, b=b))["mu"]
+        cells.append((cell, oracle_estimands(GeneratorConfig(
+            design=cell["design"], n=2, a=a, b=b))["mu"]))
         scenario = DESIGNS[cell["design"]].scenario
-        gamma = SensitivityConfig(
-            scenario=scenario,
-            ranges=symmetric_ranges(scenario, cell["gamma_scale"]),
-            grid_points=g, alpha=config.alpha)
-        one = functools.partial(_one_replicate, cell["design"], cell["n"],
-                                cell["nu"], a, b, gamma, config.seed, cell_id)
-        if config.threads > 1:
-            from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                outs = list(pool.map(one, reps, chunksize=math.ceil(
-                    config.replicates / (4 * config.threads))))
-        else:
-            outs = list(map(one, reps))
-        result.rows.append(_summarize_cell(cell, true_mu, outs))
-    return result
+        gamma = SensitivityConfig(scenario, symmetric_ranges(scenario, cell["gamma_scale"]),
+                                  grid_points=g, alpha=config.alpha)
+        jobs += [(cell["design"], cell["n"], cell["nu"], a, b, gamma, config.seed, cell_id,
+                  reps[s:s + BLOCK]) for s in reps[::BLOCK]]
+    if config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            blocks = list(pool.map(_fit_block, *zip(*jobs)))
+    else:
+        blocks = list(itertools.starmap(_fit_block, jobs))
+    outs, r = list(itertools.chain(*blocks)), config.replicates
+    return StudyResult(config, [_summarize_cell(cell, mu, outs[k * r:(k + 1) * r])
+                                for k, (cell, mu) in enumerate(cells)])
 
 
 def _summarize_cell(cell, true_mu, outcomes) -> StudyCellResult:
@@ -371,8 +364,8 @@ def _summarize_cell(cell, true_mu, outcomes) -> StudyCellResult:
     if not ok:
         raise PsemError(f"every replicate failed in cell {cell}; first error: "
                         f"{outcomes[0]}")
-    arr = np.array(ok)                     # columns per _one_replicate
-    mu_min, se_min, mu_max, se_max, lo, hi = arr.T
+    mu_min, se_min, mu_max, se_max, lo, hi = np.array(
+        [(i.estimate_lower, i.se_lower, i.estimate_upper, i.se_upper, *i.eui) for i in ok]).T
     reject = ~((lo <= 0.0) & (0.0 <= hi))
     cover = (lo <= true_mu) & (true_mu <= hi)
     r = len(ok)

@@ -37,7 +37,7 @@ class CellTable:
     yt: np.ndarray         # early-event indicator per cell
     s: np.ndarray          # marker state code per cell
     y: np.ndarray          # final outcome per cell
-    count: np.ndarray      # frequency of the cell (float)
+    count: np.ndarray      # frequency of the cell (float), (..., cells)
     pi: np.ndarray = field(default=None)   # sampling probability (NaN if n/a)
     w: np.ndarray = field(default=None)    # 1/pi where defined, else 1.0
 
@@ -45,7 +45,7 @@ class CellTable:
         if self.pi is None:
             self.pi = np.full(self.z.shape, np.nan)
         if self.w is None:
-            self.w = np.ones_like(self.count, dtype=float)
+            self.w = np.ones(self.z.shape)
 
     @property
     def n(self) -> float:
@@ -86,14 +86,20 @@ def from_arrays(z, yt, s, y) -> CellTable:
     return _from_codes(cell_code(z, yt, s, y))
 
 
+def from_counts(count, c=np.arange(32)) -> CellTable:
+    """Cells ``c`` (default: all 32, in ``cell_code`` order) with tallies
+    ``count`` (..., len(c)), zeros allowed; a leading axis holds replicates."""
+    return CellTable(z=c // 16, yt=c // 8 % 2, s=c // 2 % 4, y=c % 2,
+                     count=np.asarray(count, dtype=float))
+
+
 def _from_codes(code) -> CellTable:
     """One row per occupied cell, in ascending ``cell_code`` order."""
     tallies = np.bincount(code, minlength=32)
     c = np.flatnonzero(tallies)
     if not c.size:
         raise DataError("empty dataset")
-    return CellTable(z=c // 16, yt=c // 8 % 2, s=c // 2 % 4, y=c % 2,
-                     count=tallies[c].astype(float))
+    return from_counts(tallies[c], c)
 
 
 @dataclass(frozen=True)

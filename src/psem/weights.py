@@ -142,12 +142,13 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
 
     surv = cells.yt == 0
     missing = surv & (cells.s == S_MISS)
-    any_missing = bool(cells.count[missing].sum() > 0)
+    # count checks read all replicates; none fires in the designs (unmeasured y = 0, pi = nu < 1)
+    any_missing = bool(cells.count[..., missing].sum() > 0)
     if model is None:
         model = (WeightModel.design_known(1.0) if not any_missing
                  else WeightModel.estimated_logistic())
 
-    pi = np.full(len(cells.count), np.nan)
+    pi = np.full(cells.z.shape, np.nan)
     psi = None
     certainty = False
     if model.kind == "design":
@@ -182,8 +183,8 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
             out[~fit_rows] = 1.0
         pi[surv] = out
 
-    blind = missing & (cells.count > 0) & (pi >= 1.0)
-    if blind.any():
+    blind = missing & (pi >= 1.0)
+    if cells.count[..., blind].any():
         offenders = [f"(z={cells.z[i]}, y={cells.y[i]})" for i in np.nonzero(blind)[0]]
         raise DataError(
             "markers missing for survivors sampled with certainty (pi = 1) in "
@@ -196,7 +197,7 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
             "positivity violation: fitted sampling probabilities below "
             f"eps={model.eps} for cells {offenders}")
 
-    w = np.ones(len(cells.count))
+    w = np.ones(cells.z.shape)
     w[surv] = 1.0 / pi[surv]
     cells = CellTable(z=cells.z, yt=cells.yt, s=cells.s, y=cells.y,
                       count=cells.count, pi=pi, w=w)

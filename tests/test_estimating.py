@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psem
-from psem import core
+from psem import core, demo, tables
 from psem.core import Scenario, SensitivityPoint, delta_method
-from psem.errors import PsemError
+from psem.errors import EstimationError, PsemError
 from psem.mathutil import expit
 from psem.weights import WeightModel
 
@@ -40,6 +40,64 @@ def test_identified_subgroup_mean_se_is_closed_form():
             assert est.value(name) == pytest.approx(p, abs=1e-15)
             assert est.se(name) == pytest.approx(math.sqrt(p * (1 - p) / n_sel),
                                                  abs=1e-12)
+
+
+def _mean_stack(cells, scale=1.0):
+    """A stack of one row, scale * (y - m), solved at the mean m of y over
+    ``cells``, batched or not."""
+    st = core._Stack(cells)
+    y = st.cells.y.astype(float)
+    core._mean(st, "m", 1.0, y, "every cell")
+    st.fns[0] = lambda d: scale * (y - d["m"])
+    return st
+
+
+def test_stacked_residual_check_fails_a_nan_solution():
+    st = _mean_stack(tables.from_arrays([0] * 8, [0] * 8, [0] * 8, [0] * 3 + [1] * 5))
+    st.sol["m"] = np.float64("nan")
+    with pytest.raises(EstimationError, match="stacked residual nan exceeds tolerance"):
+        st.sandwich()
+
+
+def test_batched_sandwich_fails_each_replicate_alone():
+    count = np.zeros((3, 32))
+    count[:, :2] = [[3.0, 5.0], [4.0, 4.0], [2.0, 6.0]]
+    # replicate 1's row is identically zero (a singular bread), replicate 2
+    # is solved at NaN (a residual that is not within tolerance)
+    st = _mean_stack(tables.from_counts(count), scale=np.array([[1.0], [0.0], [1.0]]))
+    st.sol["m"][2] = np.nan
+    theta, cov = st.sandwich()
+    assert sorted(st.checks.failed) == [1, 2]
+    assert str(st.checks.failed[1]) == "singular bread matrix in the stacked fit"
+    assert str(st.checks.failed[2]).startswith("stacked residual nan exceeds tolerance")
+    one = _mean_stack(tables.from_counts(count[0]))
+    theta0, cov0 = one.sandwich()
+    assert theta.shape == (1, 3, 1) and cov.shape == (3, 1, 1, 1)
+    assert np.array_equal(theta[:, 0, 0], theta0)
+    assert cov[0, 0] == pytest.approx(cov0, rel=1e-15)
+    assert cov0[0, 0] == pytest.approx(5 / 8 * 3 / 8 / 8, rel=1e-14)
+
+
+def test_bootstrap_sd_matches_the_sandwich_se():
+    """2,000 multinomial resamples of the demo trial's occupied cells, fitted
+    as one batched block (scenario B at beta0 = 0, design-known nu, additive
+    contrast): the bootstrap SD of mu over the resamples that fit is within
+    10% of the sandwich SE of the trial itself (Efron and Tibshirani, 1993)."""
+    cells = tables.from_records(demo.synthetic_trial())
+    assert (len(cells.count), cells.n) == (10, 2496.0)
+    model = WeightModel.design_known(demo.implied_subcohort_fraction())
+    se = psem.cep(psem.fit_scenario(psem.fit_missingness(cells, model),
+                                    SensitivityPoint(Scenario.B)), "additive").mu_se
+    draws = np.zeros((2000, 32))
+    draws[:, tables.cell_code(cells.z, cells.yt, cells.s, cells.y)] = \
+        np.random.default_rng(20261018).multinomial(2496, cells.count / 2496, size=2000)
+    grid = psem.sweep(psem.fit_missingness(tables.from_counts(draws), model),
+                      psem.SensitivityConfig(Scenario.B), targets=("mu",))
+    assert grid.values.shape == (3, 2000, 1)
+    failed = sorted({b for b, _ in grid.errors})
+    assert 0 < len(failed) < 0.1 * 2000      # about 4%: risk1_10 leaves [0, 1]
+    mu = np.delete(grid.row("mu")[:, 0], failed)
+    assert 0.90 <= np.std(mu, ddof=1) / se <= 1.10
 
 
 def _rows_at(st, theta):

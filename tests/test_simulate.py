@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from psem.errors import ConfigError
+from psem import simulate
+from psem.errors import ConfigError, PsemError
+from psem.sensitivity import SensitivityConfig, interval_for, symmetric_ranges, sweep
 from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _gen_arrays,
                            _law, _rng_for, generate,
                            oracle_estimands, run_study)
+from psem.tables import from_arrays
+from psem.weights import WeightModel, fit_missingness
 
 
 def mc_tol(p, n, k=3.5):
@@ -161,11 +165,72 @@ def test_study_seed_determinism():
 
 
 def test_study_thread_invariance():
+    # 150 replicates are not a multiple of the block size, so the blocks
+    # differ in size and the workers split them unevenly
     base = StudyConfig(design="B", n_values=(400,), deltas=(0.3,),
-                       gamma_scales=(0.0,), replicates=16, seed=7)
-    serial = run_study(base)
-    threaded = run_study(dataclasses.replace(base, threads=2))
-    assert serial.as_table() == threaded.as_table()
+                       gamma_scales=(0.0,), replicates=150, seed=7)
+    assert 150 % simulate.BLOCK
+    serial = run_study(base).as_table()
+    for threads in (2, 3):
+        assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
+
+
+@pytest.mark.parametrize("config, failures", [
+    (StudyConfig("B", (60,), (0.15,), replicates=200, seed=3), 16),
+    (StudyConfig("B", (40,), (0.1,), gamma_scales=(6.0,), grid_points=5,
+                 replicates=200, seed=3), 57),
+    (StudyConfig("C", (4000,), gamma_scales=(1.0,), replicates=30, seed=3), 0)],
+    ids=["B_n60", "B_n40_gamma6", "C_gamma1"])
+def test_study_blocks_match_the_one_point_path(monkeypatch, config, failures):
+    """Each replicate of a batched study block against the public path on
+    its own draw: fit_missingness(from_arrays(...)), sweep, interval_for."""
+    outcomes = []
+    real = simulate._summarize_cell
+    monkeypatch.setattr(simulate, "_summarize_cell",
+                        lambda cell, mu, outs: outcomes.append(outs) or real(cell, mu, outs))
+    run_study(config)
+    ((cell,), (outs,)) = config.cells(), outcomes
+    d, scenario = cell["delta"], DESIGNS[config.design].scenario
+    draw = GeneratorConfig(config.design, cell["n"], 0.4 - d / 2, 0.4 + d / 2, cell["nu"])
+    gamma = SensitivityConfig(scenario, symmetric_ranges(scenario, cell["gamma_scale"]),
+                              config.grid_points or DESIGNS[config.design].grid_points)
+    failed = set()
+    for rep, out in enumerate(outs):
+        arrs = _gen_arrays(draw, _rng_for(config.seed, 0, rep))
+        weighted = fit_missingness(from_arrays(arrs["z"], arrs["yt"], arrs["s_code"], arrs["y"]),
+                                   WeightModel.design_known(cell["nu"]))
+        try:
+            grid = sweep(weighted, gamma, targets=("mu",))
+            ref = None if grid.errors else interval_for(grid, "mu")
+        except PsemError:
+            ref = None
+        assert isinstance(out, str) == (ref is None), rep
+        if ref is None:
+            failed.add(rep)
+            continue
+        assert abs(out.estimate_lower - ref.estimate_lower) <= 1e-12
+        assert abs(out.estimate_upper - ref.estimate_upper) <= 1e-12
+        assert out.se_lower == pytest.approx(ref.se_lower, rel=1e-9, abs=0)
+        assert out.se_upper == pytest.approx(ref.se_upper, rel=1e-9, abs=0)
+    assert len(failed) == failures
+
+
+@pytest.mark.parametrize("config, kwargs, message", [
+    (StudyConfig, {"replicates": 2.5}, "replicates must be >= 1"),
+    (StudyConfig, {"threads": 1.5}, "threads must be >= 1"),
+    (StudyConfig, {"seed": 2**64}, "seed must be >= 0 and < 18446744073709551616"),
+    (StudyConfig, {"seed": -1}, "seed must be >= 0"),
+    (GeneratorConfig, {"seed": 2**64}, "seed must be >= 0 and < 18446744073709551616"),
+    (GeneratorConfig, {"seed": -1}, "seed must be >= 0")],
+    ids=["study_fractional_replicates", "study_fractional_threads", "study_seed_2_64",
+         "study_negative_seed", "generator_seed_2_64", "generator_negative_seed"])
+def test_configs_reject_bad_integers(config, kwargs, message):
+    # rejected when built: a fractional count used to fail later with a bare
+    # TypeError, and _rng_for masks the seed to 64 bits, aliasing studies
+    base = ({"design": "B", "n_values": (400,)} if config is StudyConfig
+            else {"design": "B", "n": 10, "a": 0.4, "b": 0.4})
+    with pytest.raises(ConfigError, match=message):
+        config(**base, **kwargs)
 
 
 def test_study_estimates_center_on_oracle():

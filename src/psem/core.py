@@ -235,13 +235,23 @@ class _Stack:
                     f"{r:.3e} exceeds tolerance; the blockwise solution is inconsistent", resid)
         meat = np.swapaxes(np.multiply(u, count[..., None], out=grad), -1, -2) @ u / n
         bread = bread / n
+        dead = ~np.isfinite(bread).all((-2, -1), keepdims=True)
+        self.checks(dead[..., 0], EstimationError, lambda: "the stacked fit's bread is not finite")
+        if self.checks.failed:      # failed replicates invert I: their NaN breads must not raise
+            dead.flat[list(self.checks.failed)] = True
+            bread = np.where(dead, np.eye(p), bread)
         try:
             bread_inv = np.linalg.inv(bread)
-        except np.linalg.LinAlgError:      # fail the singular replicates alone
-            singular = np.linalg.det(bread) == 0.0     # as inv's LU finds a zero pivot
-            self.checks(singular[..., None], EstimationError,
-                        lambda: "singular bread matrix in the stacked fit")
-            bread_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(p), bread))
+        except np.linalg.LinAlgError:      # one replicate at a time: the singular fail alone
+            bread_inv = bread.reshape(-1, p, p).copy()
+            for b, m in enumerate(bread_inv):
+                try:
+                    bread_inv[b] = np.linalg.inv(m)
+                except np.linalg.LinAlgError:
+                    bread_inv[b] = np.eye(p)
+                    self.checks(np.arange(len(bread_inv))[:, None] == b, EstimationError,
+                                lambda: "singular bread matrix in the stacked fit")
+            bread_inv = bread_inv.reshape(bread.shape)
         cov = bread_inv @ meat @ np.swapaxes(bread_inv, -1, -2) / n
         return theta, (0.5 * (cov + np.swapaxes(cov, -1, -2))).reshape(*theta.shape[1:], p, p)
 
@@ -870,20 +880,29 @@ def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
     return est
 
 
-def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict, contrast: Contrast,
-                points: list | None = None) -> tuple:
+def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
+                contrast: Contrast) -> tuple[np.ndarray, dict[int, PsemError]]:
     """Every target of ``scenario`` (rows as in ``target_map``) at the G Gamma
     points ``beta`` (key -> length-G array) in one pass, (T, G) or (T, B, G)
     batched, and each failed point's first failure by flat index; its values are
-    meaningless. Given ``points``, one per replicate (key -> (B, 1)), their cep."""
-    lead = (*weighted.cells.count.shape[:-1], 1)
-    checks = Checks(np.broadcast_shapes(lead, *map(np.shape, beta.values())))
+    meaningless."""
+    checks = Checks((*weighted.cells.count.shape[:-1], len(next(iter(beta.values())))))
     st, report = _solve(weighted, scenario, beta, checks)
+    names, theta, _ = _finalize(st, False, report)
     with np.errstate(all="ignore"):
-        names, theta, cov = _finalize(st, points is not None, report)
-        if points is None:
-            return target_map(scenario, names, contrast, checks)(theta), checks.failed
-        return _ceps(scenario, names, theta, cov, contrast, points, checks), checks.failed
+        return target_map(scenario, names, contrast, checks)(theta), checks.failed
+
+
+def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
+             contrast: Contrast) -> tuple[list[CepResult], dict[int, PsemError]]:
+    """``cep(fit_scenario(...))`` of batched data at one point per replicate in
+    one pass, and each failed replicate's first failure by index b."""
+    beta = {k: np.array([[p.get(k)] for p in points]) for k in points[0].scenario.sensitivity_keys}
+    checks = Checks((len(points), 1))
+    st, report = _solve(weighted, points[0].scenario, beta, checks)
+    with np.errstate(all="ignore"):
+        names, theta, cov = _finalize(st, True, report)
+        return _ceps(points[0].scenario, names, theta, cov, contrast, points, checks), checks.failed
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,
-                   fit_scenario, fit_targets)
+                   fit_ceps, fit_scenario, fit_targets)
 from .errors import ConfigError, EstimationError, PsemError
 from .mathutil import bisect, norm_cdf, norm_quantile
 from .weights import WeightedRecords
 
 MAX_GRID_CELLS = 200_000
+_ALL_FAILED = "every sensitivity grid point failed; first error: "
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,13 @@ class SweepResult:
                            {g: e for (r, g), e in self.errors.items() if r == b},
                            {g: c for (r, g), c in self.ceps.items() if r == b})
 
+    def first_error(self) -> str | None:
+        """The first error of a one-dataset sweep with a failed point, as
+        "Class: message"; with every point failed, the error ``sweep`` raises."""
+        if len(self.errors) == len(self.cells):
+            return f"EstimationError: {_ALL_FAILED}{self.errors[min(self.errors)]}"
+        return self.errors[min(self.errors)] if self.errors else None
+
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
             zip(self.config.scenario.sensitivity_keys, self.cells[i].tolist())))
@@ -166,9 +174,8 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
                     result.errors[i] = f"{type(exc).__name__}: {exc}"
             continue
         first = dict(reversed(pending))     # each replicate's first pending extreme
-        idx = [first.get(b, 0) for b in range(lead[0])]
-        ceps, failed = fit_targets(weighted, config.scenario, dict(zip(
-            keys, cells[idx].T[..., None])), config.contrast, list(map(result.point, idx)))
+        ceps, failed = fit_ceps(weighted, [result.point(first.get(b, 0))
+                                           for b in range(lead[0])], config.contrast)
         for b, i in first.items():
             if b in failed:
                 result.errors[b, i] = f"{type(failed[b]).__name__}: {failed[b]}"
@@ -176,8 +183,7 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
                 result.ceps[b, i] = ceps[b]
     if lead:
         return result
-    raise EstimationError("every sensitivity grid point failed; first error: "
-                          + result.errors[min(result.errors)])
+    raise EstimationError(_ALL_FAILED + result.errors[min(result.errors)])
 
 
 @dataclass

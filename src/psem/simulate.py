@@ -311,7 +311,9 @@ class StudyResult:
         raise KeyError(f"no study cell matching {kw}")
 
 
-BLOCK = 64    # replicates tallied into one batched cell table and fitted in one pass
+# replicates tallied into one batched cell table and fitted in one pass: at most BLOCK,
+# and on a grid of G points at most BLOCK_POINTS / G (the grid pass holds (B, G) arrays)
+BLOCK, BLOCK_POINTS = 64, 64 * 21
 
 
 def _fit_block(design, n, nu, a, b, gamma, seed, cell_id, reps) -> list:
@@ -322,8 +324,8 @@ def _fit_block(design, n, nu, a, b, gamma, seed, cell_id, reps) -> list:
         _gen_arrays(cfg, _rng_for(seed, cell_id, rep)))), minlength=32) for rep in reps]
     grid = sweep(fit_missingness(tables.from_counts(count), WeightModel.design_known(nu)),
                  gamma, targets=("mu",))
-    views = [grid.replicate(b) for b in range(len(reps))]
-    return [v.errors[min(v.errors)] if v.errors else interval_for(v, "mu") for v in views]
+    return [v.first_error() or interval_for(v, "mu")
+            for v in map(grid.replicate, range(len(reps)))]
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -332,8 +334,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     true contrast difference, mean EUI width, bias of the grid-minimum and
     grid-maximum estimates, and the ratio of empirical to average estimated
     standard errors. Per-replicate estimation failures are excluded from
-    the metrics and counted. ``threads`` > 1 maps the blocks of ``BLOCK``
-    replicates to one process pool; results do not depend on it, bit for bit.
+    the metrics and counted. ``threads`` > 1 maps the blocks of replicates
+    to one process pool; results do not depend on it, bit for bit.
     """
     g = config.grid_points or DESIGNS[config.design].grid_points
     cells, jobs, reps = [], [], range(config.replicates)
@@ -345,8 +347,9 @@ def run_study(config: StudyConfig) -> StudyResult:
         scenario = DESIGNS[cell["design"]].scenario
         gamma = SensitivityConfig(scenario, symmetric_ranges(scenario, cell["gamma_scale"]),
                                   grid_points=g, alpha=config.alpha)
+        block = max(1, min(BLOCK, BLOCK_POINTS // len(gamma.grid())))
         jobs += [(cell["design"], cell["n"], cell["nu"], a, b, gamma, config.seed, cell_id,
-                  reps[s:s + BLOCK]) for s in reps[::BLOCK]]
+                  reps[s:s + block]) for s in reps[::block]]
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
         with ProcessPoolExecutor(max_workers=config.threads) as pool:

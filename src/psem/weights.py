@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .errors import DataError, PositivityError, SeparationError
+from .errors import ConfigError, DataError, PositivityError, SeparationError
 from .mathutil import expit
 from .tables import CellTable, S_MISS
 
@@ -147,6 +147,9 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
     if model is None:
         model = (WeightModel.design_known(1.0) if not any_missing
                  else WeightModel.estimated_logistic())
+    if cells.count.ndim > 1 and model.kind != "design":
+        raise ConfigError("batched cell counts (one row per replicate) take "
+                          "design-known weights only")
 
     pi = np.full(cells.z.shape, np.nan)
     psi = None

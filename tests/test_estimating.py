@@ -78,6 +78,23 @@ def test_batched_sandwich_fails_each_replicate_alone():
     assert cov0[0, 0] == pytest.approx(5 / 8 * 3 / 8 / 8, rel=1e-14)
 
 
+def test_batched_sandwich_skips_replicates_that_already_failed():
+    count = np.zeros((4, 32))
+    count[[0, 1, 3], :2] = [[3.0, 5.0], [4.0, 4.0], [2.0, 6.0]]
+    # replicate 2 is empty, so its mean fails and its bread is all NaN; the
+    # singular bread of replicate 1 sends the inverse replicate by replicate
+    with np.errstate(all="ignore"):
+        st = _mean_stack(tables.from_counts(count), scale=np.array([[1.0], [0.0], [1.0], [1.0]]))
+        theta, cov = st.sandwich()
+    assert sorted(st.checks.failed) == [1, 2]
+    assert str(st.checks.failed[1]) == "singular bread matrix in the stacked fit"
+    assert str(st.checks.failed[2]) == "empty stratum: no observations for every cell"
+    for b in (0, 3):
+        theta_b, cov_b = _mean_stack(tables.from_counts(count[b])).sandwich()
+        assert np.array_equal(theta[:, b, 0], theta_b)
+        assert cov[b, 0] == pytest.approx(cov_b, rel=1e-15)
+
+
 def test_bootstrap_sd_matches_the_sandwich_se():
     """2,000 multinomial resamples of the demo trial's occupied cells, fitted
     as one batched block (scenario B at beta0 = 0, design-known nu, additive

@@ -175,6 +175,18 @@ def test_study_thread_invariance():
         assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
 
 
+def test_study_blocks_shrink_on_large_grids(monkeypatch):
+    # a block holds at most 64 * 21 (replicate, point) pairs: 5 replicates
+    # of the 4**4 = 256 points of design C at grid_points = 4, 64 at one point
+    sizes, real = [], simulate._fit_block
+    monkeypatch.setattr(simulate, "_fit_block",
+                        lambda *job: sizes.append(len(job[-1])) or real(*job))
+    cfg = StudyConfig("C", (4000,), gamma_scales=(0.0, 1.0), grid_points=4,
+                      replicates=70, seed=3)
+    assert [r.replicates + r.failures for r in run_study(cfg).rows] == [70, 70]
+    assert sizes == [64, 6] + [5] * 14
+
+
 @pytest.mark.parametrize("config, failures", [
     (StudyConfig("B", (60,), (0.15,), replicates=200, seed=3), 16),
     (StudyConfig("B", (40,), (0.1,), gamma_scales=(6.0,), grid_points=5,
@@ -201,11 +213,11 @@ def test_study_blocks_match_the_one_point_path(monkeypatch, config, failures):
                                    WeightModel.design_known(cell["nu"]))
         try:
             grid = sweep(weighted, gamma, targets=("mu",))
-            ref = None if grid.errors else interval_for(grid, "mu")
-        except PsemError:
-            ref = None
-        assert isinstance(out, str) == (ref is None), rep
-        if ref is None:
+            ref = grid.errors[min(grid.errors)] if grid.errors else interval_for(grid, "mu")
+        except PsemError as exc:
+            ref = f"{type(exc).__name__}: {exc}"
+        if isinstance(ref, str):    # the same failure, class and message
+            assert out == ref, rep
             failed.add(rep)
             continue
         assert abs(out.estimate_lower - ref.estimate_lower) <= 1e-12

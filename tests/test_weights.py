@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psem import tables
-from psem.errors import DataError, PositivityError, SeparationError
+from psem.errors import ConfigError, DataError, PositivityError, SeparationError
 from psem.weights import (WeightModel, effective_sample, fit_missingness)
 
 from conftest import make_records, weighted_from_blocks
@@ -62,6 +62,16 @@ def test_default_model_selection():
     partial = weighted_from_blocks([(10, 1, 0, 0, 1), (5, 1, 0, 0, 0),
                                     (15, 1, 0, None, 0)])
     assert partial.model.kind == "logistic"
+
+
+def test_batched_counts_take_design_known_weights_only():
+    count = np.zeros((2, 32))
+    count[:, tables.cell_code(1, 0, tables.S_MISS, 0)] = 5
+    count[:, tables.cell_code(1, 0, tables.S_NEG, 0)] = 5
+    for model in (None, WeightModel.estimated_logistic()):
+        with pytest.raises(ConfigError, match="design-known weights only"):
+            fit_missingness(tables.from_counts(count), model)
+    assert fit_missingness(tables.from_counts(count), WeightModel.design_known(0.5)).model.nu == 0.5
 
 
 def test_separation_when_everything_measured():

@@ -179,19 +179,15 @@ def load_study_config(path) -> tuple[StudyConfig, Path]:
     n_values = _floats(sec.get("n", "400"))
     if any(v != int(v) for v in n_values):
         raise ConfigError(f"[study] n must be integers, got {sec['n']!r}")
-    try:
-        study = StudyConfig(
-            design=design,
-            n_values=tuple(map(int, n_values)),
-            nu_values=tuple(_floats(sec.get("nu", "1"))),
-            deltas=tuple(_floats(sec.get("delta", "0"))),
-            gamma_scales=tuple(_floats(sec.get("gamma_scales", "0"))),
-            replicates=_number(sec, "replicates", int, 1000),
-            seed=_number(sec, "seed", int, 0),
-            grid_points=_number(sec, "grid_points", int, None),
-            alpha=_number(sec, "alpha", float, 0.05),
-            threads=_number(sec, "threads", int, 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad study config value: {exc}") from None
-    return study, Path(ini.get("output", "dir", fallback="psem-out"))
+    return StudyConfig(
+        design=design,
+        n_values=tuple(map(int, n_values)),
+        nu_values=tuple(_floats(sec.get("nu", "1"))),
+        deltas=tuple(_floats(sec.get("delta", "0"))),
+        gamma_scales=tuple(_floats(sec.get("gamma_scales", "0"))),
+        replicates=_number(sec, "replicates", int, 1000),
+        seed=_number(sec, "seed", int, 0),
+        grid_points=_number(sec, "grid_points", int, None),
+        alpha=_number(sec, "alpha", float, 0.05),
+        threads=_number(sec, "threads", int, 1),
+    ), Path(ini.get("output", "dir", fallback="psem-out"))

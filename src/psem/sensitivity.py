@@ -111,11 +111,15 @@ class SweepResult:
         return (np.where(ok, row, np.inf).argmin(axis=-1),
                 np.where(ok, row, -np.inf).argmax(axis=-1))
 
-    def replicate(self, b: int) -> "SweepResult":
-        """Replicate b of a batched sweep, as the sweep of its data alone."""
-        return SweepResult(self.config, self.targets, self.cells, self.values[:, b],
-                           {g: e for (r, g), e in self.errors.items() if r == b},
-                           {g: c for (r, g), c in self.ceps.items() if r == b})
+    def replicates(self) -> list["SweepResult"]:
+        """Each replicate of a batched sweep, as the sweep of its data alone."""
+        out = [SweepResult(self.config, self.targets, self.cells, v, {})
+               for v in self.values.swapaxes(0, 1)]
+        for (b, g), e in self.errors.items():
+            out[b].errors[g] = e
+        for (b, g), c in self.ceps.items():
+            out[b].ceps[g] = c
+        return out
 
     def first_error(self) -> str | None:
         """The first error of a one-dataset sweep with a failed point, as

@@ -16,9 +16,13 @@ Bernoulli(nu) subcohort.
 
 Randomness is counter-based (Philox) with one documented stream per
 (seed, study cell, replicate): key = [seed, cell_index * 2^32 + replicate].
-Within a replicate, draws occur in a fixed order (early pair, marker, y1,
-y0, arm, subcohort), so results are bit-identical regardless of how
-replicates are scheduled across workers.
+A replicate draws one (6, n) block of uniforms, rows in a fixed order (early
+pair, marker, y1, y0, arm, subcohort), so results are bit-identical regardless
+of how replicates are scheduled across workers. Each row is compared once with
+its thresholds (the early pair's cut points; 0.6; a and b; 1/2; 1/2; nu), and
+the draw is a function of those R bits. A study tallies a replicate's cells by
+reading its bits as an R-bit number into a table of the cell codes of all 2^R
+bit patterns, which the same mechanics compute.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from . import tables
 from .core import Scenario, cep, fit_scenario  # noqa: F401
 from .sensitivity import eui  # noqa: F401
 from .errors import ConfigError, PsemError
-from .records import Marker, ObservedRecord
+from .records import ObservedRecord
 from .sensitivity import (SensitivityConfig, interval_for, symmetric_ranges,
                           sweep)
 from .tables import S_MISS, S_NEG, S_POS, S_UNDEF
@@ -110,59 +114,59 @@ class PotentialRecord:
 
 
 def _rng_for(seed: int, cell: int, replicate: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    ((cell << 32) + replicate) & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    key = np.array([seed, ((cell << 32) + replicate) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
-    """Vectorized draw of potential and observed arrays (see module docstring
-    for the fixed draw order that pins determinism)."""
-    n = config.n
-    pairs, probs = zip(*DESIGNS[config.design].early)
-    k = np.searchsorted(np.cumsum(probs)[:-1], rng.random(n), side="right")
-    yt1, yt0 = (np.array(col, dtype=bool)[k] for col in zip(*pairs))
-    s1 = (rng.random(n) < MARKER_POS_RATE) & ~yt1
-    mean1 = np.where(s1, config.b, config.a)
-    y1 = np.where(yt1, True, rng.random(n) < mean1)
-    y0 = np.where(yt0, True, rng.random(n) < CONTROL_RISK)
-    z = rng.random(n) < 0.5
-    sub = rng.random(n) < config.nu
+def _bits(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (R, n) bits of one draw (module docstring); R = the early cut points + 6."""
+    cuts = np.cumsum([p for _, p in DESIGNS[config.design].early])[:-1]
+    below = np.array([*cuts, MARKER_POS_RATE, config.a, config.b, CONTROL_RISK, 0.5, config.nu])
+    return rng.random((6, config.n))[[0] * len(cuts) + [1, 2, 2, 3, 4, 5]] < below[:, None]
 
-    yt = np.where(z, yt1, yt0)
-    y = np.where(z, y1, y0)
-    s_pos = np.where(z, s1, False)           # control survivor marker is 0
-    measured = np.where(yt, True, sub | y)
-    s_code = np.where(yt, S_UNDEF,
-                      np.where(measured, np.where(s_pos, S_POS, S_NEG), S_MISS))
-    return {
-        "yt1": yt1.astype(np.int8), "yt0": yt0.astype(np.int8),
-        "s1": s1.astype(np.int8), "y1": y1.astype(np.int8),
-        "y0": y0.astype(np.int8), "z": z.astype(np.int8),
-        "yt": yt.astype(np.int8), "y": y.astype(np.int8),
-        "s_code": s_code.astype(np.int8), "measured": measured.astype(np.int8),
-    }
+
+def _observe(config: GeneratorConfig, bits: np.ndarray) -> dict:
+    """Potential and observed int8 arrays of a draw's ``_bits``: the early pair
+    is the k-th of the design's law, k the count of cut points <= u0."""
+    cut, (pos, below_a, below_b, control, z, sub) = bits[:-6], bits[-6:]
+    pairs = np.array([pair for pair, _ in DESIGNS[config.design].early], dtype=bool)
+    yt1, yt0 = pairs[len(cut) - cut.sum(axis=0)].T
+    s1 = pos & ~yt1
+    y1, y0 = yt1 | np.where(s1, below_b, below_a), yt0 | control
+    yt, y = np.where(z, yt1, yt0), np.where(z, y1, y0)
+    measured = yt | sub | y
+    s_code = np.where(yt, S_UNDEF,        # the control survivor marker is 0
+                      np.where(measured, np.where(z & s1, S_POS, S_NEG), S_MISS))
+    return {name: v.astype(np.int8) for name, v in dict(
+        yt1=yt1, yt0=yt0, s1=s1, y1=y1, y0=y0, z=z, yt=yt, y=y, s_code=s_code,
+        measured=measured).items()}
+
+
+def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
+    """Potential and observed arrays of one draw (see the module docstring)."""
+    return _observe(config, _bits(config, rng))
+
+
+def _cell_counts(config: GeneratorConfig, cell_id: int, reps) -> np.ndarray:
+    """Cell tallies (len(reps), 32) of replicates ``reps`` of study cell ``cell_id``:
+    a draw's bits, read as an R-bit number, index the cell codes of all 2^R patterns."""
+    weight = 1 << np.arange(len(DESIGNS[config.design].early) + 5)    # R as in _bits
+    code = tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(
+        _observe(config, np.arange(2 * weight[-1]) & weight[:, None] > 0)))
+    return np.array([np.bincount(code[weight @ _bits(config, _rng_for(config.seed, cell_id, rep))],
+                                 minlength=32) for rep in reps])
 
 
 def generate(config: GeneratorConfig):
     """One draw of ``config``; returns (potential records, observed records).
     Record ids are the lower-case design name followed by 1, 2, ..."""
-    arrs = _gen_arrays(config, _rng_for(config.seed, 0, 0))
-    code_to_marker = {code: m for m, code in tables._MARKER_CODE.items()}
-    prefix = config.design.lower()
-    pot, obs = [], []
-    for i in range(config.n):
-        yt1, yt0 = int(arrs["yt1"][i]), int(arrs["yt0"][i])
-        pot.append(PotentialRecord(
-            y_tau_1=yt1, y_tau_0=yt0,
-            s_star_1=None if yt1 else int(arrs["s1"][i]),
-            s_star_0=None if yt0 else 0,
-            y_1=int(arrs["y1"][i]), y_0=int(arrs["y0"][i])))
-        obs.append(ObservedRecord(
-            id=f"{prefix}{i + 1}", z=int(arrs["z"][i]), y_tau=int(arrs["yt"][i]),
-            marker=code_to_marker[int(arrs["s_code"][i])],
-            y=int(arrs["y"][i]), measured=int(arrs["measured"][i])))
+    arrs = {k: v.tolist() for k, v in _gen_arrays(config, _rng_for(config.seed, 0, 0)).items()}
+    marker = {code: m for m, code in tables._MARKER_CODE.items()}
+    pot = [PotentialRecord(t1, t0, None if t1 else s1, None if t0 else 0, y1, y0)
+           for t1, t0, s1, y1, y0 in zip(*itemgetter("yt1", "yt0", "s1", "y1", "y0")(arrs))]
+    obs = [ObservedRecord(f"{config.design.lower()}{i}", z, yt, marker[s], y, m)
+           for i, (z, yt, s, y, m) in enumerate(zip(*itemgetter(
+               "z", "yt", "s_code", "y", "measured")(arrs)), 1)]
     return pot, obs
 
 
@@ -251,13 +255,14 @@ class StudyConfig:
         _check_count("seed", self.seed, 0, 2**64)
         for n, nu in itertools.product(self.n_values, self.nu_values):
             _check_sample(n, nu)
-        for d in self.deltas:
-            if abs(d) > 0.8:
-                raise ConfigError(f"delta {d} leaves the (a,b) parameterization")
-        if not all(g >= 0 for g in self.gamma_scales):
-            raise ConfigError(f"gamma scales must be >= 0, got {list(self.gamma_scales)}")
-        if self.grid_points is not None and self.grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not all(abs(d) <= 0.8 for d in self.deltas):    # NaN fails too
+            raise ConfigError(f"deltas must lie in [-0.8, 0.8], got {list(self.deltas)}")
+        if not all(0 <= g < math.inf for g in self.gamma_scales):
+            raise ConfigError(f"gamma scales must be >= 0 and < inf, got {list(self.gamma_scales)}")
+        if self.grid_points is not None:
+            _check_count("grid_points", self.grid_points, 2)
+        if not 0.0 < self.alpha < 0.5:
+            raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
 
     def cells(self) -> list[dict]:
         return [{"design": self.design, "n": n, "nu": nu, "delta": d,
@@ -316,16 +321,12 @@ class StudyResult:
 BLOCK, BLOCK_POINTS = 64, 64 * 21
 
 
-def _fit_block(design, n, nu, a, b, gamma, seed, cell_id, reps) -> list:
+def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> list:
     """Draw the replicates ``reps`` of a study cell and sweep them in one pass:
     per replicate, the interval for mu, or the first error of a failed point."""
-    cfg = GeneratorConfig(design=design, n=n, a=a, b=b, nu=nu, seed=seed)
-    count = [np.bincount(tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(
-        _gen_arrays(cfg, _rng_for(seed, cell_id, rep)))), minlength=32) for rep in reps]
-    grid = sweep(fit_missingness(tables.from_counts(count), WeightModel.design_known(nu)),
-                 gamma, targets=("mu",))
-    return [v.first_error() or interval_for(v, "mu")
-            for v in map(grid.replicate, range(len(reps)))]
+    grid = sweep(fit_missingness(tables.from_counts(_cell_counts(draw, cell_id, reps)),
+                                 WeightModel.design_known(draw.nu)), gamma, targets=("mu",))
+    return [v.first_error() or interval_for(v, "mu") for v in grid.replicates()]
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -341,15 +342,14 @@ def run_study(config: StudyConfig) -> StudyResult:
     cells, jobs, reps = [], [], range(config.replicates)
     for cell_id, cell in enumerate(config.cells()):
         d = cell["delta"]
-        a, b = 0.4 - d / 2.0, 0.4 + d / 2.0
-        cells.append((cell, oracle_estimands(GeneratorConfig(
-            design=cell["design"], n=2, a=a, b=b))["mu"]))
+        draw = GeneratorConfig(cell["design"], cell["n"], 0.4 - d / 2.0, 0.4 + d / 2.0,
+                               cell["nu"], config.seed)
+        cells.append((cell, oracle_estimands(draw)["mu"]))
         scenario = DESIGNS[cell["design"]].scenario
         gamma = SensitivityConfig(scenario, symmetric_ranges(scenario, cell["gamma_scale"]),
                                   grid_points=g, alpha=config.alpha)
         block = max(1, min(BLOCK, BLOCK_POINTS // len(gamma.grid())))
-        jobs += [(cell["design"], cell["n"], cell["nu"], a, b, gamma, config.seed, cell_id,
-                  reps[s:s + block]) for s in reps[::block]]
+        jobs += [(draw, gamma, cell_id, reps[s:s + block]) for s in reps[::block]]
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
         with ProcessPoolExecutor(max_workers=config.threads) as pool:

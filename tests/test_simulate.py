@@ -1,17 +1,20 @@
 import dataclasses
 import hashlib
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from psem import simulate
+from psem import simulate, tables
 from psem.errors import ConfigError, PsemError
 from psem.sensitivity import SensitivityConfig, interval_for, symmetric_ranges, sweep
 from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _gen_arrays,
                            _law, _rng_for, generate,
                            oracle_estimands, run_study)
-from psem.tables import from_arrays
+from psem.tables import S_MISS, S_NEG, S_POS, S_UNDEF, from_arrays
 from psem.weights import WeightModel, fit_missingness
 
 
@@ -53,6 +56,62 @@ def test_draw_stream_is_pinned(design, digest):
                                        nu=0.5), _rng_for(7, 0, 0))
     got = hashlib.sha256(b"".join(arrs[k].tobytes() for k in sorted(arrs)))
     assert got.hexdigest() == digest
+
+
+def reference_arrays(config, rng):
+    """Reference generator: six rng.random(n) calls in the module docstring's
+    order, each variable drawn from its own uniforms, with no bits or table."""
+    n = config.n
+    pairs, probs = zip(*DESIGNS[config.design].early)
+    k = np.searchsorted(np.cumsum(probs)[:-1], rng.random(n), side="right")
+    yt1, yt0 = (np.array(col, dtype=bool)[k] for col in zip(*pairs))
+    s1 = (rng.random(n) < simulate.MARKER_POS_RATE) & ~yt1
+    mean1 = np.where(s1, config.b, config.a)
+    y1 = np.where(yt1, True, rng.random(n) < mean1)
+    y0 = np.where(yt0, True, rng.random(n) < simulate.CONTROL_RISK)
+    z = rng.random(n) < 0.5
+    sub = rng.random(n) < config.nu
+    yt = np.where(z, yt1, yt0)
+    y = np.where(z, y1, y0)
+    measured = np.where(yt, True, sub | y)
+    s_code = np.where(yt, S_UNDEF, np.where(measured, np.where(np.where(z, s1, False),
+                                                               S_POS, S_NEG), S_MISS))
+    return {name: v.astype(np.int8) for name, v in dict(
+        yt1=yt1, yt0=yt0, s1=s1, y1=y1, y0=y0, z=z, yt=yt, y=y, s_code=s_code,
+        measured=measured).items()}
+
+
+_unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=st.sampled_from(sorted(DESIGNS)), n=st.integers(1, 400),
+       nu=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True), a=_unit,
+       b=st.none() | _unit, seed=st.integers(0, 2**64 - 1), cell=st.integers(0, 2**31),
+       reps=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+@example(design="C", n=400, nu=1.0, a=0.0, b=1.0, seed=0, cell=0, reps=[0, 1])
+@example(design="B", n=400, nu=0.5, a=0.3, b=None, seed=1, cell=2, reps=[3])
+def test_bit_pattern_tally_matches_the_draw(design, n, nu, a, b, seed, cell, reps):
+    # b=None draws a = b; the draw and its tally equal the reference generator's
+    cfg = GeneratorConfig(design, n, a, a if b is None else b, nu, seed)
+    want = [reference_arrays(cfg, _rng_for(seed, cell, rep)) for rep in reps]
+    new = _gen_arrays(cfg, _rng_for(seed, cell, reps[0]))
+    assert all(np.array_equal(new[k], v) and new[k].dtype == v.dtype
+               for k, v in want[0].items())
+    assert np.array_equal(simulate._cell_counts(cfg, cell, reps), [np.bincount(tables.cell_code(
+        *itemgetter("z", "yt", "s_code", "y")(arrs)), minlength=32) for arrs in want])
+
+
+@pytest.mark.parametrize("design, digest", [
+    ("B", "8378d4a34ae641884895761dd26e113a98cfcb2390cc04ff71d10ef7e680bd88"),
+    ("C", "3e43367de79d91f3da408dbd9d54d587bb291396e7204f4eb9eb93be4b032386")],
+    ids=["B", "C"])
+def test_study_block_tallies_are_pinned(design, digest):
+    """Integer tallies are platform-independent: a change to the draw or the
+    tally of a study block changes the bytes."""
+    counts = simulate._cell_counts(GeneratorConfig(design, 1600, 0.3, 0.5, 0.5, 7), 3, range(64))
+    assert counts.shape == (64, 32) and counts.sum() == 64 * 1600
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_design_c_marginals_large_n():
@@ -154,6 +213,20 @@ def test_study_config_checks_every_n_and_nu(sample):
     # rejected when built, before any study cell runs
     with pytest.raises(ConfigError):
         StudyConfig(design="B", **sample)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"deltas": (0.2, math.nan)}, r"deltas must lie in \[-0.8, 0.8\]"),
+    ({"gamma_scales": (0.0, math.inf)}, "gamma scales must be >= 0 and < inf"),
+    ({"alpha": 0.7}, r"alpha must be in \(0, 0.5\)"),
+    ({"alpha": 0.0}, r"alpha must be in \(0, 0.5\)"),
+    ({"grid_points": 2.5}, "grid_points must be >= 2 and < inf, an integer")],
+    ids=["nan_delta", "infinite_gamma_scale", "alpha_0.7", "alpha_0", "fractional_grid_points"])
+def test_study_config_rejects_bad_values(kwargs, message):
+    # rejected when built, naming the study field: each used to fail inside
+    # run_study, naming a derived value (a, a beta range) or none
+    with pytest.raises(ConfigError, match=message):
+        StudyConfig(design="B", n_values=(400,), **kwargs)
 
 
 def test_study_seed_determinism():

@@ -103,30 +103,25 @@ class SweepResult:
     def row(self, target: str) -> np.ndarray:
         return self.values[self.config.scenario.targets.index(target)]
 
+    def ok(self) -> np.ndarray:
+        """Which points did not fail: (G,), or (B, G) if batched."""
+        ok = np.ones(self.values.shape[1:], dtype=bool)
+        ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, ok.ndim).T)] = False
+        return ok
+
     def extremes(self, target: str):
         """First points, in grid order, holding the target's minimum and
         maximum over the points that did not fail, per replicate if batched."""
-        row, ok = self.row(target), np.ones(self.values.shape[1:], dtype=bool)
-        ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, ok.ndim).T)] = False
+        row, ok = self.row(target), self.ok()
         return (np.where(ok, row, np.inf).argmin(axis=-1),
                 np.where(ok, row, -np.inf).argmax(axis=-1))
 
-    def replicates(self) -> list["SweepResult"]:
-        """Each replicate of a batched sweep, as the sweep of its data alone."""
-        out = [SweepResult(self.config, self.targets, self.cells, v, {})
-               for v in self.values.swapaxes(0, 1)]
-        for (b, g), e in self.errors.items():
-            out[b].errors[g] = e
-        for (b, g), c in self.ceps.items():
-            out[b].ceps[g] = c
-        return out
-
-    def first_error(self) -> str | None:
-        """The first error of a one-dataset sweep with a failed point, as
-        "Class: message"; with every point failed, the error ``sweep`` raises."""
-        if len(self.errors) == len(self.cells):
-            return f"EstimationError: {_ALL_FAILED}{self.errors[min(self.errors)]}"
-        return self.errors[min(self.errors)] if self.errors else None
+    def first_errors(self) -> list[str | None]:
+        """Each replicate's first error of a batched sweep, in grid order, or None; with every
+        point failed, the error a one-dataset ``sweep`` raises."""
+        first = {b: e for (b, _), e in sorted(self.errors.items(), reverse=True)}  # least g last
+        return [first.get(b) if ok.any() else f"EstimationError: {_ALL_FAILED}{first[b]}"
+                for b, ok in enumerate(self.ok())]
 
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
@@ -192,6 +187,8 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
 
 @dataclass
 class IntervalResult:
+    """Ignorance interval and EUI of one target; ``c_alpha`` is NaN where ``degenerate`` (both
+    SEs 0). From a batched sweep each numeric field and EUI bound is a (B,) array."""
     target: str
     estimate_lower: float
     estimate_upper: float
@@ -201,7 +198,7 @@ class IntervalResult:
     c_alpha: float
     alpha: float
     degenerate: bool = False
-    # set by interval_for; None from a bare eui()
+    # set by interval_for, the points for one dataset only; None from a bare eui()
     point_lower: SensitivityPoint | None = None
     point_upper: SensitivityPoint | None = None
     extrema_on_corners: bool | None = None
@@ -214,8 +211,8 @@ class IntervalResult:
 def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
     """Critical value on [z_{1-a}, z_{1-a/2}] by bisection; the gap is the
     ignorance-interval width in units of the larger standard error."""
-    if scaled_gap < 0:
-        raise ValueError("scaled gap must be nonnegative")
+    if not (scaled_gap >= 0 and 0.0 < alpha < 0.5):     # a NaN fails too
+        raise ValueError(f"need a scaled gap >= 0 and alpha in (0, 0.5), got {scaled_gap}, {alpha}")
     lo = norm_quantile(1.0 - alpha)
     hi = norm_quantile(1.0 - alpha / 2.0)
 
@@ -227,71 +224,73 @@ def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
     return bisect(f, lo, hi, tol)
 
 
-def eui(est_l: float, se_l: float, est_u: float, se_u: float,
-        alpha: float = 0.05, target: str = "") -> IntervalResult:
-    """Imbens-Manski estimated uncertainty interval.
+def eui(est_l, se_l, est_u, se_u, alpha: float = 0.05, target: str = "") -> IntervalResult:
+    """Imbens-Manski estimated uncertainty interval, of floats or elementwise
+    over equal-shaped arrays, with one ``solve_c_alpha`` call per entry.
 
     ``se_l``/``se_u`` are the standard errors of the lower/upper estimates
     (root-n scaling already inside, see the module docstring). With a
     degenerate region (est_l = est_u, equal SEs) the EUI is the usual
-    two-sided Wald interval.
+    two-sided Wald interval. A NaN estimate or SE, est_l > est_u, a
+    negative SE and alpha outside (0, 0.5) raise ValueError.
     """
-    if est_l > est_u:
-        raise ValueError("est_l must not exceed est_u")
-    if se_l < 0 or se_u < 0:
-        raise ValueError("standard errors must be nonnegative")
-    max_se = max(se_l, se_u)
-    if max_se == 0.0:
-        return IntervalResult(target=target, estimate_lower=est_l,
-                              estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
-                              eui=(est_l, est_u), c_alpha=float("nan"),
-                              alpha=alpha, degenerate=True)
-    c = solve_c_alpha((est_u - est_l) / max_se, alpha)
-    return IntervalResult(target=target, estimate_lower=est_l,
-                          estimate_upper=est_u, se_lower=se_l, se_upper=se_u,
-                          eui=(est_l - c * se_l, est_u + c * se_u),
-                          c_alpha=c, alpha=alpha)
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    rows = []       # the fields of each entry, in Python floats
+    entries = (np.ravel(x).tolist() for x in (est_l, se_l, est_u, se_u))
+    for l, sl, u, su in zip(*entries, strict=True):
+        if not (l <= u and sl >= 0 and su >= 0):    # NaN fails too
+            raise ValueError(f"need est_l <= est_u and SEs >= 0, got {l}, {sl}, {u}, {su}")
+        c = solve_c_alpha((u - l) / m, alpha) if (m := max(sl, su)) else math.nan
+        rows.append((l, u, sl, su, *((l - c * sl, u + c * su) if m else (l, u)), c))
+    lower, upper, sl, su, eui_l, eui_u, c = (
+        np.reshape(np.array(rows).T, (7, *np.shape(est_l))) if np.ndim(est_l) else rows[0])
+    # c_alpha is NaN, the one value unequal to itself, where both SEs are 0
+    return IntervalResult(target, lower, upper, sl, su, (eui_l, eui_u), c, alpha, c != c)
 
 
 def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
     """Ignorance interval plus EUI for one target of a completed sweep.
 
-    The ignorance interval is the span of the point estimates over the
-    grid, with the achieving sensitivity-parameter points retained. The
-    full grid is scanned even where monotonicity guarantees corner
-    extremes; in scenario B a non-corner extreme triggers a warning that
-    names the failed corner points, whose loss narrows the region, or
-    else points to a numerical problem. For the scenario C variants corner
-    attainment is only measured and reported (``extrema_on_corners``).
-    """
+    The ignorance interval spans the point estimates over the whole grid, even
+    where monotonicity guarantees corner extremes (``extrema_on_corners``).
+    For one dataset the achieving sensitivity-parameter points are retained;
+    in scenario B non-corner extremes trigger a warning that names the failed
+    corner points, whose loss narrows the region, or else points to a
+    numerical problem. On a batched sweep each replicate is treated as if
+    alone, but nothing raises or warns: a replicate whose every point failed
+    gets NaN."""
     if target not in grid.targets:
         raise KeyError(f"{target!r} is not a target of this sweep; "
                        f"targets: {list(grid.targets)}")
-    if len(grid.errors) == len(grid.cells):
+    one = grid.values.ndim == 2
+    row = grid.row(target).reshape(-1, len(grid.cells))     # (B, G), B = 1 for one dataset
+    fitted = grid.ok().reshape(row.shape).any(axis=1)
+    if one and not fitted[0]:
         raise EstimationError("no successful grid cells")
-    lo, hi = grid.extremes(target)
-    cells = grid.cells
-    corner = ((cells == cells.min(axis=0)) | (cells == cells.max(axis=0))).all(axis=1)
-    on_corners = bool(corner[lo] and corner[hi])
-    if not on_corners and grid.config.scenario is Scenario.B:
-        keys = grid.config.scenario.sensitivity_keys
-        failed = [i for i in sorted(grid.errors) if corner[i]]
-        cause = "check for numerical problems"
-        if failed:
-            cause = ("the fit failed at region corner(s) " + "; ".join(
-                "(" + ", ".join(f"{k}={v:g}" for k, v in zip(keys, cells[i].tolist()))
-                + f": {grid.errors[i]})" for i in failed)
-                + ", so the interval covers a narrowed region")
-        warnings.warn(
-            f"ignorance-interval extremes for {target} fall inside the "
-            "sensitivity region in scenario B, where the estimate is "
-            f"monotone; {cause}", RuntimeWarning, stacklevel=2)
-    (_, se_l), (_, se_u) = grid.ceps[lo].get(target), grid.ceps[hi].get(target)
-    row = grid.row(target)
-    res = eui(float(row[lo]), se_l, float(row[hi]), se_u,
-              grid.config.alpha, target=target)
-    res.point_lower, res.point_upper = grid.point(lo), grid.point(hi)
-    res.extrema_on_corners = on_corners
+    lo, hi = (np.atleast_1d(i).tolist() for i in grid.extremes(target))
+    corner = np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
+    out = np.full((7, len(row)), np.nan)    # est_l, se_l, est_u, se_u, the EUI and c_alpha
+    for b in np.flatnonzero(fitted).tolist():
+        out[:4, b] = [x for i in (lo[b], hi[b])
+                      for x in (row[b, i], grid.ceps[i if one else (b, i)].get(target)[1])]
+    on_corners = corner[lo] & corner[hi] & fitted
+    res = eui(*out[:4, 0 if one else fitted], grid.config.alpha, target)
+    if not one:     # spread over every replicate; c_alpha is NaN where degenerate
+        out[4:, fitted] = *res.eui, res.c_alpha
+        est_l, se_l, est_u, se_u, eui_l, eui_u, c = out
+        return IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c, res.alpha,
+                              fitted & np.isnan(c), extrema_on_corners=on_corners)
+    res.point_lower, res.point_upper = grid.point(lo[0]), grid.point(hi[0])
+    res.extrema_on_corners = bool(on_corners[0])
+    if not res.extrema_on_corners and grid.config.scenario is Scenario.B:
+        failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
+                           + f": {e})" for i, e in sorted(grid.errors.items()) if corner[i])
+        cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
+                 "narrowed region" if failed else "check for numerical problems")
+        warnings.warn(f"ignorance-interval extremes for {target} fall inside the sensitivity "
+                      f"region in scenario B, where the estimate is monotone; {cause}",
+                      RuntimeWarning, stacklevel=2)
     return res
 
 

@@ -39,11 +39,10 @@ from . import tables
 # cep, fit_scenario and eui stay bound here: bench/tracer.py patches them in
 # this namespace
 from .core import Scenario, cep, fit_scenario  # noqa: F401
-from .sensitivity import eui  # noqa: F401
 from .errors import ConfigError, PsemError
 from .records import ObservedRecord
-from .sensitivity import (SensitivityConfig, interval_for, symmetric_ranges,
-                          sweep)
+from .sensitivity import (SensitivityConfig, eui, interval_for,  # noqa: F401
+                          symmetric_ranges, sweep)
 from .tables import S_MISS, S_NEG, S_POS, S_UNDEF
 from .weights import WeightModel, fit_missingness
 
@@ -321,12 +320,15 @@ class StudyResult:
 BLOCK, BLOCK_POINTS = 64, 64 * 21
 
 
-def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> list:
-    """Draw the replicates ``reps`` of a study cell and sweep them in one pass:
-    per replicate, the interval for mu, or the first error of a failed point."""
+def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> tuple[list, np.ndarray]:
+    """Draw the replicates ``reps`` of a study cell and sweep them in one pass: each
+    replicate's first error (None where no point failed), and a row per replicate of
+    the interval for mu (estimate_lower, se_lower, estimate_upper, se_upper, EUI)."""
     grid = sweep(fit_missingness(tables.from_counts(_cell_counts(draw, cell_id, reps)),
                                  WeightModel.design_known(draw.nu)), gamma, targets=("mu",))
-    return [v.first_error() or interval_for(v, "mu") for v in grid.replicates()]
+    mu = interval_for(grid, "mu")
+    return grid.first_errors(), np.column_stack(
+        [mu.estimate_lower, mu.se_lower, mu.estimate_upper, mu.se_upper, *mu.eui])
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -356,22 +358,21 @@ def run_study(config: StudyConfig) -> StudyResult:
             blocks = list(pool.map(_fit_block, *zip(*jobs)))
     else:
         blocks = list(itertools.starmap(_fit_block, jobs))
-    outs, r = list(itertools.chain(*blocks)), config.replicates
-    return StudyResult(config, [_summarize_cell(cell, mu, outs[k * r:(k + 1) * r])
+    errors, r = [e for errs, _ in blocks for e in errs], config.replicates
+    mus = np.concatenate([mu for _, mu in blocks]).reshape(len(cells), r, -1)
+    return StudyResult(config, [_summarize_cell(cell, mu, errors[k * r:(k + 1) * r], mus[k])
                                 for k, (cell, mu) in enumerate(cells)])
 
 
-def _summarize_cell(cell, true_mu, outcomes) -> StudyCellResult:
-    ok = [o for o in outcomes if not isinstance(o, str)]
-    failures = len(outcomes) - len(ok)
-    if not ok:
+def _summarize_cell(cell, true_mu, errors, mus) -> StudyCellResult:
+    ok = np.array([e is None for e in errors])
+    if not ok.any():
         raise PsemError(f"every replicate failed in cell {cell}; first error: "
-                        f"{outcomes[0]}")
-    mu_min, se_min, mu_max, se_max, lo, hi = np.array(
-        [(i.estimate_lower, i.se_lower, i.estimate_upper, i.se_upper, *i.eui) for i in ok]).T
+                        f"{errors[0]}")
+    mu_min, se_min, mu_max, se_max, lo, hi = mus[ok].T
     reject = ~((lo <= 0.0) & (0.0 <= hi))
     cover = (lo <= true_mu) & (true_mu <= hi)
-    r = len(ok)
+    r, failures = len(lo), len(errors) - len(lo)
     power = float(np.mean(reject))
     coverage = float(np.mean(cover))
 

@@ -1,18 +1,22 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psem
-from psem import core
+from psem import core, simulate
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError
 from psem.mathutil import norm_cdf, norm_quantile
-from psem.sensitivity import SensitivityConfig, solve_c_alpha
+from psem.sensitivity import SensitivityConfig, SweepResult, solve_c_alpha, symmetric_ranges
+from psem.tables import from_counts
+from psem.weights import WeightModel, fit_missingness
 
 from conftest import fit, random_cb_dataset, scenario_dataset
 
@@ -178,6 +182,28 @@ def test_eui_matches_scalar_root_oracle():
     assert res.c_alpha == pytest.approx(1.6449, abs=1e-4)
 
 
+def test_eui_is_elementwise_with_each_ends_own_se():
+    est_l, se_l = [0.1, 0.2, -0.3], [0.05, 0.0, 0.02]
+    est_u, se_u = [0.3, 0.2, 0.1], [0.08, 0.0, 0.01]
+    res = psem.eui(*map(np.array, (est_l, se_l, est_u, se_u)))
+    for k in range(3):
+        one = psem.eui(est_l[k], se_l[k], est_u[k], se_u[k])
+        assert type(one.c_alpha) is float and type(one.degenerate) is bool
+        got = [res.estimate_lower[k], res.estimate_upper[k], res.se_lower[k], res.se_upper[k],
+               res.eui[0][k], res.eui[1][k], res.c_alpha[k]]
+        want = [one.estimate_lower, one.estimate_upper, one.se_lower, one.se_upper, *one.eui,
+                one.c_alpha]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert res.degenerate[k] == one.degenerate == (k == 1)
+    # each end widens by its own SE; the gap is in units of the larger one
+    c = scipy.optimize.brentq(lambda c: scipy.stats.norm.cdf(c + 0.2 / 0.08)
+                              - scipy.stats.norm.cdf(-c) - 0.95, 1.0, 3.0, xtol=1e-14)
+    assert res.c_alpha[0] == pytest.approx(c, abs=1e-8)
+    assert res.eui[0][0] == pytest.approx(0.1 - c * 0.05, abs=1e-9)
+    assert res.eui[1][0] == pytest.approx(0.3 + c * 0.08, abs=1e-9)
+    assert (res.eui[0][1], res.eui[1][1]) == (0.2, 0.2) and math.isnan(res.c_alpha[1])
+
+
 def test_eui_degenerate_zero_ses():
     res = psem.eui(0.1, 0.0, 0.3, 0.0, 0.05)
     assert res.degenerate and res.eui == (0.1, 0.3)
@@ -188,6 +214,29 @@ def test_eui_input_validation():
         psem.eui(0.3, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
         psem.eui(0.1, -0.1, 0.3, 0.1)
+
+
+NEED = "need est_l <= est_u and SEs >= 0"
+
+
+@pytest.mark.parametrize("call, args, kwargs, message", [
+    (psem.eui, (0.1, 0.1, 0.2, math.nan), {}, NEED),
+    (psem.eui, (0.1, math.nan, 0.2, 0.1), {}, NEED),
+    (psem.eui, (math.nan, 0.1, 0.2, 0.1), {}, NEED),
+    (psem.eui, (0.1, 0.1, math.nan, 0.1), {}, NEED),
+    (psem.eui, ([0.1, 0.1], [0.1, 0.1], [0.2, 0.2], [0.1, math.nan]), {}, NEED),
+    (psem.eui, (0.1, 0.1, 0.2, 0.1), {"alpha": 0.7}, r"alpha must be in \(0, 0.5\), got 0.7"),
+    (psem.eui, (0.1, 0.0, 0.2, 0.0), {"alpha": 0.0}, r"alpha must be in \(0, 0.5\), got 0.0"),
+    (solve_c_alpha, (math.nan, 0.05), {}, "need a scaled gap >= 0"),
+    (solve_c_alpha, (1.0, 0.5), {}, "need a scaled gap >= 0")],
+    ids=["eui_nan_se_upper", "eui_nan_se_lower", "eui_nan_est_lower", "eui_nan_est_upper",
+         "eui_array_nan_se", "eui_alpha_0.7", "eui_degenerate_alpha_0", "c_alpha_nan_gap",
+         "c_alpha_alpha_0.5"])
+def test_eui_rejects_nan_and_alpha_outside_range(call, args, kwargs, message):
+    # a NaN used to leak into one EUI bound or c_alpha, and alpha = 0.7 gave
+    # an "EUI" narrower than the ignorance interval (c_alpha < 0)
+    with pytest.raises(ValueError, match=message):
+        call(*args, **kwargs)
 
 
 def test_c_alpha_bounds_and_monotonicity():
@@ -416,3 +465,63 @@ def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, sca
         if scenario is Scenario.B:
             assert res.extrema_on_corners
 
+
+# ---------------------------------------------------------------------------
+# batched intervals against the one-dataset path
+
+
+def split_replicates(grid):
+    """Each replicate of a batched sweep as the one-dataset sweep of its data
+    alone: the reference for the batched interval step."""
+    out = [SweepResult(grid.config, grid.targets, grid.cells, v, {})
+           for v in grid.values.swapaxes(0, 1)]
+    for (b, g), e in grid.errors.items():
+        out[b].errors[g] = e
+    for (b, g), c in grid.ceps.items():
+        out[b].ceps[g] = c
+    return out
+
+
+INTERVAL_FLOATS = ("estimate_lower", "estimate_upper", "se_lower", "se_upper", "c_alpha")
+
+
+# a = 0.05 and b = 0.9 with scale 30 make covariance fits fail at some extremes
+# (stacked residual, derived risk outside [0, 1]); n = 40 at nu = 0.3 leaves
+# replicates with an empty stratum, where every point fails
+@settings(max_examples=30, deadline=None)
+@given(design=st.sampled_from("BC"), contrast=st.sampled_from(list(Contrast)),
+       grid_points=st.integers(2, 5), reps=st.integers(1, 70),
+       n=st.sampled_from([40, 200, 1000]), nu=st.sampled_from([0.3, 1.0]),
+       scale=st.sampled_from([0.0, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+@example(design="B", contrast=Contrast.LOG_RR, grid_points=2, reps=70, n=40, nu=0.3,
+         scale=30.0, seed=3)
+@example(design="C", contrast=Contrast.ADDITIVE, grid_points=3, reps=20, n=40, nu=0.3,
+         scale=30.0, seed=3)
+def test_batched_interval_is_each_replicates_interval(design, contrast, grid_points, reps,
+                                                      n, nu, scale, seed):
+    scenario = simulate.DESIGNS[design].scenario
+    draw = simulate.GeneratorConfig(design, n, 0.05, 0.9, nu, seed)
+    cfg = SensitivityConfig(scenario, symmetric_ranges(scenario, scale), grid_points,
+                            contrast=contrast)
+    grid = psem.sweep(fit_missingness(from_counts(simulate._cell_counts(draw, 0, range(reps))),
+                                      WeightModel.design_known(nu)), cfg)
+    alone = split_replicates(grid)
+    for target in grid.targets:
+        batched = psem.interval_for(grid, target)      # no warning: filterwarnings = error
+        for b, one in enumerate(alone):
+            got = [getattr(batched, f)[b] for f in INTERVAL_FLOATS] + [
+                batched.eui[0][b], batched.eui[1][b]]
+            try:
+                with warnings.catch_warnings():     # scenario B's corner warning
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    ref = psem.interval_for(one, target)
+            except EstimationError:
+                assert len(one.errors) == len(one.cells)
+                assert np.isnan(got).all()
+                assert not batched.degenerate[b] and not batched.extrema_on_corners[b]
+                continue
+            want = [getattr(ref, f) for f in INTERVAL_FLOATS] + list(ref.eui)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (target, b)
+            assert batched.degenerate[b] == ref.degenerate
+            assert batched.extrema_on_corners[b] == ref.extrema_on_corners
+            assert (batched.target, batched.alpha) == (ref.target, ref.alpha)

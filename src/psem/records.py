@@ -118,7 +118,8 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
     prefixed ``w_`` are parsed as baseline covariates. Row order is preserved
     and duplicate ids are rejected; an unreadable or non-UTF-8 file is a DataError.
     """
-    return read_rows(path, schema, lambda lay, rows: [parse_row(lay, i, r) for i, r in rows])
+    return read_rows(path, schema,
+                     lambda lay, rows: [parse_row(lay, i, r) for i, r in _rows(lay, rows)])
 
 
 # the file's path and header, and the column indices of the id, of z, y_tau,
@@ -127,9 +128,8 @@ _Layout = namedtuple("_Layout", "path header id key covariates")
 
 
 def read_rows(path, schema, consume):
-    """``consume(layout, rows)`` for the file's checked header and its data
-    rows as ``(row number, fields)``. The header is row 1; blank lines are
-    skipped and not numbered."""
+    """``consume(layout, rows)`` for the file's checked header and its
+    non-blank data rows as field lists; a csv error is a DataError naming the line."""
     names = {**DEFAULT_SCHEMA, **(schema or {})}
     if len(names) > len(DEFAULT_SCHEMA):
         raise DataError(f"unknown schema keys: {sorted(set(names) - set(DEFAULT_SCHEMA))}")
@@ -149,7 +149,9 @@ def read_rows(path, schema, consume):
                 col[names[k]] for k in ("z", "y_tau", "marker", "y", "measured")
                 if names[k] in col), tuple(
                 j for j, c in enumerate(header) if c.startswith(COVARIATE_PREFIX)))
-            return consume(layout, _rows(layout, filter(None, reader)))
+            return consume(layout, filter(None, reader))
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read the file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -157,6 +159,8 @@ def read_rows(path, schema, consume):
 
 
 def _rows(layout, rows):
+    """The checked data rows as ``(row number, fields)``. The header is row 1;
+    blank lines are skipped and not numbered."""
     width, seen = len(layout.header), set()
     for i, row in enumerate(rows, start=2):
         if len(row) != width:

@@ -109,10 +109,11 @@ class SweepResult:
         ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, ok.ndim).T)] = False
         return ok
 
-    def extremes(self, target: str):
+    def extremes(self, target: str, ok: np.ndarray | None = None):
         """First points, in grid order, holding the target's minimum and
-        maximum over the points that did not fail, per replicate if batched."""
-        row, ok = self.row(target), self.ok()
+        maximum over the points that did not fail (``ok``, by default
+        ``self.ok()``), per replicate if batched."""
+        row, ok = self.row(target), self.ok() if ok is None else ok
         return (np.where(ok, row, np.inf).argmin(axis=-1),
                 np.where(ok, row, -np.inf).argmax(axis=-1))
 
@@ -265,10 +266,11 @@ def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
                        f"targets: {list(grid.targets)}")
     one = grid.values.ndim == 2
     row = grid.row(target).reshape(-1, len(grid.cells))     # (B, G), B = 1 for one dataset
-    fitted = grid.ok().reshape(row.shape).any(axis=1)
+    ok = grid.ok()
+    fitted = ok.reshape(row.shape).any(axis=1)
     if one and not fitted[0]:
         raise EstimationError("no successful grid cells")
-    lo, hi = (np.atleast_1d(i).tolist() for i in grid.extremes(target))
+    lo, hi = (np.atleast_1d(i).tolist() for i in grid.extremes(target, ok))
     corner = np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
     out = np.full((7, len(row)), np.nan)    # est_l, se_l, est_u, se_u, the EUI and c_alpha
     for b in np.flatnonzero(fitted).tolist():

@@ -13,13 +13,16 @@ Marker state codes: 0 negative, 1 positive, 2 undefined (early event),
 
 from __future__ import annotations
 
+import csv
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
-from .records import Marker, ObservedRecord, parse_row, read_rows
+from .records import Marker, ObservedRecord, load_csv, parse_row, read_rows
 
 S_NEG, S_POS, S_UNDEF, S_MISS = 0, 1, 2, 3
 
@@ -66,18 +69,52 @@ def from_records(records) -> CellTable:
 
 
 def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
-    """``from_records(load_csv(path, schema))`` without the record list: each distinct
-    (z, y_tau, marker, y, measured) token tuple is parsed once, or every row if w_ exist."""
-    def codes(layout, rows):
-        key_of, cache, out = itemgetter(*layout.key), {}, []
-        for i, row in rows:
-            code = cache.get(key := key_of(row))
-            if code is None or layout.covariates:
-                r = parse_row(layout, i, row)
-                code = cache[key] = cell_code(r.z, r.y_tau, _MARKER_CODE[r.marker], r.y)
-            out.append(code)
-        return np.array(out, dtype=np.int64)
-    return _from_codes(read_rows(path, schema, codes))
+    """``from_records(load_csv(path, schema))`` without the record list.
+
+    The rows are screened a block at a time by C-level passes: widths, id
+    hashes, a count of each (z, y_tau, marker, y, measured) token tuple, and
+    the w_ tokens through ``float``. Each distinct tuple is parsed once. A
+    row the screen cannot vouch for, or two ids of equal hash, sends the file
+    down the record path, which reports its first fault exactly."""
+    screened = read_rows(path, schema, _screen)
+    if screened is None:
+        return from_records(load_csv(path, schema))
+    return _from_codes(*screened)
+
+
+# Rows per screened block: fewer than the 700 allocations that start a gen-0 GC pass.
+_BLOCK = 512
+_id_hash = hash     # the id digest of the duplicate screen; a test swaps in a colliding one
+
+
+def _screen(layout, rows):
+    """Each distinct token tuple's cell code and row count, or None for a
+    file with a wrong-width row, a tuple ``parse_row`` rejects, a w_ token
+    ``float`` rejects, a csv or decoding error, or two ids of equal hash."""
+    width, id_of, key_of = len(layout.header), itemgetter(layout.id), itemgetter(*layout.key)
+    tally, code, hashes = Counter(), {}, []
+    try:
+        for block in iter(lambda: list(islice(rows, _BLOCK)), []):
+            if set(map(len, block)) != {width}:
+                return None
+            hashes.append(np.fromiter(map(_id_hash, map(str.strip, map(id_of, block))),
+                                      np.int64, len(block)))
+            tally.update(map(key_of, block))
+            for j in layout.covariates:
+                deque(map(float, filter(None, map(itemgetter(j), block))), maxlen=0)
+            if len(tally) > len(code):
+                for row in block:
+                    if (key := key_of(row)) not in code:
+                        r = parse_row(layout, 0, row)   # a fault: the record path names its row
+                        code[key] = cell_code(r.z, r.y_tau, _MARKER_CODE[r.marker], r.y)
+    except (csv.Error, ValueError, DataError):  # ValueError: float's, or a UnicodeDecodeError
+        return None
+    h = np.concatenate([np.empty(0, np.int64), *hashes])
+    h.sort()
+    if (h[1:] == h[:-1]).any():
+        return None
+    return (np.fromiter(map(code.get, tally), np.int64, len(tally)),
+            np.fromiter(tally.values(), np.int64, len(tally)))
 
 
 def from_arrays(z, yt, s, y) -> CellTable:
@@ -93,9 +130,10 @@ def from_counts(count, c=np.arange(32)) -> CellTable:
                      count=np.asarray(count, dtype=float))
 
 
-def _from_codes(code) -> CellTable:
-    """One row per occupied cell, in ascending ``cell_code`` order."""
-    tallies = np.bincount(code, minlength=32)
+def _from_codes(code, count=None) -> CellTable:
+    """One row per occupied cell, in ascending ``cell_code`` order; ``count``
+    gives each code's rows, one each by default."""
+    tallies = np.bincount(code, count, minlength=32)
     c = np.flatnonzero(tallies)
     if not c.size:
         raise DataError("empty dataset")

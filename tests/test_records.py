@@ -1,9 +1,10 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psem import tables
@@ -282,6 +283,7 @@ _INGEST_ERRORS = {
     "empty_file": "",
     "header_only": HEADER,
     "blank_lines_only": HEADER + "\n\n",
+    "field_over_csv_limit": HEADER + "p1,1,0,0,1,1\n" + "p" * 140_000 + ",1,0,0,1,1\n",
 }
 
 
@@ -376,3 +378,123 @@ def test_read_cells_parses_each_distinct_token_tuple_once(tmp_path, monkeypatch)
     assert cells.n == 10_000
     np.testing.assert_array_equal(cells.count,
                                   tables.from_records(load_csv(path)).count)
+
+
+def _cells_or_error(load):
+    try:
+        return load()
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_same_cells(got, want):
+    for name in ("z", "yt", "s", "y", "count", "pi", "w"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def _trial_rows(n, seed):
+    """``n`` valid rows of an ``_WIDE`` file as field lists, ids p0, p1, ..."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        y_tau, marker, measured = _KINDS[rng.choice(sorted(_KINDS))]
+        rows.append([f"p{i}", str(rng.randint(0, 1)), str(y_tau), str(rng.randint(0, 1) | y_tau),
+                     str(measured), _TOKENS[marker], rng.choice(["", "0.5", "-3"])])
+    return rows
+
+
+def _inject(row, kind, other_id):
+    """Put a fault of ``kind`` into ``row``; a duplicate copies ``other_id``."""
+    if kind == "width":
+        row.append("9")
+    elif kind == "bad_token":
+        row[1] = "2"
+    elif kind == "bad_covariate":
+        row[6] = "abc"
+    elif kind == "duplicate_id":
+        row[0] = other_id
+    elif kind == "padded_duplicate_id":
+        row[0] = f" {other_id} "
+    elif kind == "not_utf8":
+        row[0] += "\xe9"       # written as one latin-1 byte
+    elif kind == "over_csv_limit":
+        row[0] = "p" * 140_000
+
+
+_FAULT_KINDS = ["width", "bad_token", "bad_covariate", "duplicate_id",
+                "padded_duplicate_id", "not_utf8", "over_csv_limit"]
+
+
+@st.composite
+def _faulty_files(draw):
+    """(n, seed, faults) for n rows: up to two (kind, data row, row whose id a duplicate
+    copies), the rows drawn often at the edges of the screen's 512-row blocks."""
+    n = draw(st.integers(1, 1_500))
+    at = st.integers(0, n - 1)
+    if near_edges := [i for i in (509, 510, 511, 512, 1021, 1022, 1023, 1024) if i < n]:
+        at |= st.sampled_from(near_edges)
+    faults = draw(st.lists(st.tuples(st.sampled_from(_FAULT_KINDS), at, at), max_size=2))
+    return n, draw(st.integers(0, 2**16)), faults
+
+
+@settings(max_examples=60, deadline=None)
+@given(_faulty_files())
+@example((600, 1, [("duplicate_id", 520, 3)]))               # first copy a block earlier
+@example((1_500, 2, [("padded_duplicate_id", 1_400, 511)]))
+@example((1_500, 3, [("bad_covariate", 512, 0), ("width", 511, 0)]))
+@example((1_200, 4, [("not_utf8", 1_100, 0), ("bad_token", 600, 0)]))
+@example((900, 5, [("over_csv_limit", 700, 0), ("bad_token", 600, 0)]))
+@example((700, 6, []))
+def test_read_cells_reports_faults_across_block_edges(tmp_path_factory, drawn):
+    """Data row k is file row k + 2, so rows 509-512 are file rows 511-514,
+    across the edge of the screen's first block."""
+    n, seed, faults = drawn
+    rows = _trial_rows(n, seed)
+    for kind, k, first in faults:
+        _inject(rows[k], kind, rows[first][0])
+    text = _WIDE + "".join(",".join(r) + "\n" for r in rows)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("latin-1"))
+    want = _cells_or_error(lambda: tables.from_records(load_csv(path)))
+    got = _cells_or_error(lambda: tables.read_cells(path))
+    if any("duplicate" not in kind or k != first for kind, k, first in faults):
+        assert isinstance(want, str)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_cells(got, want)
+
+
+def test_equal_id_hashes_go_down_the_record_path(tmp_path, monkeypatch):
+    """Ids are screened by hash: with every hash equal, distinct ids still
+    give the screen's cells and a repeated id the record path's error."""
+    rows = _trial_rows(1_200, 7)
+    clean = _write(tmp_path, _WIDE + "".join(",".join(r) + "\n" for r in rows))
+    rows[900][0] = rows[100][0]
+    repeated = _write(tmp_path, _WIDE + "".join(",".join(r) + "\n" for r in rows), "rep.csv")
+    want = tables.from_records(load_csv(clean))
+    walks = []
+    monkeypatch.setattr(tables, "load_csv", lambda *a: walks.append(1) or load_csv(*a))
+    _assert_same_cells(tables.read_cells(clean), want)
+    assert not walks
+    monkeypatch.setattr(tables, "_id_hash", lambda rid: 0)
+    _assert_same_cells(tables.read_cells(clean), want)
+    assert walks
+    assert (_error_text(lambda: tables.read_cells(repeated))
+            == f"{repeated}: row 902: duplicate id 'p100'")
+
+
+def test_read_cells_memory_does_not_grow_with_the_ids(tmp_path):
+    """Before the block screen, a set of every id string made the peak about
+    21.6 MB at 200k rows (about 11 MB at 100k)."""
+    path = _write(tmp_path, "id,z,y_tau,s_star,y,r\n" + "".join(
+        f"participant-{i:09d},{i % 2},0,{i % 3 % 2},{i % 5 % 2},1\n" for i in range(100_000)))
+    tracemalloc.start()
+    try:
+        cells = tables.read_cells(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.n == 100_000
+    assert peak < 6e6

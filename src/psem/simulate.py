@@ -20,9 +20,9 @@ A replicate draws one (6, n) block of uniforms, rows in a fixed order (early
 pair, marker, y1, y0, arm, subcohort), so results are bit-identical regardless
 of how replicates are scheduled across workers. Each row is compared once with
 its thresholds (the early pair's cut points; 0.6; a and b; 1/2; 1/2; nu), and
-the draw is a function of those R bits. A study tallies a replicate's cells by
-reading its bits as an R-bit number into a table of the cell codes of all 2^R
-bit patterns, which the same mechanics compute.
+the draw is a function of those R bits. The thresholds fix each of the 2^R bit
+patterns' exact probability, which ``oracle_estimands`` conditions on, and a
+study tallies a replicate by looking its bits up in the patterns' cell codes.
 """
 
 from __future__ import annotations
@@ -117,11 +117,28 @@ def _rng_for(seed: int, cell: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _bits(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
-    """The (R, n) bits of one draw (module docstring); R = the early cut points + 6."""
+def _thresholds(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each bit's uniform row (ascending) and threshold: bit k is u[row[k]] < below[k]."""
     cuts = np.cumsum([p for _, p in DESIGNS[config.design].early])[:-1]
-    below = np.array([*cuts, MARKER_POS_RATE, config.a, config.b, CONTROL_RISK, 0.5, config.nu])
-    return rng.random((6, config.n))[[0] * len(cuts) + [1, 2, 2, 3, 4, 5]] < below[:, None]
+    return (np.array([0] * len(cuts) + [1, 2, 2, 3, 4, 5]),
+            np.array([*cuts, MARKER_POS_RATE, config.a, config.b, CONTROL_RISK, 0.5, config.nu]))
+
+
+def _bits(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (R, n) bits of one draw (module docstring)."""
+    row, below = _thresholds(config)
+    return rng.random((row[-1] + 1, config.n))[row] < below[:, None]
+
+
+def _patterns(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^R bit patterns (R, 2^R), pattern i's bits being those of i, and their probabilities:
+    the product over uniform rows of the length (or 0) of the interval each row's bits pick."""
+    row, below = _thresholds(config)
+    bits = np.arange(1 << len(row)) & (1 << np.arange(len(row)))[:, None] > 0
+    start = np.flatnonzero(np.diff(row, prepend=-1))
+    lo = np.maximum.reduceat(np.where(bits, 0.0, below[:, None]), start)
+    hi = np.minimum.reduceat(np.where(bits, below[:, None], 1.0), start)
+    return bits, np.prod(np.maximum(hi - lo, 0.0), axis=0)
 
 
 def _observe(config: GeneratorConfig, bits: np.ndarray) -> dict:
@@ -149,9 +166,9 @@ def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
 def _cell_counts(config: GeneratorConfig, cell_id: int, reps) -> np.ndarray:
     """Cell tallies (len(reps), 32) of replicates ``reps`` of study cell ``cell_id``:
     a draw's bits, read as an R-bit number, index the cell codes of all 2^R patterns."""
-    weight = 1 << np.arange(len(DESIGNS[config.design].early) + 5)    # R as in _bits
-    code = tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(
-        _observe(config, np.arange(2 * weight[-1]) & weight[:, None] > 0)))
+    bits, _ = _patterns(config)
+    weight = 1 << np.arange(len(bits))
+    code = tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(_observe(config, bits)))
     return np.array([np.bincount(code[weight @ _bits(config, _rng_for(config.seed, cell_id, rep))],
                                  minlength=32) for rep in reps])
 
@@ -170,31 +187,14 @@ def generate(config: GeneratorConfig):
 
 
 # ---------------------------------------------------------------------------
-# exact estimands by enumerating the generator law
-
-
-def _law(config: GeneratorConfig) -> np.ndarray:
-    """Columns (yt1, yt0, s1, y1, y0, p) of the generator law over the
-    potential outcomes; s1 = -1 where undefined (early event under arm 1).
-    The control marker is 0 wherever defined, so it needs no column."""
-    def bern(m):
-        return ((1, m), (0, 1.0 - m))
-
-    rows = []
-    for (t1, t0), pt in DESIGNS[config.design].early:
-        s1_opts = ((-1, 1.0),) if t1 else bern(MARKER_POS_RATE)
-        for s1, ps in s1_opts:
-            y1_opts = ((1, 1.0),) if t1 else bern(config.b if s1 == 1 else config.a)
-            y0_opts = ((1, 1.0),) if t0 else bern(CONTROL_RISK)
-            rows += [(t1, t0, s1, y1, y0, pt * ps * p1 * p0)
-                     for y1, p1 in y1_opts for y0, p0 in y0_opts]
-    return np.array(rows).T
+# exact estimands from the bit-pattern probabilities
 
 
 def oracle_estimands(config: GeneratorConfig) -> dict[str, float]:
-    """Exact values of every estimand, computed by enumerating the finite
-    support of the generator law (no simulation)."""
-    t1, t0, s1, y1, y0, p = _law(config)
+    """Exact values of every estimand: ``_observe``'s potential outcomes of all
+    bit patterns, weighted by the pattern probabilities (no simulation)."""
+    bits, p = _patterns(config)
+    t1, t0, s1, y1, y0 = itemgetter("yt1", "yt0", "s1", "y1", "y0")(_observe(config, bits))
 
     def cond(num, den):
         d = math.fsum(p[den])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 from operator import itemgetter
 
@@ -9,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psem import simulate, tables
+from psem.core import cep
 from psem.errors import ConfigError, PsemError
 from psem.sensitivity import SensitivityConfig, interval_for, symmetric_ranges, sweep
-from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _gen_arrays,
-                           _law, _rng_for, generate,
-                           oracle_estimands, run_study)
+from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _bits, _gen_arrays,
+                           _patterns, _rng_for, generate, oracle_estimands, run_study)
 from psem.tables import S_MISS, S_NEG, S_POS, S_UNDEF, from_arrays
 from psem.weights import WeightModel, fit_missingness
+
+from conftest import fit
 
 
 def mc_tol(p, n, k=3.5):
@@ -42,8 +45,8 @@ def test_early_pair_shares_match_design_table(design):
         share = float(np.mean((arrs["yt1"] == t1) & (arrs["yt0"] == t0)))
         assert share == pytest.approx(prob, abs=mc_tol(prob, cfg.n))
     for a, b in ((0.3, 0.5), (0.0, 1.0), (1.0, 0.0)):
-        law = _law(dataclasses.replace(cfg, a=a, b=b))
-        assert math.fsum(law[-1]) == pytest.approx(1.0, abs=1e-12)
+        p = _patterns(dataclasses.replace(cfg, a=a, b=b))[1]
+        assert math.fsum(p) == pytest.approx(1.0, abs=1e-12) and (p >= 0).all()
 
 
 @pytest.mark.parametrize("design, digest", [
@@ -134,6 +137,101 @@ def test_oracle_values_design_b():
     assert oracle2["risk1_10"] == pytest.approx(0.55)
     assert oracle2["p00"] == pytest.approx(0.4)
     assert oracle2["risk1"] == pytest.approx(0.4 * 0.3 + 0.6 * 0.55)
+
+
+def reference_law(config):
+    """Reference law: columns (yt1, yt0, s1, y1, y0, p) of the potential outcomes,
+    enumerated one Bernoulli factor at a time with no bits or table; s1 = -1 where
+    undefined (early event under arm 1)."""
+    def bern(m):
+        return ((1, m), (0, 1.0 - m))
+
+    rows = []
+    for (t1, t0), pt in DESIGNS[config.design].early:
+        s1_opts = ((-1, 1.0),) if t1 else bern(simulate.MARKER_POS_RATE)
+        for s1, ps in s1_opts:
+            y1_opts = ((1, 1.0),) if t1 else bern(config.b if s1 == 1 else config.a)
+            y0_opts = ((1, 1.0),) if t0 else bern(simulate.CONTROL_RISK)
+            rows += [(t1, t0, s1, y1, y0, pt * ps * p1 * p0)
+                     for y1, p1 in y1_opts for y0, p0 in y0_opts]
+    return np.array(rows).T
+
+
+def reference_oracle(config):
+    """Every estimand conditioned on ``reference_law``."""
+    t1, t0, s1, y1, y0, p = reference_law(config)
+
+    def cond(num, den):
+        d = math.fsum(p[den])
+        return math.fsum(p[num & den]) / d if d > 0 else float("nan")
+
+    eas = (t1 == 0) & (t0 == 0)
+    out = {"p00": cond(s1 == 0, eas), "p10": cond(s1 == 1, eas), "p11": 0.0}
+    for z, yz in ((0, y0 == 1), (1, y1 == 1)):
+        out[f"risk{z}"] = cond(yz, eas)
+        for sv in (0, 1):
+            out[f"risk{z}_{sv}0"] = cond(yz, eas & (s1 == sv))
+    out["cep_00"] = out["risk1_00"] - out["risk0_00"]
+    out["cep_10"] = out["risk1_10"] - out["risk0_10"]
+    out["mu"] = out["cep_10"] - out["cep_00"]
+    ep = (t1 == 0) & (t0 == 1)
+    if ep.any():
+        out["phi"] = cond(t0 == 0, t1 == 0)
+        out["ep_pos_rate"] = cond(s1 == 1, ep)
+        for sv in (0, 1):
+            out[f"risk1_{sv}star"] = cond(y1 == 1, ep & (s1 == sv))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(design=st.sampled_from(sorted(DESIGNS)), a=_unit, b=st.none() | _unit,
+       nu=st.sampled_from([1.0, 0.25]) | st.floats(0.0, 1.0, exclude_min=True))
+@example(design="C", a=0.0, b=1.0, nu=1.0)
+@example(design="B", a=1.0, b=0.0, nu=0.25)
+@example(design="C", a=0.3, b=None, nu=0.25)
+def test_oracle_matches_the_reference_law(design, a, b, nu):
+    # b=None draws a = b
+    cfg = GeneratorConfig(design, 1, a, a if b is None else b, nu)
+    got, want = oracle_estimands(cfg), reference_oracle(cfg)
+    assert got.keys() == want.keys()
+    assert all(got[k] == pytest.approx(v, abs=1e-14, nan_ok=True) for k, v in want.items())
+
+
+@pytest.mark.parametrize("a, b, nu", [(0.3, 0.5, 0.5), (0.0, 1.0, 1.0), (0.45, 0.45, 0.25)])
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_pattern_probabilities_match_the_draw(design, a, b, nu):
+    """Tallied by bit pattern, one draw of real uniforms never shows a pattern of
+    probability 0 and shows each other pattern within 5 binomial SDs of n p."""
+    cfg = GeneratorConfig(design, 200_000, a, b, nu)
+    bits, p = _patterns(cfg)
+    count = np.bincount((1 << np.arange(len(bits))) @ _bits(cfg, _rng_for(9, 0, 0)),
+                        minlength=len(p))
+    assert (p == 0).any() and not count[p == 0].any()
+    live = p > 0
+    assert np.all(np.abs(count - cfg.n * p)[live]
+                  <= 5 * np.sqrt(cfg.n * p * (1 - p))[live])
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.25])
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_exact_cell_probabilities_identify_the_oracle(design, nu):
+    """At Gamma = 0 the design's scenario, fitted to the exact cell probabilities
+    (the pattern probabilities summed by cell), returns the oracle's values."""
+    scenario = DESIGNS[design].scenario
+    for a, b in itertools.product((0.2, 0.3, 0.55), (0.1, 0.5, 0.9)):
+        cfg = GeneratorConfig(design, 1, a, b, nu)
+        bits, p = _patterns(cfg)
+        code = tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(
+            simulate._observe(cfg, bits)))
+        est = fit(fit_missingness(tables.from_counts(np.bincount(code, p, minlength=32)),
+                                  WeightModel.design_known(nu)), scenario)
+        truth = oracle_estimands(cfg)
+        got = {k: est.value(k) for k in truth if k in est.names}
+        result = cep(est, "additive")
+        got.update(cep_00=result.values["00"], cep_10=result.values["10"], mu=result.mu)
+        assert len(got) == 11 + 4 * (design == "C")
+        assert all(v == pytest.approx(truth[k], abs=1e-12) for k, v in got.items()), \
+            (a, b, {k: v - truth[k] for k, v in got.items()})
 
 
 def test_oracle_design_c_vs_empirical_frequencies():

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,14 +173,15 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
                 except PsemError as exc:
                     result.errors[i] = f"{type(exc).__name__}: {exc}"
             continue
-        first = dict(reversed(pending))     # each replicate's first pending extreme
-        ceps, failed = fit_ceps(weighted, [result.point(first.get(b, 0))
-                                           for b in range(lead[0])], config.contrast)
-        for b, i in first.items():
-            if b in failed:
-                result.errors[b, i] = f"{type(failed[b]).__name__}: {failed[b]}"
+        table = weighted.cells      # one row per pending (replicate, point) pair
+        ceps, failed = fit_ceps(
+            replace(weighted, cells=replace(table, count=table.count[[b for b, _ in pending]])),
+            [result.point(i) for _, i in pending], config.contrast)
+        for k, (b, i) in enumerate(pending):
+            if k in failed:
+                result.errors[b, i] = f"{type(failed[k]).__name__}: {failed[k]}"
             else:
-                result.ceps[b, i] = ceps[b]
+                result.ceps[b, i] = ceps[k]
     if lead:
         return result
     raise EstimationError(_ALL_FAILED + result.errors[min(result.errors)])

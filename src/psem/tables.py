@@ -14,10 +14,8 @@ Marker state codes: 0 negative, 1 positive, 2 undefined (early event),
 from __future__ import annotations
 
 import csv
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -71,50 +69,117 @@ def from_records(records) -> CellTable:
 def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
     """``from_records(load_csv(path, schema))`` without the record list.
 
-    The rows are screened a block at a time by C-level passes: widths, id
-    hashes, a count of each (z, y_tau, marker, y, measured) token tuple, and
-    the w_ tokens through ``float``. Each distinct tuple is parsed once. A
-    row the screen cannot vouch for, or two ids of equal hash, sends the file
-    down the record path, which reports its first fault exactly."""
+    After ``read_rows`` checks the header, the body is screened as bytes in
+    chunks of whole lines by numpy passes: each line's comma count, the
+    (z, y_tau, marker, y, measured) tokens packed into integers and counted
+    per distinct tuple, the id hashes, and the w_ tokens through ``float``.
+    Each distinct tuple is parsed once. A file the screen cannot vouch for,
+    or two ids of equal hash, goes down the record path, which reports its
+    first fault exactly."""
     screened = read_rows(path, schema, _screen)
     if screened is None:
         return from_records(load_csv(path, schema))
     return _from_codes(*screened)
 
 
-# Rows per screened block: fewer than the 700 allocations that start a gen-0 GC pass.
-_BLOCK = 512
+_CHUNK = 1 << 16    # bytes read at a time; a chunk is cut at its last newline
 _id_hash = hash     # the id digest of the duplicate screen; a test swaps in a colliding one
 
 
+def _chunks(fh):
+    """The binary file's bytes in runs of whole lines; a line longer than
+    ``_CHUNK`` carries over, and a last line without a newline gets one."""
+    head = []       # the blocks since the last newline
+    while block := fh.read(_CHUNK):
+        lines, nl, tail = block.rpartition(b"\n")
+        if nl:
+            yield b"".join([*head, lines, nl])
+            head = []
+        head.append(tail)
+    if last := b"".join(head):
+        yield last + b"\n"
+
+
+def _fields(a, width, limit):
+    """Each nonblank line's field bounds, field j being bytes ``f[:, j] + 1``
+    to ``f[:, j + 1]``, or None if a CR is not part of a CRLF line end, a line
+    has a wrong comma count or a field is over ``limit`` bytes."""
+    sep = np.flatnonzero((a == 44) | (a == 10))     # every comma and newline
+    at = np.flatnonzero(a[sep] == 10)               # the newlines among them
+    cr = a[sep[at] - 1] == 13           # CRLF line ends (a[-1] is a newline)
+    end, start = sep[at] - cr, np.concatenate(([0], sep[at[:-1]] + 1))
+    line = end > start                  # blank lines are skipped
+    if (np.count_nonzero(a == 13) != cr.sum()
+            or (np.diff(at, prepend=-1) - 1 != (width - 1) * line).any()
+            or np.diff(sep).max(initial=sep[0] + 1) > limit + 1):    # a field and its end
+        return None
+    f = np.empty((line.sum(), width + 1), np.int64)
+    f[:, 0], f[:, -1] = start[line] - 1, end[line]
+    f[:, 1:-1] = np.delete(sep, at[~line]).reshape(len(f), width)[:, :-1]
+    return f
+
+
+def _column(a, f, j):
+    """The str tokens of field j of each line."""
+    lo, hi = f[:, j] + 1, f[:, j + 1]
+    ends = np.cumsum(hi - lo + 1)       # each field and the byte after it
+    step = np.ones(ends[-1], np.int64)
+    step[0], step[ends[:-1]] = lo[0], lo[1:] - hi[:-1]
+    out = a[np.cumsum(step)]
+    out[ends - 1] = 10
+    return out.tobytes().decode().split("\n")[:-1]
+
+
 def _screen(layout, rows):
-    """Each distinct token tuple's cell code and row count, or None for a
-    file with a wrong-width row, a tuple ``parse_row`` rejects, a w_ token
-    ``float`` rejects, a csv or decoding error, or two ids of equal hash."""
-    width, id_of, key_of = len(layout.header), itemgetter(layout.id), itemgetter(*layout.key)
-    tally, code, hashes = Counter(), {}, []
+    """The 32 cell codes and their row counts, or None for a file with a quote,
+    a NUL or a CR outside a CRLF line end, a chunk that is not UTF-8, a field
+    over csv's size limit, a wrong comma count, a key token over 7 bytes (or
+    a chunk whose key tokens are too varied to pack into an int64), a tuple
+    ``parse_row`` rejects, a w_ token ``float`` rejects, or two ids of equal
+    hash. The file is read again as bytes, so ``rows`` goes unused."""
+    width, limit, key = len(layout.header), csv.field_size_limit(), np.array(layout.key)
+    code, tally, hashes = {}, np.zeros(32), []
     try:
-        for block in iter(lambda: list(islice(rows, _BLOCK)), []):
-            if set(map(len, block)) != {width}:
-                return None
-            hashes.append(np.fromiter(map(_id_hash, map(str.strip, map(id_of, block))),
-                                      np.int64, len(block)))
-            tally.update(map(key_of, block))
-            for j in layout.covariates:
-                deque(map(float, filter(None, map(itemgetter(j), block))), maxlen=0)
-            if len(tally) > len(code):
-                for row in block:
-                    if (key := key_of(row)) not in code:
-                        r = parse_row(layout, 0, row)   # a fault: the record path names its row
-                        code[key] = cell_code(r.z, r.y_tau, _MARKER_CODE[r.marker], r.y)
-    except (csv.Error, ValueError, DataError):  # ValueError: float's, or a UnicodeDecodeError
+        with open(layout.path, "rb") as fh:
+            for i, chunk in enumerate(_chunks(fh)):
+                chunk.isascii() or chunk.decode()   # a UnicodeDecodeError if not UTF-8
+                a = np.frombuffer(chunk, np.uint8)
+                if b'"' in chunk or b"\0" in chunk or (f := _fields(a, width, limit)) is None:
+                    return None
+                if not len(f := f[i == 0:]):    # the first line is the header
+                    continue
+                lo, n = f[:, key] + 1, f[:, key + 1] - f[:, key] - 1
+                if n.max() > 7:
+                    return None
+                tok = n + sum((a.take(lo + b, mode="clip") * (n > b)).astype(np.int64) << 3 + 8 * b
+                              for b in range(n.max()))  # each key token's length and bytes
+                u, bits = None, 3 + 8 * int(n.max())
+                if bits * len(key) > 63:        # pack the tokens' ranks instead
+                    u, tok = np.unique(tok, return_inverse=True)
+                    tok, bits = tok.reshape(n.shape), (u.size - 1).bit_length()
+                if bits * len(key) > 63:
+                    return None
+                tok = tok @ (1 << (shift := bits * np.arange(len(key))))   # one int64 per line
+                kinds, count = np.unique(tok, return_counts=True)
+                back = kinds[:, None] >> shift & (1 << bits) - 1
+                tuples = list(map(tuple, (back if u is None else u[back]).tolist()))
+                for k, t in zip(kinds.tolist(), tuples):
+                    if t not in code:
+                        r = np.argmax(tok == k)
+                        rec = parse_row(layout, 0, chunk[f[r, 0] + 1:f[r, -1]].decode().split(","))
+                        code[t] = cell_code(rec.z, rec.y_tau, _MARKER_CODE[rec.marker], rec.y)
+                tally += np.bincount([code[t] for t in tuples], count, minlength=32)
+                hashes.append(np.fromiter(map(_id_hash, map(str.strip, _column(a, f, layout.id))),
+                                          np.int64, len(f)))
+                for j in layout.covariates:
+                    deque(map(float, filter(None, _column(a, f, j))), maxlen=0)
+    except (ValueError, DataError):  # ValueError: float's, or a UnicodeDecodeError
         return None
     h = np.concatenate([np.empty(0, np.int64), *hashes])
     h.sort()
     if (h[1:] == h[:-1]).any():
         return None
-    return (np.fromiter(map(code.get, tally), np.int64, len(tally)),
-            np.fromiter(tally.values(), np.int64, len(tally)))
+    return np.arange(32), tally
 
 
 def from_arrays(z, yt, s, y) -> CellTable:

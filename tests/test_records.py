@@ -1,13 +1,16 @@
 import dataclasses
+import importlib.util
 import random
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psem import tables
+from psem import demo, tables
 from psem.errors import DataError
 from psem.records import DEFAULT_SCHEMA, Marker, ObservedRecord, load_csv, write_csv
 from psem.tables import ArmSummary, summarize
@@ -408,8 +411,14 @@ def _inject(row, kind, other_id):
     """Put a fault of ``kind`` into ``row``; a duplicate copies ``other_id``."""
     if kind == "width":
         row.append("9")
+    elif kind == "truncated":
+        row[3] += "\n"          # a short line, then a line of the rest
     elif kind == "bad_token":
         row[1] = "2"
+    elif kind == "quoted_bad_token":
+        row[1] = '"2"'
+    elif kind == "lone_cr":
+        row[2] += "\r0"
     elif kind == "bad_covariate":
         row[6] = "abc"
     elif kind == "duplicate_id":
@@ -422,34 +431,47 @@ def _inject(row, kind, other_id):
         row[0] = "p" * 140_000
 
 
-_FAULT_KINDS = ["width", "bad_token", "bad_covariate", "duplicate_id",
-                "padded_duplicate_id", "not_utf8", "over_csv_limit"]
+_FAULT_KINDS = ["width", "truncated", "bad_token", "quoted_bad_token", "lone_cr",
+                "bad_covariate", "duplicate_id", "padded_duplicate_id", "not_utf8",
+                "over_csv_limit"]
+
+
+def _chunk_edges(rows, chunk):
+    """The data rows whose line holds a byte at a multiple of ``chunk``, and
+    their neighbours: the rows at the edges of the screen's chunks."""
+    ends = np.cumsum([len(_WIDE)] + [len(",".join(r)) + 1 for r in rows])
+    at = np.searchsorted(ends[1:], np.arange(chunk, ends[-1], chunk), side="right")
+    return sorted({int(k) + d for k in at for d in (-1, 0, 1)} & set(range(len(rows))))
 
 
 @st.composite
 def _faulty_files(draw):
-    """(n, seed, faults) for n rows: up to two (kind, data row, row whose id a duplicate
-    copies), the rows drawn often at the edges of the screen's 512-row blocks."""
-    n = draw(st.integers(1, 1_500))
+    """(n, seed, chunk, faults) for n rows read in chunks of ``chunk`` bytes: up to
+    two (kind, data row, row whose id a duplicate copies), the rows drawn often at
+    the edges of the chunks."""
+    n, seed, chunk = draw(st.integers(1, 400)), draw(st.integers(0, 2**16)), draw(st.integers(32, 256))
     at = st.integers(0, n - 1)
-    if near_edges := [i for i in (509, 510, 511, 512, 1021, 1022, 1023, 1024) if i < n]:
-        at |= st.sampled_from(near_edges)
+    if edges := _chunk_edges(_trial_rows(n, seed), chunk):
+        at |= st.sampled_from(edges)
     faults = draw(st.lists(st.tuples(st.sampled_from(_FAULT_KINDS), at, at), max_size=2))
-    return n, draw(st.integers(0, 2**16)), faults
+    return n, seed, chunk, faults
 
 
 @settings(max_examples=60, deadline=None)
 @given(_faulty_files())
-@example((600, 1, [("duplicate_id", 520, 3)]))               # first copy a block earlier
-@example((1_500, 2, [("padded_duplicate_id", 1_400, 511)]))
-@example((1_500, 3, [("bad_covariate", 512, 0), ("width", 511, 0)]))
-@example((1_200, 4, [("not_utf8", 1_100, 0), ("bad_token", 600, 0)]))
-@example((900, 5, [("over_csv_limit", 700, 0), ("bad_token", 600, 0)]))
-@example((700, 6, []))
+@example((600, 1, 64, [("duplicate_id", 520, 3)]))           # first copy many chunks earlier
+@example((1_500, 2, 64, [("padded_duplicate_id", 1_400, 511)]))
+@example((1_500, 3, 64, [("bad_covariate", 512, 0), ("width", 511, 0)]))
+@example((1_200, 4, 64, [("not_utf8", 1_100, 0), ("bad_token", 600, 0)]))
+@example((900, 5, 64, [("over_csv_limit", 700, 0), ("bad_token", 600, 0)]))
+@example((700, 6, 64, []))
+@example((300, 7, 1 << 16, [("duplicate_id", 299, 0)]))       # one chunk at the default size
+@example((50, 8, 32, [("lone_cr", 10, 0), ("quoted_bad_token", 40, 0)]))
+@example((50, 9, 32, [("truncated", 49, 0)]))
 def test_read_cells_reports_faults_across_block_edges(tmp_path_factory, drawn):
-    """Data row k is file row k + 2, so rows 509-512 are file rows 511-514,
-    across the edge of the screen's first block."""
-    n, seed, faults = drawn
+    """Files read in chunks of 32-256 bytes, most lines shorter than a chunk and
+    some longer, with faults drawn often in the lines that a chunk edge cuts."""
+    n, seed, chunk, faults = drawn
     rows = _trial_rows(n, seed)
     for kind, k, first in faults:
         _inject(rows[k], kind, rows[first][0])
@@ -457,13 +479,88 @@ def test_read_cells_reports_faults_across_block_edges(tmp_path_factory, drawn):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(text.encode("latin-1"))
     want = _cells_or_error(lambda: tables.from_records(load_csv(path)))
-    got = _cells_or_error(lambda: tables.read_cells(path))
+    with mock.patch.object(tables, "_CHUNK", chunk):
+        got = _cells_or_error(lambda: tables.read_cells(path))
     if any("duplicate" not in kind or k != first for kind, k, first in faults):
         assert isinstance(want, str)
     if isinstance(want, str):
         assert got == want
     else:
         _assert_same_cells(got, want)
+
+
+@st.composite
+def _byte_files(draw):
+    """(data, slow): a valid trial CSV as UTF-8 bytes with LF, CRLF or mixed line
+    ends, blank lines, padded tokens, non-ASCII ids, 0-2 w_ columns and maybe no
+    final newline; ``slow`` when a data line also got a quoted field, a key token
+    over 7 bytes or a lone CR, which the byte screen leaves to the record path."""
+    ends = draw(st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n")]))    # LF, CRLF or mixed
+    n_cov = draw(st.integers(0, 2))
+    columns = draw(st.permutations(list(DEFAULT_SCHEMA.values()) + [f"w_{j}" for j in range(n_cov)]))
+    pad = st.sampled_from(["", " ", "  "])
+    lines, long_token = [",".join(columns)], False
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(_KINDS)),
+                                   st.integers(0, 1)), min_size=1, max_size=30))
+    for i, (z, kind, y) in enumerate(rows):
+        y_tau, marker, measured = _KINDS[kind]
+        value = {"id": f"p{i}" + draw(st.sampled_from(["", "é", "日本", "ü "])), "z": z,
+                 "y_tau": y_tau, "s_star": _TOKENS[marker], "y": y | y_tau, "r": measured}
+        fields = [draw(st.sampled_from(["", "0.5", "-3", "1e3"])) if c.startswith("w_")
+                  else draw(pad) + str(value[c]) + draw(pad) for c in columns]
+        if draw(st.integers(0, 9)) == 0:
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = f'"{fields[j]}"'
+        if draw(st.integers(0, 19)) == 0:   # a key token over 7 bytes
+            j = columns.index(draw(st.sampled_from(["z", "y_tau", "s_star", "y", "r"])))
+            fields[j], long_token = fields[j] + " " * 7, True
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")        # no final newline
+    if draw(st.integers(0, 4)) == 0:        # a CR not followed by LF, after the header
+        j = draw(st.sampled_from([k for k in range(len(lines[0]), len(text))
+                                  if text[k] not in "\r\n"]))
+        text = text[:j] + "\r" + text[j:]
+    data = text.encode("utf-8")
+    return data, long_token or b'"' in data or data.count(b"\r") != data.count(b"\r\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_byte_files(), st.integers(32, 256))
+def test_byte_screen_matches_record_path_in_small_chunks(tmp_path_factory, drawn, chunk):
+    data, slow = drawn
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    want = _cells_or_error(lambda: tables.from_records(load_csv(path)))
+    with mock.patch.object(tables, "_CHUNK", chunk), \
+            mock.patch.object(tables, "load_csv", wraps=load_csv) as walk:
+        got = _cells_or_error(lambda: tables.read_cells(path))
+    assert walk.called == slow
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_cells(got, want)
+
+
+def test_bench_inputs_never_take_the_record_path(tmp_path, monkeypatch):
+    """The benchmark's inputs are read by the byte screen alone: an LF file drawn
+    like the analyze_large CSV (about 6 chunks) and the CRLF demo CSV that
+    ``write_csv`` writes."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    large, trial = tmp_path / "large.csv", tmp_path / "demo.csv"
+    workloads.write_large_csv(large, 1, 20_000)
+    write_csv(demo.synthetic_trial(), trial)
+    assert b"\r" not in large.read_bytes() and b"\r\n" in trial.read_bytes()
+    want = {path: tables.from_records(load_csv(path)) for path in (large, trial)}
+    monkeypatch.setattr(tables, "load_csv", lambda *a: pytest.fail("took the record path"))
+    for path, cells in want.items():
+        _assert_same_cells(tables.read_cells(path), cells)
 
 
 def test_equal_id_hashes_go_down_the_record_path(tmp_path, monkeypatch):

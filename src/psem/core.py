@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple
 
@@ -204,10 +204,14 @@ class _Stack:
         self.fns.append(fn)
         self.sol[name] = value
 
-    def copy(self) -> "_Stack":
-        new = _Stack(self.cells)
-        new.names, new.fns, new.sol = list(self.names), list(self.fns), dict(self.sol)
-        new.checks.failed.update(self.checks.failed)
+    def copy(self, rows=None) -> "_Stack":
+        """A copy to solve on; with ``rows``, of those replicates of batched cells."""
+        new, old = _Stack(self.cells if rows is None else replace(
+            self.cells, count=self.cells.count[rows])), self.checks.failed
+        new.names, new.fns = list(self.names), list(self.fns)
+        new.sol = {k: v if rows is None else v[rows] for k, v in self.sol.items()}
+        new.checks.failed.update(old if rows is None else
+                                 {k: old[b] for k, b in enumerate(rows) if b in old})
         return new
 
     def theta(self) -> np.ndarray:
@@ -375,7 +379,7 @@ def _features(cells):
     )
 
 
-def _opening(weighted: WeightedRecords, build: Callable):
+def _opening(weighted: WeightedRecords, build: Callable, rows=None):
     """(stack copy, selectors) of the beta-free opening block ``build(weighted)``.
 
     The block is solved once per dataset and cached on ``weighted``, so every
@@ -388,7 +392,7 @@ def _opening(weighted: WeightedRecords, build: Callable):
         with np.errstate(all="ignore"):
             blocks[build] = build(weighted)
     st, selectors = blocks[build]
-    return st.copy(), selectors
+    return st.copy(rows), selectors
 
 
 def _check_unit_interval(st: "_Stack", name: str, value, context: str) -> None:
@@ -848,12 +852,12 @@ _LEGAL_KEYS = {scenario: frozenset(row.keys) for scenario, row in _SCENARIOS.ite
 
 
 def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
-           checks: Checks) -> tuple[_Stack, list[str] | None]:
-    """The cached opening block of ``scenario``, then its solve at the Gamma
-    points ``beta``, failing elementwise through ``checks``. Returns the
-    stack and the reported names."""
+           checks: Checks, rows=None) -> tuple[_Stack, list[str] | None]:
+    """The cached opening block of ``scenario`` (of the replicates ``rows``),
+    then its solve at the Gamma points ``beta``, failing elementwise through
+    ``checks``. Returns the stack and the reported names."""
     row = _SCENARIOS[scenario]
-    st, selectors = _opening(weighted, row.opening)
+    st, selectors = _opening(weighted, row.opening, rows)
     g = checks.shape[-1] if checks.shape else 0     # a beta-free failure fails all b's points
     checks.failed.update({b * g + j: e for b, e in st.checks.failed.items() for j in range(g)})
     st.checks = checks
@@ -894,12 +898,13 @@ def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
 
 
 def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
-             contrast: Contrast) -> tuple[list[CepResult], dict[int, PsemError]]:
+             contrast: Contrast, rows=None) -> tuple[list[CepResult], dict[int, PsemError]]:
     """``cep(fit_scenario(...))`` of batched data at one point per replicate in
-    one pass, and each failed replicate's first failure by index b."""
+    one pass, or per replicate of ``rows``, one row for each point; and each
+    failed fit's first failure by its index in ``points``."""
     beta = {k: np.array([[p.get(k)] for p in points]) for k in points[0].scenario.sensitivity_keys}
     checks = Checks((len(points), 1))
-    st, report = _solve(weighted, points[0].scenario, beta, checks)
+    st, report = _solve(weighted, points[0].scenario, beta, checks, rows)
     with np.errstate(all="ignore"):
         names, theta, cov = _finalize(st, True, report)
         return _ceps(points[0].scenario, names, theta, cov, contrast, points, checks), checks.failed

@@ -118,8 +118,18 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
     prefixed ``w_`` are parsed as baseline covariates. Row order is preserved
     and duplicate ids are rejected; an unreadable or non-UTF-8 file is a DataError.
     """
-    return read_rows(path, schema,
-                     lambda lay, rows: [parse_row(lay, i, r) for i, r in _rows(lay, rows)])
+    names = columns(schema)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lay = layout(path, next(reader, None), names)
+            return [parse_row(lay, i, r) for i, r in _rows(lay, filter(None, reader))]
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # the file's path and header, and the column indices of the id, of z, y_tau,
@@ -127,35 +137,28 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]
 _Layout = namedtuple("_Layout", "path header id key covariates")
 
 
-def read_rows(path, schema, consume):
-    """``consume(layout, rows)`` for the file's checked header and its
-    non-blank data rows as field lists; a csv error is a DataError naming the line."""
+def columns(schema) -> dict[str, str]:
+    """The file's column of each logical name: ``schema`` over the defaults."""
     names = {**DEFAULT_SCHEMA, **(schema or {})}
     if len(names) > len(DEFAULT_SCHEMA):
         raise DataError(f"unknown schema keys: {sorted(set(names) - set(DEFAULT_SCHEMA))}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if (header := next(reader, None)) is None:
-                raise DataError(f"{path}: empty file (a header row is required)")
-            missing = [c for k, c in names.items() if k != "measured" and c not in header]
-            if missing:
-                raise DataError(f"{path}: missing required columns {missing}")
-            repeated = sorted({c for c in header if header.count(c) > 1})
-            if repeated:
-                raise DataError(f"{path}: repeated column names {repeated}")
-            col = {c: j for j, c in enumerate(header)}
-            layout = _Layout(path, header, col[names["id"]], tuple(
-                col[names[k]] for k in ("z", "y_tau", "marker", "y", "measured")
-                if names[k] in col), tuple(
-                j for j, c in enumerate(header) if c.startswith(COVARIATE_PREFIX)))
-            return consume(layout, filter(None, reader))
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read the file: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return names
+
+
+def layout(path, header: list[str] | None, names: dict[str, str]) -> _Layout:
+    """The checked layout of the file's ``header`` row (None: the file is empty)."""
+    if header is None:
+        raise DataError(f"{path}: empty file (a header row is required)")
+    missing = [c for k, c in names.items() if k != "measured" and c not in header]
+    if missing:
+        raise DataError(f"{path}: missing required columns {missing}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column names {repeated}")
+    col = {c: j for j, c in enumerate(header)}
+    return _Layout(path, header, col[names["id"]], tuple(
+        col[names[k]] for k in ("z", "y_tau", "marker", "y", "measured") if names[k] in col),
+        tuple(j for j, c in enumerate(header) if c.startswith(COVARIATE_PREFIX)))
 
 
 def _rows(layout, rows):

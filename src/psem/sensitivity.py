@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,10 +173,8 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
                 except PsemError as exc:
                     result.errors[i] = f"{type(exc).__name__}: {exc}"
             continue
-        table = weighted.cells      # one row per pending (replicate, point) pair
-        ceps, failed = fit_ceps(
-            replace(weighted, cells=replace(table, count=table.count[[b for b, _ in pending]])),
-            [result.point(i) for _, i in pending], config.contrast)
+        ceps, failed = fit_ceps(weighted, [result.point(i) for _, i in pending],
+                                config.contrast, [b for b, _ in pending])
         for k, (b, i) in enumerate(pending):
             if k in failed:
                 result.errors[b, i] = f"{type(failed[k]).__name__}: {failed[k]}"

@@ -14,13 +14,14 @@ Marker state codes: 0 negative, 1 positive, 2 undefined (early event),
 from __future__ import annotations
 
 import csv
+import os
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .records import Marker, ObservedRecord, load_csv, parse_row, read_rows
+from .records import Marker, ObservedRecord, columns, layout, load_csv, parse_row
 
 S_NEG, S_POS, S_UNDEF, S_MISS = 0, 1, 2, 3
 
@@ -69,35 +70,26 @@ def from_records(records) -> CellTable:
 def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
     """``from_records(load_csv(path, schema))`` without the record list.
 
-    After ``read_rows`` checks the header, the body is screened as bytes in
-    chunks of whole lines by numpy passes: each line's comma count, the
-    (z, y_tau, marker, y, measured) tokens packed into integers and counted
-    per distinct tuple, the id hashes, and the w_ tokens through ``float``.
-    Each distinct tuple is parsed once. A file the screen cannot vouch for,
-    or two ids of equal hash, goes down the record path, which reports its
-    first fault exactly."""
-    screened = read_rows(path, schema, _screen)
-    if screened is None:
-        return from_records(load_csv(path, schema))
+    A regular file is read as bytes: the header line, then chunks of whole
+    lines screened by numpy passes (comma counts, one count per distinct
+    tuple of one-byte key tokens, each tuple parsed once, id hashes, w_ tokens
+    through ``float``). A file the screen cannot vouch for, and any input
+    that is not a regular file (a pipe cannot be read twice), goes down the
+    record path, which reports its first fault exactly."""
+    if not os.path.isfile(path) or (screened := _screen(path, columns(schema))) is None:
+        return from_records(load_csv(path, schema))     # a pipe is read once, here
     return _from_codes(*screened)
 
 
-_CHUNK = 1 << 16    # bytes read at a time; a chunk is cut at its last newline
+_CHUNK = 1 << 16    # bytes read at a time, then the rest of their last line
 _id_hash = hash     # the id digest of the duplicate screen; a test swaps in a colliding one
 
 
 def _chunks(fh):
-    """The binary file's bytes in runs of whole lines; a line longer than
-    ``_CHUNK`` carries over, and a last line without a newline gets one."""
-    head = []       # the blocks since the last newline
-    while block := fh.read(_CHUNK):
-        lines, nl, tail = block.rpartition(b"\n")
-        if nl:
-            yield b"".join([*head, lines, nl])
-            head = []
-        head.append(tail)
-    if last := b"".join(head):
-        yield last + b"\n"
+    """The binary file's bytes in runs of whole lines: ``_CHUNK`` bytes and the
+    rest of the line they end in. A last line without a newline gets one."""
+    while block := fh.read(_CHUNK) + fh.readline():
+        yield block if block.endswith(b"\n") else block + b"\n"
 
 
 def _fields(a, width, limit):
@@ -130,50 +122,44 @@ def _column(a, f, j):
     return out.tobytes().decode().split("\n")[:-1]
 
 
-def _screen(layout, rows):
-    """The 32 cell codes and their row counts, or None for a file with a quote,
-    a NUL or a CR outside a CRLF line end, a chunk that is not UTF-8, a field
-    over csv's size limit, a wrong comma count, a key token over 7 bytes (or
-    a chunk whose key tokens are too varied to pack into an int64), a tuple
-    ``parse_row`` rejects, a w_ token ``float`` rejects, or two ids of equal
-    hash. The file is read again as bytes, so ``rows`` goes unused."""
-    width, limit, key = len(layout.header), csv.field_size_limit(), np.array(layout.key)
-    code, tally, hashes = {}, np.zeros(32), []
+def _screen(path, names):
+    """The 32 cell codes and their row counts, or None for a file that cannot
+    be read, whose header line ``layout`` rejects, or with a quote, a NUL or a
+    CR outside a CRLF line end, text that is not UTF-8, a field over csv's size
+    limit, a wrong comma count, a key token over 1 byte, a tuple ``parse_row``
+    rejects, a w_ token ``float`` rejects, or two ids of equal hash."""
+    limit, code, tally, hashes = csv.field_size_limit(), {}, np.zeros(32), []
     try:
-        with open(layout.path, "rb") as fh:
-            for i, chunk in enumerate(_chunks(fh)):
+        with open(path, "rb") as fh:
+            line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+            header = line.decode().split(",")
+            if any(c in line for c in b'"\0\r') or max(map(len, header)) > limit:
+                return None
+            lay = layout(path, header, names)
+            width, key = len(header), np.array(lay.key)
+            for chunk in _chunks(fh):
                 chunk.isascii() or chunk.decode()   # a UnicodeDecodeError if not UTF-8
                 a = np.frombuffer(chunk, np.uint8)
                 if b'"' in chunk or b"\0" in chunk or (f := _fields(a, width, limit)) is None:
                     return None
-                if not len(f := f[i == 0:]):    # the first line is the header
+                if not len(f):                      # blank lines only
                     continue
-                lo, n = f[:, key] + 1, f[:, key + 1] - f[:, key] - 1
-                if n.max() > 7:
+                n = f[:, key + 1] - f[:, key] - 1   # key token lengths
+                if n.max() > 1:
                     return None
-                tok = n + sum((a.take(lo + b, mode="clip") * (n > b)).astype(np.int64) << 3 + 8 * b
-                              for b in range(n.max()))  # each key token's length and bytes
-                u, bits = None, 3 + 8 * int(n.max())
-                if bits * len(key) > 63:        # pack the tokens' ranks instead
-                    u, tok = np.unique(tok, return_inverse=True)
-                    tok, bits = tok.reshape(n.shape), (u.size - 1).bit_length()
-                if bits * len(key) > 63:
-                    return None
-                tok = tok @ (1 << (shift := bits * np.arange(len(key))))   # one int64 per line
+                tok = (a[f[:, key] + 1] * n) @ (1 << 8 * np.arange(len(key)))  # key bytes
                 kinds, count = np.unique(tok, return_counts=True)
-                back = kinds[:, None] >> shift & (1 << bits) - 1
-                tuples = list(map(tuple, (back if u is None else u[back]).tolist()))
-                for k, t in zip(kinds.tolist(), tuples):
-                    if t not in code:
+                for k in kinds.tolist():
+                    if k not in code:           # parsed at its first line
                         r = np.argmax(tok == k)
-                        rec = parse_row(layout, 0, chunk[f[r, 0] + 1:f[r, -1]].decode().split(","))
-                        code[t] = cell_code(rec.z, rec.y_tau, _MARKER_CODE[rec.marker], rec.y)
-                tally += np.bincount([code[t] for t in tuples], count, minlength=32)
-                hashes.append(np.fromiter(map(_id_hash, map(str.strip, _column(a, f, layout.id))),
+                        rec = parse_row(lay, 0, chunk[f[r, 0] + 1:f[r, -1]].decode().split(","))
+                        code[k] = cell_code(rec.z, rec.y_tau, _MARKER_CODE[rec.marker], rec.y)
+                tally += np.bincount([code[k] for k in kinds.tolist()], count, minlength=32)
+                hashes.append(np.fromiter(map(_id_hash, map(str.strip, _column(a, f, lay.id))),
                                           np.int64, len(f)))
-                for j in layout.covariates:
+                for j in lay.covariates:
                     deque(map(float, filter(None, _column(a, f, j))), maxlen=0)
-    except (ValueError, DataError):  # ValueError: float's, or a UnicodeDecodeError
+    except (OSError, ValueError, DataError):    # ValueError: float's, or a UnicodeDecodeError
         return None
     h = np.concatenate([np.empty(0, np.int64), *hashes])
     h.sort()

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib.util
+import io
+import os
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -287,6 +290,8 @@ _INGEST_ERRORS = {
     "header_only": HEADER,
     "blank_lines_only": HEADER + "\n\n",
     "field_over_csv_limit": HEADER + "p1,1,0,0,1,1\n" + "p" * 140_000 + ",1,0,0,1,1\n",
+    "header_over_csv_limit": HEADER.rstrip() + "," + "x" * 140_000 + "\np1,1,0,0,1,1,0\n",
+    "quoted_covariate_in_header": HEADER.rstrip() + ',"w_1"\np1,1,0,0,1,1,abc\n',
 }
 
 
@@ -309,11 +314,14 @@ def test_row_errors_come_before_its_duplicate_id(tmp_path):
         tables.read_cells(path)
 
 
-@pytest.mark.parametrize("case", ["absent", "latin1", "unknown_schema_key"])
+@pytest.mark.parametrize("case", ["absent", "latin1", "latin1_unread_column", "unknown_schema_key"])
 def test_both_loaders_raise_the_same_file_error(tmp_path, case):
     path = tmp_path / "data.csv"
     if case == "latin1":
         path.write_bytes((HEADER + "r\xe91,1,0,0,1,1\n").encode("latin-1"))
+    elif case == "latin1_unread_column":       # a column no check parses
+        path.write_bytes((HEADER.rstrip() + ",note\np1,1,0,0,1,1,\np2,1,0,0,1,1,caf\xe9\n")
+                         .encode("latin-1"))
     schema = {"arm": "z"} if case == "unknown_schema_key" else None
     assert (_error_text(lambda: tables.read_cells(path, schema))
             == _error_text(lambda: tables.from_records(load_csv(path, schema))))
@@ -437,11 +445,12 @@ _FAULT_KINDS = ["width", "truncated", "bad_token", "quoted_bad_token", "lone_cr"
 
 
 def _chunk_edges(rows, chunk):
-    """The data rows whose line holds a byte at a multiple of ``chunk``, and
-    their neighbours: the rows at the edges of the screen's chunks."""
-    ends = np.cumsum([len(_WIDE)] + [len(",".join(r)) + 1 for r in rows])
-    at = np.searchsorted(ends[1:], np.arange(chunk, ends[-1], chunk), side="right")
-    return sorted({int(k) + d for k in at for d in (-1, 0, 1)} & set(range(len(rows))))
+    """The data rows that end one of the screen's chunks of ``chunk`` bytes, and
+    their neighbours: the rows at the edges of the chunks."""
+    body = io.BytesIO("".join(",".join(r) + "\n" for r in rows).encode())
+    with mock.patch.object(tables, "_CHUNK", chunk):
+        ends = np.cumsum([c.count(b"\n") for c in tables._chunks(body)]) - 1
+    return sorted({int(k) + d for k in ends for d in (-1, 0, 1)} & set(range(len(rows))))
 
 
 @st.composite
@@ -470,7 +479,7 @@ def _faulty_files(draw):
 @example((50, 9, 32, [("truncated", 49, 0)]))
 def test_read_cells_reports_faults_across_block_edges(tmp_path_factory, drawn):
     """Files read in chunks of 32-256 bytes, most lines shorter than a chunk and
-    some longer, with faults drawn often in the lines that a chunk edge cuts."""
+    some longer, with faults drawn often in the lines at the chunks' edges."""
     n, seed, chunk, faults = drawn
     rows = _trial_rows(n, seed)
     for kind, k, first in faults:
@@ -492,14 +501,15 @@ def test_read_cells_reports_faults_across_block_edges(tmp_path_factory, drawn):
 @st.composite
 def _byte_files(draw):
     """(data, slow): a valid trial CSV as UTF-8 bytes with LF, CRLF or mixed line
-    ends, blank lines, padded tokens, non-ASCII ids, 0-2 w_ columns and maybe no
-    final newline; ``slow`` when a data line also got a quoted field, a key token
-    over 7 bytes or a lone CR, which the byte screen leaves to the record path."""
+    ends, blank lines, padded ids, non-ASCII ids, 0-2 w_ columns and maybe no
+    final newline; ``slow`` when a key token is padded or a data line got a
+    quoted field or a lone CR, which the byte screen leaves to the record path."""
     ends = draw(st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n")]))    # LF, CRLF or mixed
     n_cov = draw(st.integers(0, 2))
     columns = draw(st.permutations(list(DEFAULT_SCHEMA.values()) + [f"w_{j}" for j in range(n_cov)]))
     pad = st.sampled_from(["", " ", "  "])
-    lines, long_token = [",".join(columns)], False
+    key_pad = pad if draw(st.integers(0, 3)) == 0 else st.just("")   # padded key tokens
+    lines = [",".join(columns)]
     rows = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(_KINDS)),
                                    st.integers(0, 1)), min_size=1, max_size=30))
     for i, (z, kind, y) in enumerate(rows):
@@ -507,13 +517,11 @@ def _byte_files(draw):
         value = {"id": f"p{i}" + draw(st.sampled_from(["", "é", "日本", "ü "])), "z": z,
                  "y_tau": y_tau, "s_star": _TOKENS[marker], "y": y | y_tau, "r": measured}
         fields = [draw(st.sampled_from(["", "0.5", "-3", "1e3"])) if c.startswith("w_")
-                  else draw(pad) + str(value[c]) + draw(pad) for c in columns]
+                  else draw(pad) + value[c] + draw(pad) if c == "id"
+                  else draw(key_pad) + str(value[c]) + draw(key_pad) for c in columns]
         if draw(st.integers(0, 9)) == 0:
             j = draw(st.integers(0, len(fields) - 1))
             fields[j] = f'"{fields[j]}"'
-        if draw(st.integers(0, 19)) == 0:   # a key token over 7 bytes
-            j = columns.index(draw(st.sampled_from(["z", "y_tau", "s_star", "y", "r"])))
-            fields[j], long_token = fields[j] + " " * 7, True
         lines.append(",".join(fields))
         if draw(st.integers(0, 4)) == 0:
             lines.append("")
@@ -525,11 +533,14 @@ def _byte_files(draw):
                                   if text[k] not in "\r\n"]))
         text = text[:j] + "\r" + text[j:]
     data = text.encode("utf-8")
-    return data, long_token or b'"' in data or data.count(b"\r") != data.count(b"\r\n")
+    padded = any(len(field.strip('"')) > 1 for line in lines[1:] for c, field in
+                 zip(columns, line.split(",")) if c in ("z", "y_tau", "s_star", "y", "r"))
+    return data, padded or b'"' in data or data.count(b"\r") != data.count(b"\r\n")
 
 
 @settings(max_examples=150, deadline=None)
 @given(_byte_files(), st.integers(32, 256))
+@example((b"id,z,y_tau,s_star,y,r\np0,0,1,*,1,1\n\n", False), 12)    # a last chunk of one blank line
 def test_byte_screen_matches_record_path_in_small_chunks(tmp_path_factory, drawn, chunk):
     data, slow = drawn
     path = tmp_path_factory.mktemp("csv") / "data.csv"
@@ -561,6 +572,30 @@ def test_bench_inputs_never_take_the_record_path(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "load_csv", lambda *a: pytest.fail("took the record path"))
     for path, cells in want.items():
         _assert_same_cells(tables.read_cells(path), cells)
+
+
+@pytest.mark.parametrize("case", ["clean", "quoted", "bad_token"])
+def test_read_cells_reads_a_pipe_once(tmp_path, case):
+    """A file given through a named pipe, as by ``psem diagnose <(gen)``, is
+    read once and gives the cells or the error that the same regular file
+    gives. The file is larger than a 64 KiB pipe buffer."""
+    rows = _trial_rows(5_000, 11)
+    rows[4_000][1] = {"clean": "1", "quoted": '"1"', "bad_token": "2"}[case]
+    text = _WIDE + "".join(",".join(r) + "\n" for r in rows)
+    regular, pipe = _write(tmp_path, text), tmp_path / "pipe.csv"
+    want = _cells_or_error(lambda: tables.read_cells(regular))
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(_cells_or_error(
+        lambda: tables.read_cells(pipe))), daemon=True)
+    reader.start()
+    pipe.write_text(text, encoding="utf-8")     # opens once the reader has; closes at the end
+    reader.join(30)
+    assert not reader.is_alive() and len(text) > 2**16
+    if case == "bad_token":
+        assert got[0] == want.replace(str(regular), str(pipe))
+    else:
+        _assert_same_cells(got[0], want)
 
 
 def test_equal_id_hashes_go_down_the_record_path(tmp_path, monkeypatch):

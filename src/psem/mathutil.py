@@ -149,6 +149,17 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _walk(logp, start: int, step: int, count: int) -> np.ndarray:
+    """``logp`` of the tables start, start + step, ... (``count`` of them), 1024
+    at a time, up to and including the first whose exp() underflows (<= -800)."""
+    lp = np.empty(0)
+    for d in range(0, count, 1024):
+        lp = np.concatenate((lp, logp(start + step * np.arange(d, min(d + 1024, count)))))
+        if (under := np.flatnonzero(lp <= -800.0)).size:
+            return lp[:under[0] + 1]
+    return lp
+
+
 def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     """Two-sided Fisher exact p for the 2x2 table [[a, b], [c, d]].
 
@@ -166,17 +177,20 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     lo = max(0, col1 - row2)
     hi = min(col1, row1)
     denom = _log_comb(n, col1)
+
+    def logp(k):    # _log_comb(row1, k) + _log_comb(row2, col1 - k) - denom, per k
+        g1, g2, g3, g4 = (np.fromiter(map(math.lgamma, x.tolist()), float, len(k))
+                          for x in (k + 1, row1 - k + 1, col1 - k + 1, row2 - col1 + k + 1))
+        return ((math.lgamma(row1 + 1) - g1 - g2) + (math.lgamma(row2 + 1) - g3 - g4)) - denom
+
     # the pmf is log-concave: walk out from its mode until exp() underflows
     # to 0.0 (below about -745), so the terms left out would add nothing
-    logp = {}
     mode = min(max((row1 + 1) * (col1 + 1) // (n + 2), lo), hi)
-    for ks in (range(mode, hi + 1), range(mode - 1, lo - 1, -1)):
-        for k in ks:
-            logp[k] = _log_comb(row1, k) + _log_comb(row2, col1 - k) - denom
-            if logp[k] <= -800.0:
-                break
-    if a not in logp:
+    down = _walk(logp, mode - 1, -1, mode - lo)
+    lp = np.concatenate((down[::-1], _walk(logp, mode, 1, hi - mode + 1)))
+    i = a - mode + len(down)
+    if not 0 <= i < len(lp):
         return 0.0      # the observed table's own probability underflows
     # tolerance absorbs round-off among tables of exactly equal probability
-    total = sum(math.exp(logp[k]) for k in sorted(logp) if logp[k] <= logp[a] + 1e-9)
+    total = sum(map(math.exp, lp[lp <= lp[i] + 1e-9].tolist()))
     return min(1.0, total)

@@ -110,17 +110,18 @@ def _parse_covariate(token: str, column: str) -> float:
                         f"got {token!r}") from None
 
 
-def load_csv(path, schema: dict[str, str] | None = None) -> list[ObservedRecord]:
+def load_csv(path, schema: dict[str, str] | None = None, text=None) -> list[ObservedRecord]:
     """Load records from a headered CSV file, enforcing all record invariants.
 
     ``schema`` maps logical names (id, z, y_tau, marker, y, measured) to the
     file's column names; defaults are id, z, y_tau, s_star, y, r. Columns
     prefixed ``w_`` are parsed as baseline covariates. Row order is preserved
     and duplicate ids are rejected; an unreadable or non-UTF-8 file is a DataError.
+    ``text``, a text stream of the file (say, a pipe's bytes already read), is read in its place.
     """
     names = columns(schema)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with text or open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             lay = layout(path, next(reader, None), names)
             return [parse_row(lay, i, r) for i, r in _rows(lay, filter(None, reader))]

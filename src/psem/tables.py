@@ -14,6 +14,7 @@ Marker state codes: 0 negative, 1 positive, 2 undefined (early event),
 from __future__ import annotations
 
 import csv
+import io
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -70,19 +71,30 @@ def from_records(records) -> CellTable:
 def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
     """``from_records(load_csv(path, schema))`` without the record list.
 
-    A regular file is read as bytes: the header line, then chunks of whole
-    lines screened by numpy passes (comma counts, one count per distinct
-    tuple of one-byte key tokens, each tuple parsed once, id hashes, w_ tokens
-    through ``float``). A file the screen cannot vouch for, and any input
-    that is not a regular file (a pipe cannot be read twice), goes down the
-    record path, which reports its first fault exactly."""
-    if not os.path.isfile(path) or (screened := _screen(path, columns(schema))) is None:
-        return from_records(load_csv(path, schema))     # a pipe is read once, here
-    return _from_codes(*screened)
+    The file is read as bytes, a pipe's all at once: the header line, then
+    chunks of whole lines screened by numpy passes (comma counts, one count per
+    distinct tuple of one-byte key tokens, each tuple parsed once, ids keyed by
+    their bytes, w_ tokens through ``float``). A file the screen cannot vouch
+    for goes down the record path, which reports its first fault exactly."""
+    names, data = columns(schema), None
+    try:
+        with open(path, "rb") as fh:
+            if not os.path.isfile(path):
+                fh = io.BytesIO(data := fh.read())      # a pipe can be read only once
+            screened = _screen(fh, path, names)
+    except OSError:
+        screened = None
+    if screened is not None:
+        return _from_codes(*screened)
+    text = None if data is None else io.TextIOWrapper(io.BytesIO(data), "utf-8", newline="")
+    return from_records(load_csv(path, schema, text))
 
 
 _CHUNK = 1 << 16    # bytes read at a time, then the rest of their last line
-_id_hash = hash     # the id digest of the duplicate screen; a test swaps in a colliding one
+# bytes ``str.strip`` may remove (ASCII whitespace) or that begin or end a non-ASCII char
+_EDGE = np.array([b > 127 or chr(b).isspace() for b in range(256)])
+_FOLD = np.uint64(0x9E3779B97F4A7C15)    # odd: folds an id's 8-byte words into one key
+_LOW_BYTES = np.array([2**(8 * n) - 1 for n in range(9)], np.uint64)  # a word's low n bytes
 
 
 def _chunks(fh):
@@ -122,50 +134,67 @@ def _column(a, f, j):
     return out.tobytes().decode().split("\n")[:-1]
 
 
-def _screen(path, names):
-    """The 32 cell codes and their row counts, or None for a file that cannot
-    be read, whose header line ``layout`` rejects, or with a quote, a NUL or a
-    CR outside a CRLF line end, text that is not UTF-8, a field over csv's size
+def _id_keys(chunk, f, j):
+    """One uint64 key per line for its id, field j, after ``str.strip``. An id
+    of up to 8 bytes is its own key, its bytes zero-padded (ids hold no NUL);
+    a longer one folds its 8-byte words with ``_FOLD``. Equal ids have equal
+    keys, and only an id over 8 bytes can share a key with another."""
+    a = np.frombuffer(chunk, np.uint8)
+    lo, hi = f[:, j] + 1, f[:, j + 1].copy()    # f[:, j + 1] also bounds field j + 1
+    for r in np.flatnonzero(_EDGE[a[lo]] | _EDGE[a[hi - 1]]).tolist():
+        s = chunk[lo[r]:hi[r]].decode()     # ids strip may change, and empty ones by a newline
+        lo[r] = hi[r] - len(s.lstrip().encode())
+        hi[r] = lo[r] + len(s.strip().encode())
+    words, key = (hi - lo + 7) // 8, np.zeros(len(f), np.uint64)
+    word_at = np.ndarray(len(a) + 1, "<u8", chunk + bytes(8), strides=(1,))  # word at each byte
+    for w in np.flatnonzero(np.bincount(words)[1:]) + 1:       # one group per word count
+        r = np.flatnonzero(words == w)
+        at = lo[r, None] + 8 * np.arange(w)
+        word = word_at[at] & _LOW_BYTES[np.minimum(hi[r, None] - at, 8)]
+        key[r] = word @ _FOLD ** np.arange(w - 1, -1, -1, dtype=np.uint64)
+    return key
+
+
+def _screen(fh, path, names):
+    """The 32 cell codes and their row counts from the binary handle ``fh``, or
+    None for a header line ``layout`` rejects, or with a quote, a NUL or a CR
+    outside a CRLF line end, text that is not UTF-8, a field over csv's size
     limit, a wrong comma count, a key token over 1 byte, a tuple ``parse_row``
-    rejects, a w_ token ``float`` rejects, or two ids of equal hash."""
-    limit, code, tally, hashes = csv.field_size_limit(), {}, np.zeros(32), []
+    rejects, a w_ token ``float`` rejects, or two ids of equal key."""
+    limit, code, tally, keys = csv.field_size_limit(), {}, np.zeros(32), []
     try:
-        with open(path, "rb") as fh:
-            line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
-            header = line.decode().split(",")
-            if any(c in line for c in b'"\0\r') or max(map(len, header)) > limit:
+        line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        header = line.decode().split(",")
+        if any(c in line for c in b'"\0\r') or max(map(len, header)) > limit:
+            return None
+        lay = layout(path, header, names)
+        width, key = len(header), np.array(lay.key)
+        for chunk in _chunks(fh):
+            chunk.isascii() or chunk.decode()   # a UnicodeDecodeError if not UTF-8
+            a = np.frombuffer(chunk, np.uint8)
+            if b'"' in chunk or b"\0" in chunk or (f := _fields(a, width, limit)) is None:
                 return None
-            lay = layout(path, header, names)
-            width, key = len(header), np.array(lay.key)
-            for chunk in _chunks(fh):
-                chunk.isascii() or chunk.decode()   # a UnicodeDecodeError if not UTF-8
-                a = np.frombuffer(chunk, np.uint8)
-                if b'"' in chunk or b"\0" in chunk or (f := _fields(a, width, limit)) is None:
-                    return None
-                if not len(f):                      # blank lines only
-                    continue
-                n = f[:, key + 1] - f[:, key] - 1   # key token lengths
-                if n.max() > 1:
-                    return None
-                tok = (a[f[:, key] + 1] * n) @ (1 << 8 * np.arange(len(key)))  # key bytes
-                kinds, count = np.unique(tok, return_counts=True)
-                for k in kinds.tolist():
-                    if k not in code:           # parsed at its first line
-                        r = np.argmax(tok == k)
-                        rec = parse_row(lay, 0, chunk[f[r, 0] + 1:f[r, -1]].decode().split(","))
-                        code[k] = cell_code(rec.z, rec.y_tau, _MARKER_CODE[rec.marker], rec.y)
-                tally += np.bincount([code[k] for k in kinds.tolist()], count, minlength=32)
-                hashes.append(np.fromiter(map(_id_hash, map(str.strip, _column(a, f, lay.id))),
-                                          np.int64, len(f)))
-                for j in lay.covariates:
-                    deque(map(float, filter(None, _column(a, f, j))), maxlen=0)
-    except (OSError, ValueError, DataError):    # ValueError: float's, or a UnicodeDecodeError
+            if not len(f):                      # blank lines only
+                continue
+            n = f[:, key + 1] - f[:, key] - 1   # key token lengths
+            if n.max() > 1:
+                return None
+            tok = (a[f[:, key] + 1] * n) @ (1 << 8 * np.arange(len(key)))  # key bytes
+            kinds, count = np.unique(tok, return_counts=True)
+            for k in kinds.tolist():
+                if k not in code:           # parsed at its first line
+                    r = np.argmax(tok == k)
+                    rec = parse_row(lay, 0, chunk[f[r, 0] + 1:f[r, -1]].decode().split(","))
+                    code[k] = cell_code(rec.z, rec.y_tau, _MARKER_CODE[rec.marker], rec.y)
+            tally += np.bincount([code[k] for k in kinds.tolist()], count, minlength=32)
+            keys.append(_id_keys(chunk, f, lay.id))
+            for j in lay.covariates:
+                deque(map(float, filter(None, _column(a, f, j))), maxlen=0)
+    except (ValueError, DataError):     # ValueError: float's, or a UnicodeDecodeError
         return None
-    h = np.concatenate([np.empty(0, np.int64), *hashes])
-    h.sort()
-    if (h[1:] == h[:-1]).any():
-        return None
-    return np.arange(32), tally
+    keys = np.concatenate([np.empty(0, np.uint64), *keys])   # frees the chunks' keys
+    keys.sort()
+    return None if (keys[1:] == keys[:-1]).any() else (np.arange(32), tally)
 
 
 def from_arrays(z, yt, s, y) -> CellTable:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psem
@@ -541,6 +541,8 @@ _CELL = st.one_of(st.integers(0, 30), st.integers(0, 3000), st.integers(0, 60000
 
 @settings(max_examples=300, deadline=None)
 @given(_CELL, _CELL, _CELL, _CELL)
+@example(19812, 80339, 20087, 79762)      # the analyze_large table: 4 blocks each side
+@example(60000, 60000, 60000, 60000)      # 5 blocks each side of the mode
 def test_fisher_drops_only_underflowing_terms(a, b, c, d):
     p = fisher_exact_two_sided(a, b, c, d)
     assert type(p) is float

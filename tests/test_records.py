@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import io
+import itertools
 import os
 import random
 import threading
@@ -578,7 +579,8 @@ def test_bench_inputs_never_take_the_record_path(tmp_path, monkeypatch):
 def test_read_cells_reads_a_pipe_once(tmp_path, case):
     """A file given through a named pipe, as by ``psem diagnose <(gen)``, is
     read once and gives the cells or the error that the same regular file
-    gives. The file is larger than a 64 KiB pipe buffer."""
+    gives, through the byte screen when it is clean. The file is larger than
+    a 64 KiB pipe buffer."""
     rows = _trial_rows(5_000, 11)
     rows[4_000][1] = {"clean": "1", "quoted": '"1"', "bad_token": "2"}[case]
     text = _WIDE + "".join(",".join(r) + "\n" for r in rows)
@@ -588,10 +590,12 @@ def test_read_cells_reads_a_pipe_once(tmp_path, case):
     got = []
     reader = threading.Thread(target=lambda: got.append(_cells_or_error(
         lambda: tables.read_cells(pipe))), daemon=True)
-    reader.start()
-    pipe.write_text(text, encoding="utf-8")     # opens once the reader has; closes at the end
-    reader.join(30)
+    with mock.patch.object(tables, "load_csv", wraps=load_csv) as walk:
+        reader.start()
+        pipe.write_text(text, encoding="utf-8")     # opens once the reader has; closes at the end
+        reader.join(30)
     assert not reader.is_alive() and len(text) > 2**16
+    assert walk.called == (case != "clean")     # a clean pipe is read by the byte screen
     if case == "bad_token":
         assert got[0] == want.replace(str(regular), str(pipe))
     else:
@@ -599,7 +603,7 @@ def test_read_cells_reads_a_pipe_once(tmp_path, case):
 
 
 def test_equal_id_hashes_go_down_the_record_path(tmp_path, monkeypatch):
-    """Ids are screened by hash: with every hash equal, distinct ids still
+    """Ids are screened by key: with every key equal, distinct ids still
     give the screen's cells and a repeated id the record path's error."""
     rows = _trial_rows(1_200, 7)
     clean = _write(tmp_path, _WIDE + "".join(",".join(r) + "\n" for r in rows))
@@ -610,11 +614,59 @@ def test_equal_id_hashes_go_down_the_record_path(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "load_csv", lambda *a: walks.append(1) or load_csv(*a))
     _assert_same_cells(tables.read_cells(clean), want)
     assert not walks
-    monkeypatch.setattr(tables, "_id_hash", lambda rid: 0)
+    monkeypatch.setattr(tables, "_id_keys", lambda chunk, f, j: np.zeros(len(f), np.uint64))
     _assert_same_cells(tables.read_cells(clean), want)
     assert walks
     assert (_error_text(lambda: tables.read_cells(repeated))
             == f"{repeated}: row 902: duplicate id 'p100'")
+
+
+_ID_PAD = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                           "\x85", "\xa0", "\u2028", "\u3000", " \xa0\x0b"])
+
+
+@st.composite
+def _padded_ids(draw):
+    """(text, ids, id column): a valid file whose ids are 0-24 byte cores, some
+    with accented letters at their ends, padded with ASCII or non-ASCII
+    whitespace, often repeated; LF or CRLF line ends, the id first or last."""
+    accent = st.sampled_from(["", "é", "ü", "ß"])
+    pool = draw(st.lists(st.builds(lambda a, core, b: a + core + b,
+                                   accent, st.text("ab9-", max_size=24), accent),
+                         min_size=1, max_size=12))
+    ids = [draw(_ID_PAD) + draw(st.sampled_from(pool)) + draw(_ID_PAD)
+           for _ in range(draw(st.integers(1, 20)))]
+    last, end = draw(st.booleans()), draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"0,0,0,1,1,{rid}" if last else f"{rid},0,0,0,1,1" for rid in ids]
+    header = "z,y_tau,y,r,s_star,id" if last else HEADER.rstrip()
+    return "".join(line + end for line in [header, *lines]), ids, 5 if last else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_padded_ids(), st.integers(32, 256))
+@example((HEADER + " \xa0p1\x1c,0,0,0,1,1\np1,0,0,0,1,1\n", [" \xa0p1\x1c", "p1"], 0), 64)
+def test_id_keys_match_the_record_path(tmp_path_factory, drawn, chunk):
+    """Ids are keyed by their bytes after ``str.strip``: padded, non-ASCII and
+    whitespace-only ids give the record path's cells, or its error for a padded
+    duplicate, and stripped ids of up to 8 bytes never share a key."""
+    text, ids, j = drawn
+    path = _write(tmp_path_factory.mktemp("csv"), text)
+    want = _cells_or_error(lambda: tables.from_records(load_csv(path)))
+    with mock.patch.object(tables, "_CHUNK", chunk), \
+            mock.patch.object(tables, "load_csv", wraps=load_csv) as walk:
+        got = _cells_or_error(lambda: tables.read_cells(path))
+    stripped = [rid.strip() for rid in ids]
+    assert walk.called == (len(set(stripped)) < len(stripped))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_cells(got, want)
+    body = text.encode()[text.encode().index(b"\n") + 1:]
+    f = tables._fields(np.frombuffer(body, np.uint8), 6, 1 << 17)
+    keys = tables._id_keys(body, f, j).tolist()
+    for (s, k), (t, m) in itertools.combinations(zip(stripped, keys), 2):
+        if s == t or max(len(s.encode()), len(t.encode())) <= 8:
+            assert (k == m) == (s == t), (s, t)
 
 
 def test_read_cells_memory_does_not_grow_with_the_ids(tmp_path):

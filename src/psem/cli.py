@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -264,9 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PsemError as exc:

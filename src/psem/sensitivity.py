@@ -173,7 +173,8 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
                 except PsemError as exc:
                     result.errors[i] = f"{type(exc).__name__}: {exc}"
             continue
-        ceps, failed = fit_ceps(weighted, [result.point(i) for _, i in pending],
+        points = {i: result.point(i) for i in {i for _, i in pending}}
+        ceps, failed = fit_ceps(weighted, [points[i] for _, i in pending],
                                 config.contrast, [b for b, _ in pending])
         for k, (b, i) in enumerate(pending):
             if k in failed:

@@ -15,14 +15,15 @@ a survivor is observed iff they are a case (y = 1) or fall in a
 Bernoulli(nu) subcohort.
 
 Randomness is counter-based (Philox) with one documented stream per
-(seed, study cell, replicate): key = [seed, cell_index * 2^32 + replicate].
+(seed, study cell, replicate): key = [seed, (cell_index * 2^32 + replicate) mod 2^64].
 A replicate draws one (6, n) block of uniforms, rows in a fixed order (early
 pair, marker, y1, y0, arm, subcohort), so results are bit-identical regardless
 of how replicates are scheduled across workers. Each row is compared once with
 its thresholds (the early pair's cut points; 0.6; a and b; 1/2; 1/2; nu), and
 the draw is a function of those R bits. The thresholds fix each of the 2^R bit
-patterns' exact probability, which ``oracle_estimands`` conditions on, and a
-study tallies a replicate by looking its bits up in the patterns' cell codes.
+patterns' exact probability, which ``oracle_estimands`` conditions on. A study
+block re-keys one generator per replicate (the same key, counter 0), draws into
+one reused buffer, counts the 2^R bit patterns and folds them into cells.
 """
 
 from __future__ import annotations
@@ -112,8 +113,13 @@ class PotentialRecord:
     y_0: int
 
 
+def _key(seed: int, cell: int, replicate: int) -> list[int]:
+    """The Philox key of one replicate's stream (module docstring)."""
+    return [seed, ((cell << 32) + replicate) & 0xFFFFFFFFFFFFFFFF]
+
+
 def _rng_for(seed: int, cell: int, replicate: int) -> np.random.Generator:
-    key = np.array([seed, ((cell << 32) + replicate) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array(_key(seed, cell, replicate), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -164,13 +170,20 @@ def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
 
 
 def _cell_counts(config: GeneratorConfig, cell_id: int, reps) -> np.ndarray:
-    """Cell tallies (len(reps), 32) of replicates ``reps`` of study cell ``cell_id``:
-    a draw's bits, read as an R-bit number, index the cell codes of all 2^R patterns."""
+    """Cell tallies (len(reps), 32) of replicates ``reps`` of study cell ``cell_id``: one
+    generator, re-keyed per replicate, draws into one buffer; pattern counts fold into cells."""
     bits, _ = _patterns(config)
-    weight = 1 << np.arange(len(bits))
     code = tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(_observe(config, bits)))
-    return np.array([np.bincount(code[weight @ _bits(config, _rng_for(config.seed, cell_id, rep))],
-                                 minlength=32) for rep in reps])
+    row, below = _thresholds(config)
+    weight, u = 2.0 ** np.arange(len(row)), np.empty((row[-1] + 1, config.n))
+    rng = _rng_for(config.seed, cell_id, 0)
+    fresh, tally = rng.bit_generator.state, np.empty((len(reps), len(code)))
+    for b, rep in enumerate(reps):
+        fresh["state"]["key"] = _key(config.seed, cell_id, rep)
+        rng.bit_generator.state = fresh     # counter 0, empty buffer: as _rng_for(..., rep)
+        pattern = weight @ (rng.random(out=u)[row] < below[:, None])
+        tally[b] = np.bincount(pattern.astype(np.intp), minlength=len(code))
+    return (tally @ (code[:, None] == np.arange(32))).astype(np.int64)
 
 
 def generate(config: GeneratorConfig):

@@ -316,6 +316,16 @@ def test_analyze_missing_config():
     assert main(["analyze", "--config", "/nonexistent.ini"]) == 2
 
 
+def test_main_builds_the_parser_once_per_process(monkeypatch, tmp_path):
+    from psem import cli
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [main(["diagnose", "--input", str(tmp_path / "absent.csv")]),
+            main(["analyze", "--config", str(tmp_path / "absent.ini")])] == [3, 2]
+    assert len(built) == 1
+
+
 def test_analyze_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,z,y_tau,y,r,s_star\nx,3,0,0,1,1\n", encoding="utf-8")

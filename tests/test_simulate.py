@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psem import simulate, tables
-from psem.core import cep
+from psem import sensitivity, simulate, tables
+from psem.core import Scenario, cep
 from psem.errors import ConfigError, PsemError
 from psem.sensitivity import SensitivityConfig, interval_for, symmetric_ranges, sweep
 from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _bits, _gen_arrays,
@@ -94,6 +94,8 @@ _unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
        reps=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
 @example(design="C", n=400, nu=1.0, a=0.0, b=1.0, seed=0, cell=0, reps=[0, 1])
 @example(design="B", n=400, nu=0.5, a=0.3, b=None, seed=1, cell=2, reps=[3])
+@example(design="C", n=401, nu=0.5, a=0.3, b=0.5, seed=2**64 - 1, cell=2**31,
+         reps=[2**32 - 1, 0])     # the largest key the strategies reach
 def test_bit_pattern_tally_matches_the_draw(design, n, nu, a, b, seed, cell, reps):
     # b=None draws a = b; the draw and its tally equal the reference generator's
     cfg = GeneratorConfig(design, n, a, a if b is None else b, nu, seed)
@@ -115,6 +117,34 @@ def test_study_block_tallies_are_pinned(design, digest):
     counts = simulate._cell_counts(GeneratorConfig(design, 1600, 0.3, 0.5, 0.5, 7), 3, range(64))
     assert counts.shape == (64, 32) and counts.sum() == 64 * 1600
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_block_tallies_equal_each_replicate_tallied_alone(design):
+    # n = 401 draws 6 * 401 = 2406 uniforms, not a multiple of Philox's 4-word
+    # buffer: a block that left the buffer to the next replicate would differ
+    cfg = GeneratorConfig(design, 401, 0.3, 0.5, 0.5, 11)
+    reps = [5, 0, 1, 2**32 - 1, 1]
+    assert np.array_equal(simulate._cell_counts(cfg, 2, reps),
+                          np.concatenate([simulate._cell_counts(cfg, 2, [r]) for r in reps]))
+
+
+def test_study_block_builds_one_generator_and_one_covariance_pass(monkeypatch):
+    built, real = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(1) or real(**kw))
+    draw = GeneratorConfig("B", 1600, 0.3, 0.5, 1.0, 1)
+    assert simulate._cell_counts(draw, 0, range(64)).shape == (64, 32) and len(built) == 1
+    passes, fit_ceps = [], sensitivity.fit_ceps
+
+    def counted(weighted, points, *rest):   # per pass: pairs, point objects, distinct points
+        passes.append((len(points), len(set(map(id, points))),
+                       len({tuple(p.as_dict().items()) for p in points})))
+        return fit_ceps(weighted, points, *rest)
+
+    monkeypatch.setattr(sensitivity, "fit_ceps", counted)
+    gamma = SensitivityConfig(Scenario.B, symmetric_ranges(Scenario.B, 1.0), 21)
+    errors, _ = simulate._fit_block(draw, gamma, 0, range(64))
+    assert errors == [None] * 64 and passes == [(128, 2, 2)]    # each replicate's two ends
 
 
 def test_design_c_marginals_large_n():

@@ -205,11 +205,13 @@ class _Stack:
         self.sol[name] = value
 
     def copy(self, rows=None) -> "_Stack":
-        """A copy to solve on; with ``rows``, of those replicates of batched cells."""
+        """A copy to solve on; with ``rows``, of those replicates, one dataset
+        a batch of one: counts (ncells,) read as (1, ncells), scalars as (1, 1)."""
         new, old = _Stack(self.cells if rows is None else replace(
-            self.cells, count=self.cells.count[rows])), self.checks.failed
+            self.cells, count=np.atleast_2d(self.cells.count)[rows])), self.checks.failed
         new.names, new.fns = list(self.names), list(self.fns)
-        new.sol = {k: v if rows is None else v[rows] for k, v in self.sol.items()}
+        new.sol = {k: v if rows is None else np.reshape(v, (-1, 1))[rows]
+                   for k, v in self.sol.items()}
         new.checks.failed.update(old if rows is None else
                                  {k: old[b] for k, b in enumerate(rows) if b in old})
         return new
@@ -549,9 +551,9 @@ def _ceps(scenario: Scenario, names: tuple[str, ...], theta, cov, contrast: Cont
     finite = np.isfinite(values).all(0) & np.isfinite(jac).all((-2, -1))
     (checks or Checks())(~finite, ValueError,
                          lambda: "the contrast or its gradient is not finite at theta_hat")
-    var = [(jac[..., t, None, :] @ cov @ jac[..., t, :, None])[..., 0, 0]
-           for t in range(len(values))]
-    ses = np.sqrt(np.maximum(var, 0.0)).reshape(len(values), -1).T.tolist()
+    # numpy's own loops, not BLAS: each fit's variances read its numbers alone
+    var = np.einsum("...ti,...ti->...t", np.einsum("...ti,...ij->...tj", jac, cov), jac)
+    ses = np.sqrt(np.maximum(var, 0.0)).reshape(-1, len(values)).tolist()
     return [CepResult(contrast, dict(zip(scenario.strata, v)), dict(zip(scenario.strata, s)),
                       v[-1], s[-1], point)
             for v, s, point in zip(values.reshape(len(values), -1).T.tolist(), ses, points)]
@@ -866,22 +868,25 @@ def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
     return st, row.report
 
 
+def _fit(weighted: WeightedRecords, points: list[SensitivityPoint], rows, with_cov: bool):
+    """(names, theta (p, k, 1), cov (k, 1, p, p) or None, checks) of the stacked
+    fit at each of the ``points``, the point k on replicate ``rows[k]``."""
+    beta = {k: np.array([[p.get(k)] for p in points]) for k in points[0].scenario.sensitivity_keys}
+    checks = Checks((len(points), 1))
+    st, report = _solve(weighted, points[0].scenario, beta, checks, rows)
+    with np.errstate(all="ignore"):
+        return *_finalize(st, with_cov, report), checks
+
+
 def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
                  with_cov: bool = True) -> RiskEstimates:
-    """Fit the scenario of ``point`` at its sensitivity values: the grid
-    solve of ``fit_targets`` at this one point. The first failed check
-    raises. Covariance fits are cached per point on ``weighted``; failures
-    are not."""
-    if with_cov:
-        key = (point.scenario, tuple(point.as_dict().items()))
-        if key in weighted.fit_blocks:
-            return weighted.fit_blocks[key]
-    beta = {k: np.float64(v) for k, v in point.as_dict().items()}
-    st, report = _solve(weighted, point.scenario, beta, Checks())
-    est = RiskEstimates(point.scenario, point, *_finalize(st, with_cov, report), st.cells.n)
-    if with_cov:
-        weighted.fit_blocks[key] = est
-    return est
+    """Fit the scenario of one dataset at the sensitivity values of ``point``:
+    the ``fit_ceps`` fit read as a batch of one. Its first failure raises."""
+    names, theta, cov, checks = _fit(weighted, [point], [0], with_cov)
+    if checks.failed:
+        raise checks.failed[0]
+    return RiskEstimates(point.scenario, point, names, theta[:, 0, 0],
+                         None if cov is None else cov[0, 0], weighted.n)
 
 
 def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
@@ -898,15 +903,12 @@ def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
 
 
 def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
-             contrast: Contrast, rows=None) -> tuple[list[CepResult], dict[int, PsemError]]:
-    """``cep(fit_scenario(...))`` of batched data at one point per replicate in
-    one pass, or per replicate of ``rows``, one row for each point; and each
-    failed fit's first failure by its index in ``points``."""
-    beta = {k: np.array([[p.get(k)] for p in points]) for k in points[0].scenario.sensitivity_keys}
-    checks = Checks((len(points), 1))
-    st, report = _solve(weighted, points[0].scenario, beta, checks, rows)
+             contrast: Contrast, rows) -> tuple[list[CepResult], dict[int, PsemError]]:
+    """``cep(fit_scenario(...))`` at each of the ``points`` in one stacked fit
+    (``_fit``; rows are 0 for one dataset) and each failed fit's first failure
+    by its index in ``points``. No fit's numbers depend on the fits beside it."""
+    names, theta, cov, checks = _fit(weighted, points, rows, True)
     with np.errstate(all="ignore"):
-        names, theta, cov = _finalize(st, True, report)
         return _ceps(points[0].scenario, names, theta, cov, contrast, points, checks), checks.failed
 
 

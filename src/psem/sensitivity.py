@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,
+# cep and fit_scenario stay bound here for bench/tracer.py to patch
+from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,  # noqa: F401
                    fit_ceps, fit_scenario, fit_targets)
 from .errors import ConfigError, EstimationError, PsemError
 from .mathutil import bisect, norm_cdf, norm_quantile
@@ -137,10 +138,12 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
 
     ``targets`` defaults to every CEP target of the scenario. Grid-point
     failures are recorded by index, with the error ``fit_scenario`` raises
-    there, rather than raised, unless every point fails. A point whose
-    covariance fit fails is marked failed and the extremes are taken again
-    over the remaining points. Batched data (``tables.from_counts``) are
-    swept in one pass, each replicate as if alone but never raising.
+    there, rather than raised, unless every point fails. Each pass fits
+    every pending (replicate, extreme) pair in one ``fit_ceps`` call, one
+    dataset as a batch of one; a point whose covariance fit fails is marked
+    failed and the extremes are taken again over the remaining points.
+    Batched data (``tables.from_counts``) are swept in the same passes, each
+    replicate as if alone but never raising.
     """
     names = config.scenario.targets
     targets = tuple(targets or names)
@@ -159,28 +162,20 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
         divmod(i, len(cells)) if lead else i: f"{type(e).__name__}: {e}"
         for i, e in failed.items()})
     while len(result.errors) < values[0].size:
-        pending = [k for k in dict.fromkeys(
-            k for t in targets for idx in result.extremes(t)
-            for k in (enumerate(idx.tolist()) if lead else [idx]))
-            if k not in result.ceps and k not in result.errors]
+        extremes = {(b, i) if lead else i: (b, i) for t in targets for idx in result.extremes(t)
+                    for b, i in enumerate(np.atleast_1d(idx).tolist())}
+        pending = [(k, b, i) for k, (b, i) in extremes.items()
+                   if k not in result.ceps and k not in result.errors]
         if not pending:
             return result
-        if not lead:
-            for i in pending:
-                try:
-                    result.ceps[i] = cep(fit_scenario(weighted, result.point(i)),
-                                         config.contrast)
-                except PsemError as exc:
-                    result.errors[i] = f"{type(exc).__name__}: {exc}"
-            continue
-        points = {i: result.point(i) for i in {i for _, i in pending}}
-        ceps, failed = fit_ceps(weighted, [points[i] for _, i in pending],
-                                config.contrast, [b for b, _ in pending])
-        for k, (b, i) in enumerate(pending):
-            if k in failed:
-                result.errors[b, i] = f"{type(failed[k]).__name__}: {failed[k]}"
+        points = {i: result.point(i) for i in {i for _, _, i in pending}}
+        ceps, failed = fit_ceps(weighted, [points[i] for _, _, i in pending],
+                                config.contrast, [b for _, b, _ in pending])
+        for j, (k, _, _) in enumerate(pending):
+            if j in failed:
+                result.errors[k] = f"{type(failed[j]).__name__}: {failed[j]}"
             else:
-                result.ceps[b, i] = ceps[k]
+                result.ceps[k] = ceps[j]
     if lead:
         return result
     raise EstimationError(_ALL_FAILED + result.errors[min(result.errors)])

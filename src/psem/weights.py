@@ -72,7 +72,7 @@ class WeightedRecords:
     model: WeightModel
     psi: np.ndarray | None = None      # logistic coefficients when estimated
     certainty_cases: bool = False
-    # cached beta-free opening blocks (keyed by builder) and covariance fits
+    # cached beta-free opening blocks, keyed by builder (see core._opening)
     fit_blocks: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 

@@ -234,21 +234,29 @@ def test_analyze_bad_weights_value_is_config_error(tmp_path, worked_csv, capsys,
     assert "[weights]" in capsys.readouterr().err
 
 
-def test_analyze_fits_zero_point_covariance_once(tmp_path, worked_csv, monkeypatch):
-    # the no-selection-bias fit and the scale-0 sweep cell are the same point
-    from psem import core
-    sandwiches = []
-    real_sandwich = core._Stack.sandwich
+def test_one_dataset_sweep_makes_one_sandwich_per_pass(worked_weighted, monkeypatch):
+    # one dataset is a batch of one: each covariance pass stacks every
+    # pending extreme into one sandwich, not one sandwich per extreme
+    from psem import core, sensitivity
+    from psem.core import Scenario
+    sandwiches, passes = [], []
+    real_sandwich, real_fit = core._Stack.sandwich, sensitivity.fit_ceps
 
     def counted(st):
         sandwiches.append(st)
         return real_sandwich(st)
 
+    def fit(weighted, points, *rest):
+        passes.append(len(points))
+        return real_fit(weighted, points, *rest)
+
     monkeypatch.setattr(core._Stack, "sandwich", counted)
-    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
-                                extra_sensitivity="scales = 0")
-    assert main(["analyze", "--config", str(cfg)]) == 0
-    assert len(sandwiches) == 1
+    monkeypatch.setattr(sensitivity, "fit_ceps", fit)
+    config = sensitivity.SensitivityConfig(
+        scenario=Scenario.B, ranges={"beta0": (-1.0, 1.0)}, grid_points=5)
+    grid = sensitivity.sweep(worked_weighted, config)
+    assert len(sandwiches) == len(passes) >= 1
+    assert sum(passes) == len(grid.ceps) > len(passes)
 
 
 def test_analyze_and_diagnose_read_the_csv_straight_to_cells(tmp_path, worked_csv,
@@ -466,16 +474,17 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     from psem.records import load_csv
     from psem.weights import fit_missingness
 
-    real_fit = sensitivity.fit_scenario
+    real_fit = sensitivity.fit_ceps
     failed = []
 
-    def fit(weighted, point, with_cov=True):
-        if with_cov and not failed:        # the first extreme's sandwich
-            failed.append(point)
-            raise EstimationError("injected")
-        return real_fit(weighted, point, with_cov)
+    def fit(weighted, points, contrast, rows):
+        ceps, errors = real_fit(weighted, points, contrast, rows)
+        if not failed:          # the first pending extreme's sandwich
+            failed.append(points[0])
+            errors = {**errors, 0: EstimationError("injected")}
+        return ceps, errors
 
-    monkeypatch.setattr(sensitivity, "fit_scenario", fit)
+    monkeypatch.setattr(sensitivity, "fit_ceps", fit)
     weighted = fit_missingness(load_csv(worked_csv))
     config = sensitivity.SensitivityConfig(
         scenario=Scenario.B, ranges={"beta0": (-1.0, 1.0)}, grid_points=5)

@@ -118,10 +118,11 @@ def test_bootstrap_sd_matches_the_sandwich_se():
 
 
 def _rows_at(st, theta):
-    """Per-cell values (ncells x p) of every row of ``st`` at theta, from
-    constant duals (zero gradient), so nothing here is differentiated."""
+    """Per-cell values (ncells x p) of every row of ``st`` at theta (p,), from
+    constant duals (zero gradient), so nothing here is differentiated; a
+    batch-of-one stack reads as its one dataset."""
     d = {name: core._Dual(t, 0.0) for name, t in zip(st.names, theta)}
-    return np.column_stack([np.broadcast_to(fn(d).v, st.cells.count.shape)
+    return np.column_stack([np.broadcast_to(fn(d).v, st.cells.count.shape).reshape(-1)
                             for fn in st.fns])
 
 
@@ -146,14 +147,14 @@ def test_stack_sandwich_matches_per_record_brute_force(monkeypatch):
         (st,) = stacks
 
         # independent assembly: one row per record, a fixed step of 1e-5
-        cells_of_records = np.repeat(np.arange(len(st.cells.count)),
-                                     st.cells.count.astype(int))
+        count = st.cells.count.reshape(-1)     # the fit is a batch of one
+        cells_of_records = np.repeat(np.arange(len(count)), count.astype(int))
         n = cells_of_records.size
 
         def per_record(theta):
             return _rows_at(st, theta)[cells_of_records]
 
-        theta = st.theta()
+        theta = st.theta().reshape(-1)
         u = per_record(theta)
         meat = sum(np.outer(row, row) for row in u) / n
         h = 1e-5
@@ -242,10 +243,11 @@ def test_dual_arithmetic_matches_analytic_derivatives():
 
 
 def _fd_cov(st):
-    """(theta, cov) of ``st``'s sandwich with a central-difference bread."""
-    count = st.cells.count
+    """(theta, cov) of ``st``'s sandwich with a central-difference bread; a
+    batch-of-one stack reads as its one dataset."""
+    count = st.cells.count.reshape(-1)
     n = count.sum()
-    theta = st.theta()
+    theta = st.theta().reshape(-1)
     u = _rows_at(st, theta)
     binv = np.linalg.inv(core._fd_jacobian(lambda t: count @ _rows_at(st, t) / n, theta))
     return theta, binv @ ((u * count[:, None]).T @ u / n) @ binv.T / n

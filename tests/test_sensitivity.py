@@ -401,7 +401,7 @@ def test_all_cells_failing_raises(worked_weighted):
 
 @settings(max_examples=60, deadline=None)
 @given(scenario=st.sampled_from(list(Scenario)), data=st.data())
-def test_fit_scenario_mixing_identity_and_cache(scenario, data):
+def test_fit_scenario_mixing_identity(scenario, data):
     # a dataset the scenario fits at beta = 0; each legal beta in [-2, 2]
     w = scenario_dataset(scenario, 7, 2000, 0.5)
     psem.fit_scenario(w, SensitivityPoint(scenario))
@@ -414,7 +414,6 @@ def test_fit_scenario_mixing_identity_and_cache(scenario, data):
         return
     assert cov_fit.mixing_residual() <= 1e-10
     assert point_fit.theta.tobytes() == cov_fit.theta.tobytes()
-    assert psem.fit_scenario(w, point) is cov_fit
 
 
 def full_cov_reference(w, cfg, target):
@@ -466,6 +465,60 @@ def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, sca
             assert res.extrema_on_corners
 
 
+def cep_bits(c):
+    """Every value and SE of a CepResult, as bytes: equal bytes, equal bits."""
+    return np.array([*c.values.values(), *c.ses.values(), c.mu, c.mu_se]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(list(Scenario)), contrast=st.sampled_from(list(Contrast)),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_a_fit_does_not_depend_on_the_fits_stacked_with_it(scenario, contrast, seed, data):
+    # a point alone, inside a k-point fit_ceps call in shuffled order, and
+    # through cep(fit_scenario(...)): the same values and SEs, bit for bit
+    w = scenario_dataset(scenario, seed, 1500, 0.5)
+    beta = st.floats(-1.5, 1.5)
+    points = data.draw(st.lists(st.builds(lambda *b: SensitivityPoint(
+        scenario, dict(zip(scenario.sensitivity_keys, b))), *[beta] * len(scenario.sensitivity_keys)),
+        min_size=1, max_size=50), label="points")
+    points = data.draw(st.permutations(points), label="shuffled")
+    stacked, failed = core.fit_ceps(w, points, contrast, [0] * len(points))
+    for k, point in enumerate(points):
+        alone, alone_failed = core.fit_ceps(w, [point], contrast, [0])
+        try:
+            direct = psem.cep(psem.fit_scenario(w, point), contrast)
+        except psem.PsemError as exc:
+            assert repr(failed[k]) == repr(alone_failed[0]) == repr(exc)
+            continue
+        assert k not in failed and not alone_failed
+        assert cep_bits(stacked[k]) == cep_bits(alone[0]) == cep_bits(direct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 200), p=st.integers(4, 13), contrast=st.sampled_from(list(Contrast)),
+       seed=st.integers(0, 2**32 - 1))
+def test_contrast_variances_match_the_matmul_form(k, p, contrast, seed):
+    # _ceps sums jac cov jac^T in numpy's own loops, not BLAS; the matmul
+    # form it replaced stays here as the reference
+    rng = np.random.default_rng(seed)
+    names = ("risk1_00", "risk0_00", "risk1_10", "risk0_10", *(f"x{j}" for j in range(p - 4)))
+    theta = rng.uniform(0.05, 0.95, (p, k, 1))
+    a = rng.normal(size=(k, 1, p, p)) * rng.uniform(1e-3, 1.0, (k, 1, 1, 1))
+    cov = a @ np.swapaxes(a, -1, -2) / p          # symmetric positive-definite
+    ceps = core._ceps(Scenario.B, names, theta, cov, contrast, [None] * k)
+    jac = np.zeros((k, 1, 3, p))
+    for t, (i1, i0) in enumerate(((0, 1), (2, 3))):
+        jac[..., t, i1], jac[..., t, i0] = contrast.gradient(theta[i1], theta[i0])
+    jac[..., 2, :] = jac[..., 1, :] - jac[..., 0, :]
+    var, scale = (np.array([(j[..., t, None, :] @ c @ j[..., t, :, None])[..., 0, 0]
+                            for t in range(3)]).reshape(3, k).T
+                  for j, c in ((jac, cov), (np.abs(jac), np.abs(cov))))
+    got = np.array([[c.ses["00"], c.ses["10"], c.mu_se] for c in ceps]) ** 2
+    # both forms round each product and sum, so they may differ by a few ulp
+    # of |jac| |cov| |jac|^T; 20,000 random stacks gave at most 3
+    assert np.all(np.abs(got - var) <= 4 * 2.0**-52 * scale)
+
+
 # ---------------------------------------------------------------------------
 # batched intervals against the one-dataset path
 
@@ -503,9 +556,15 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
     draw = simulate.GeneratorConfig(design, n, 0.05, 0.9, nu, seed)
     cfg = SensitivityConfig(scenario, symmetric_ranges(scenario, scale), grid_points,
                             contrast=contrast)
-    grid = psem.sweep(fit_missingness(from_counts(simulate._cell_counts(draw, 0, range(reps))),
-                                      WeightModel.design_known(nu)), cfg)
+    count, model = simulate._cell_counts(draw, 0, range(reps)), WeightModel.design_known(nu)
+    grid = psem.sweep(fit_missingness(from_counts(count), model), cfg)
     alone = split_replicates(grid)
+    swept = []      # and each replicate's own table, swept alone
+    for c in count:
+        try:
+            swept.append(psem.sweep(fit_missingness(from_counts(c), model), cfg))
+        except EstimationError:
+            swept.append(None)
     for target in grid.targets:
         batched = psem.interval_for(grid, target)      # no warning: filterwarnings = error
         for b, one in enumerate(alone):
@@ -515,13 +574,16 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
                 with warnings.catch_warnings():     # scenario B's corner warning
                     warnings.simplefilter("ignore", RuntimeWarning)
                     ref = psem.interval_for(one, target)
+                    own = psem.interval_for(swept[b], target)
             except EstimationError:
-                assert len(one.errors) == len(one.cells)
+                assert len(one.errors) == len(one.cells) and swept[b] is None
                 assert np.isnan(got).all()
                 assert not batched.degenerate[b] and not batched.extrema_on_corners[b]
                 continue
             want = [getattr(ref, f) for f in INTERVAL_FLOATS] + list(ref.eui)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (target, b)
+            own = [getattr(own, f) for f in INTERVAL_FLOATS] + list(own.eui)
+            assert np.array(own).tobytes() == np.array(want).tobytes(), (target, b)
             assert batched.degenerate[b] == ref.degenerate
             assert batched.extrema_on_corners[b] == ref.extrema_on_corners
             assert (batched.target, batched.alpha) == (ref.target, ref.alpha)

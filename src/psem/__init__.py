@@ -16,7 +16,7 @@ from .errors import (ConfigError, DataError, EstimationError,
                      PositivityError, SeparationError)
 from .records import Marker, ObservedRecord, load_csv, write_csv
 from .sensitivity import (IntervalResult, SensitivityConfig, eui,
-                          interval_for, sweep, test_effect_modification)
+                          interval_for, sweep, sweeps, test_effect_modification)
 from .simulate import (GeneratorConfig, PotentialRecord, StudyConfig,
                        StudyResult, generate,
                        oracle_estimands, run_study)

@@ -20,7 +20,8 @@ from .core import SensitivityPoint, cep, check_assumptions, fit_scenario
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, PsemError)
 from .records import load_csv  # noqa: F401  kept bound for bench/tracer.py
-from .sensitivity import interval_for, sweep
+from .sensitivity import interval_for, sweeps
+from .sensitivity import sweep  # noqa: F401  kept bound for bench/tracer.py
 from .simulate import run_study
 from .tables import read_cells, summarize
 from .weights import effective_sample, fit_missingness
@@ -88,8 +89,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
 
     gamma_results = []
     csv_rows = []
-    for label, sens in regions:
-        grid = sweep(weighted, sens)
+    for (label, sens), grid in zip(regions, sweeps(weighted, [s for _, s in regions])):
         intervals = {}
         for target in grid.targets:
             res = interval_for(grid, target)

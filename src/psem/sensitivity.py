@@ -14,6 +14,11 @@ which interpolates between the two-sided normal quantile (degenerate
 region) and the one-sided quantile (wide region). Callers pass standard
 errors directly; any root-n scaling is already inside them, so the gap in
 the equation above is the estimate spread in standard-error units.
+
+Several regions of one scenario and contrast (``sweeps``; ``psem analyze``
+passes all of its Gamma choices) share their passes: one point pass over
+their concatenated grids, and one ``fit_ceps`` call per covariance pass.
+Each region's result is the one it gets swept alone (``sweep``).
 """
 
 from __future__ import annotations
@@ -130,55 +135,94 @@ class SweepResult:
             zip(self.config.scenario.sensitivity_keys, self.cells[i].tolist())))
 
 
-def sweep(weighted: WeightedRecords, config: SensitivityConfig,
-          targets: tuple[str, ...] | None = None) -> SweepResult:
-    """Point estimates at every grid point of the sensitivity region, in one
-    array pass; fits with covariance and contrast errors only at each
+def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
+           targets: tuple[str, ...] | None = None) -> list[SweepResult]:
+    """Sweep the sensitivity regions ``configs``, which share a scenario and a
+    contrast, together: point estimates at every grid point of every region in
+    array passes, and fits with covariance and contrast errors only at each
     target's argmin and argmax.
 
+    Regions go into point passes in order, each pass over the concatenated
+    grids of at most ``MAX_GRID_CELLS`` points, or of one region.
     ``targets`` defaults to every CEP target of the scenario. Grid-point
     failures are recorded by index, with the error ``fit_scenario`` raises
-    there, rather than raised, unless every point fails. Each pass fits
-    every pending (replicate, extreme) pair in one ``fit_ceps`` call, one
+    there, rather than raised, unless every point of a region fails: the
+    first such region, in order, raises. Each covariance pass fits every
+    pending (region, replicate, extreme) triple in one ``fit_ceps`` call, one
     dataset as a batch of one; a point whose covariance fit fails is marked
     failed and the extremes are taken again over the remaining points.
     Batched data (``tables.from_counts``) are swept in the same passes, each
-    replicate as if alone but never raising.
+    replicate as if alone but never raising. No region's result depends on
+    the regions swept with it.
     """
-    names = config.scenario.targets
+    if len({(c.scenario, c.contrast) for c in configs}) != 1:
+        raise ConfigError("sweeps takes one or more sensitivity regions that share "
+                          "a scenario and a contrast")
+    scenario, contrast = configs[0].scenario, configs[0].contrast
+    names, keys = scenario.targets, scenario.sensitivity_keys
     targets = tuple(targets or names)
     if unknown := [t for t in targets if t not in names]:
         raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
-                          f"{config.scenario.value}; targets: {list(names)}")
-    cells, keys = config.grid(), config.scenario.sensitivity_keys
+                          f"{scenario.value}; targets: {list(names)}")
     lead = weighted.cells.count.shape[:-1]
-    try:
-        values, failed = fit_targets(weighted, config.scenario, dict(zip(keys, cells.T)),
-                                     config.contrast)
-    except PsemError as exc:    # a beta-free failure fails every point
-        values = np.full((len(names), *lead, len(cells)), np.nan)
-        failed = dict.fromkeys(range(values[0].size), exc)
-    result = SweepResult(config, targets, cells, values, {
-        divmod(i, len(cells)) if lead else i: f"{type(e).__name__}: {e}"
-        for i, e in failed.items()})
-    while len(result.errors) < values[0].size:
-        extremes = {(b, i) if lead else i: (b, i) for t in targets for idx in result.extremes(t)
-                    for b, i in enumerate(np.atleast_1d(idx).tolist())}
-        pending = [(k, b, i) for k, (b, i) in extremes.items()
-                   if k not in result.ceps and k not in result.errors]
-        if not pending:
-            return result
-        points = {i: result.point(i) for i in {i for _, _, i in pending}}
-        ceps, failed = fit_ceps(weighted, [points[i] for _, _, i in pending],
-                                config.contrast, [b for _, b, _ in pending])
-        for j, (k, _, _) in enumerate(pending):
+    grids = [c.grid() for c in configs]
+    results: list[SweepResult] = []
+    for run in _point_passes([len(g) for g in grids]):
+        cells = np.concatenate([grids[r] for r in run])
+        n = len(cells)
+        try:
+            values, failed = fit_targets(weighted, scenario, dict(zip(keys, cells.T)), contrast)
+        except PsemError as exc:    # a beta-free failure fails every point
+            values = np.full((len(names), *lead, n), np.nan)
+            failed = dict.fromkeys(range(values[0].size), exc)
+        start = 0
+        for r in run:
+            stop = start + len(grids[r])
+            results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop], {
+                (i // n, g - start) if lead else g - start: f"{type(e).__name__}: {e}"
+                for i, e in failed.items() if start <= (g := i % n) < stop}))
+            start = stop
+    while pending := [(r, k, b, i) for r, res in enumerate(results)
+                      for k, (b, i) in _extremes(res, lead).items()
+                      if k not in res.ceps and k not in res.errors]:
+        points = {ri: results[ri[0]].point(ri[1]) for ri in {(r, i) for r, _, _, i in pending}}
+        ceps, failed = fit_ceps(weighted, [points[r, i] for r, _, _, i in pending],
+                                contrast, [b for _, _, b, _ in pending])
+        for j, (r, k, _, _) in enumerate(pending):
             if j in failed:
-                result.errors[k] = f"{type(failed[j]).__name__}: {failed[j]}"
+                results[r].errors[k] = f"{type(failed[j]).__name__}: {failed[j]}"
             else:
-                result.ceps[k] = ceps[j]
-    if lead:
-        return result
-    raise EstimationError(_ALL_FAILED + result.errors[min(result.errors)])
+                results[r].ceps[k] = ceps[j]
+    for res in results:
+        if not lead and len(res.errors) == len(res.cells):
+            raise EstimationError(_ALL_FAILED + res.errors[min(res.errors)])
+    return results
+
+
+def _point_passes(sizes: list[int]) -> list[list[int]]:
+    """The regions of grid sizes ``sizes``, by index in order, cut into runs of
+    at most ``MAX_GRID_CELLS`` points, or of one region."""
+    runs, total = [], MAX_GRID_CELLS
+    for r, size in enumerate(sizes):
+        if total + size > MAX_GRID_CELLS:
+            runs.append([])
+            total = 0
+        runs[-1].append(r)
+        total += size
+    return runs
+
+
+def _extremes(result: SweepResult, lead) -> dict:
+    """Each (replicate, grid index) pair holding some target's extreme, keyed
+    as in ``result.errors``."""
+    return {(b, i) if lead else i: (b, i) for t in result.targets for idx in result.extremes(t)
+            for b, i in enumerate(np.atleast_1d(idx).tolist())}
+
+
+def sweep(weighted: WeightedRecords, config: SensitivityConfig,
+          targets: tuple[str, ...] | None = None) -> SweepResult:
+    """The sweep of one sensitivity region: ``sweeps`` of the one region."""
+    return sweeps(weighted, [config], targets)[0]
 
 
 @dataclass

@@ -40,8 +40,10 @@ def test_tracer_notes_read_a_real_analysis(tmp_path, worked_blocks):
     finally:
         tracer.restore()
     metrics = _tracer.layer_metrics(tracer.spans, tracer.op)
-    # scale 0 is a single point, scale 0.5 a 3-point beta0 axis
-    assert metrics["sensitivity.sweep.cells"] == 1 + 3
+    # analyze sweeps its regions together through sensitivity.sweeps, which the
+    # tracer does not wrap: it sees no psem.cli.sweep call, so the count reads 0
+    # (test_cli's test_analyze_sweeps_its_regions_in_one_point_pass counts its 1 + 3 points)
+    assert metrics["sensitivity.sweep.cells"] == 0
     # the sweep fits its extremes through fit_ceps, which the tracer does not
     # wrap: it sees no sweep covariance fit, so the share reads 0
     assert metrics["sensitivity.cov_fit_useful_share"] == 0

@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from psem.cli import main
@@ -257,6 +258,85 @@ def test_one_dataset_sweep_makes_one_sandwich_per_pass(worked_weighted, monkeypa
     grid = sensitivity.sweep(worked_weighted, config)
     assert len(sandwiches) == len(passes) >= 1
     assert sum(passes) == len(grid.ceps) > len(passes)
+
+
+def count_passes(monkeypatch):
+    """Record the Gamma points of each point pass and the size of each
+    ``fit_ceps`` call that the sweeps make from now on."""
+    from psem import sensitivity
+    passes = {"points": [], "ceps": []}
+    real_targets, real_ceps = sensitivity.fit_targets, sensitivity.fit_ceps
+
+    def fit_targets(weighted, scenario, beta, contrast):
+        passes["points"].append(np.column_stack([beta[k] for k in scenario.sensitivity_keys]))
+        return real_targets(weighted, scenario, beta, contrast)
+
+    def fit_ceps(weighted, points, *rest):
+        passes["ceps"].append(len(points))
+        return real_ceps(weighted, points, *rest)
+
+    monkeypatch.setattr(sensitivity, "fit_targets", fit_targets)
+    monkeypatch.setattr(sensitivity, "fit_ceps", fit_ceps)
+    return passes
+
+
+def demo_config(tmp_path, demo_csv, out):
+    """The demo analysis: C_harm, VE, design-known weights, scales 0, 0.5, 1."""
+    cfg = tmp_path / "demo.ini"
+    cfg.write_text(f"[data]\npath = {demo_csv}\n[scenario]\nname = C_harm\n"
+                   f"[weights]\nmodel = design\nnu = {implied_subcohort_fraction()!r}\n"
+                   f"[sensitivity]\nscales = 0, 0.5, 1\ngrid_points = 21\ncontrast = ve\n"
+                   f"[output]\ndir = {out}\n", encoding="utf-8")
+    return cfg
+
+
+def test_analyze_sweeps_its_regions_in_one_point_pass(tmp_path, worked_csv, monkeypatch):
+    cfg = tmp_path / "analysis.ini"
+    cfg.write_text(f"[data]\npath = {worked_csv}\n[scenario]\nname = B\n"
+                   f"[sensitivity]\nscales = 0, 0.5\ngrid_points = 3\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    passes = count_passes(monkeypatch)
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    # scale 0 is a single point, scale 0.5 a 3-point beta0 axis
+    assert [len(p) for p in passes["points"]] == [1 + 3]
+
+
+def test_analyze_demo_shares_its_covariance_passes(tmp_path, demo_csv, monkeypatch):
+    from psem import sensitivity
+    from psem.config import load_analysis_config
+    from psem.tables import read_cells
+    from psem.weights import fit_missingness
+    analysis = load_analysis_config(demo_config(tmp_path, demo_csv, tmp_path / "out"))
+    weighted = fit_missingness(read_cells(demo_csv), analysis.weight_model)
+    passes = count_passes(monkeypatch)
+    alone = []      # the fit_ceps calls of each region swept alone
+    for _, config in analysis.gamma_choices():
+        passes["ceps"].clear()
+        sensitivity.sweep(weighted, config)
+        alone.append(len(passes["ceps"]))
+    passes["ceps"].clear()
+    sensitivity.sweeps(weighted, [c for _, c in analysis.gamma_choices()])
+    # one fit_ceps call per covariance pass, whatever the number of regions
+    assert len(passes["ceps"]) == max(alone) == 1
+
+
+def test_point_passes_split_in_region_order_under_the_cell_bound(tmp_path, demo_csv,
+                                                                  monkeypatch):
+    from psem import sensitivity
+    from psem.config import load_analysis_config
+    cfg = demo_config(tmp_path, demo_csv, tmp_path / "whole")
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    grids = [c.grid() for _, c in load_analysis_config(cfg).gamma_choices()]
+    assert [len(g) for g in grids] == [1, 441, 441]
+    # a bound under the demo's 883 points, which each region still meets
+    monkeypatch.setattr(sensitivity, "MAX_GRID_CELLS", 442)
+    passes = count_passes(monkeypatch)
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
+    assert [len(p) for p in passes["points"]] == [1 + 441, 441]
+    assert np.concatenate(passes["points"]).tobytes() == np.concatenate(grids).tobytes()
+    for name in ("results.json", "intervals.csv"):
+        assert ((tmp_path / "whole" / name).read_bytes()
+                == (tmp_path / "split" / name).read_bytes())
 
 
 def test_analyze_and_diagnose_read_the_csv_straight_to_cells(tmp_path, worked_csv,

@@ -15,7 +15,7 @@ PUBLIC = [
     "estimate_identified", "eui", "fit_missingness", "fit_scenario",
     "generate", "interval_for", "load_csv", "mathutil", "mean_shift_cep",
     "oracle_estimands", "records", "run_study", "selection_sace",
-    "sensitivity", "simulate", "summarize", "sweep", "tables",
+    "sensitivity", "simulate", "summarize", "sweep", "sweeps", "tables",
     "test_effect_modification", "weights", "write_csv",
 ]
 

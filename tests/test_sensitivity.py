@@ -10,11 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psem
-from psem import core, simulate
+from psem import core, demo, simulate, tables
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError
 from psem.mathutil import norm_cdf, norm_quantile
-from psem.sensitivity import SensitivityConfig, SweepResult, solve_c_alpha, symmetric_ranges
+from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, solve_c_alpha,
+                              symmetric_ranges)
 from psem.tables import from_counts
 from psem.weights import WeightModel, fit_missingness
 
@@ -587,3 +588,85 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
             assert batched.degenerate[b] == ref.degenerate
             assert batched.extrema_on_corners[b] == ref.extrema_on_corners
             assert (batched.target, batched.alpha) == (ref.target, ref.alpha)
+
+
+# ---------------------------------------------------------------------------
+# sweeping several regions together
+
+
+def demo_weighted(batched):
+    """The demo trial's table, or a batch of it and two variants of its counts."""
+    table = tables.from_records(demo.synthetic_trial())
+    if batched:
+        code = table.z * 16 + table.yt * 8 + table.s * 2 + table.y
+        table = from_counts(np.stack([table.count, 2 * table.count, table.count + code % 3]), code)
+    return fit_missingness(table, demo.implied_weight_model())
+
+
+def sweep_bits(grid):
+    """A sweep's cells, values, errors and every field of its fits, comparable bit for bit."""
+    return (grid.config, grid.targets, grid.cells.tobytes(), grid.values.shape,
+            grid.values.tobytes(), grid.errors,
+            {k: (cep_bits(c), c.contrast, c.sensitivity) for k, c in grid.ceps.items()})
+
+
+def interval_bits(grid, target):
+    """Every field of ``interval_for(grid, target)`` and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = psem.interval_for(grid, target)
+    floats = np.array([getattr(res, f) for f in INTERVAL_FLOATS] + list(res.eui))
+    return (floats.tobytes(), np.asarray(res.degenerate).tolist(), res.point_lower,
+            res.point_upper, np.asarray(res.extrema_on_corners).tolist(),
+            [str(w.message) for w in caught])
+
+
+# on the demo, scale 60 and beta0 up to 55 hold points with no mixture root
+EXPLICIT = {Scenario.B: {"beta0": (-2.0, 55.0)},
+            Scenario.C_HARM: {"beta0": (-2.0, 55.0), "beta1_marginal": (-1.0, 3.0)}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(sorted(EXPLICIT, key=str)),
+       contrast=st.sampled_from(list(Contrast)),
+       regions=st.lists(st.sampled_from([0, 0.25, 0.5, 1, 3, 30, 40, 60, "explicit"]),
+                        min_size=1, max_size=4),
+       grid_points=st.sampled_from([3, 7, 21]), batched=st.booleans())
+@example(scenario=Scenario.B, contrast=Contrast.LOG_RR, regions=[0, 0.5, 1, 30],
+         grid_points=21, batched=False)
+@example(scenario=Scenario.B, contrast=Contrast.VE, regions=[60, "explicit", 0.25],
+         grid_points=21, batched=True)
+@example(scenario=Scenario.C_HARM, contrast=Contrast.ADDITIVE, regions=[3, 0, 40, 60],
+         grid_points=7, batched=False)
+def test_sweeping_regions_together_changes_no_bit(scenario, contrast, regions, grid_points,
+                                                   batched):
+    w = demo_weighted(batched)
+    configs = [SensitivityConfig(scenario, EXPLICIT[scenario] if r == "explicit"
+                                 else symmetric_ranges(scenario, r), grid_points,
+                                 contrast=contrast) for r in regions]
+    together = psem.sweeps(w, configs)
+    assert len(together) == len(configs)
+    for config, grid in zip(configs, together):
+        alone = psem.sweeps(w, [config])[0]
+        assert sweep_bits(grid) == sweep_bits(alone)
+        for target in grid.targets:
+            assert interval_bits(grid, target) == interval_bits(alone, target)
+
+
+def test_an_all_failed_region_raises_as_if_swept_alone():
+    w = demo_weighted(False)
+    failing = b_config(50.0, 60.0, g=3)     # no mixture root at any point
+    with pytest.raises(EstimationError) as alone:
+        psem.sweep(w, failing)
+    assert str(alone.value).startswith(_ALL_FAILED + "IncompatibleSensitivityError")
+    with pytest.raises(EstimationError) as together:
+        psem.sweeps(w, [b_config(-0.5, 0.5, g=3), failing, b_config(-1.0, 1.0, g=3)])
+    assert str(together.value) == str(alone.value)
+
+
+def test_sweeps_takes_regions_of_one_scenario_and_contrast(worked_weighted):
+    c_harm = SensitivityConfig(Scenario.C_HARM, symmetric_ranges(Scenario.C_HARM, 1.0), 3)
+    for configs in ([], [b_config(-1.0, 1.0), c_harm],
+                    [b_config(-1.0, 1.0), b_config(-1.0, 1.0, contrast=Contrast.VE)]):
+        with pytest.raises(ConfigError, match="share a scenario and a contrast"):
+            psem.sweeps(worked_weighted, configs)

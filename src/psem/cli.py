@@ -16,12 +16,13 @@ from pathlib import Path
 from . import __version__
 from .config import (AnalysisConfig, load_analysis_config, load_study_config,
                      parse_scenario)
-from .core import SensitivityPoint, cep, check_assumptions, fit_scenario
+from .core import check_assumptions
+from .core import cep, fit_scenario  # noqa: F401  kept bound for bench/tracer.py
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, PsemError)
 from .records import load_csv  # noqa: F401  kept bound for bench/tracer.py
-from .sensitivity import interval_for, sweeps
-from .sensitivity import sweep  # noqa: F401  kept bound for bench/tracer.py
+from .sensitivity import SensitivityConfig, intervals, sweeps, symmetric_ranges
+from .sensitivity import interval_for, sweep  # noqa: F401  kept bound for bench/tracer.py
 from .simulate import run_study
 from .tables import read_cells, summarize
 from .weights import effective_sample, fit_missingness
@@ -78,22 +79,27 @@ def _write_json(path: Path, obj) -> None:
 
 def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
     regions = cfg.gamma_choices()       # validated before the data are read
+    # the no-selection-bias fit is the one point of the scale-0 region, swept first;
+    # a configured scale 0 reads that region
+    zero = SensitivityConfig(cfg.scenario, symmetric_ranges(cfg.scenario, 0),
+                             cfg.grid_points, cfg.alpha, cfg.contrast)
+    swept = [zero, *(s for _, s in regions if s != zero)]
     weighted = fit_missingness(read_cells(cfg.path, cfg.schema or None),
                                cfg.weight_model)
     report = check_assumptions(weighted)
     summary = summarize(weighted.cells)
 
-    zero = SensitivityPoint(cfg.scenario, {})
-    base_est = fit_scenario(weighted, zero)
-    base_cep = cep(base_est, cfg.contrast)
+    results = sweeps(weighted, swept)
+    grids = [results[swept.index(s)] for _, s in regions]
+    base_cep = results[0].ceps[0]
+    base_est = base_cep.fit
 
     gamma_results = []
     csv_rows = []
-    for (label, sens), grid in zip(regions, sweeps(weighted, [s for _, s in regions])):
-        intervals = {}
-        for target in grid.targets:
-            res = interval_for(grid, target)
-            intervals[target] = {
+    for (label, sens), grid in zip(regions, grids):
+        by_target = {}
+        for target, res in intervals(grid).items():
+            by_target[target] = {
                 "estimate_lower": res.estimate_lower,
                 "estimate_upper": res.estimate_upper,
                 "se_lower": res.se_lower,
@@ -114,7 +120,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
         gamma_results.append({"gamma": label, "ranges": {
             k: list(v) for k, v in sens.ranges.items()},
             "grid_failures": len(grid.errors),
-            "intervals": intervals})
+            "intervals": by_target})
 
     payload = {
         "version": __version__,

@@ -496,6 +496,8 @@ class CepResult:
     mu: float                       # CEP(1,0) - CEP(0,0)
     mu_se: float
     sensitivity: SensitivityPoint
+    # the fit these contrasts come from, set by fit_ceps for one dataset
+    fit: RiskEstimates | None = field(default=None, compare=False, repr=False)
 
     def get(self, target: str) -> tuple[float, float]:
         """(value, standard error) of "cep_00", "cep_10", "cep_11" or "mu"."""
@@ -554,8 +556,8 @@ def _ceps(scenario: Scenario, names: tuple[str, ...], theta, cov, contrast: Cont
     # numpy's own loops, not BLAS: each fit's variances read its numbers alone
     var = np.einsum("...ti,...ti->...t", np.einsum("...ti,...ij->...tj", jac, cov), jac)
     ses = np.sqrt(np.maximum(var, 0.0)).reshape(-1, len(values)).tolist()
-    return [CepResult(contrast, dict(zip(scenario.strata, v)), dict(zip(scenario.strata, s)),
-                      v[-1], s[-1], point)
+    strata = scenario.strata
+    return [CepResult(contrast, dict(zip(strata, v)), dict(zip(strata, s)), v[-1], s[-1], point)
             for v, s, point in zip(values.reshape(len(values), -1).T.tolist(), ses, points)]
 
 
@@ -906,10 +908,18 @@ def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
              contrast: Contrast, rows) -> tuple[list[CepResult], dict[int, PsemError]]:
     """``cep(fit_scenario(...))`` at each of the ``points`` in one stacked fit
     (``_fit``; rows are 0 for one dataset) and each failed fit's first failure
-    by its index in ``points``. No fit's numbers depend on the fits beside it."""
+    by its index in ``points``. For one dataset each result also holds its fit
+    (``CepResult.fit``); batched data skip it, as holding every fit of a
+    study block slows ``run_study`` by several percent. No fit's numbers
+    depend on the fits beside it."""
     names, theta, cov, checks = _fit(weighted, points, rows, True)
     with np.errstate(all="ignore"):
-        return _ceps(points[0].scenario, names, theta, cov, contrast, points, checks), checks.failed
+        ceps = _ceps(points[0].scenario, names, theta, cov, contrast, points, checks)
+    if weighted.cells.count.ndim == 1:
+        for j, c in enumerate(ceps):
+            c.fit = RiskEstimates(c.sensitivity.scenario, c.sensitivity, names, theta[:, j, 0],
+                                  cov[j, 0], weighted.n)
+    return ceps, checks.failed
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ errors directly; any root-n scaling is already inside them, so the gap in
 the equation above is the estimate spread in standard-error units.
 
 Several regions of one scenario and contrast (``sweeps``; ``psem analyze``
-passes all of its Gamma choices) share their passes: one point pass over
-their concatenated grids, and one ``fit_ceps`` call per covariance pass.
-Each region's result is the one it gets swept alone (``sweep``).
+passes the no-selection-bias point and all of its Gamma choices) share their
+passes: one point pass over their concatenated grids, and one ``fit_ceps``
+call per covariance pass. Each region's result is the one it gets swept
+alone (``sweep``). ``intervals`` reads every target's interval from a sweep
+in one pass; ``interval_for`` reads one.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 # cep and fit_scenario stay bound here for bench/tracer.py to patch
 from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,  # noqa: F401
                    fit_ceps, fit_scenario, fit_targets)
+from . import errors as psem_errors
 from .errors import ConfigError, EstimationError, PsemError
 from .mathutil import bisect, norm_cdf, norm_quantile
 from .weights import WeightedRecords
@@ -85,6 +88,11 @@ class SensitivityConfig:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _names_psem_error(message: str) -> bool:
+    """Whether an error of ``SweepResult.errors`` ("Class: text") is a ``PsemError``."""
+    return issubclass(getattr(psem_errors, message.split(":", 1)[0], Exception), PsemError)
+
+
 def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
     """The region [-scale, scale] on every legal parameter of ``scenario``;
     scale 0 is the no-selection-bias point (no ranges)."""
@@ -125,10 +133,10 @@ class SweepResult:
 
     def first_errors(self) -> list[str | None]:
         """Each replicate's first error of a batched sweep, in grid order, or None; with every
-        point failed, the error a one-dataset ``sweep`` raises."""
+        point failed, the error a one-dataset ``sweep`` raises (see ``sweeps``)."""
         first = {b: e for (b, _), e in sorted(self.errors.items(), reverse=True)}  # least g last
-        return [first.get(b) if ok.any() else f"EstimationError: {_ALL_FAILED}{first[b]}"
-                for b, ok in enumerate(self.ok())]
+        return [first.get(b) if ok.any() or len(ok) == 1 and _names_psem_error(first[b])
+                else f"EstimationError: {_ALL_FAILED}{first[b]}" for b, ok in enumerate(self.ok())]
 
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
@@ -147,13 +155,17 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     ``targets`` defaults to every CEP target of the scenario. Grid-point
     failures are recorded by index, with the error ``fit_scenario`` raises
     there, rather than raised, unless every point of a region fails: the
-    first such region, in order, raises. Each covariance pass fits every
-    pending (region, replicate, extreme) triple in one ``fit_ceps`` call, one
-    dataset as a batch of one; a point whose covariance fit fails is marked
-    failed and the extremes are taken again over the remaining points.
-    Batched data (``tables.from_counts``) are swept in the same passes, each
-    replicate as if alone but never raising. No region's result depends on
-    the regions swept with it.
+    first such region, in order, raises. A one-point region raises its
+    point's own ``PsemError`` (the one ``fit_scenario`` or ``cep`` raises
+    there); any other region, or a point error that is not a ``PsemError``,
+    raises ``_ALL_FAILED`` with the region's first error. Each covariance
+    pass fits every pending (region, replicate, extreme) triple in one
+    ``fit_ceps`` call, one dataset as a batch of one; a point whose
+    covariance fit fails is marked failed and the extremes are taken again
+    over the remaining points. For one dataset each ``CepResult`` holds its
+    fit (``CepResult.fit``). Batched data (``tables.from_counts``) are swept in
+    the same passes, each replicate as if alone but never raising. No
+    region's result depends on the regions swept with it.
     """
     if len({(c.scenario, c.contrast) for c in configs}) != 1:
         raise ConfigError("sweeps takes one or more sensitivity regions that share "
@@ -166,6 +178,7 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
                           f"{scenario.value}; targets: {list(names)}")
     lead = weighted.cells.count.shape[:-1]
     grids = [c.grid() for c in configs]
+    own = {}        # a one-dataset one-point region: its point's PsemError, or None
     results: list[SweepResult] = []
     for run in _point_passes([len(g) for g in grids]):
         cells = np.concatenate([grids[r] for r in run])
@@ -178,9 +191,12 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
         start = 0
         for r in run:
             stop = start + len(grids[r])
+            errors = {(i // n, g - start) if lead else g - start: e
+                      for i, e in failed.items() if start <= (g := i % n) < stop}
+            if not lead and stop - start == 1:
+                own[r] = errors.get(0)
             results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop], {
-                (i // n, g - start) if lead else g - start: f"{type(e).__name__}: {e}"
-                for i, e in failed.items() if start <= (g := i % n) < stop}))
+                k: f"{type(e).__name__}: {e}" for k, e in errors.items()}))
             start = stop
     while pending := [(r, k, b, i) for r, res in enumerate(results)
                       for k, (b, i) in _extremes(res, lead).items()
@@ -191,10 +207,14 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
         for j, (r, k, _, _) in enumerate(pending):
             if j in failed:
                 results[r].errors[k] = f"{type(failed[j]).__name__}: {failed[j]}"
+                if r in own:
+                    own[r] = failed[j]
             else:
                 results[r].ceps[k] = ceps[j]
-    for res in results:
+    for r, res in enumerate(results):
         if not lead and len(res.errors) == len(res.cells):
+            if isinstance(own.get(r), PsemError):
+                raise own[r]
             raise EstimationError(_ALL_FAILED + res.errors[min(res.errors)])
     return results
 
@@ -215,7 +235,8 @@ def _point_passes(sizes: list[int]) -> list[list[int]]:
 def _extremes(result: SweepResult, lead) -> dict:
     """Each (replicate, grid index) pair holding some target's extreme, keyed
     as in ``result.errors``."""
-    return {(b, i) if lead else i: (b, i) for t in result.targets for idx in result.extremes(t)
+    ok = result.ok()
+    return {(b, i) if lead else i: (b, i) for t in result.targets for idx in result.extremes(t, ok)
             for b, i in enumerate(np.atleast_1d(idx).tolist())}
 
 
@@ -238,7 +259,7 @@ class IntervalResult:
     c_alpha: float
     alpha: float
     degenerate: bool = False
-    # set by interval_for, the points for one dataset only; None from a bare eui()
+    # set by intervals, the points for one dataset only; None from a bare eui()
     point_lower: SensitivityPoint | None = None
     point_upper: SensitivityPoint | None = None
     extrema_on_corners: bool | None = None
@@ -289,50 +310,76 @@ def eui(est_l, se_l, est_u, se_u, alpha: float = 0.05, target: str = "") -> Inte
     return IntervalResult(target, lower, upper, sl, su, (eui_l, eui_u), c, alpha, c != c)
 
 
-def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
-    """Ignorance interval plus EUI for one target of a completed sweep.
+def intervals(grid: SweepResult,
+              targets: tuple[str, ...] | None = None) -> dict[str, IntervalResult]:
+    """Ignorance interval plus EUI of each of ``targets`` (default: every
+    target of the sweep) from a completed sweep, in one pass: the failure
+    mask, the corner mask and every target's extremes are taken once, and one
+    ``eui`` call bisects each entry.
 
     The ignorance interval spans the point estimates over the whole grid, even
     where monotonicity guarantees corner extremes (``extrema_on_corners``).
     For one dataset the achieving sensitivity-parameter points are retained;
-    in scenario B non-corner extremes trigger a warning that names the failed
-    corner points, whose loss narrows the region, or else points to a
-    numerical problem. On a batched sweep each replicate is treated as if
-    alone, but nothing raises or warns: a replicate whose every point failed
-    gets NaN."""
-    if target not in grid.targets:
-        raise KeyError(f"{target!r} is not a target of this sweep; "
-                       f"targets: {list(grid.targets)}")
+    in scenario B non-corner extremes trigger a warning per target, in
+    ``targets`` order, that names the failed corner points, whose loss
+    narrows the region, or else points to a numerical problem. On a batched
+    sweep each replicate is treated as if alone, but nothing raises or warns:
+    a replicate whose every point failed gets NaN."""
+    return _intervals(grid, grid.targets if targets is None else tuple(targets))
+
+
+def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
+    """Ignorance interval plus EUI for one target of a completed sweep:
+    ``intervals`` of that target."""
+    return _intervals(grid, (target,))[target]
+
+
+def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, IntervalResult]:
+    """The body of ``intervals``; its warnings name the line that called the
+    public reader."""
+    for target in targets:
+        if target not in grid.targets:
+            raise KeyError(f"{target!r} is not a target of this sweep; "
+                           f"targets: {list(grid.targets)}")
     one = grid.values.ndim == 2
-    row = grid.row(target).reshape(-1, len(grid.cells))     # (B, G), B = 1 for one dataset
     ok = grid.ok()
-    fitted = ok.reshape(row.shape).any(axis=1)
+    fitted = ok.reshape(-1, len(grid.cells)).any(axis=1)    # (B,), B = 1 for one dataset
     if one and not fitted[0]:
         raise EstimationError("no successful grid cells")
-    lo, hi = (np.atleast_1d(i).tolist() for i in grid.extremes(target, ok))
     corner = np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
-    out = np.full((7, len(row)), np.nan)    # est_l, se_l, est_u, se_u, the EUI and c_alpha
-    for b in np.flatnonzero(fitted).tolist():
-        out[:4, b] = [x for i in (lo[b], hi[b])
-                      for x in (row[b, i], grid.ceps[i if one else (b, i)].get(target)[1])]
-    on_corners = corner[lo] & corner[hi] & fitted
-    res = eui(*out[:4, 0 if one else fitted], grid.config.alpha, target)
-    if not one:     # spread over every replicate; c_alpha is NaN where degenerate
-        out[4:, fitted] = *res.eui, res.c_alpha
-        est_l, se_l, est_u, se_u, eui_l, eui_u, c = out
-        return IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c, res.alpha,
-                              fitted & np.isnan(c), extrema_on_corners=on_corners)
-    res.point_lower, res.point_upper = grid.point(lo[0]), grid.point(hi[0])
-    res.extrema_on_corners = bool(on_corners[0])
-    if not res.extrema_on_corners and grid.config.scenario is Scenario.B:
-        failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
-                           + f": {e})" for i, e in sorted(grid.errors.items()) if corner[i])
-        cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
-                 "narrowed region" if failed else "check for numerical problems")
-        warnings.warn(f"ignorance-interval extremes for {target} fall inside the sensitivity "
-                      f"region in scenario B, where the estimate is monotone; {cause}",
-                      RuntimeWarning, stacklevel=2)
-    return res
+    extremes = [[np.atleast_1d(i).tolist() for i in grid.extremes(t, ok)] for t in targets]
+    # per target and replicate: est_l, se_l, est_u, se_u, the EUI and c_alpha
+    out = np.full((7, len(targets), len(fitted)), np.nan)
+    for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
+        row = grid.row(target).reshape(-1, len(grid.cells))
+        for b in np.flatnonzero(fitted).tolist():
+            out[:4, t, b] = [x for i in (lo[b], hi[b])
+                             for x in (row[b, i], grid.ceps[i if one else (b, i)].get(target)[1])]
+    res = eui(*out[:4, :, fitted], grid.config.alpha)
+    out[4:, :, fitted] = *res.eui, res.c_alpha
+    warn = one and grid.config.scenario is Scenario.B     # where extremes must be on corners
+    failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
+                       + f": {e})" for i, e in sorted(grid.errors.items()) if warn and corner[i])
+    results = {}
+    for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
+        on_corners = corner[lo] & corner[hi] & fitted
+        if not one:     # c_alpha is NaN where degenerate
+            est_l, se_l, est_u, se_u, eui_l, eui_u, c = out[:, t]
+            results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
+                                             res.alpha, fitted & np.isnan(c),
+                                             extrema_on_corners=on_corners)
+            continue
+        est_l, se_l, est_u, se_u, eui_l, eui_u, c = out[:, t, 0].tolist()
+        results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
+                                         res.alpha, c != c, grid.point(lo[0]), grid.point(hi[0]),
+                                         bool(on_corners[0]))
+        if warn and not on_corners[0]:
+            cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
+                     "narrowed region" if failed else "check for numerical problems")
+            warnings.warn(f"ignorance-interval extremes for {target} fall inside the sensitivity "
+                          f"region in scenario B, where the estimate is monotone; {cause}",
+                          RuntimeWarning, stacklevel=3)
+    return results
 
 
 @dataclass

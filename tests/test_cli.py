@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psem.cli import main
-from psem.demo import implied_subcohort_fraction, synthetic_trial
+from psem.core import Contrast, Scenario, SensitivityPoint
+from psem.demo import implied_subcohort_fraction, implied_weight_model, synthetic_trial
 from psem.records import write_csv
 
 from conftest import make_records
@@ -17,6 +20,14 @@ from conftest import make_records
 def worked_csv(tmp_path, worked_blocks):
     path = tmp_path / "worked.csv"
     write_csv(make_records(worked_blocks), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def demo_path(tmp_path_factory):
+    """The demo trial's CSV, written once for the module."""
+    path = tmp_path_factory.mktemp("demo") / "demo.csv"
+    write_csv(synthetic_trial(), path)
     return path
 
 
@@ -339,6 +350,132 @@ def test_point_passes_split_in_region_order_under_the_cell_bound(tmp_path, demo_
                 == (tmp_path / "split" / name).read_bytes())
 
 
+def no_selection_block(est, c):
+    """The no-selection-bias block of results.json, from a fit and its CEPs."""
+    return {"risks": est.as_dict(), "ses": {n: est.se(n) for n in est.names},
+            "mixing_residual": est.mixing_residual(), "cep": dict(c.values),
+            "cep_ses": dict(c.ses), "mu": c.mu, "mu_se": c.mu_se}
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=st.sampled_from([Scenario.B, Scenario.C_HARM]),
+       contrast=st.sampled_from(list(Contrast)),
+       scales=st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                                            min_size=1, max_size=3)))
+@example(scenario=Scenario.C_HARM, contrast=Contrast.VE, scales=[0.0, 0.5, 1.0])
+@example(scenario=Scenario.B, contrast=Contrast.LOG_RR, scales=[0.5, 1.0])
+@example(scenario=Scenario.B, contrast=Contrast.ADDITIVE, scales=None)
+def test_no_selection_fit_is_fit_scenario_at_gamma_zero(demo_path, scenario, contrast, scales):
+    """The no-selection-bias block, read from the shared covariance pass, is
+    ``cep(fit_scenario(weighted, zero))`` and its fit, bit for bit, with and
+    without a configured scale 0 and with custom ranges (``scales`` None)."""
+    from psem import cli, cep, fit_missingness, fit_scenario, sweeps
+    from psem.config import AnalysisConfig
+    from psem.tables import read_cells
+    cfg = AnalysisConfig(demo_path, scenario, weight_model=implied_weight_model(),
+                         grid_points=3, contrast=contrast, scales=scales,
+                         ranges={} if scales else {"beta0": (-0.5, 0.5)})
+    payload, _ = cli._analysis_payload(cfg, None)
+    weighted = fit_missingness(read_cells(demo_path), cfg.weight_model)
+    zero = SensitivityPoint(scenario)
+    est = fit_scenario(weighted, zero)
+    want = no_selection_block(est, cep(est, contrast))
+    # 17 significant digits: equal text, equal bits
+    assert cli._to_json(payload["no_selection_bias_fit"]) == cli._to_json(want)
+    regions = [c for _, c in cfg.gamma_choices()]
+    base = sweeps(weighted, [cli.SensitivityConfig(scenario, {}, 3, contrast=contrast),
+                             *regions])[0].ceps[0]
+    assert base.sensitivity == SensitivityPoint(scenario, dict.fromkeys(
+        scenario.sensitivity_keys, 0.0))
+    fit = base.fit
+    assert (fit.scenario, fit.names, fit.n) == (est.scenario, est.names, est.n)
+    assert fit.theta.tobytes() == est.theta.tobytes()
+    assert fit.cov.tobytes() == est.cov.tobytes()
+
+
+def test_analyze_demo_makes_one_covariance_fit_call(tmp_path, demo_csv, monkeypatch):
+    from psem import cli, core, sensitivity
+
+    def separate_fit(*args, **kwargs):
+        raise AssertionError("analyze fitted a point outside its sweep")
+
+    for module in (cli, core, sensitivity):
+        monkeypatch.setattr(module, "fit_scenario", separate_fit)
+        monkeypatch.setattr(module, "cep", separate_fit)
+    passes = count_passes(monkeypatch)
+    assert main(["analyze", "--config", str(demo_config(tmp_path, demo_csv, tmp_path / "o"))]) == 0
+    assert len(passes["ceps"]) == 1
+    # the scale-0 region is the no-selection point: it is swept once
+    assert [len(p) for p in passes["points"]] == [1 + 441 + 441]
+
+
+def test_custom_ranges_add_the_no_selection_point_to_the_first_pass(tmp_path, worked_csv,
+                                                                     monkeypatch):
+    cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "out",
+                                extra_sensitivity="beta0 = -1, 1")
+    passes = count_passes(monkeypatch)
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert [len(p) for p in passes["points"]] == [1 + 21]
+    assert passes["points"][0][0].tolist() == [0.0]
+
+
+@pytest.mark.parametrize("scenario, line", [
+    ("A", "error[4] EstimationError: estimated p(1,1) is not positive: the control-arm "
+          "marker never varies in these data, so use scenario B instead of A"),
+    ("C_protect", "error[4] OrderingError: early-event ordering (A4'') fails: the active-arm "
+                  "early rate 0.01119 is not below the control rate 0.008032; Wald inference "
+                  "under early no-harm monotonicity is invalid here")])
+def test_analyze_demo_reports_the_no_selection_fits_error(tmp_path, demo_csv, capsys,
+                                                          scenario, line):
+    cfg = demo_config(tmp_path, demo_csv, tmp_path / "out")
+    assert main(["analyze", "--config", str(cfg), "--scenario", scenario]) == 4
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_one_point_custom_region_reports_its_points_error(tmp_path, demo_csv, capsys):
+    # beta0 = 60 has no mixture root on the demo; a one-point region raises that
+    # point's own error, not "every sensitivity grid point failed; ..." (exit 4)
+    cfg = tmp_path / "one.ini"
+    cfg.write_text(f"[data]\npath = {demo_csv}\n[scenario]\nname = B\n[weights]\n"
+                   f"model = design\nnu = {implied_subcohort_fraction()!r}\n"
+                   f"[sensitivity]\nbeta0 = 60, 60\ncontrast = ve\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err == (
+        "error[5] IncompatibleSensitivityError: no sign change of the constraint on "
+        "[-45.0, 45.0]; sensitivity parameters are incompatible with the data\n")
+
+
+@pytest.mark.parametrize("stage", ["point", "covariance"])
+def test_an_incompatible_no_selection_fit_exits_5(tmp_path, demo_csv, capsys, monkeypatch,
+                                                  stage):
+    from psem import sensitivity
+    from psem.errors import IncompatibleSensitivityError
+    injected = IncompatibleSensitivityError("derived p10 = 1.5 lies outside [0, 1]; injected")
+    real_targets, real_ceps = sensitivity.fit_targets, sensitivity.fit_ceps
+
+    def fit_targets(weighted, scenario, beta, *rest):
+        values, failed = real_targets(weighted, scenario, beta, *rest)
+        if stage == "point":
+            assert all(beta[k][0] == 0.0 for k in beta)     # the pass opens with Gamma = 0
+            failed = {**failed, 0: injected}
+        return values, failed
+
+    def fit_ceps(weighted, points, *rest):
+        ceps, failed = real_ceps(weighted, points, *rest)
+        if stage == "covariance":
+            assert points[0].values == {"beta0": 0.0, "beta1_marginal": 0.0}
+            failed = {**failed, 0: injected}
+        return ceps, failed
+
+    monkeypatch.setattr(sensitivity, "fit_targets", fit_targets)
+    monkeypatch.setattr(sensitivity, "fit_ceps", fit_ceps)
+    cfg = demo_config(tmp_path, demo_csv, tmp_path / "out")
+    assert main(["analyze", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err == f"error[5] IncompatibleSensitivityError: {injected}\n"
+
+
 def test_analyze_and_diagnose_read_the_csv_straight_to_cells(tmp_path, worked_csv,
                                                             monkeypatch):
     from psem import cli, tables
@@ -557,11 +694,12 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     real_fit = sensitivity.fit_ceps
     failed = []
 
-    def fit(weighted, points, contrast, rows):
-        ceps, errors = real_fit(weighted, points, contrast, rows)
-        if not failed:          # the first pending extreme's sandwich
-            failed.append(points[0])
-            errors = {**errors, 0: EstimationError("injected")}
+    def fit(weighted, points, *rest):
+        ceps, errors = real_fit(weighted, points, *rest)
+        if not failed:          # the first pending region-corner sandwich, not Gamma = 0
+            j = next(j for j, p in enumerate(points) if abs(p.get("beta0")) == 1.0)
+            failed.append(points[j])
+            errors = {**errors, j: EstimationError("injected")}
         return ceps, errors
 
     monkeypatch.setattr(sensitivity, "fit_ceps", fit)

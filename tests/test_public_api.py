@@ -13,7 +13,7 @@ PUBLIC = [
     "WeightModel", "WeightedRecords", "cep",
     "check_assumptions", "core", "delta_method", "effective_sample", "errors",
     "estimate_identified", "eui", "fit_missingness", "fit_scenario",
-    "generate", "interval_for", "load_csv", "mathutil", "mean_shift_cep",
+    "generate", "interval_for", "intervals", "load_csv", "mathutil", "mean_shift_cep",
     "oracle_estimands", "records", "run_study", "selection_sace",
     "sensitivity", "simulate", "summarize", "sweep", "sweeps", "tables",
     "test_effect_modification", "weights", "write_csv",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import psem
 from psem import core, demo, simulate, tables
 from psem.core import Contrast, Scenario, SensitivityPoint
-from psem.errors import ConfigError, EstimationError
+from psem.errors import ConfigError, EstimationError, OrderingError, PsemError
 from psem.mathutil import norm_cdf, norm_quantile
 from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, solve_c_alpha,
                               symmetric_ranges)
@@ -389,11 +389,17 @@ def test_sweep_rejects_unknown_targets(worked_weighted):
 
 
 def test_all_cells_failing_raises(worked_weighted):
-    cfg = SensitivityConfig(scenario=Scenario.C_PROTECT, ranges={},
+    cfg = SensitivityConfig(scenario=Scenario.C_PROTECT, ranges={"beta0": (-1.0, 1.0)},
                             grid_points=2)
     # worked fixture has equal early rates (none), so A4'' fails everywhere
     with pytest.raises(EstimationError, match="every sensitivity grid point"):
         psem.sweep(worked_weighted, cfg)
+    # a one-point region raises its point's own error, the one fit_scenario raises there
+    with pytest.raises(OrderingError) as want:
+        psem.fit_scenario(worked_weighted, SensitivityPoint(Scenario.C_PROTECT))
+    with pytest.raises(OrderingError, match="early-event ordering") as got:
+        psem.sweep(worked_weighted, SensitivityConfig(Scenario.C_PROTECT, {}, grid_points=2))
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +567,11 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
     grid = psem.sweep(fit_missingness(from_counts(count), model), cfg)
     alone = split_replicates(grid)
     swept = []      # and each replicate's own table, swept alone
-    for c in count:
+    for b, c in enumerate(count):
         try:
             swept.append(psem.sweep(fit_missingness(from_counts(c), model), cfg))
-        except EstimationError:
+        except PsemError as exc:    # every point failed: the batch's first error
+            assert f"{type(exc).__name__}: {exc}" == grid.first_errors()[b]
             swept.append(None)
     for target in grid.targets:
         batched = psem.interval_for(grid, target)      # no warning: filterwarnings = error
@@ -610,15 +617,20 @@ def sweep_bits(grid):
             {k: (cep_bits(c), c.contrast, c.sensitivity) for k, c in grid.ceps.items()})
 
 
+def result_bits(res):
+    """Every field of an IntervalResult, comparable bit for bit."""
+    floats = np.array([getattr(res, f) for f in INTERVAL_FLOATS] + list(res.eui))
+    return (res.target, res.alpha, floats.tobytes(), np.asarray(res.degenerate).tolist(),
+            res.point_lower, res.point_upper, np.asarray(res.extrema_on_corners).tolist())
+
+
 def interval_bits(grid, target):
     """Every field of ``interval_for(grid, target)`` and the warnings it gives."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = psem.interval_for(grid, target)
-    floats = np.array([getattr(res, f) for f in INTERVAL_FLOATS] + list(res.eui))
-    return (floats.tobytes(), np.asarray(res.degenerate).tolist(), res.point_lower,
-            res.point_upper, np.asarray(res.extrema_on_corners).tolist(),
-            [str(w.message) for w in caught])
+    assert all(w.filename == __file__ for w in caught)      # reported at the caller's line
+    return (*result_bits(res), [str(w.message) for w in caught])
 
 
 # on the demo, scale 60 and beta0 up to 55 hold points with no mixture root
@@ -651,6 +663,125 @@ def test_sweeping_regions_together_changes_no_bit(scenario, contrast, regions, g
         assert sweep_bits(grid) == sweep_bits(alone)
         for target in grid.targets:
             assert interval_bits(grid, target) == interval_bits(alone, target)
+
+
+def interval_from_scratch(grid, target, b):
+    """Replicate ``b``'s (None: the one dataset's) interval of ``target``: the
+    first least and greatest estimates over the points that did not fail, their
+    fits' SEs and one scalar ``eui`` call; with every point failed, None."""
+    keys = [g if b is None else (b, g) for g in range(len(grid.cells))]
+    row = (grid.row(target) if b is None else grid.row(target)[b]).tolist()
+    good = [g for g, k in enumerate(keys) if k not in grid.errors]
+    if not good:
+        return None
+    lo = min(good, key=lambda g: (row[g], g))
+    hi = max(good, key=lambda g: (row[g], -g))
+    res = psem.eui(row[lo], grid.ceps[keys[lo]].get(target)[1],
+                   row[hi], grid.ceps[keys[hi]].get(target)[1], grid.config.alpha, target)
+    return res, grid.point(lo), grid.point(hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.sampled_from(sorted(EXPLICIT, key=str)),
+       contrast=st.sampled_from(list(Contrast)),
+       regions=st.lists(st.sampled_from([0, 0.5, 1, 30, 60, "explicit"]), min_size=1, max_size=3),
+       grid_points=st.sampled_from([3, 7]), batched=st.booleans())
+@example(scenario=Scenario.B, contrast=Contrast.VE, regions=[60, 0.25],
+         grid_points=21, batched=False)       # failed corners: scenario B's warnings
+@example(scenario=Scenario.B, contrast=Contrast.VE, regions=[60, 0.25],
+         grid_points=21, batched=True)
+def test_intervals_is_interval_for_of_every_target(scenario, contrast, regions, grid_points,
+                                                    batched):
+    w = demo_weighted(batched)
+    configs = [SensitivityConfig(scenario, EXPLICIT[scenario] if r == "explicit"
+                                 else symmetric_ranges(scenario, r), grid_points,
+                                 contrast=contrast) for r in regions]
+    for grid in psem.sweeps(w, configs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            together = psem.intervals(grid)
+        assert list(together) == list(grid.targets)
+        assert all(w.filename == __file__ for w in caught)
+        alone = [interval_bits(grid, t) for t in grid.targets]
+        # the same fields, and the same warnings in the same order, as one target at a time
+        assert [result_bits(together[t]) for t in grid.targets] == [a[:-1] for a in alone]
+        assert [str(m.message) for m in caught] == [m for a in alone for m in a[-1]]
+        for target, res in together.items():
+            for b in [None] if not batched else range(len(grid.values[0])):
+                want = interval_from_scratch(grid, target, b)
+                got = [np.ravel(getattr(res, f))[b or 0] for f in INTERVAL_FLOATS] + [
+                    np.ravel(res.eui[0])[b or 0], np.ravel(res.eui[1])[b or 0]]
+                if want is None:
+                    assert b is not None and np.isnan(got).all()
+                    continue
+                ref, lower, upper = want
+                assert (np.array(got).tobytes() == np.array(
+                    [getattr(ref, f) for f in INTERVAL_FLOATS] + list(ref.eui)).tobytes())
+                if b is None:
+                    assert (res.point_lower, res.point_upper) == (lower, upper)
+                    assert res.degenerate is ref.degenerate
+
+
+def test_intervals_rejects_unknown_targets(worked_weighted):
+    grid = psem.sweep(worked_weighted, b_config(-1.0, 1.0, g=3), targets=("mu",))
+    with pytest.raises(KeyError, match=r"'cep_10' is not a target of this sweep"):
+        psem.intervals(grid, ("mu", "cep_10"))
+    assert list(psem.intervals(grid)) == ["mu"]
+
+
+def test_a_one_point_region_raises_its_points_own_error():
+    # the no-selection point of C_harm with a VE contrast on a table whose
+    # control arm has no event: the VE contrast is undefined there
+    table = demo_weighted(False).cells
+    code = table.z * 16 + table.yt * 8 + table.s * 2 + table.y
+    count = np.where((table.z == 0) & (table.y == 1), 0, table.count)
+    w0 = fit_missingness(from_counts(count, code), demo.implied_weight_model())
+    zero = SensitivityConfig(Scenario.C_HARM, {}, 3, contrast=Contrast.VE)
+    with pytest.raises(psem.PsemError) as want:
+        psem.cep(psem.fit_scenario(w0, SensitivityPoint(Scenario.C_HARM)), Contrast.VE)
+    with pytest.raises(psem.PsemError) as got:
+        psem.sweeps(w0, [zero, SensitivityConfig(Scenario.C_HARM, symmetric_ranges(
+            Scenario.C_HARM, 0.5), 3, contrast=Contrast.VE)])
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    # a batch of that table and the demo: the first error of each replicate is the
+    # error its table raises when swept alone
+    batch = fit_missingness(from_counts(np.stack([count, table.count]), code),
+                            demo.implied_weight_model())
+    assert psem.sweep(batch, zero).first_errors() == [
+        f"{type(want.value).__name__}: {want.value}", None]
+
+
+def test_a_one_point_region_wraps_an_error_that_is_not_a_psem_error(monkeypatch):
+    # core._ceps fails a non-finite contrast gradient with a ValueError, which is
+    # not a PsemError: the region raises the all-failed EstimationError instead
+    real = psem.sensitivity.fit_ceps
+    gradient = ValueError("the contrast or its gradient is not finite at theta_hat")
+
+    def fit_ceps(weighted, points, *rest):
+        ceps, failed = real(weighted, points, *rest)
+        return ceps, {**failed, 0: gradient}
+
+    monkeypatch.setattr(psem.sensitivity, "fit_ceps", fit_ceps)
+    with pytest.raises(EstimationError) as got:
+        psem.sweep(demo_weighted(False), b_config(0.0, 0.0))
+    assert str(got.value) == f"{_ALL_FAILED}ValueError: {gradient}"
+    # and a batched replicate's first error is the same
+    batched = psem.sweep(demo_weighted(True), b_config(0.0, 0.0))
+    assert batched.first_errors() == [f"EstimationError: {got.value}", None, None]
+
+
+def test_every_fit_of_a_one_dataset_sweep_holds_its_fit():
+    w = demo_weighted(False)
+    config = b_config(-1.0, 1.0, g=5, contrast=Contrast.VE)
+    grid, again = psem.sweeps(w, [config, config])      # equal regions: one result each
+    assert grid is not again and sweep_bits(grid) == sweep_bits(again)
+    for c in grid.ceps.values():
+        est = psem.fit_scenario(w, c.sensitivity)
+        assert (c.fit.sensitivity, c.fit.names, c.fit.n) == (est.sensitivity, est.names, est.n)
+        assert c.fit.theta.tobytes() == est.theta.tobytes()
+        assert c.fit.cov.tobytes() == est.cov.tobytes()
+        assert cep_bits(psem.cep(c.fit, Contrast.VE)) == cep_bits(c)
+    assert all(c.fit is None for c in psem.sweep(demo_weighted(True), config).ceps.values())
 
 
 def test_an_all_failed_region_raises_as_if_swept_alone():

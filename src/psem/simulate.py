@@ -15,15 +15,23 @@ a survivor is observed iff they are a case (y = 1) or fall in a
 Bernoulli(nu) subcohort.
 
 Randomness is counter-based (Philox) with one documented stream per
-(seed, study cell, replicate): key = [seed, (cell_index * 2^32 + replicate) mod 2^64].
-A replicate draws one (6, n) block of uniforms, rows in a fixed order (early
-pair, marker, y1, y0, arm, subcohort), so results are bit-identical regardless
-of how replicates are scheduled across workers. Each row is compared once with
-its thresholds (the early pair's cut points; 0.6; a and b; 1/2; 1/2; nu), and
-the draw is a function of those R bits. The thresholds fix each of the 2^R bit
-patterns' exact probability, which ``oracle_estimands`` conditions on. A study
-block re-keys one generator per replicate (the same key, counter 0), draws into
-one reused buffer, counts the 2^R bit patterns and folds them into cells.
+(seed, study cell, replicate): key = [seed, (cell_index * 2^32 + replicate) mod 2^64],
+with replicate < 2^32 (``StudyConfig`` rejects 2^32 replicates or more, whose keys
+would replay the next cell's). A replicate's stream is a (6, n) block of uniforms,
+rows in a fixed order (early pair, marker, y1, y0, arm, subcohort), so results are
+bit-identical regardless of how replicates are scheduled across workers. Each row
+is compared once with its thresholds (the early pair's cut points; 0.6; a and b;
+1/2; 1/2; nu), and the draw is a function of those R bits. The thresholds fix each
+of the 2^R bit patterns' exact probability, which ``oracle_estimands`` conditions
+on. The uniforms are numpy's Philox doubles u = (word >> 11) 2^-53 of the raw
+64-bit words, so u < t exactly when word < ceil(t 2^53) 2^11: the draw compares raw
+words with these integer thresholds and never forms u. A bit with t = 1 is always
+1, so the words stop at the last row that holds another bit (at nu = 1 the
+subcohort row is not drawn); the rows before it are the same words as in the full
+block. A study block re-keys one generator per replicate (the same key, counter 0),
+compares each row into one reused bit buffer, packs a participant's bits into a
+uint8 pattern (uint16 above 8 bits), counts the 2^R patterns and folds them into
+cells.
 """
 
 from __future__ import annotations
@@ -130,10 +138,36 @@ def _thresholds(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
             np.array([*cuts, MARKER_POS_RATE, config.a, config.b, CONTROL_RISK, 0.5, config.nu]))
 
 
-def _bits(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
-    """The (R, n) bits of one draw (module docstring)."""
+def _word_limits(below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer thresholds of float thresholds in [0, 1]: the Philox double of ``word`` is
+    below t exactly when word < limit, except where ``ones`` flags a bit that is always 1."""
+    steps = np.ceil(np.ldexp(below, 53))    # (word >> 11) < t 2^53 iff it is < ceil(t 2^53)
+    ones = steps >= 2.0**53
+    return np.where(ones, 0.0, steps).astype(np.uint64) << np.uint64(11), ones
+
+
+def _drawer(config: GeneratorConfig):
+    """The draw of ``config`` (module docstring) as a function of a ``_rng_for`` generator
+    that writes the (R, n) bits into one buffer, reused across calls, and returns it."""
     row, below = _thresholds(config)
-    return rng.random((row[-1] + 1, config.n))[row] < below[:, None]
+    limit, ones = _word_limits(below)
+    bits = np.empty((len(row), config.n), dtype=bool)
+    bits[ones] = True
+    shape = (row[~ones].max() + 1, config.n)
+    compares = [(row[k], limit[k], bits[k]) for k in np.flatnonzero(~ones)]
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        words = rng.bit_generator.random_raw(shape)
+        for r, below_word, out in compares:
+            np.less(words[r], below_word, out=out)
+        return bits
+    return draw
+
+
+def _bits(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (R, n) bits of one draw (module docstring). ``rng`` must come from ``_rng_for``:
+    the integer thresholds hold for Philox's doubles."""
+    return _drawer(config)(rng)
 
 
 def _patterns(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -171,18 +205,19 @@ def _gen_arrays(config: GeneratorConfig, rng: np.random.Generator) -> dict:
 
 def _cell_counts(config: GeneratorConfig, cell_id: int, reps) -> np.ndarray:
     """Cell tallies (len(reps), 32) of replicates ``reps`` of study cell ``cell_id``: one
-    generator, re-keyed per replicate, draws into one buffer; pattern counts fold into cells."""
+    generator, re-keyed per replicate, draws into one bit buffer; each participant's bits
+    read as one unsigned integer, and the pattern counts fold into cells."""
     bits, _ = _patterns(config)
     code = tables.cell_code(*itemgetter("z", "yt", "s_code", "y")(_observe(config, bits)))
-    row, below = _thresholds(config)
-    weight, u = 2.0 ** np.arange(len(row)), np.empty((row[-1] + 1, config.n))
+    draw, r = _drawer(config), len(bits)
+    weight = (1 << np.arange(r)).astype(np.min_scalar_type((1 << r) - 1))   # uint8 to 8 bits
     rng = _rng_for(config.seed, cell_id, 0)
     fresh, tally = rng.bit_generator.state, np.empty((len(reps), len(code)))
     for b, rep in enumerate(reps):
         fresh["state"]["key"] = _key(config.seed, cell_id, rep)
         rng.bit_generator.state = fresh     # counter 0, empty buffer: as _rng_for(..., rep)
-        pattern = weight @ (rng.random(out=u)[row] < below[:, None])
-        tally[b] = np.bincount(pattern.astype(np.intp), minlength=len(code))
+        pattern = np.einsum("k,kn->n", weight, draw(rng).view(np.uint8))   # @ is slower on ints
+        tally[b] = np.bincount(pattern, minlength=len(code))
     return (tally @ (code[:, None] == np.arange(32))).astype(np.int64)
 
 
@@ -262,7 +297,7 @@ class StudyConfig:
         _check_design(self.design)
         if not all((self.n_values, self.nu_values, self.deltas, self.gamma_scales)):
             raise ConfigError("n_values, nu_values, deltas and gamma_scales need a value each")
-        _check_count("replicates", self.replicates, 1)
+        _check_count("replicates", self.replicates, 1, 2**32)
         _check_count("threads", self.threads, 1)
         _check_count("seed", self.seed, 0, 2**64)
         for n, nu in itertools.product(self.n_values, self.nu_values):

@@ -61,6 +61,56 @@ def test_draw_stream_is_pinned(design, digest):
     assert got.hexdigest() == digest
 
 
+@pytest.mark.parametrize("design, digest", [
+    ("B", "181bd955479f7c5ef2fffd8723fbe5bfb9dd90c25c1c0c1635652bf5acc7a72a"),
+    ("C", "d82bcb19837462f8b290496a59e6a4e56a267c02d9c5ae86dba04873adb036d9")],
+    ids=["B", "C"])
+def test_draw_stream_is_pinned_at_nu_1(design, digest):
+    """At nu = 1 the subcohort row is constant and not drawn: the 5 * 1001 words
+    drawn (not a multiple of Philox's 4-word buffer) are those of the full block."""
+    cfg, rng = GeneratorConfig(design=design, n=1001, a=0.3, b=0.5, nu=1.0), _rng_for(7, 0, 0)
+    arrs = _gen_arrays(cfg, rng)
+    got = hashlib.sha256(b"".join(arrs[k].tobytes() for k in sorted(arrs)))
+    assert got.hexdigest() == digest
+    full = _rng_for(7, 0, 0).bit_generator.random_raw(5 * 1001 + 1)
+    assert rng.bit_generator.random_raw() == full[-1]       # the next word is word 5n
+
+
+@pytest.mark.parametrize("design, digest", [
+    ("B", "3577ca55b836dfaf68d6a791193bd9a92377148c4eb072138fb9b65dd303f234"),
+    ("C", "a6a37d322aad8c9309a6541be2493e4b0e6c59ba886580017e9471525c0a8c9a")],
+    ids=["B", "C"])
+def test_study_block_tallies_are_pinned_at_nu_1(design, digest):
+    counts = simulate._cell_counts(GeneratorConfig(design, 1601, 0.3, 0.5, 1.0, 7), 3, range(64))
+    assert counts.shape == (64, 32) and counts.sum() == 64 * 1601
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+_steps = st.integers(1, 2**53 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, math.nextafter(1.0, 0.0), 1.0])
+       | st.floats(0.0, 1.0),
+       word=st.sampled_from([0, 2**64 - 1]) | _steps.map(lambda k: k * 2**11 - 1)
+       | _steps.map(lambda k: k * 2**11) | st.integers(0, 2**64 - 1))
+def test_word_threshold_is_the_double_compare(t, word):
+    # Philox's double is (word >> 11) 2^-53; the integer test must agree for every word,
+    # the drawn one and the two around the cut of t
+    limit, ones = simulate._word_limits(np.array([t]))
+    cut = math.ceil(t * 2**53) * 2**11
+    for w in {word, *(w for w in (cut - 1, cut) if 0 <= w < 2**64)}:
+        assert bool(ones[0] or np.uint64(w) < limit[0]) == ((w >> 11) * 2.0**-53 < t)
+    assert bool(ones[0]) == (t == 1.0)
+
+
+def test_philox_doubles_are_the_shifted_raw_words():
+    # the word thresholds rest on numpy's conversion: a numpy change fails here
+    words = _rng_for(5, 3, 2).bit_generator.random_raw(4 * 250 + 3)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53,
+                          _rng_for(5, 3, 2).random(4 * 250 + 3))
+
+
 def reference_arrays(config, rng):
     """Reference generator: six rng.random(n) calls in the module docstring's
     order, each variable drawn from its own uniforms, with no bits or table."""
@@ -432,15 +482,18 @@ def test_study_blocks_match_the_one_point_path(monkeypatch, config, failures):
 @pytest.mark.parametrize("config, kwargs, message", [
     (StudyConfig, {"replicates": 2.5}, "replicates must be >= 1"),
     (StudyConfig, {"threads": 1.5}, "threads must be >= 1"),
+    (StudyConfig, {"replicates": 2**32}, "replicates must be >= 1 and < 4294967296"),
     (StudyConfig, {"seed": 2**64}, "seed must be >= 0 and < 18446744073709551616"),
     (StudyConfig, {"seed": -1}, "seed must be >= 0"),
     (GeneratorConfig, {"seed": 2**64}, "seed must be >= 0 and < 18446744073709551616"),
     (GeneratorConfig, {"seed": -1}, "seed must be >= 0")],
-    ids=["study_fractional_replicates", "study_fractional_threads", "study_seed_2_64",
-         "study_negative_seed", "generator_seed_2_64", "generator_negative_seed"])
+    ids=["study_fractional_replicates", "study_fractional_threads", "study_replicates_2_32",
+         "study_seed_2_64", "study_negative_seed", "generator_seed_2_64",
+         "generator_negative_seed"])
 def test_configs_reject_bad_integers(config, kwargs, message):
     # rejected when built: a fractional count used to fail later with a bare
-    # TypeError, and _rng_for masks the seed to 64 bits, aliasing studies
+    # TypeError, _rng_for masks the seed to 64 bits, aliasing studies, and
+    # replicate 2^32 of a cell would carry into the key's cell bits
     base = ({"design": "B", "n_values": (400,)} if config is StudyConfig
             else {"design": "B", "n": 10, "a": 0.4, "b": 0.4})
     with pytest.raises(ConfigError, match=message):

@@ -91,7 +91,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
 
     results = sweeps(weighted, swept)
     grids = [results[swept.index(s)] for _, s in regions]
-    base_cep = results[0].ceps[0]
+    base_cep = results[0].ceps[0, 0]
     base_est = base_cep.fit
 
     gamma_results = []

@@ -496,8 +496,19 @@ class CepResult:
     mu: float                       # CEP(1,0) - CEP(0,0)
     mu_se: float
     sensitivity: SensitivityPoint
-    # the fit these contrasts come from, set by fit_ceps for one dataset
-    fit: RiskEstimates | None = field(default=None, compare=False, repr=False)
+    # (names, theta (p, k, 1), cov (k, 1, p, p), counts (k, ncells), j): the
+    # fit_ceps fit these contrasts come from, fit j of k; () from cep
+    stacked: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def fit(self) -> RiskEstimates | None:
+        """The fit with covariance these contrasts come from, built when read,
+        with its replicate's own n; None for a result of ``cep``."""
+        if not self.stacked:
+            return None
+        names, theta, cov, count, j = self.stacked
+        return RiskEstimates(self.sensitivity.scenario, self.sensitivity, names, theta[:, j, 0],
+                             cov[j, 0], float(count[j].sum()))
 
     def get(self, target: str) -> tuple[float, float]:
         """(value, standard error) of "cep_00", "cep_10", "cep_11" or "mu"."""
@@ -908,17 +919,14 @@ def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
              contrast: Contrast, rows) -> tuple[list[CepResult], dict[int, PsemError]]:
     """``cep(fit_scenario(...))`` at each of the ``points`` in one stacked fit
     (``_fit``; rows are 0 for one dataset) and each failed fit's first failure
-    by its index in ``points``. For one dataset each result also holds its fit
-    (``CepResult.fit``); batched data skip it, as holding every fit of a
-    study block slows ``run_study`` by several percent. No fit's numbers
-    depend on the fits beside it."""
+    by its index in ``points``. Each result reads its fit on demand
+    (``CepResult.fit``). No fit's numbers depend on the fits beside it."""
     names, theta, cov, checks = _fit(weighted, points, rows, True)
     with np.errstate(all="ignore"):
         ceps = _ceps(points[0].scenario, names, theta, cov, contrast, points, checks)
-    if weighted.cells.count.ndim == 1:
-        for j, c in enumerate(ceps):
-            c.fit = RiskEstimates(c.sensitivity.scenario, c.sensitivity, names, theta[:, j, 0],
-                                  cov[j, 0], weighted.n)
+    count = np.atleast_2d(weighted.cells.count)[rows]
+    for j, c in enumerate(ceps):
+        c.stacked = (names, theta, cov, count, j)
     return ceps, checks.failed
 
 

@@ -20,11 +20,6 @@ class DataError(PsemError):
 class EstimationError(PsemError):
     """Estimation failed: non-convergence, singular systems, violated orderings."""
 
-    def __init__(self, message, theta=None, residual=None):
-        super().__init__(message)
-        self.theta = theta
-        self.residual = residual
-
 
 class OrderingError(EstimationError):
     """A testable ordering assumption (A4'' or A5') fails in the data."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,9 +88,10 @@ class SensitivityConfig:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _names_psem_error(message: str) -> bool:
-    """Whether an error of ``SweepResult.errors`` ("Class: text") is a ``PsemError``."""
-    return issubclass(getattr(psem_errors, message.split(":", 1)[0], Exception), PsemError)
+def _error_class(message: str) -> type[Exception]:
+    """The ``psem.errors`` class that an error of ``SweepResult.errors``
+    ("Class: text") names, or ``Exception`` for any other class."""
+    return getattr(psem_errors, message.split(": ", 1)[0], Exception)
 
 
 def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
@@ -102,41 +103,47 @@ def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
 
 @dataclass
 class SweepResult:
-    """The sweep over the (G, K) Gamma points ``cells``. ``values`` (T, G),
-    or (T, B, G) over B replicates, holds every target of the scenario, rows
-    in ``scenario.targets`` order, at every point; ``errors`` each failed
-    point's first error by index g, or (b, g), where its value is meaningless;
-    ``ceps`` the fit with covariance at each point holding an extreme."""
+    """The sweep over the (G, K) Gamma points ``cells`` of B replicates.
+    ``values`` (T, B, G) holds every target of the scenario, rows in
+    ``scenario.targets`` order, at every point; ``errors`` each failed
+    point's first error by (b, g), where its value is meaningless; ``ceps``
+    the fit with covariance at each point holding an extreme, by (b, g).
+    ``single`` marks the sweep of one dataset (B = 1), whose intervals read
+    as floats and raise or warn (see ``intervals``)."""
     config: SensitivityConfig
     targets: tuple[str, ...]
     cells: np.ndarray
     values: np.ndarray
-    errors: dict[int | tuple[int, int], str]
-    ceps: dict[int | tuple[int, int], CepResult] = field(default_factory=dict)
+    errors: dict[tuple[int, int], str]
+    ceps: dict[tuple[int, int], CepResult] = field(default_factory=dict)
+    single: bool = False
 
     def row(self, target: str) -> np.ndarray:
         return self.values[self.config.scenario.targets.index(target)]
 
     def ok(self) -> np.ndarray:
-        """Which points did not fail: (G,), or (B, G) if batched."""
+        """Which points did not fail, (B, G)."""
         ok = np.ones(self.values.shape[1:], dtype=bool)
-        ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, ok.ndim).T)] = False
+        ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, 2).T)] = False
         return ok
 
     def extremes(self, target: str, ok: np.ndarray | None = None):
         """First points, in grid order, holding the target's minimum and
         maximum over the points that did not fail (``ok``, by default
-        ``self.ok()``), per replicate if batched."""
+        ``self.ok()``), per replicate: two (B,) arrays."""
         row, ok = self.row(target), self.ok() if ok is None else ok
         return (np.where(ok, row, np.inf).argmin(axis=-1),
                 np.where(ok, row, -np.inf).argmax(axis=-1))
 
     def first_errors(self) -> list[str | None]:
-        """Each replicate's first error of a batched sweep, in grid order, or None; with every
-        point failed, the error a one-dataset ``sweep`` raises (see ``sweeps``)."""
+        """Each replicate's first error, in grid order, or None. With every
+        point failed it is the error the replicate's data raise when swept
+        alone: a one-point region's own error if a ``PsemError`` names it,
+        else ``EstimationError`` (``_ALL_FAILED`` and the first error)."""
         first = {b: e for (b, _), e in sorted(self.errors.items(), reverse=True)}  # least g last
-        return [first.get(b) if ok.any() or len(ok) == 1 and _names_psem_error(first[b])
-                else f"EstimationError: {_ALL_FAILED}{first[b]}" for b, ok in enumerate(self.ok())]
+        return [first.get(b) if ok.any() or len(ok) == 1 and issubclass(
+            _error_class(first[b]), PsemError) else f"EstimationError: {_ALL_FAILED}{first[b]}"
+            for b, ok in enumerate(self.ok())]
 
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
@@ -152,20 +159,17 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
 
     Regions go into point passes in order, each pass over the concatenated
     grids of at most ``MAX_GRID_CELLS`` points, or of one region.
-    ``targets`` defaults to every CEP target of the scenario. Grid-point
-    failures are recorded by index, with the error ``fit_scenario`` raises
-    there, rather than raised, unless every point of a region fails: the
-    first such region, in order, raises. A one-point region raises its
-    point's own ``PsemError`` (the one ``fit_scenario`` or ``cep`` raises
-    there); any other region, or a point error that is not a ``PsemError``,
-    raises ``_ALL_FAILED`` with the region's first error. Each covariance
-    pass fits every pending (region, replicate, extreme) triple in one
-    ``fit_ceps`` call, one dataset as a batch of one; a point whose
-    covariance fit fails is marked failed and the extremes are taken again
-    over the remaining points. For one dataset each ``CepResult`` holds its
-    fit (``CepResult.fit``). Batched data (``tables.from_counts``) are swept in
-    the same passes, each replicate as if alone but never raising. No
-    region's result depends on the regions swept with it.
+    ``targets`` defaults to every CEP target of the scenario. Batched data
+    (``tables.from_counts``) are swept each replicate as if alone, and one
+    dataset as the batch of one (``SweepResult.single``). Grid-point failures
+    are recorded by (b, g), with the error ``fit_scenario`` raises there.
+    Each covariance pass fits every pending (region, replicate, extreme)
+    triple in one ``fit_ceps`` call; a point whose covariance fit fails is
+    marked failed and the extremes are taken again over the remaining
+    points. Nothing raises for batched data; for one dataset the first
+    region, in order, whose every point failed raises its
+    ``first_errors()`` error. No region's result depends on the regions
+    swept with it.
     """
     if len({(c.scenario, c.contrast) for c in configs}) != 1:
         raise ConfigError("sweeps takes one or more sensitivity regions that share "
@@ -176,46 +180,37 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     if unknown := [t for t in targets if t not in names]:
         raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
                           f"{scenario.value}; targets: {list(names)}")
-    lead = weighted.cells.count.shape[:-1]
+    single = weighted.cells.count.ndim == 1
+    if single:      # counts (ncells,) read as (1, ncells) from here on
+        weighted = replace(weighted, cells=replace(weighted.cells,
+                                                   count=weighted.cells.count[None]))
     grids = [c.grid() for c in configs]
-    own = {}        # a one-dataset one-point region: its point's PsemError, or None
     results: list[SweepResult] = []
     for run in _point_passes([len(g) for g in grids]):
         cells = np.concatenate([grids[r] for r in run])
         n = len(cells)
-        try:
-            values, failed = fit_targets(weighted, scenario, dict(zip(keys, cells.T)), contrast)
-        except PsemError as exc:    # a beta-free failure fails every point
-            values = np.full((len(names), *lead, n), np.nan)
-            failed = dict.fromkeys(range(values[0].size), exc)
+        values, failed = fit_targets(weighted, scenario, dict(zip(keys, cells.T)), contrast)
         start = 0
         for r in run:
             stop = start + len(grids[r])
-            errors = {(i // n, g - start) if lead else g - start: e
-                      for i, e in failed.items() if start <= (g := i % n) < stop}
-            if not lead and stop - start == 1:
-                own[r] = errors.get(0)
             results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop], {
-                k: f"{type(e).__name__}: {e}" for k, e in errors.items()}))
+                (i // n, g - start): f"{type(e).__name__}: {e}"
+                for i, e in failed.items() if start <= (g := i % n) < stop}, single=single))
             start = stop
-    while pending := [(r, k, b, i) for r, res in enumerate(results)
-                      for k, (b, i) in _extremes(res, lead).items()
+    while pending := [(r, k) for r, res in enumerate(results) for k in _extremes(res)
                       if k not in res.ceps and k not in res.errors]:
-        points = {ri: results[ri[0]].point(ri[1]) for ri in {(r, i) for r, _, _, i in pending}}
-        ceps, failed = fit_ceps(weighted, [points[r, i] for r, _, _, i in pending],
-                                contrast, [b for _, _, b, _ in pending])
-        for j, (r, k, _, _) in enumerate(pending):
+        points = {ri: results[ri[0]].point(ri[1]) for ri in {(r, i) for r, (_, i) in pending}}
+        ceps, failed = fit_ceps(weighted, [points[r, i] for r, (_, i) in pending],
+                                contrast, [b for _, (b, _) in pending])
+        for j, (r, k) in enumerate(pending):
             if j in failed:
                 results[r].errors[k] = f"{type(failed[j]).__name__}: {failed[j]}"
-                if r in own:
-                    own[r] = failed[j]
             else:
                 results[r].ceps[k] = ceps[j]
-    for r, res in enumerate(results):
-        if not lead and len(res.errors) == len(res.cells):
-            if isinstance(own.get(r), PsemError):
-                raise own[r]
-            raise EstimationError(_ALL_FAILED + res.errors[min(res.errors)])
+    for res in results:
+        if single and not res.ok().any():
+            error = res.first_errors()[0]
+            raise _error_class(error)(error.split(": ", 1)[1])
     return results
 
 
@@ -232,12 +227,11 @@ def _point_passes(sizes: list[int]) -> list[list[int]]:
     return runs
 
 
-def _extremes(result: SweepResult, lead) -> dict:
-    """Each (replicate, grid index) pair holding some target's extreme, keyed
-    as in ``result.errors``."""
+def _extremes(result: SweepResult) -> dict:
+    """Each (replicate, grid index) pair holding some target's extreme, once."""
     ok = result.ok()
-    return {(b, i) if lead else i: (b, i) for t in result.targets for idx in result.extremes(t, ok)
-            for b, i in enumerate(np.atleast_1d(idx).tolist())}
+    return dict.fromkeys((b, i) for t in result.targets for idx in result.extremes(t, ok)
+                         for b, i in enumerate(idx.tolist()))
 
 
 def sweep(weighted: WeightedRecords, config: SensitivityConfig,
@@ -341,39 +335,37 @@ def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, Interva
         if target not in grid.targets:
             raise KeyError(f"{target!r} is not a target of this sweep; "
                            f"targets: {list(grid.targets)}")
-    one = grid.values.ndim == 2
     ok = grid.ok()
-    fitted = ok.reshape(-1, len(grid.cells)).any(axis=1)    # (B,), B = 1 for one dataset
-    if one and not fitted[0]:
+    fitted = ok.any(axis=1)    # (B,)
+    if grid.single and not fitted[0]:
         raise EstimationError("no successful grid cells")
     corner = np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
-    extremes = [[np.atleast_1d(i).tolist() for i in grid.extremes(t, ok)] for t in targets]
+    extremes = [[i.tolist() for i in grid.extremes(t, ok)] for t in targets]
     # per target and replicate: est_l, se_l, est_u, se_u, the EUI and c_alpha
     out = np.full((7, len(targets), len(fitted)), np.nan)
     for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
-        row = grid.row(target).reshape(-1, len(grid.cells))
+        row = grid.row(target)
         for b in np.flatnonzero(fitted).tolist():
             out[:4, t, b] = [x for i in (lo[b], hi[b])
-                             for x in (row[b, i], grid.ceps[i if one else (b, i)].get(target)[1])]
+                             for x in (row[b, i], grid.ceps[b, i].get(target)[1])]
     res = eui(*out[:4, :, fitted], grid.config.alpha)
     out[4:, :, fitted] = *res.eui, res.c_alpha
-    warn = one and grid.config.scenario is Scenario.B     # where extremes must be on corners
+    warn = grid.single and grid.config.scenario is Scenario.B   # extremes must be on corners
     failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
-                       + f": {e})" for i, e in sorted(grid.errors.items()) if warn and corner[i])
+                       + f": {e})" for (_, i), e in sorted(grid.errors.items())
+                       if warn and corner[i])
     results = {}
     for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
-        on_corners = corner[lo] & corner[hi] & fitted
-        if not one:     # c_alpha is NaN where degenerate
-            est_l, se_l, est_u, se_u, eui_l, eui_u, c = out[:, t]
-            results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
-                                             res.alpha, fitted & np.isnan(c),
-                                             extrema_on_corners=on_corners)
-            continue
-        est_l, se_l, est_u, se_u, eui_l, eui_u, c = out[:, t, 0].tolist()
-        results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
-                                         res.alpha, c != c, grid.point(lo[0]), grid.point(hi[0]),
-                                         bool(on_corners[0]))
-        if warn and not on_corners[0]:
+        # c_alpha is NaN where degenerate
+        fields = [*out[:, t], fitted & np.isnan(out[6, t]), corner[lo] & corner[hi] & fitted]
+        if grid.single:     # one dataset's interval reads as Python floats and bools
+            fields = [f[0].item() for f in fields]
+        est_l, se_l, est_u, se_u, eui_l, eui_u, c, degenerate, on_corners = fields
+        results[target] = IntervalResult(
+            target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c, res.alpha, degenerate,
+            *((grid.point(lo[0]), grid.point(hi[0])) if grid.single else (None, None)),
+            on_corners)
+        if warn and not on_corners:
             cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
                      "narrowed region" if failed else "check for numerical problems")
             warnings.warn(f"ignorance-interval extremes for {target} fall inside the sensitivity "

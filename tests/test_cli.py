@@ -384,7 +384,7 @@ def test_no_selection_fit_is_fit_scenario_at_gamma_zero(demo_path, scenario, con
     assert cli._to_json(payload["no_selection_bias_fit"]) == cli._to_json(want)
     regions = [c for _, c in cfg.gamma_choices()]
     base = sweeps(weighted, [cli.SensitivityConfig(scenario, {}, 3, contrast=contrast),
-                             *regions])[0].ceps[0]
+                             *regions])[0].ceps[0, 0]
     assert base.sensitivity == SensitivityPoint(scenario, dict.fromkeys(
         scenario.sensitivity_keys, 0.0))
     fit = base.fit
@@ -559,13 +559,19 @@ def test_analyze_data_error_exit_code(tmp_path):
     assert main(["analyze", "--config", str(cfg)]) == 3
 
 
-def test_analyze_estimation_error_exit_code(tmp_path, worked_csv):
+def test_analyze_estimation_error_exit_code(tmp_path, worked_csv, capsys):
     # scenario C_protect needs the early ordering; the worked fixture has
-    # no early events at all, so estimation fails with exit code 4
+    # no early events at all, so the opening block fails at every point and
+    # analyze reports the error fit_scenario raises, with exit code 4
+    from psem import fit_missingness, fit_scenario, load_csv
+    from psem.errors import OrderingError
     cfg = write_analysis_config(tmp_path, worked_csv, tmp_path / "o",
                                 scenario="C_protect",
                                 extra_sensitivity="beta0 = 0")
+    with pytest.raises(OrderingError) as want:
+        fit_scenario(fit_missingness(load_csv(worked_csv)), SensitivityPoint(Scenario.C_PROTECT))
     assert main(["analyze", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == f"error[4] OrderingError: {want.value}\n"
 
 
 def test_diagnose_text_and_json(tmp_path, demo_csv, capsys):
@@ -710,7 +716,7 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     points = [grid.point(i) for i in range(len(grid.cells))]
     bad = points.index(failed[0])
     assert bad in (0, 4)                   # mu is monotone in beta0
-    assert grid.errors[bad] == "EstimationError: injected"
+    assert grid.errors[0, bad] == "EstimationError: injected"
     nxt = 1 if bad == 0 else 3
     with pytest.warns(RuntimeWarning, match="inside the sensitivity region") as rec:
         res = sensitivity.interval_for(grid, "mu")     # the corner check runs
@@ -718,8 +724,8 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     assert (f"fit failed at region corner(s) ({corner}: EstimationError: injected)"
             ", so the interval covers a narrowed region") in str(rec[0].message)
     assert points[nxt] in (res.point_lower, res.point_upper)
-    assert grid.row("mu")[nxt] in res.ignorance
-    assert grid.ceps[nxt].mu_se in (res.se_lower, res.se_upper)
+    assert grid.row("mu")[0, nxt] in res.ignorance
+    assert grid.ceps[0, nxt].mu_se in (res.se_lower, res.se_upper)
     assert len(grid.errors) == 1
 
     failed.clear()

@@ -20,7 +20,7 @@ def logit(p: float) -> float:
 
 
 class ConvergenceError(EstimationError):
-    """Root finder did not converge; carries the last iterate and residual."""
+    """Root finder did not converge; the message gives the bracket and residual."""
 
 
 def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-14,
@@ -71,8 +71,7 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-14,
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
     raise ConvergenceError(
-        f"scalar solve did not converge: bracket [{lo}, {hi}], |f|={abs(f_cur):.3e}",
-        theta=x_cur, residual=abs(f_cur))
+        f"scalar solve did not converge: bracket [{lo}, {hi}], |f|={abs(f_cur):.3e}")
 
 
 def old_solve_logit_mixture(target: float, w1: float, delta: float,

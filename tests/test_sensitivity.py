@@ -357,14 +357,14 @@ def test_sweep_cell_errors_are_the_point_fit_errors(name, contrast):
         point = grid.point(i)
         expected = point_outcome(w, point, contrast)
         if isinstance(expected, str):
-            assert grid.errors.get(i) == expected
+            assert grid.errors.get((0, i)) == expected
             array_errors.append(expected)
-        elif i not in grid.errors:
-            assert grid.values[:, i].tolist() == expected
+        elif (0, i) not in grid.errors:
+            assert grid.values[:, 0, i].tolist() == expected
         else:       # failed in the covariance fit at an extreme
             with pytest.raises(psem.PsemError) as info:
                 psem.cep(psem.fit_scenario(w, point), contrast)
-            assert grid.errors[i] == f"{type(info.value).__name__}: {info.value}"
+            assert grid.errors[0, i] == f"{type(info.value).__name__}: {info.value}"
     assert any(message in e for e in array_errors)
     assert len(grid.errors) < len(grid.cells)
 
@@ -456,9 +456,9 @@ def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, sca
     grid = psem.sweep(w, cfg)
     assert not grid.errors and len(grid.cells) == len(full)
     for i, c in enumerate(full):
-        assert grid.row("mu")[i] == c.mu
+        assert grid.row("mu")[0, i] == c.mu
         for s, value in c.values.items():
-            assert grid.row(f"cep_{s}")[i] == value
+            assert grid.row(f"cep_{s}")[0, i] == value
     for target in grid.targets:
         res = psem.interval_for(grid, target)
         ref, p_lo, p_hi = full_cov_reference(w, cfg, target)
@@ -532,13 +532,13 @@ def test_contrast_variances_match_the_matmul_form(k, p, contrast, seed):
 
 def split_replicates(grid):
     """Each replicate of a batched sweep as the one-dataset sweep of its data
-    alone: the reference for the batched interval step."""
-    out = [SweepResult(grid.config, grid.targets, grid.cells, v, {})
+    alone, a batch of one: the reference for the batched interval step."""
+    out = [SweepResult(grid.config, grid.targets, grid.cells, v[:, None], {}, single=True)
            for v in grid.values.swapaxes(0, 1)]
     for (b, g), e in grid.errors.items():
-        out[b].errors[g] = e
+        out[b].errors[0, g] = e
     for (b, g), c in grid.ceps.items():
-        out[b].ceps[g] = c
+        out[b].ceps[0, g] = c
     return out
 
 
@@ -666,18 +666,17 @@ def test_sweeping_regions_together_changes_no_bit(scenario, contrast, regions, g
 
 
 def interval_from_scratch(grid, target, b):
-    """Replicate ``b``'s (None: the one dataset's) interval of ``target``: the
-    first least and greatest estimates over the points that did not fail, their
+    """Replicate ``b``'s (0 for one dataset) interval of ``target``: the first
+    least and greatest estimates over the points that did not fail, their
     fits' SEs and one scalar ``eui`` call; with every point failed, None."""
-    keys = [g if b is None else (b, g) for g in range(len(grid.cells))]
-    row = (grid.row(target) if b is None else grid.row(target)[b]).tolist()
-    good = [g for g, k in enumerate(keys) if k not in grid.errors]
+    row = grid.row(target)[b].tolist()
+    good = [g for g in range(len(grid.cells)) if (b, g) not in grid.errors]
     if not good:
         return None
     lo = min(good, key=lambda g: (row[g], g))
     hi = max(good, key=lambda g: (row[g], -g))
-    res = psem.eui(row[lo], grid.ceps[keys[lo]].get(target)[1],
-                   row[hi], grid.ceps[keys[hi]].get(target)[1], grid.config.alpha, target)
+    res = psem.eui(row[lo], grid.ceps[b, lo].get(target)[1],
+                   row[hi], grid.ceps[b, hi].get(target)[1], grid.config.alpha, target)
     return res, grid.point(lo), grid.point(hi)
 
 
@@ -707,17 +706,17 @@ def test_intervals_is_interval_for_of_every_target(scenario, contrast, regions, 
         assert [result_bits(together[t]) for t in grid.targets] == [a[:-1] for a in alone]
         assert [str(m.message) for m in caught] == [m for a in alone for m in a[-1]]
         for target, res in together.items():
-            for b in [None] if not batched else range(len(grid.values[0])):
+            for b in range(len(grid.values[0])):
                 want = interval_from_scratch(grid, target, b)
-                got = [np.ravel(getattr(res, f))[b or 0] for f in INTERVAL_FLOATS] + [
-                    np.ravel(res.eui[0])[b or 0], np.ravel(res.eui[1])[b or 0]]
+                got = [np.ravel(getattr(res, f))[b] for f in INTERVAL_FLOATS] + [
+                    np.ravel(res.eui[0])[b], np.ravel(res.eui[1])[b]]
                 if want is None:
-                    assert b is not None and np.isnan(got).all()
+                    assert batched and np.isnan(got).all()
                     continue
                 ref, lower, upper = want
                 assert (np.array(got).tobytes() == np.array(
                     [getattr(ref, f) for f in INTERVAL_FLOATS] + list(ref.eui)).tobytes())
-                if b is None:
+                if not batched:
                     assert (res.point_lower, res.point_upper) == (lower, upper)
                     assert res.degenerate is ref.degenerate
 
@@ -781,7 +780,15 @@ def test_every_fit_of_a_one_dataset_sweep_holds_its_fit():
         assert c.fit.theta.tobytes() == est.theta.tobytes()
         assert c.fit.cov.tobytes() == est.cov.tobytes()
         assert cep_bits(psem.cep(c.fit, Contrast.VE)) == cep_bits(c)
-    assert all(c.fit is None for c in psem.sweep(demo_weighted(True), config).ceps.values())
+    # and each batched fit is the fit of its replicate's own table, its n included
+    batch = demo_weighted(True)
+    code = tables.cell_code(batch.cells.z, batch.cells.yt, batch.cells.s, batch.cells.y)
+    for (b, _), c in psem.sweep(batch, config).ceps.items():
+        own = fit_missingness(from_counts(batch.cells.count[b], code), batch.model)
+        est = psem.fit_scenario(own, c.sensitivity)
+        assert (c.fit.sensitivity, c.fit.names, c.fit.n) == (est.sensitivity, est.names, est.n)
+        assert c.fit.theta.tobytes() == est.theta.tobytes()
+        assert c.fit.cov.tobytes() == est.cov.tobytes()
 
 
 def test_an_all_failed_region_raises_as_if_swept_alone():

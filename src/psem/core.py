@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError, PsemError)
-from .mathutil import Checks, expit, fisher_exact_two_sided, solve_logit_mixture
+from .mathutil import Checks, fisher_exact_two_sided, solve_logit_mixture
 from .tables import S_NEG, S_POS, S_UNDEF, summarize
 from .weights import WeightedRecords, fit_missingness
 
@@ -165,8 +165,8 @@ class _Dual:
 
 
 def _expit(x: _Dual) -> _Dual:
-    """mathutil.expit on duals: d expit = e (1 - e) dx, overflow-free on arrays."""
-    e = expit(x.v) if np.ndim(x.v) == 0 else np.exp(-np.logaddexp(0.0, -x.v))
+    """mathutil.expit on duals: d expit = e (1 - e) dx, overflow-free."""
+    e = np.exp(-np.logaddexp(0.0, -x.v))
     return _Dual(e, x.g * _col(e * (1.0 - e)))
 
 
@@ -174,13 +174,13 @@ class _Stack:
     """Named estimating-function rows over the dataset cells.
 
     Rows are either per-cell functions (length-ncells arrays) or
-    deterministic constraints (scalars, zero at the solution). Solutions
-    are computed blockwise by the scenario builders: scalars before the
-    first mixture solve, then one value per Gamma point (a scalar at one
-    point), failing elementwise through ``checks``; batched cells (counts
-    (B, ncells)) give every value a leading (B, 1). This class assembles the
-    sandwich at one point per replicate, rows and exact Jacobian in one pass,
-    and checks the stacked residual. With counts c_i, n = sum_i c_i, rows psi_i:
+    deterministic constraints (zero at the solution). Counts are (B, ncells),
+    one dataset's (ncells,) read as the batch of one. Solutions are computed
+    blockwise by the scenario builders: (B, 1) before the first mixture
+    solve, then (B, G) over the Gamma points, failing elementwise through
+    ``checks``. This class assembles the sandwich at one point per replicate,
+    rows and exact Jacobian in one pass, and checks the stacked residual.
+    With counts c_i, n = sum_i c_i, rows psi_i:
 
         A = d/dtheta (1/n) sum_i c_i psi_i,   B = (1/n) sum_i c_i psi_i psi_i^T,
         cov(theta_hat) = A^{-1} B A^{-T} / n.
@@ -191,11 +191,11 @@ class _Stack:
     """
 
     def __init__(self, cells):
-        self.cells = cells
+        self.cells = replace(cells, count=cells.count.reshape(-1, cells.count.shape[-1]))
         self.names: list[str] = []
         self.fns: list[Callable] = []
-        self.sol: dict[str, float | np.ndarray] = {}
-        self.checks = Checks((*cells.count.shape[:-1], 1) if cells.count.ndim > 1 else None)
+        self.sol: dict[str, np.ndarray] = {}
+        self.checks = Checks((len(self.cells.count), 1))
 
     def add(self, name: str, value, fn: Callable) -> None:
         if name in self.sol:
@@ -205,26 +205,24 @@ class _Stack:
         self.sol[name] = value
 
     def copy(self, rows=None) -> "_Stack":
-        """A copy to solve on; with ``rows``, of those replicates, one dataset
-        a batch of one: counts (ncells,) read as (1, ncells), scalars as (1, 1)."""
+        """A copy to solve on; with ``rows``, of those replicates."""
         new, old = _Stack(self.cells if rows is None else replace(
-            self.cells, count=np.atleast_2d(self.cells.count)[rows])), self.checks.failed
+            self.cells, count=self.cells.count[rows])), self.checks.failed
         new.names, new.fns = list(self.names), list(self.fns)
-        new.sol = {k: v if rows is None else np.reshape(v, (-1, 1))[rows]
-                   for k, v in self.sol.items()}
+        new.sol = {k: v if rows is None else v[rows] for k, v in self.sol.items()}
         new.checks.failed.update(old if rows is None else
                                  {k: old[b] for k, b in enumerate(rows) if b in old})
         return new
 
     def theta(self) -> np.ndarray:
-        """Solved values, shape (p, *checks.shape): (p,) at one point."""
-        out = np.empty((len(self.names), *(self.checks.shape or ())))
+        """Solved values, shape (p, *checks.shape): (p, B, G)."""
+        out = np.empty((len(self.names), *self.checks.shape))
         for j, name in enumerate(self.names):
             out[j] = self.sol[name]
         return out
 
     def sandwich(self) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, cov): (p,) and (p, p), or (p, B, 1) and (B, 1, p, p) batched."""
+        """(theta, cov) at one point per replicate: (p, B, 1) and (B, 1, p, p)."""
         count = self.cells.count
         c = count[..., None, :]
         n = c.sum(axis=-1, keepdims=True)
@@ -263,12 +261,12 @@ class _Stack:
 
 
 def _mean(st: "_Stack", name: str, sel, resp, what: str):
-    """Weighted mean ``name`` of resp over the cells ((B, 1) if batched),
-    selection weights sel >= 0. Adds its row sel * (resp - theta); returns it."""
+    """Weighted mean ``name`` of resp over the cells, (B, 1), selection
+    weights sel >= 0. Adds its row sel * (resp - theta); returns it."""
     count = st.cells.count
-    denom = np.sum(count * sel, axis=-1, keepdims=count.ndim > 1)
+    denom = np.sum(count * sel, axis=-1, keepdims=True)
     st.checks(denom <= 0.0, EstimationError, lambda: f"empty stratum: no observations for {what}")
-    value = np.sum(count * sel * resp, axis=-1, keepdims=count.ndim > 1) / denom
+    value = np.sum(count * sel * resp, axis=-1, keepdims=True) / denom
     st.add(name, value, lambda d: sel * (resp - d[name]))
     return value
 
@@ -387,7 +385,7 @@ def _opening(weighted: WeightedRecords, build: Callable, rows=None):
     The block is solved once per dataset and cached on ``weighted``, so every
     fit of that dataset, point-only or with covariance, continues from the
     same solved rows and a grid point pays only for its mixture solves. A
-    block that raises is not cached: each fit raises it again.
+    block that fails is cached with its failures, which every fit inherits.
     """
     blocks = weighted.fit_blocks
     if build not in blocks:
@@ -413,6 +411,16 @@ def _finalize(st: "_Stack", with_cov: bool, report: list[str] | None = None):
     idx = [st.names.index(nm) for nm in report]
     sub = cov[(..., *np.ix_(idx, idx))] if cov is not None else None
     return tuple(report), theta[idx], sub
+
+
+def _one(st: "_Stack", with_cov: bool = True, report: list[str] | None = None):
+    """``_finalize`` of a stack of one dataset at one point, read as (names,
+    theta (p,), cov (p, p) or None). Its callers run under np.errstate(all=
+    "ignore"): a failed element computes on, and its first failure raises here."""
+    names, theta, cov = _finalize(st, with_cov, report)
+    if st.checks.failed:
+        raise st.checks.failed[0]
+    return names, theta[:, 0, 0], None if cov is None else cov[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +531,12 @@ def target_map(scenario: Scenario, names: tuple[str, ...], contrast: Contrast,
     """h(theta) = every target of ``scenario.targets``: CEP(s) =
     contrast(risk_1(s), risk_0(s)) per stratum s, then mu = CEP(1,0) -
     CEP(0,0) (the strata open with "00", "10"). theta is indexed by
-    ``names``, with shape (p,) at one point or (p, G) over a grid;
-    ``checks`` as in Contrast.apply."""
+    ``names``, with shape (p, *lead): one value of each target per element of
+    lead; ``checks`` as in Contrast.apply."""
     idx = [(names.index(f"risk1_{s}"), names.index(f"risk0_{s}")) for s in scenario.strata]
     checks = checks or Checks()
 
     def h(t):
-        t = t.tolist() if t.ndim == 1 else t    # Python floats: same values, faster
         v = [contrast.apply(t[i1], t[i0], checks) for i1, i0 in idx]
         return np.array([*v, v[1] - v[0]])
 
@@ -547,8 +554,8 @@ def cep(estimates: RiskEstimates, contrast: Contrast | str) -> CepResult:
         contrast = Contrast(contrast.lower())
     if estimates.cov is None:
         raise EstimationError("contrast errors need a fit with covariance")
-    return _ceps(estimates.scenario, estimates.names, estimates.theta, estimates.cov,
-                 contrast, [estimates.sensitivity])[0]
+    return _ceps(estimates.scenario, estimates.names, estimates.theta[:, None],
+                 estimates.cov[None], contrast, [estimates.sensitivity])[0]
 
 
 def _ceps(scenario: Scenario, names: tuple[str, ...], theta, cov, contrast: Contrast,
@@ -576,6 +583,7 @@ def _ceps(scenario: Scenario, names: tuple[str, ...], theta, cov, contrast: Cont
 # identified quantities
 
 
+@np.errstate(all="ignore")
 def estimate_identified(weighted: WeightedRecords,
                         scenario: Scenario) -> RiskEstimates:
     """Nonparametrically identified pieces under equal early clinical risk:
@@ -587,8 +595,7 @@ def estimate_identified(weighted: WeightedRecords,
     if scenario is Scenario.A:
         _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
     _p10(st, tuple(f"p{s}" for s in scenario.strata if s != "10"))
-    return RiskEstimates(scenario, SensitivityPoint(scenario),
-                         *_finalize(st, True), st.cells.n)
+    return RiskEstimates(scenario, SensitivityPoint(scenario), *_one(st), st.cells.n)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +644,7 @@ def _cell_s_values(cells, s_definition):
     return s_vals, m_vals
 
 
+@np.errstate(all="ignore")
 def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
                    direction: Direction = Direction.STANDARD_MONOTONE,
                    ordering_label: str = "the survivor ordering") -> SaceFit:
@@ -662,9 +670,9 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
     lo, hi = _sace_margins(st, _features(cells), s_vals, m_vals, direction,
                            ("pS1", "pS0", q, direct), ordering_label)
     alpha, _ = _selection(st, "alpha", out, lo, hi, q, beta)
-    _, _, cov = _finalize(st, True, ("p11t", "p11c"))
-    return SaceFit(p11_treated=st.sol["p11t"], p11_control=st.sol["p11c"],
-                   cov=cov, alpha=alpha)
+    _, (p11t, p11c), cov = _one(st, True, ("p11t", "p11c"))
+    return SaceFit(p11_treated=float(p11t), p11_control=float(p11c), cov=cov,
+                   alpha=float(alpha[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +875,15 @@ _LEGAL_KEYS = {scenario: frozenset(row.keys) for scenario, row in _SCENARIOS.ite
 
 
 def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
-           checks: Checks, rows=None) -> tuple[_Stack, list[str] | None]:
+           rows=None) -> tuple[_Stack, list[str] | None]:
     """The cached opening block of ``scenario`` (of the replicates ``rows``),
-    then its solve at the Gamma points ``beta``, failing elementwise through
-    ``checks``. Returns the stack and the reported names."""
+    then its solve at the G Gamma points ``beta`` (key -> (..., G) array),
+    failing elementwise through the stack's (B, G) checks. Returns the stack
+    and the reported names."""
     row = _SCENARIOS[scenario]
     st, selectors = _opening(weighted, row.opening, rows)
-    g = checks.shape[-1] if checks.shape else 0     # a beta-free failure fails all b's points
+    g = next(iter(beta.values())).shape[-1]     # a beta-free failure fails all b's points
+    checks = Checks((len(st.cells.count), g))
     checks.failed.update({b * g + j: e for b, e in st.checks.failed.items() for j in range(g)})
     st.checks = checks
     with np.errstate(all="ignore"):
@@ -881,38 +891,31 @@ def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
     return st, row.report
 
 
-def _fit(weighted: WeightedRecords, points: list[SensitivityPoint], rows, with_cov: bool):
-    """(names, theta (p, k, 1), cov (k, 1, p, p) or None, checks) of the stacked
-    fit at each of the ``points``, the point k on replicate ``rows[k]``."""
+def _fit(weighted: WeightedRecords, points: list[SensitivityPoint], rows):
+    """``_solve`` at each of the ``points``, the point k on replicate ``rows[k]``."""
     beta = {k: np.array([[p.get(k)] for p in points]) for k in points[0].scenario.sensitivity_keys}
-    checks = Checks((len(points), 1))
-    st, report = _solve(weighted, points[0].scenario, beta, checks, rows)
-    with np.errstate(all="ignore"):
-        return *_finalize(st, with_cov, report), checks
+    return _solve(weighted, points[0].scenario, beta, rows)
 
 
+@np.errstate(all="ignore")
 def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
                  with_cov: bool = True) -> RiskEstimates:
     """Fit the scenario of one dataset at the sensitivity values of ``point``:
     the ``fit_ceps`` fit read as a batch of one. Its first failure raises."""
-    names, theta, cov, checks = _fit(weighted, [point], [0], with_cov)
-    if checks.failed:
-        raise checks.failed[0]
-    return RiskEstimates(point.scenario, point, names, theta[:, 0, 0],
-                         None if cov is None else cov[0, 0], weighted.n)
+    st, report = _fit(weighted, [point], [0])
+    return RiskEstimates(point.scenario, point, *_one(st, with_cov, report), weighted.n)
 
 
 def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
                 contrast: Contrast) -> tuple[np.ndarray, dict[int, PsemError]]:
     """Every target of ``scenario`` (rows as in ``target_map``) at the G Gamma
-    points ``beta`` (key -> length-G array) in one pass, (T, G) or (T, B, G)
-    batched, and each failed point's first failure by flat index; its values are
-    meaningless."""
-    checks = Checks((*weighted.cells.count.shape[:-1], len(next(iter(beta.values())))))
-    st, report = _solve(weighted, scenario, beta, checks)
+    points ``beta`` (key -> length-G array) in one pass, (T, B, G) with B = 1
+    for one dataset, and each failed point's first failure by flat index; its
+    values are meaningless."""
+    st, report = _solve(weighted, scenario, beta)
     names, theta, _ = _finalize(st, False, report)
     with np.errstate(all="ignore"):
-        return target_map(scenario, names, contrast, checks)(theta), checks.failed
+        return target_map(scenario, names, contrast, st.checks)(theta), st.checks.failed
 
 
 def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
@@ -921,19 +924,20 @@ def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
     (``_fit``; rows are 0 for one dataset) and each failed fit's first failure
     by its index in ``points``. Each result reads its fit on demand
     (``CepResult.fit``). No fit's numbers depend on the fits beside it."""
-    names, theta, cov, checks = _fit(weighted, points, rows, True)
+    st, report = _fit(weighted, points, rows)
     with np.errstate(all="ignore"):
-        ceps = _ceps(points[0].scenario, names, theta, cov, contrast, points, checks)
-    count = np.atleast_2d(weighted.cells.count)[rows]
+        names, theta, cov = _finalize(st, True, report)
+        ceps = _ceps(points[0].scenario, names, theta, cov, contrast, points, st.checks)
     for j, c in enumerate(ceps):
-        c.stacked = (names, theta, cov, count, j)
-    return ceps, checks.failed
+        c.stacked = (names, theta, cov, st.cells.count, j)
+    return ceps, st.checks.failed
 
 
 # ---------------------------------------------------------------------------
 # mean-shift alternative (Chiba and VanderWeele, 2011, adapted)
 
 
+@np.errstate(all="ignore")
 def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
                    scenario: Scenario = Scenario.B) -> CepResult:
     """Additive-contrast fit under mean-shift sensitivity parameters.
@@ -968,8 +972,7 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
     for z in (1, 0):
         _remainder(st, z, others, "mean-shift mixture identity")
 
-    est = RiskEstimates(scenario, SensitivityPoint(scenario),
-                        *_finalize(st, True, report), st.cells.n)
+    est = RiskEstimates(scenario, SensitivityPoint(scenario), *_one(st, True, report), st.cells.n)
     return cep(est, Contrast.ADDITIVE)
 
 

@@ -79,18 +79,11 @@ class Checks:
             self.failed.setdefault(int(i), exc)
 
 
-def _where(cond, x, y):
-    """np.where(cond, x, y), without its array round trip for a scalar cond."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, x, y)
-    return x if cond else y
-
-
 def _mixture_root(t, w, k, sqrt_disc):
     """The root in (0, 1) of A x^2 + B x - t with A = (1 - w) k and
     B = 1 + k (w - t), in the form free of cancellation."""
     a, b = (1.0 - w) * k, 1.0 + k * (w - t)
-    return _where(b >= 0.0, 2.0 * t / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * a))
+    return np.where(b >= 0.0, 2.0 * t / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * a))
 
 
 _LOGIT_BOUND = 45.0
@@ -128,21 +121,21 @@ def solve_logit_mixture(target, w1, delta, checks: Checks | None = None):
         # nonnegative terms where its k >= 0: take each from that problem.
         d, dc = (np.sqrt(np.square(kk * (w - tt) - 1.0) + 4.0 * kk * w * (1.0 - tt))
                  for kk, tt in ((k, t), (kc, 1.0 - t)))
-        p2 = _mixture_root(t, w, k, _where(k >= 0.0, d, eb * dc))
-        q2 = _mixture_root(1.0 - t, w, kc, _where(k >= 0.0, d / eb, dc))
+        p2 = _mixture_root(t, w, k, np.where(k >= 0.0, d, eb * dc))
+        q2 = _mixture_root(1.0 - t, w, kc, np.where(k >= 0.0, d / eb, dc))
         # each root is accurate relative to itself: keep the smaller one
         near_one = p2 > q2
-        p2, q2 = _where(near_one, 1.0 - q2, p2), _where(near_one, q2, 1.0 - p2)
+        p2, q2 = np.where(near_one, 1.0 - q2, p2), np.where(near_one, q2, 1.0 - p2)
         exact = edge | (w == 0.0)
-        p2, q2 = _where(exact, t, p2), _where(exact, 1.0 - t, q2)
-        p1 = _where(w == 1.0, t, eb * p2 / (q2 + eb * p2))
+        p2, q2 = np.where(exact, t, p2), np.where(exact, 1.0 - t, q2)
+        p1 = np.where(w == 1.0, t, eb * p2 / (q2 + eb * p2))
     # logit(p2) = log(p2 / q2) is in [-45, 45] iff neither is below expit(-45)
     inside = (p2 >= _EXPIT_LOW) & (q2 >= _EXPIT_LOW) & np.isfinite(p1)
     checks(~(inside | edge | (w == 0.0) | (w == 1.0) | (k == 0.0)),
            IncompatibleSensitivityError,
            lambda: f"no sign change of the constraint on [{-_LOGIT_BOUND}, "
            f"{_LOGIT_BOUND}]; sensitivity parameters are incompatible with the data")
-    return p1, p2
+    return p1[()], p2[()]
 
 
 def _log_comb(n: int, k: int) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,10 +180,7 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     if unknown := [t for t in targets if t not in names]:
         raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
                           f"{scenario.value}; targets: {list(names)}")
-    single = weighted.cells.count.ndim == 1
-    if single:      # counts (ncells,) read as (1, ncells) from here on
-        weighted = replace(weighted, cells=replace(weighted.cells,
-                                                   count=weighted.cells.count[None]))
+    single = weighted.cells.count.ndim == 1     # swept as the batch of one
     grids = [c.grid() for c in configs]
     results: list[SweepResult] = []
     for run in _point_passes([len(g) for g in grids]):

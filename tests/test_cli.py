@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -299,6 +300,25 @@ def demo_config(tmp_path, demo_csv, out):
                    f"[sensitivity]\nscales = 0, 0.5, 1\ngrid_points = 21\ncontrast = ve\n"
                    f"[output]\ndir = {out}\n", encoding="utf-8")
     return cfg
+
+
+# SHA-256 of the demo analysis' outputs, results.json with its data path
+# written as "demo.csv": a change of any reported bit changes them
+DEMO_SHA256 = {
+    "intervals.csv": "9e8405d97823f0b9ee7d141f2f532d9ad1c850dbc7112d9abe9b2e07d389a30a",
+    "results.json": "a3a86ff218f949dd6097d78ad7f45b2a50b94a60d90334c8bc6857375ead10ce",
+}
+
+
+def test_analyze_demo_outputs_are_pinned(tmp_path, demo_csv):
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(demo_config(tmp_path, demo_csv, out))]) == 0
+    path = f'"path": "{demo_csv}"'.encode()
+    results = (out / "results.json").read_bytes()
+    assert results.count(path) == 1
+    outputs = {"intervals.csv": (out / "intervals.csv").read_bytes(),
+               "results.json": results.replace(path, b'"path": "demo.csv"')}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == DEMO_SHA256
 
 
 def test_analyze_sweeps_its_regions_in_one_point_pass(tmp_path, worked_csv, monkeypatch):

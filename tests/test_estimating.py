@@ -3,13 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psem
 from psem import core, demo, tables
 from psem.core import Scenario, SensitivityPoint, delta_method
-from psem.errors import EstimationError, PsemError
+from psem.errors import EstimationError, OrderingError, PsemError
 from psem.mathutil import expit
 from psem.weights import WeightModel
 
@@ -44,7 +44,7 @@ def test_identified_subgroup_mean_se_is_closed_form():
 
 def _mean_stack(cells, scale=1.0):
     """A stack of one row, scale * (y - m), solved at the mean m of y over
-    ``cells``, batched or not."""
+    ``cells``, batched or not (one dataset is the batch of one)."""
     st = core._Stack(cells)
     y = st.cells.y.astype(float)
     core._mean(st, "m", 1.0, y, "every cell")
@@ -54,9 +54,11 @@ def _mean_stack(cells, scale=1.0):
 
 def test_stacked_residual_check_fails_a_nan_solution():
     st = _mean_stack(tables.from_arrays([0] * 8, [0] * 8, [0] * 8, [0] * 3 + [1] * 5))
-    st.sol["m"] = np.float64("nan")
-    with pytest.raises(EstimationError, match="stacked residual nan exceeds tolerance"):
-        st.sandwich()
+    st.sol["m"][0] = np.nan
+    st.sandwich()       # the stack records its failure; it does not raise
+    assert list(st.checks.failed) == [0]
+    assert isinstance(st.checks.failed[0], EstimationError)
+    assert "stacked residual nan exceeds tolerance" in str(st.checks.failed[0])
 
 
 def test_batched_sandwich_fails_each_replicate_alone():
@@ -73,9 +75,10 @@ def test_batched_sandwich_fails_each_replicate_alone():
     one = _mean_stack(tables.from_counts(count[0]))
     theta0, cov0 = one.sandwich()
     assert theta.shape == (1, 3, 1) and cov.shape == (3, 1, 1, 1)
-    assert np.array_equal(theta[:, 0, 0], theta0)
-    assert cov[0, 0] == pytest.approx(cov0, rel=1e-15)
-    assert cov0[0, 0] == pytest.approx(5 / 8 * 3 / 8 / 8, rel=1e-14)
+    assert theta0.shape == (1, 1, 1) and cov0.shape == (1, 1, 1, 1)
+    assert np.array_equal(theta[:, 0, 0], theta0[:, 0, 0])
+    assert cov[0, 0] == pytest.approx(cov0[0, 0], rel=1e-15)
+    assert cov0[0, 0, 0, 0] == pytest.approx(5 / 8 * 3 / 8 / 8, rel=1e-14)
 
 
 def test_batched_sandwich_skips_replicates_that_already_failed():
@@ -91,8 +94,8 @@ def test_batched_sandwich_skips_replicates_that_already_failed():
     assert str(st.checks.failed[2]) == "empty stratum: no observations for every cell"
     for b in (0, 3):
         theta_b, cov_b = _mean_stack(tables.from_counts(count[b])).sandwich()
-        assert np.array_equal(theta[:, b, 0], theta_b)
-        assert cov[b, 0] == pytest.approx(cov_b, rel=1e-15)
+        assert np.array_equal(theta[:, b, 0], theta_b[:, 0, 0])
+        assert cov[b, 0] == pytest.approx(cov_b[0, 0], rel=1e-15)
 
 
 def test_bootstrap_sd_matches_the_sandwich_se():
@@ -115,6 +118,30 @@ def test_bootstrap_sd_matches_the_sandwich_se():
     assert 0 < len(failed) < 0.1 * 2000      # about 4%: risk1_10 leaves [0, 1]
     mu = np.delete(grid.row("mu")[:, 0], failed)
     assert 0.90 <= np.std(mu, ddof=1) / se <= 1.10
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=st.sampled_from([Scenario.B, Scenario.C_HARM]), seed=st.integers(0, 2**16))
+def test_selection_sace_at_beta_zero_is_each_arms_survivor_risk(scenario, seed):
+    """On the survival state at beta = 0, the always-stratum means are the
+    survivor risks of the two arms. ``selection_sace`` reaches the one arm's
+    through the selection solve and its array expit rows, so its values and
+    variances agree with ``estimate_identified``'s direct means to rounding."""
+    w = scenario_dataset(scenario, seed, 1500, 0.5)
+    est = psem.estimate_identified(w, Scenario.B)
+    fits = []
+    for direction in core.Direction:    # the one whose survival ordering holds
+        try:
+            fits.append(psem.selection_sace(w, lambda r: 1 - r.y_tau, 0.0, direction))
+        except OrderingError:
+            pass
+    assume(fits)
+    (fit,) = fits
+    assert type(fit.p11_treated) is float and type(fit.p11_control) is float
+    for k, (value, name) in enumerate(((fit.p11_treated, "risk1"), (fit.p11_control, "risk0"))):
+        assert abs(value - est.value(name)) <= 1e-15
+        i = est.index(name)
+        assert fit.cov[k, k] == pytest.approx(est.cov[i, i], rel=1e-14, abs=0.0)
 
 
 def _rows_at(st, theta):

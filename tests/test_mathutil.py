@@ -162,6 +162,8 @@ def test_closed_form_special_cases_are_exact(t):
     assert solve_logit_mixture(t, 1.0, 1.5)[0] == t
     assert solve_logit_mixture(0.0, 0.4, 1.5) == (0.0, 0.0)
     assert solve_logit_mixture(1.0, 0.4, 1.5) == (1.0, 1.0)
+    # scalar calls return numpy scalars, not 0-d arrays
+    assert all(type(p) is np.float64 for p in solve_logit_mixture(t, 0.4, 1.5))
 
 
 @pytest.mark.parametrize("args", [

@@ -791,6 +791,26 @@ def test_every_fit_of_a_one_dataset_sweep_holds_its_fit():
         assert c.fit.cov.tobytes() == est.cov.tobytes()
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_a_datasets_opening_block_is_solved_once(scenario, monkeypatch):
+    """``fit_scenario`` and each later sweep of one dataset continue from the
+    one cached opening block of its scenario."""
+    row = core._SCENARIOS[scenario]
+    calls = []
+
+    def opening(weighted):
+        calls.append(weighted)
+        return row.opening(weighted)
+
+    monkeypatch.setitem(core._SCENARIOS, scenario, row._replace(opening=opening))
+    w = scenario_dataset(scenario, 3, 1500, 0.5)
+    config = SensitivityConfig(scenario, symmetric_ranges(scenario, 0.5), 3)
+    psem.fit_scenario(w, SensitivityPoint(scenario))
+    psem.sweep(w, config)
+    psem.sweep(w, config)
+    assert [c is w for c in calls] == [True]
+
+
 def test_an_all_failed_region_raises_as_if_swept_alone():
     w = demo_weighted(False)
     failing = b_config(50.0, 60.0, g=3)     # no mixture root at any point

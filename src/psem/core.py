@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError, PsemError)
-from .mathutil import Checks, fisher_exact_two_sided, solve_logit_mixture
+from .mathutil import Checks, fisher_exact_two_sided, fresh, solve_logit_mixture
 from .tables import S_NEG, S_POS, S_UNDEF, summarize
 from .weights import WeightedRecords, fit_missingness
 
@@ -416,10 +416,10 @@ def _finalize(st: "_Stack", with_cov: bool, report: list[str] | None = None):
 def _one(st: "_Stack", with_cov: bool = True, report: list[str] | None = None):
     """``_finalize`` of a stack of one dataset at one point, read as (names,
     theta (p,), cov (p, p) or None). Its callers run under np.errstate(all=
-    "ignore"): a failed element computes on, and its first failure raises here."""
+    "ignore"): a failed element computes on, and its first failure raises here, as a copy."""
     names, theta, cov = _finalize(st, with_cov, report)
     if st.checks.failed:
-        raise st.checks.failed[0]
+        raise fresh(st.checks.failed[0])
     return names, theta[:, 0, 0], None if cov is None else cov[0, 0]
 
 

@@ -2,14 +2,15 @@
 
 Contains the logistic function, a normal CDF built on the stdlib complementary
 error function (absolute error well below 1e-12, no external dependency),
-memoized quantiles by bisection, elementwise checks over array
-computations, the closed-form two-component logit-offset mixture solve
-used by all selection-bias models, and a two-sided Fisher exact test by
-hypergeometric enumeration.
+memoized quantiles by bisection, elementwise checks over array computations
+with the copy (``fresh``) by which a stored failure raises, the closed-form
+two-component logit-offset mixture solve used by all selection-bias models,
+and a two-sided Fisher exact test by hypergeometric enumeration.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from typing import Callable
@@ -56,8 +57,9 @@ class Checks:
     """Checks over the elements of an array computation.
 
     Without a ``shape`` (one point), a failed check raises at once. With
-    one, ``failed`` keeps each element's first failure by flat index and
-    the computation carries on; its caller reads ``failed`` afterwards.
+    one, ``failed`` keeps each element's first failure by flat index, built
+    once (later checks skip the element), and the computation carries on;
+    its caller reads ``failed`` afterwards.
     """
 
     def __init__(self, shape: tuple[int, ...] | None = None):
@@ -72,11 +74,18 @@ class Checks:
             return
         shape = np.shape(bad) if self.shape is None else self.shape
         cols = [np.broadcast_to(v, shape).reshape(-1) for v in values]
-        for i in np.flatnonzero(np.broadcast_to(bad, shape)):
-            exc = error(message(*(float(c[i]) for c in cols)))
-            if self.shape is None:
-                raise exc
-            self.failed.setdefault(int(i), exc)
+        for i in np.flatnonzero(np.broadcast_to(bad, shape)).tolist():
+            if i not in self.failed:
+                exc = error(message(*(float(c[i]) for c in cols)))
+                if self.shape is None:
+                    raise exc
+                self.failed[i] = exc
+
+
+def fresh(error: Exception) -> Exception:
+    """A copy of a stored failure to raise in its place: raised itself, it would
+    gather every raise's frames and take its context from the raising handler."""
+    return copy.copy(error)
 
 
 def _mixture_root(t, w, k, sqrt_disc):

@@ -200,12 +200,10 @@ def parse_row(layout, i: int, row: list[str]) -> ObservedRecord:
 
 
 def write_csv(records, path, schema: dict[str, str] | None = None) -> None:
-    """Write records in the same format load_csv reads (round-trip exact)."""
-    names = {**DEFAULT_SCHEMA, **(schema or {})}
+    """Write records in the same format load_csv reads with ``schema`` (round-trip exact)."""
     n_cov = max((len(r.w) for r in records), default=0)
     cov_cols = [f"{COVARIATE_PREFIX}{k + 1}" for k in range(n_cov)]
-    header = [names["id"], names["z"], names["y_tau"], names["marker"],
-              names["y"], names["measured"]] + cov_cols
+    header = [*columns(schema).values(), *cov_cols]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

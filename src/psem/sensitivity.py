@@ -35,9 +35,8 @@ import numpy as np
 # cep and fit_scenario stay bound here for bench/tracer.py to patch
 from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,  # noqa: F401
                    fit_ceps, fit_scenario, fit_targets)
-from . import errors as psem_errors
 from .errors import ConfigError, EstimationError, PsemError
-from .mathutil import bisect, norm_cdf, norm_quantile
+from .mathutil import bisect, fresh, norm_cdf, norm_quantile
 from .weights import WeightedRecords
 
 MAX_GRID_CELLS = 200_000
@@ -88,12 +87,6 @@ class SensitivityConfig:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _error_class(message: str) -> type[Exception]:
-    """The ``psem.errors`` class that an error of ``SweepResult.errors``
-    ("Class: text") names, or ``Exception`` for any other class."""
-    return getattr(psem_errors, message.split(": ", 1)[0], Exception)
-
-
 def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
     """The region [-scale, scale] on every legal parameter of ``scenario``;
     scale 0 is the no-selection-bias point (no ranges)."""
@@ -106,7 +99,7 @@ class SweepResult:
     """The sweep over the (G, K) Gamma points ``cells`` of B replicates.
     ``values`` (T, B, G) holds every target of the scenario, rows in
     ``scenario.targets`` order, at every point; ``errors`` each failed
-    point's first error by (b, g), where its value is meaningless; ``ceps``
+    point's exception by (b, g), where its value is meaningless; ``ceps``
     the fit with covariance at each point holding an extreme, by (b, g).
     ``single`` marks the sweep of one dataset (B = 1), whose intervals read
     as floats and raise or warn (see ``intervals``)."""
@@ -114,7 +107,7 @@ class SweepResult:
     targets: tuple[str, ...]
     cells: np.ndarray
     values: np.ndarray
-    errors: dict[tuple[int, int], str]
+    errors: dict[tuple[int, int], Exception]
     ceps: dict[tuple[int, int], CepResult] = field(default_factory=dict)
     single: bool = False
 
@@ -135,15 +128,15 @@ class SweepResult:
         return (np.where(ok, row, np.inf).argmin(axis=-1),
                 np.where(ok, row, -np.inf).argmax(axis=-1))
 
-    def first_errors(self) -> list[str | None]:
-        """Each replicate's first error, in grid order, or None. With every
+    def first_errors(self) -> list[Exception | None]:
+        """Each replicate's first exception, in grid order, or None. With every
         point failed it is the error the replicate's data raise when swept
-        alone: a one-point region's own error if a ``PsemError`` names it,
-        else ``EstimationError`` (``_ALL_FAILED`` and the first error)."""
+        alone: a one-point region's own error if a ``PsemError``, else an
+        ``EstimationError`` of ``_ALL_FAILED`` and that error's "Class: text"."""
         first = {b: e for (b, _), e in sorted(self.errors.items(), reverse=True)}  # least g last
-        return [first.get(b) if ok.any() or len(ok) == 1 and issubclass(
-            _error_class(first[b]), PsemError) else f"EstimationError: {_ALL_FAILED}{first[b]}"
-            for b, ok in enumerate(self.ok())]
+        return [first.get(b) if ok.any() or len(ok) == 1 and isinstance(first[b], PsemError)
+                else EstimationError(f"{_ALL_FAILED}{type(first[b]).__name__}: {first[b]}")
+                for b, ok in enumerate(self.ok())]
 
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
@@ -167,7 +160,7 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     triple in one ``fit_ceps`` call; a point whose covariance fit fails is
     marked failed and the extremes are taken again over the remaining
     points. Nothing raises for batched data; for one dataset the first
-    region, in order, whose every point failed raises its
+    region, in order, whose every point failed raises a copy of its
     ``first_errors()`` error. No region's result depends on the regions
     swept with it.
     """
@@ -191,8 +184,8 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
         for r in run:
             stop = start + len(grids[r])
             results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop], {
-                (i // n, g - start): f"{type(e).__name__}: {e}"
-                for i, e in failed.items() if start <= (g := i % n) < stop}, single=single))
+                (i // n, g - start): e for i, e in failed.items() if start <= (g := i % n) < stop},
+                single=single))
             start = stop
     while pending := [(r, k) for r, res in enumerate(results) for k in _extremes(res)
                       if k not in res.ceps and k not in res.errors]:
@@ -201,13 +194,12 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
                                 contrast, [b for _, (b, _) in pending])
         for j, (r, k) in enumerate(pending):
             if j in failed:
-                results[r].errors[k] = f"{type(failed[j]).__name__}: {failed[j]}"
+                results[r].errors[k] = failed[j]
             else:
                 results[r].ceps[k] = ceps[j]
     for res in results:
         if single and not res.ok().any():
-            error = res.first_errors()[0]
-            raise _error_class(error)(error.split(": ", 1)[1])
+            raise fresh(res.first_errors()[0])
     return results
 
 
@@ -349,7 +341,7 @@ def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, Interva
     out[4:, :, fitted] = *res.eui, res.c_alpha
     warn = grid.single and grid.config.scenario is Scenario.B   # extremes must be on corners
     failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
-                       + f": {e})" for (_, i), e in sorted(grid.errors.items())
+                       + f": {type(e).__name__}: {e})" for (_, i), e in sorted(grid.errors.items())
                        if warn and corner[i])
     results = {}
     for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):

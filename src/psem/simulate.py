@@ -370,8 +370,8 @@ BLOCK, BLOCK_POINTS = 64, 64 * 21
 
 def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> tuple[list, np.ndarray]:
     """Draw the replicates ``reps`` of a study cell and sweep them in one pass: each
-    replicate's first error (None where no point failed), and a row per replicate of
-    the interval for mu (estimate_lower, se_lower, estimate_upper, se_upper, EUI)."""
+    replicate's first exception (None where no point failed), and a row per replicate
+    of the interval for mu (estimate_lower, se_lower, estimate_upper, se_upper, EUI)."""
     grid = sweep(fit_missingness(tables.from_counts(_cell_counts(draw, cell_id, reps)),
                                  WeightModel.design_known(draw.nu)), gamma, targets=("mu",))
     mu = interval_for(grid, "mu")
@@ -416,7 +416,7 @@ def _summarize_cell(cell, true_mu, errors, mus) -> StudyCellResult:
     ok = np.array([e is None for e in errors])
     if not ok.any():
         raise PsemError(f"every replicate failed in cell {cell}; first error: "
-                        f"{errors[0]}")
+                        f"{type(errors[0]).__name__}: {errors[0]}")
     mu_min, se_min, mu_max, se_max, lo, hi = mus[ok].T
     reject = ~((lo <= 0.0) & (0.0 <= hi))
     cover = (lo <= true_mu) & (true_mu <= hi)

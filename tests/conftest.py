@@ -33,6 +33,12 @@ def weighted_from_blocks(blocks, model=None):
     return fit_missingness(make_records(blocks), model)
 
 
+def error_text(error):
+    """An exception as "Class: text", the form ``psem``'s stderr line writes;
+    None stays None."""
+    return None if error is None else f"{type(error).__name__}: {error}"
+
+
 def fit(weighted, scenario, with_cov=True, **betas):
     """fit_scenario at the sensitivity point ``betas`` of ``scenario``."""
     return fit_scenario(weighted, SensitivityPoint(scenario, betas), with_cov)

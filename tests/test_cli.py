@@ -14,7 +14,7 @@ from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.demo import implied_subcohort_fraction, implied_weight_model, synthetic_trial
 from psem.records import write_csv
 
-from conftest import make_records
+from conftest import error_text, make_records
 
 
 @pytest.fixture
@@ -319,6 +319,43 @@ def test_analyze_demo_outputs_are_pinned(tmp_path, demo_csv):
     outputs = {"intervals.csv": (out / "intervals.csv").read_bytes(),
                "results.json": results.replace(path, b'"path": "demo.csv"')}
     assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == DEMO_SHA256
+
+
+# SHA-256 of the outputs of two small studies: design B at n = 40 and Gamma
+# scale 6, where 1 of 60 replicates fails, and design C on a 3-point grid
+STUDY_SHA256 = {
+    "B_n40_gamma6": (
+        "design = B\nn = 40\ndelta = 0.2\ngamma_scales = 6\nreplicates = 60\nseed = 1\n",
+        {"study.csv": "751dfae06cf98842e8d57ef533706e26d7d1f5013f397151e28b4ae4367ad8c6",
+         "study.json": "b2de18dbee112741b1287d4fa05572244249216cc633a71d4e69254f8e6d8689"}),
+    "C_n400_gamma05": (
+        "design = C\nn = 400\ndelta = 0.2\ngamma_scales = 0.5\ngrid_points = 3\n"
+        "replicates = 20\nseed = 1\n",
+        {"study.csv": "e91fdd5851d1258acd4d65a9edb48ff70ad9ae194691b0643bdf4279fe183847",
+         "study.json": "d35dbf470c9582af4d4ef5342caf4d58568ddd06b689ae8d623799de61cdb7ba"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_SHA256))
+def test_simulate_outputs_are_pinned(tmp_path, name):
+    study, want = STUDY_SHA256[name]
+    cfg, out = tmp_path / "study.ini", tmp_path / "out"
+    cfg.write_text(f"[study]\n{study}\n[output]\ndir = {out}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in want} == want
+
+
+def test_simulate_with_every_replicate_failed_exits_4(tmp_path, capsys):
+    cfg, out = tmp_path / "study.ini", tmp_path / "s"
+    cfg.write_text(f"[study]\ndesign = B\nn = 2\nreplicates = 20\nseed = 1\n"
+                   f"\n[output]\ndir = {out}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error[4] PsemError: every replicate failed in cell {'design': 'B', 'n': 2, ")
+    assert err[0].endswith(
+        "; first error: EstimationError: empty stratum: no observations for arm-0 survivors")
+    assert not out.exists()
 
 
 def test_analyze_sweeps_its_regions_in_one_point_pass(tmp_path, worked_csv, monkeypatch):
@@ -736,7 +773,7 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     points = [grid.point(i) for i in range(len(grid.cells))]
     bad = points.index(failed[0])
     assert bad in (0, 4)                   # mu is monotone in beta0
-    assert grid.errors[0, bad] == "EstimationError: injected"
+    assert error_text(grid.errors[0, bad]) == "EstimationError: injected"
     nxt = 1 if bad == 0 else 3
     with pytest.warns(RuntimeWarning, match="inside the sensitivity region") as rec:
         res = sensitivity.interval_for(grid, "mu")     # the corner check runs

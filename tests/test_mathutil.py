@@ -216,3 +216,27 @@ def test_checks_keep_each_elements_first_failure():
         Checks()(np.array([False, False, True, True]), EstimationError,
                  lambda v: f"first {v}", np.arange(4.0))
     Checks()(np.bool_(False), EstimationError, lambda: "never")
+
+
+def test_checks_format_each_elements_message_once():
+    # overlapping masks, some broadcast over the (3, 4) shape: each failed element's
+    # message is formatted once, by the first check that fails it, and that is the
+    # failure ``failed`` keeps
+    rng = np.random.default_rng(5)
+    shape, classes = (3, 4), [EstimationError, IncompatibleSensitivityError]
+    calls, want, flagged = [], {}, 0
+    checks = Checks(shape)
+    for k, mask_shape in enumerate([(3, 4), (3, 1), (1, 4), (3, 4), ()]):
+        bad, values = rng.random(mask_shape) < 0.5, rng.random(shape)
+
+        def message(v, k=k):
+            calls.append(k)
+            return f"check {k} at {v}"
+
+        checks(bad, classes[k % 2], message, values)
+        for i in np.flatnonzero(np.broadcast_to(bad, shape)).tolist():
+            want.setdefault(i, (classes[k % 2], f"check {k} at {float(values.flat[i])}"))
+            flagged += 1
+    assert flagged > len(want)      # the masks overlap
+    assert {i: (type(e), str(e)) for i, e in checks.failed.items()} == want
+    assert len(calls) == len(want)

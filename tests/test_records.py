@@ -129,6 +129,19 @@ def test_round_trip_exact(tmp_path):
     assert load_csv(path) == records
 
 
+def test_write_csv_checks_its_schema_as_load_csv_does(tmp_path):
+    records = make_records([(2, 1, 0, 1, 1), (1, 0, 0, None, 0)])
+    path = tmp_path / "out.csv"
+    schema = {"marker": "s", "measured": "sampled"}
+    write_csv(records, path, schema)
+    assert load_csv(path, schema) == records
+    for call in (lambda: write_csv(records, tmp_path / "bogus.csv", {"bogus": "q"}),
+                 lambda: load_csv(path, {"bogus": "q"})):
+        with pytest.raises(DataError, match=r"^unknown schema keys: \['bogus'\]$"):
+            call()
+    assert not (tmp_path / "bogus.csv").exists()
+
+
 def test_summarize_counts_demo_shape():
     from psem.demo import synthetic_trial
     summary = summarize(synthetic_trial())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import traceback
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, solve
 from psem.tables import from_counts
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import fit, random_cb_dataset, scenario_dataset
+from conftest import error_text, fit, random_cb_dataset, scenario_dataset
 
 
 def grid_points(cfg):
@@ -357,14 +358,14 @@ def test_sweep_cell_errors_are_the_point_fit_errors(name, contrast):
         point = grid.point(i)
         expected = point_outcome(w, point, contrast)
         if isinstance(expected, str):
-            assert grid.errors.get((0, i)) == expected
+            assert error_text(grid.errors.get((0, i))) == expected
             array_errors.append(expected)
         elif (0, i) not in grid.errors:
             assert grid.values[:, 0, i].tolist() == expected
         else:       # failed in the covariance fit at an extreme
             with pytest.raises(psem.PsemError) as info:
                 psem.cep(psem.fit_scenario(w, point), contrast)
-            assert grid.errors[0, i] == f"{type(info.value).__name__}: {info.value}"
+            assert error_text(grid.errors[0, i]) == error_text(info.value)
     assert any(message in e for e in array_errors)
     assert len(grid.errors) < len(grid.cells)
 
@@ -375,7 +376,7 @@ def test_ve_sweep_keeps_cells_with_tiny_control_risk():
     make, ranges, g, _ = FAILING_GRIDS["C_harm"]
     cfg = SensitivityConfig(Scenario.C_HARM, ranges, grid_points=g, contrast=Contrast.VE)
     grid = psem.sweep(make(), cfg)
-    errors = list(grid.errors.values())
+    errors = [error_text(e) for e in grid.errors.values()]
     assert len(grid.cells) - len(errors) == 20
     assert len(errors) == 5
     assert all(e.startswith("IncompatibleSensitivityError: no sign change") for e in errors)
@@ -571,7 +572,7 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
         try:
             swept.append(psem.sweep(fit_missingness(from_counts(c), model), cfg))
         except PsemError as exc:    # every point failed: the batch's first error
-            assert f"{type(exc).__name__}: {exc}" == grid.first_errors()[b]
+            assert f"{type(exc).__name__}: {exc}" == error_text(grid.first_errors()[b])
             swept.append(None)
     for target in grid.targets:
         batched = psem.interval_for(grid, target)      # no warning: filterwarnings = error
@@ -613,7 +614,7 @@ def demo_weighted(batched):
 def sweep_bits(grid):
     """A sweep's cells, values, errors and every field of its fits, comparable bit for bit."""
     return (grid.config, grid.targets, grid.cells.tobytes(), grid.values.shape,
-            grid.values.tobytes(), grid.errors,
+            grid.values.tobytes(), {k: error_text(e) for k, e in grid.errors.items()},
             {k: (cep_bits(c), c.contrast, c.sensitivity) for k, c in grid.ceps.items()})
 
 
@@ -746,7 +747,7 @@ def test_a_one_point_region_raises_its_points_own_error():
     # error its table raises when swept alone
     batch = fit_missingness(from_counts(np.stack([count, table.count]), code),
                             demo.implied_weight_model())
-    assert psem.sweep(batch, zero).first_errors() == [
+    assert [error_text(e) for e in psem.sweep(batch, zero).first_errors()] == [
         f"{type(want.value).__name__}: {want.value}", None]
 
 
@@ -766,7 +767,8 @@ def test_a_one_point_region_wraps_an_error_that_is_not_a_psem_error(monkeypatch)
     assert str(got.value) == f"{_ALL_FAILED}ValueError: {gradient}"
     # and a batched replicate's first error is the same
     batched = psem.sweep(demo_weighted(True), b_config(0.0, 0.0))
-    assert batched.first_errors() == [f"EstimationError: {got.value}", None, None]
+    assert [error_text(e) for e in batched.first_errors()] == [
+        f"EstimationError: {got.value}", None, None]
 
 
 def test_every_fit_of_a_one_dataset_sweep_holds_its_fit():
@@ -809,6 +811,27 @@ def test_a_datasets_opening_block_is_solved_once(scenario, monkeypatch):
     psem.sweep(w, config)
     psem.sweep(w, config)
     assert [c is w for c in calls] == [True]
+
+
+def test_a_cached_failure_raises_as_a_copy():
+    """The demo trial fails C_protect's cached opening block (A4''): each fit
+    and each one-point sweep of it raises a copy of that stored failure, so the
+    failure keeps no traceback or context of the calls that raised it."""
+    w = demo_weighted(False)
+    zero = SensitivityConfig(Scenario.C_PROTECT, {}, 3)
+    calls = [lambda: psem.fit_scenario(w, SensitivityPoint(Scenario.C_PROTECT))] * 4
+    depths = []
+    for call in calls + [lambda: psem.sweep(w, zero)] * 2:
+        try:
+            raise KeyError("unrelated")
+        except KeyError:
+            with pytest.raises(OrderingError) as info:
+                call()
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    stored = w.fit_blocks[core._SCENARIOS[Scenario.C_PROTECT].opening][0].checks.failed[0]
+    assert info.value is not stored and error_text(info.value) == error_text(stored)
+    assert stored.__traceback__ is None and stored.__context__ is None
+    assert depths[:4] == [depths[0]] * 4 and depths[4:] == [depths[4]] * 2
 
 
 def test_an_all_failed_region_raises_as_if_swept_alone():

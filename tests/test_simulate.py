@@ -18,7 +18,7 @@ from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _bits, _gen_ar
 from psem.tables import S_MISS, S_NEG, S_POS, S_UNDEF, from_arrays
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import fit
+from conftest import error_text, fit
 
 
 def mc_tol(p, n, k=3.5):
@@ -417,13 +417,26 @@ def test_study_seed_determinism():
 
 def test_study_thread_invariance():
     # 150 replicates are not a multiple of the block size, so the blocks
-    # differ in size and the workers split them unevenly
-    base = StudyConfig(design="B", n_values=(400,), deltas=(0.3,),
-                       gamma_scales=(0.0,), replicates=150, seed=7)
-    assert 150 % simulate.BLOCK
-    serial = run_study(base).as_table()
-    for threads in (2, 3):
-        assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
+    # differ in size and the workers split them unevenly; in the second
+    # study 1 of 60 replicates fails, so its exception crosses the pool
+    for base, failures in [
+            (StudyConfig(design="B", n_values=(400,), deltas=(0.3,),
+                         gamma_scales=(0.0,), replicates=150, seed=7), 0),
+            (StudyConfig("B", (40,), gamma_scales=(6.0,), replicates=60, seed=1), 1)]:
+        assert base.replicates % simulate.BLOCK
+        serial = run_study(base).as_table()
+        assert [row[7] for row in serial[1]] == [failures]     # the failures column
+        for threads in (2, 3):
+            assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
+
+
+def test_a_study_whose_every_replicate_fails_raises_the_first_error():
+    with pytest.raises(PsemError) as info:
+        run_study(StudyConfig("B", (2,), replicates=20, seed=1))
+    assert type(info.value) is PsemError
+    assert str(info.value).startswith("every replicate failed in cell ")
+    assert str(info.value).endswith(
+        "; first error: EstimationError: empty stratum: no observations for arm-0 survivors")
 
 
 def test_study_blocks_shrink_on_large_grids(monkeypatch):
@@ -464,11 +477,12 @@ def test_study_blocks_match_the_one_point_path(monkeypatch, config, failures):
                                    WeightModel.design_known(cell["nu"]))
         try:
             grid = sweep(weighted, gamma, targets=("mu",))
-            ref = grid.errors[min(grid.errors)] if grid.errors else interval_for(grid, "mu")
+            ref = (error_text(grid.errors[min(grid.errors)]) if grid.errors
+                   else interval_for(grid, "mu"))
         except PsemError as exc:
             ref = f"{type(exc).__name__}: {exc}"
         if isinstance(ref, str):    # the same failure, class and message
-            assert error == ref, rep
+            assert error_text(error) == ref, rep
             failed.add(rep)
             continue
         assert error is None, rep

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import functools
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__
@@ -54,8 +55,8 @@ def _to_json(obj, indent=0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_to_json(v, indent + 1)}' for k, v in obj.items())
+        items = ",\n".join(f"{pad}  {encode_basestring(str(k))}: {_to_json(v, indent + 1)}"
+                            for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -70,7 +71,7 @@ def _to_json(obj, indent=0) -> str:
         return _fmt(obj)
     if isinstance(obj, (int,)):
         return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return encode_basestring(str(obj))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -119,7 +120,7 @@ def _analysis_payload(cfg: AnalysisConfig, seed: int | None):
                              _fmt(res.c_alpha)])
         gamma_results.append({"gamma": label, "ranges": {
             k: list(v) for k, v in sens.ranges.items()},
-            "grid_failures": len(grid.errors),
+            "grid_failures": int((~grid.ok()).sum()),
             "intervals": by_target})
 
     payload = {

@@ -42,8 +42,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, EstimationError,
-                     IncompatibleSensitivityError, OrderingError, PsemError)
+from .errors import (ConfigError, DataError, EstimationError, IncompatibleSensitivityError,
+                     OrderingError)
 from .mathutil import Checks, fisher_exact_two_sided, fresh, solve_logit_mixture
 from .tables import S_NEG, S_POS, S_UNDEF, summarize
 from .weights import WeightedRecords, fit_missingness
@@ -206,17 +206,16 @@ class _Stack:
 
     def copy(self, rows=None) -> "_Stack":
         """A copy to solve on; with ``rows``, of those replicates."""
-        new, old = _Stack(self.cells if rows is None else replace(
-            self.cells, count=self.cells.count[rows])), self.checks.failed
+        new = _Stack(self.cells if rows is None else replace(
+            self.cells, count=self.cells.count[rows]))
         new.names, new.fns = list(self.names), list(self.fns)
         new.sol = {k: v if rows is None else v[rows] for k, v in self.sol.items()}
-        new.checks.failed.update(old if rows is None else
-                                 {k: old[b] for k, b in enumerate(rows) if b in old})
+        new.checks.failed = self.checks.failed.copy() if rows is None else self.checks.failed[rows]
         return new
 
     def theta(self) -> np.ndarray:
-        """Solved values, shape (p, *checks.shape): (p, B, G)."""
-        out = np.empty((len(self.names), *self.checks.shape))
+        """Solved values, shape (p, *checks.failed.shape): (p, B, G)."""
+        out = np.empty((len(self.names), *self.checks.failed.shape))
         for j, name in enumerate(self.names):
             out[j] = self.sol[name]
         return out
@@ -241,9 +240,8 @@ class _Stack:
         bread = bread / n
         dead = ~np.isfinite(bread).all((-2, -1), keepdims=True)
         self.checks(dead[..., 0], EstimationError, lambda: "the stacked fit's bread is not finite")
-        if self.checks.failed:      # failed replicates invert I: their NaN breads must not raise
-            dead.flat[list(self.checks.failed)] = True
-            bread = np.where(dead, np.eye(p), bread)
+        if not (ok := self.checks.ok()).all():     # a failed replicate inverts I, not its NaN bread
+            bread = np.where(ok[..., None], bread, np.eye(p))
         try:
             bread_inv = np.linalg.inv(bread)
         except np.linalg.LinAlgError:      # one replicate at a time: the singular fail alone
@@ -418,8 +416,8 @@ def _one(st: "_Stack", with_cov: bool = True, report: list[str] | None = None):
     theta (p,), cov (p, p) or None). Its callers run under np.errstate(all=
     "ignore"): a failed element computes on, and its first failure raises here, as a copy."""
     names, theta, cov = _finalize(st, with_cov, report)
-    if st.checks.failed:
-        raise fresh(st.checks.failed[0])
+    if (failed := st.checks.failed.flat[0]) is not None:
+        raise fresh(failed)
     return names, theta[:, 0, 0], None if cov is None else cov[0, 0]
 
 
@@ -883,9 +881,7 @@ def _solve(weighted: WeightedRecords, scenario: Scenario, beta: dict,
     row = _SCENARIOS[scenario]
     st, selectors = _opening(weighted, row.opening, rows)
     g = next(iter(beta.values())).shape[-1]     # a beta-free failure fails all b's points
-    checks = Checks((len(st.cells.count), g))
-    checks.failed.update({b * g + j: e for b, e in st.checks.failed.items() for j in range(g)})
-    st.checks = checks
+    st.checks.failed = np.broadcast_to(st.checks.failed, (len(st.cells.count), g)).copy()
     with np.errstate(all="ignore"):
         row.solve(st, selectors, beta)
     return st, row.report
@@ -907,11 +903,11 @@ def fit_scenario(weighted: WeightedRecords, point: SensitivityPoint,
 
 
 def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
-                contrast: Contrast) -> tuple[np.ndarray, dict[int, PsemError]]:
+                contrast: Contrast) -> tuple[np.ndarray, np.ndarray]:
     """Every target of ``scenario`` (rows as in ``target_map``) at the G Gamma
     points ``beta`` (key -> length-G array) in one pass, (T, B, G) with B = 1
-    for one dataset, and each failed point's first failure by flat index; its
-    values are meaningless."""
+    for one dataset, and each point's first failure, (B, G), None where the
+    point did not fail; a failed point's values are meaningless."""
     st, report = _solve(weighted, scenario, beta)
     names, theta, _ = _finalize(st, False, report)
     with np.errstate(all="ignore"):
@@ -919,10 +915,10 @@ def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
 
 
 def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
-             contrast: Contrast, rows) -> tuple[list[CepResult], dict[int, PsemError]]:
+             contrast: Contrast, rows) -> tuple[list[CepResult], np.ndarray]:
     """``cep(fit_scenario(...))`` at each of the ``points`` in one stacked fit
-    (``_fit``; rows are 0 for one dataset) and each failed fit's first failure
-    by its index in ``points``. Each result reads its fit on demand
+    (``_fit``; rows are 0 for one dataset) and each fit's first failure, (k,),
+    None where the fit did not fail. Each result reads its fit on demand
     (``CepResult.fit``). No fit's numbers depend on the fits beside it."""
     st, report = _fit(weighted, points, rows)
     with np.errstate(all="ignore"):
@@ -930,7 +926,7 @@ def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
         ceps = _ceps(points[0].scenario, names, theta, cov, contrast, points, st.checks)
     for j, c in enumerate(ceps):
         c.stacked = (names, theta, cov, st.cells.count, j)
-    return ceps, st.checks.failed
+    return ceps, st.checks.failed[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,17 @@ class Checks:
     """Checks over the elements of an array computation.
 
     Without a ``shape`` (one point), a failed check raises at once. With
-    one, ``failed`` keeps each element's first failure by flat index, built
-    once (later checks skip the element), and the computation carries on;
-    its caller reads ``failed`` afterwards.
+    one, the object array ``failed`` of that shape keeps each element's first
+    failure (else None), built once (later checks skip the element), and the
+    computation carries on; its caller reads ``failed`` afterwards.
     """
 
     def __init__(self, shape: tuple[int, ...] | None = None):
-        self.shape = shape
-        self.failed: dict[int, PsemError] = {}
+        self.failed = None if shape is None else np.full(shape, None, dtype=object)
+
+    def ok(self) -> np.ndarray:
+        """Which elements no check failed."""
+        return np.equal(self.failed, None)
 
     def __call__(self, bad, error: type[PsemError], message: Callable[..., str],
                  *values) -> None:
@@ -72,14 +75,14 @@ class Checks:
         ``error(message(*values))``, at that element's values."""
         if not (bad.any() if isinstance(bad, np.ndarray) else bad):
             return
-        shape = np.shape(bad) if self.shape is None else self.shape
-        cols = [np.broadcast_to(v, shape).reshape(-1) for v in values]
-        for i in np.flatnonzero(np.broadcast_to(bad, shape)).tolist():
-            if i not in self.failed:
-                exc = error(message(*(float(c[i]) for c in cols)))
-                if self.shape is None:
-                    raise exc
-                self.failed[i] = exc
+        shape = np.shape(bad) if self.failed is None else self.failed.shape
+        new = np.broadcast_to(bad, shape) & (self.failed is None or self.ok())
+        cols = [np.broadcast_to(v, shape)[new].tolist() for v in values]
+        for k, i in enumerate(np.flatnonzero(new).tolist()):
+            exc = error(message(*(float(c[k]) for c in cols)))
+            if self.failed is None:
+                raise exc
+            self.failed.flat[i] = exc
 
 
 def fresh(error: Exception) -> Exception:

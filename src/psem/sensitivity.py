@@ -98,8 +98,8 @@ def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
 class SweepResult:
     """The sweep over the (G, K) Gamma points ``cells`` of B replicates.
     ``values`` (T, B, G) holds every target of the scenario, rows in
-    ``scenario.targets`` order, at every point; ``errors`` each failed
-    point's exception by (b, g), where its value is meaningless; ``ceps``
+    ``scenario.targets`` order, at every point; ``failures`` (B, G) each
+    failed point's exception (its value is meaningless), else None; ``ceps``
     the fit with covariance at each point holding an extreme, by (b, g).
     ``single`` marks the sweep of one dataset (B = 1), whose intervals read
     as floats and raise or warn (see ``intervals``)."""
@@ -107,7 +107,7 @@ class SweepResult:
     targets: tuple[str, ...]
     cells: np.ndarray
     values: np.ndarray
-    errors: dict[tuple[int, int], Exception]
+    failures: np.ndarray
     ceps: dict[tuple[int, int], CepResult] = field(default_factory=dict)
     single: bool = False
 
@@ -116,9 +116,7 @@ class SweepResult:
 
     def ok(self) -> np.ndarray:
         """Which points did not fail, (B, G)."""
-        ok = np.ones(self.values.shape[1:], dtype=bool)
-        ok[tuple(np.array(list(self.errors), dtype=int).reshape(-1, 2).T)] = False
-        return ok
+        return np.equal(self.failures, None)
 
     def extremes(self, target: str, ok: np.ndarray | None = None):
         """First points, in grid order, holding the target's minimum and
@@ -133,10 +131,11 @@ class SweepResult:
         point failed it is the error the replicate's data raise when swept
         alone: a one-point region's own error if a ``PsemError``, else an
         ``EstimationError`` of ``_ALL_FAILED`` and that error's "Class: text"."""
-        first = {b: e for (b, _), e in sorted(self.errors.items(), reverse=True)}  # least g last
-        return [first.get(b) if ok.any() or len(ok) == 1 and isinstance(first[b], PsemError)
-                else EstimationError(f"{_ALL_FAILED}{type(first[b]).__name__}: {first[b]}")
-                for b, ok in enumerate(self.ok())]
+        ok = self.ok()
+        first = self.failures[np.arange(len(ok)), np.argmax(~ok, axis=1)]   # None if no failure
+        return [e if row.any() or len(row) == 1 and isinstance(e, PsemError)
+                else EstimationError(f"{_ALL_FAILED}{type(e).__name__}: {e}")
+                for e, row in zip(first.tolist(), ok)]
 
     def point(self, i: int) -> SensitivityPoint:
         return SensitivityPoint(self.config.scenario, dict(
@@ -154,8 +153,8 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     grids of at most ``MAX_GRID_CELLS`` points, or of one region.
     ``targets`` defaults to every CEP target of the scenario. Batched data
     (``tables.from_counts``) are swept each replicate as if alone, and one
-    dataset as the batch of one (``SweepResult.single``). Grid-point failures
-    are recorded by (b, g), with the error ``fit_scenario`` raises there.
+    dataset as the batch of one (``SweepResult.single``). Each grid point's
+    failure is recorded at (b, g), the error ``fit_scenario`` raises there.
     Each covariance pass fits every pending (region, replicate, extreme)
     triple in one ``fit_ceps`` call; a point whose covariance fit fails is
     marked failed and the extremes are taken again over the remaining
@@ -178,23 +177,21 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     results: list[SweepResult] = []
     for run in _point_passes([len(g) for g in grids]):
         cells = np.concatenate([grids[r] for r in run])
-        n = len(cells)
         values, failed = fit_targets(weighted, scenario, dict(zip(keys, cells.T)), contrast)
         start = 0
         for r in run:
             stop = start + len(grids[r])
-            results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop], {
-                (i // n, g - start): e for i, e in failed.items() if start <= (g := i % n) < stop},
-                single=single))
+            results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop],
+                                       failed[:, start:stop], single=single))
             start = stop
     while pending := [(r, k) for r, res in enumerate(results) for k in _extremes(res)
-                      if k not in res.ceps and k not in res.errors]:
+                      if k not in res.ceps and res.failures[k] is None]:
         points = {ri: results[ri[0]].point(ri[1]) for ri in {(r, i) for r, (_, i) in pending}}
         ceps, failed = fit_ceps(weighted, [points[r, i] for r, (_, i) in pending],
                                 contrast, [b for _, (b, _) in pending])
         for j, (r, k) in enumerate(pending):
-            if j in failed:
-                results[r].errors[k] = failed[j]
+            if failed[j] is not None:
+                results[r].failures[k] = failed[j]
             else:
                 results[r].ceps[k] = ceps[j]
     for res in results:
@@ -340,9 +337,9 @@ def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, Interva
     res = eui(*out[:4, :, fitted], grid.config.alpha)
     out[4:, :, fitted] = *res.eui, res.c_alpha
     warn = grid.single and grid.config.scenario is Scenario.B   # extremes must be on corners
+    at = np.flatnonzero(corner & ~ok[0] & warn).tolist()     # failed corners, if warned
     failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
-                       + f": {type(e).__name__}: {e})" for (_, i), e in sorted(grid.errors.items())
-                       if warn and corner[i])
+                       + f": {type(e).__name__}: {e})" for i, e in zip(at, grid.failures[0, at]))
     results = {}
     for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
         # c_alpha is NaN where degenerate

@@ -39,6 +39,15 @@ def error_text(error):
     return None if error is None else f"{type(error).__name__}: {error}"
 
 
+def failure_map(failures, flat=False):
+    """The failed entries of a failure array as {index: exception}: by (b, g)
+    for a (B, G) array (``SweepResult.failures``), by flat index for a 1-D one
+    (``fit_ceps``' failures) or with ``flat`` (``Checks.failed``)."""
+    at = np.flatnonzero(np.not_equal(failures, None)).tolist()
+    keys = at if flat or failures.ndim == 1 else [divmod(i, failures.shape[1]) for i in at]
+    return dict(zip(keys, failures.flat[at]))
+
+
 def fit(weighted, scenario, with_cov=True, **betas):
     """fit_scenario at the sensitivity point ``betas`` of ``scenario``."""
     return fit_scenario(weighted, SensitivityPoint(scenario, betas), with_cov)

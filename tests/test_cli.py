@@ -14,7 +14,7 @@ from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.demo import implied_subcohort_fraction, implied_weight_model, synthetic_trial
 from psem.records import write_csv
 
-from conftest import error_text, make_records
+from conftest import error_text, failure_map, make_records
 
 
 @pytest.fixture
@@ -61,6 +61,17 @@ contrast = additive
 dir = {out_dir}
 """, encoding="utf-8")
     return cfg
+
+
+def test_results_json_escapes_control_characters(tmp_path, worked_blocks):
+    # a tab in the data directory's name is escaped: results.json stays JSON
+    data = tmp_path / "tab\there" / "worked.csv"
+    data.parent.mkdir()
+    write_csv(make_records(worked_blocks), data)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(write_analysis_config(tmp_path, data, out))]) == 0
+    text = (out / "results.json").read_text(encoding="utf-8")
+    assert "\t" not in text and json.loads(text)["config"]["path"] == str(data)
 
 
 def read_intervals(out_dir):
@@ -516,14 +527,16 @@ def test_an_incompatible_no_selection_fit_exits_5(tmp_path, demo_csv, capsys, mo
         values, failed = real_targets(weighted, scenario, beta, *rest)
         if stage == "point":
             assert all(beta[k][0] == 0.0 for k in beta)     # the pass opens with Gamma = 0
-            failed = {**failed, 0: injected}
+            failed = failed.copy()
+            failed.flat[0] = injected
         return values, failed
 
     def fit_ceps(weighted, points, *rest):
         ceps, failed = real_ceps(weighted, points, *rest)
         if stage == "covariance":
             assert points[0].values == {"beta0": 0.0, "beta1_marginal": 0.0}
-            failed = {**failed, 0: injected}
+            failed = failed.copy()
+            failed.flat[0] = injected
         return ceps, failed
 
     monkeypatch.setattr(sensitivity, "fit_targets", fit_targets)
@@ -762,7 +775,8 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
         if not failed:          # the first pending region-corner sandwich, not Gamma = 0
             j = next(j for j, p in enumerate(points) if abs(p.get("beta0")) == 1.0)
             failed.append(points[j])
-            errors = {**errors, j: EstimationError("injected")}
+            errors = errors.copy()
+            errors[j] = EstimationError("injected")
         return ceps, errors
 
     monkeypatch.setattr(sensitivity, "fit_ceps", fit)
@@ -770,10 +784,11 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     config = sensitivity.SensitivityConfig(
         scenario=Scenario.B, ranges={"beta0": (-1.0, 1.0)}, grid_points=5)
     grid = sensitivity.sweep(weighted, config, targets=("mu",))
+    errors = failure_map(grid.failures)
     points = [grid.point(i) for i in range(len(grid.cells))]
     bad = points.index(failed[0])
     assert bad in (0, 4)                   # mu is monotone in beta0
-    assert error_text(grid.errors[0, bad]) == "EstimationError: injected"
+    assert error_text(errors[0, bad]) == "EstimationError: injected"
     nxt = 1 if bad == 0 else 3
     with pytest.warns(RuntimeWarning, match="inside the sensitivity region") as rec:
         res = sensitivity.interval_for(grid, "mu")     # the corner check runs
@@ -783,7 +798,7 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
     assert points[nxt] in (res.point_lower, res.point_upper)
     assert grid.row("mu")[0, nxt] in res.ignorance
     assert grid.ceps[0, nxt].mu_se in (res.se_lower, res.se_upper)
-    assert len(grid.errors) == 1
+    assert len(errors) == 1
 
     failed.clear()
     out = tmp_path / "out"

@@ -13,7 +13,7 @@ from psem.errors import EstimationError, OrderingError, PsemError
 from psem.mathutil import expit
 from psem.weights import WeightModel
 
-from conftest import (make_records, random_cb_dataset, scenario_dataset,
+from conftest import (failure_map, make_records, random_cb_dataset, scenario_dataset,
                       weighted_from_blocks)
 
 
@@ -56,9 +56,10 @@ def test_stacked_residual_check_fails_a_nan_solution():
     st = _mean_stack(tables.from_arrays([0] * 8, [0] * 8, [0] * 8, [0] * 3 + [1] * 5))
     st.sol["m"][0] = np.nan
     st.sandwich()       # the stack records its failure; it does not raise
-    assert list(st.checks.failed) == [0]
-    assert isinstance(st.checks.failed[0], EstimationError)
-    assert "stacked residual nan exceeds tolerance" in str(st.checks.failed[0])
+    failed = failure_map(st.checks.failed, flat=True)
+    assert list(failed) == [0]
+    assert isinstance(failed[0], EstimationError)
+    assert "stacked residual nan exceeds tolerance" in str(failed[0])
 
 
 def test_batched_sandwich_fails_each_replicate_alone():
@@ -69,9 +70,10 @@ def test_batched_sandwich_fails_each_replicate_alone():
     st = _mean_stack(tables.from_counts(count), scale=np.array([[1.0], [0.0], [1.0]]))
     st.sol["m"][2] = np.nan
     theta, cov = st.sandwich()
-    assert sorted(st.checks.failed) == [1, 2]
-    assert str(st.checks.failed[1]) == "singular bread matrix in the stacked fit"
-    assert str(st.checks.failed[2]).startswith("stacked residual nan exceeds tolerance")
+    failed = failure_map(st.checks.failed, flat=True)
+    assert sorted(failed) == [1, 2]
+    assert str(failed[1]) == "singular bread matrix in the stacked fit"
+    assert str(failed[2]).startswith("stacked residual nan exceeds tolerance")
     one = _mean_stack(tables.from_counts(count[0]))
     theta0, cov0 = one.sandwich()
     assert theta.shape == (1, 3, 1) and cov.shape == (3, 1, 1, 1)
@@ -89,9 +91,10 @@ def test_batched_sandwich_skips_replicates_that_already_failed():
     with np.errstate(all="ignore"):
         st = _mean_stack(tables.from_counts(count), scale=np.array([[1.0], [0.0], [1.0], [1.0]]))
         theta, cov = st.sandwich()
-    assert sorted(st.checks.failed) == [1, 2]
-    assert str(st.checks.failed[1]) == "singular bread matrix in the stacked fit"
-    assert str(st.checks.failed[2]) == "empty stratum: no observations for every cell"
+    failed = failure_map(st.checks.failed, flat=True)
+    assert sorted(failed) == [1, 2]
+    assert str(failed[1]) == "singular bread matrix in the stacked fit"
+    assert str(failed[2]) == "empty stratum: no observations for every cell"
     for b in (0, 3):
         theta_b, cov_b = _mean_stack(tables.from_counts(count[b])).sandwich()
         assert np.array_equal(theta[:, b, 0], theta_b[:, 0, 0])
@@ -114,7 +117,7 @@ def test_bootstrap_sd_matches_the_sandwich_se():
     grid = psem.sweep(psem.fit_missingness(tables.from_counts(draws), model),
                       psem.SensitivityConfig(Scenario.B), targets=("mu",))
     assert grid.values.shape == (3, 2000, 1)
-    failed = sorted({b for b, _ in grid.errors})
+    failed = sorted({b for b, _ in failure_map(grid.failures)})
     assert 0 < len(failed) < 0.1 * 2000      # about 4%: risk1_10 leaves [0, 1]
     mu = np.delete(grid.row("mu")[:, 0], failed)
     assert 0.90 <= np.std(mu, ddof=1) / se <= 1.10

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from psem.errors import EstimationError, IncompatibleSensitivityError
 from psem.mathutil import Checks, expit, solve_logit_mixture
 
+from conftest import failure_map
+
 
 # ---------------------------------------------------------------------------
 # the iterative solver the closed form replaced, kept verbatim as an oracle
@@ -190,14 +192,15 @@ def test_array_solve_is_the_scalar_solve_elementwise():
     beta = np.concatenate([rng.uniform(-12, 12, n), [1.0, 1.0, 1.0, 1.0, 2.0, -60.0]])
     checks = Checks(t.shape)
     p1, p2 = solve_logit_mixture(t, w, beta, checks)
+    failed = failure_map(checks.failed)
     for i in range(t.size):
         scalar = outcome(solve_logit_mixture, t[i], w[i], beta[i])
-        if i in checks.failed:
-            exc = checks.failed[i]
+        if i in failed:
+            exc = failed[i]
             assert scalar == (type(exc), str(exc))
         else:
             assert (p1[i], p2[i]) == scalar
-    assert sorted(checks.failed) == [n, n + 3, n + 5]
+    assert sorted(failed) == [n, n + 3, n + 5]
 
 
 def test_checks_keep_each_elements_first_failure():
@@ -208,7 +211,7 @@ def test_checks_keep_each_elements_first_failure():
            lambda: "second")
     checks(False, EstimationError, lambda: "never")
     checks(True, EstimationError, lambda: "point-free")    # fails every element
-    assert {i: (type(e), str(e)) for i, e in checks.failed.items()} == {
+    assert {i: (type(e), str(e)) for i, e in failure_map(checks.failed).items()} == {
         0: (EstimationError, "first 0.0"), 1: (IncompatibleSensitivityError, "second"),
         2: (EstimationError, "first 2.0"), 3: (EstimationError, "point-free")}
     # without a shape the first failing element raises
@@ -238,5 +241,25 @@ def test_checks_format_each_elements_message_once():
             want.setdefault(i, (classes[k % 2], f"check {k} at {float(values.flat[i])}"))
             flagged += 1
     assert flagged > len(want)      # the masks overlap
-    assert {i: (type(e), str(e)) for i, e in checks.failed.items()} == want
+    assert {i: (type(e), str(e)) for i, e in failure_map(checks.failed, flat=True).items()} == want
     assert len(calls) == len(want)
+
+
+def test_checks_build_no_message_for_a_broadcast_failure():
+    # a (B, 1) failure broadcast into (B, G), as core._solve does with a failed
+    # opening block: a later check builds one message per element it newly fails
+    opening = Checks((3, 1))
+    opening(np.array([[True], [False], [True]]), EstimationError, lambda: "opening")
+    checks = Checks((3, 4))
+    checks.failed[...] = opening.failed
+    calls = []
+
+    def message(v):
+        calls.append(v)
+        return f"point {v}"
+
+    checks(True, IncompatibleSensitivityError, message, np.arange(12.0).reshape(3, 4))
+    assert calls == [4.0, 5.0, 6.0, 7.0]
+    failed = failure_map(checks.failed)
+    assert [failed[b, g] is opening.failed[b, 0] for b in (0, 2) for g in range(4)] == [True] * 8
+    assert {g: str(failed[1, g]) for g in range(4)} == {g: f"point {4.0 + g}" for g in range(4)}

@@ -20,7 +20,7 @@ from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, solve
 from psem.tables import from_counts
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import error_text, fit, random_cb_dataset, scenario_dataset
+from conftest import error_text, failure_map, fit, random_cb_dataset, scenario_dataset
 
 
 def grid_points(cfg):
@@ -320,8 +320,9 @@ def test_sweep_records_cell_failures():
                             ranges={"beta0": (-1, 1), "beta1_marginal": (-8, 8)},
                             grid_points=3)
     grid = psem.sweep(w, cfg)
+    errors = failure_map(grid.failures)
     assert len(grid.cells) == 9
-    assert len(grid.cells) - len(grid.errors) >= 1
+    assert len(grid.cells) - len(errors) >= 1
 
 
 def point_outcome(w, point, contrast):
@@ -353,21 +354,22 @@ def test_sweep_cell_errors_are_the_point_fit_errors(name, contrast):
     w = make()
     cfg = SensitivityConfig(Scenario(name), ranges, grid_points=g, contrast=contrast)
     grid = psem.sweep(w, cfg)
+    errors = failure_map(grid.failures)
     array_errors = []
     for i in range(len(grid.cells)):
         point = grid.point(i)
         expected = point_outcome(w, point, contrast)
         if isinstance(expected, str):
-            assert error_text(grid.errors.get((0, i))) == expected
+            assert error_text(errors.get((0, i))) == expected
             array_errors.append(expected)
-        elif (0, i) not in grid.errors:
+        elif (0, i) not in errors:
             assert grid.values[:, 0, i].tolist() == expected
         else:       # failed in the covariance fit at an extreme
             with pytest.raises(psem.PsemError) as info:
                 psem.cep(psem.fit_scenario(w, point), contrast)
-            assert error_text(grid.errors[0, i]) == error_text(info.value)
+            assert error_text(errors[0, i]) == error_text(info.value)
     assert any(message in e for e in array_errors)
-    assert len(grid.errors) < len(grid.cells)
+    assert len(errors) < len(grid.cells)
 
 
 def test_ve_sweep_keeps_cells_with_tiny_control_risk():
@@ -376,7 +378,7 @@ def test_ve_sweep_keeps_cells_with_tiny_control_risk():
     make, ranges, g, _ = FAILING_GRIDS["C_harm"]
     cfg = SensitivityConfig(Scenario.C_HARM, ranges, grid_points=g, contrast=Contrast.VE)
     grid = psem.sweep(make(), cfg)
-    errors = [error_text(e) for e in grid.errors.values()]
+    errors = [error_text(e) for e in failure_map(grid.failures).values()]
     assert len(grid.cells) - len(errors) == 20
     assert len(errors) == 5
     assert all(e.startswith("IncompatibleSensitivityError: no sign change") for e in errors)
@@ -455,7 +457,8 @@ def test_sweep_matches_full_covariance_fits(scenario, contrast, seed, n, nu, sca
     except psem.PsemError:
         assume(False)
     grid = psem.sweep(w, cfg)
-    assert not grid.errors and len(grid.cells) == len(full)
+    errors = failure_map(grid.failures)
+    assert not errors and len(grid.cells) == len(full)
     for i, c in enumerate(full):
         assert grid.row("mu")[0, i] == c.mu
         for s, value in c.values.items():
@@ -491,8 +494,10 @@ def test_a_fit_does_not_depend_on_the_fits_stacked_with_it(scenario, contrast, s
         min_size=1, max_size=50), label="points")
     points = data.draw(st.permutations(points), label="shuffled")
     stacked, failed = core.fit_ceps(w, points, contrast, [0] * len(points))
+    failed = failure_map(failed)
     for k, point in enumerate(points):
         alone, alone_failed = core.fit_ceps(w, [point], contrast, [0])
+        alone_failed = failure_map(alone_failed)
         try:
             direct = psem.cep(psem.fit_scenario(w, point), contrast)
         except psem.PsemError as exc:
@@ -534,10 +539,8 @@ def test_contrast_variances_match_the_matmul_form(k, p, contrast, seed):
 def split_replicates(grid):
     """Each replicate of a batched sweep as the one-dataset sweep of its data
     alone, a batch of one: the reference for the batched interval step."""
-    out = [SweepResult(grid.config, grid.targets, grid.cells, v[:, None], {}, single=True)
-           for v in grid.values.swapaxes(0, 1)]
-    for (b, g), e in grid.errors.items():
-        out[b].errors[0, g] = e
+    out = [SweepResult(grid.config, grid.targets, grid.cells, v[:, None], f[None], single=True)
+           for v, f in zip(grid.values.swapaxes(0, 1), grid.failures)]
     for (b, g), c in grid.ceps.items():
         out[b].ceps[0, g] = c
     return out
@@ -585,7 +588,8 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
                     ref = psem.interval_for(one, target)
                     own = psem.interval_for(swept[b], target)
             except EstimationError:
-                assert len(one.errors) == len(one.cells) and swept[b] is None
+                errors = failure_map(one.failures)
+                assert len(errors) == len(one.cells) and swept[b] is None
                 assert np.isnan(got).all()
                 assert not batched.degenerate[b] and not batched.extrema_on_corners[b]
                 continue
@@ -612,9 +616,10 @@ def demo_weighted(batched):
 
 
 def sweep_bits(grid):
-    """A sweep's cells, values, errors and every field of its fits, comparable bit for bit."""
+    """A sweep's cells, values, failures and every field of its fits, comparable bit for bit."""
+    errors = failure_map(grid.failures)
     return (grid.config, grid.targets, grid.cells.tobytes(), grid.values.shape,
-            grid.values.tobytes(), {k: error_text(e) for k, e in grid.errors.items()},
+            grid.values.tobytes(), {k: error_text(e) for k, e in errors.items()},
             {k: (cep_bits(c), c.contrast, c.sensitivity) for k, c in grid.ceps.items()})
 
 
@@ -671,7 +676,8 @@ def interval_from_scratch(grid, target, b):
     least and greatest estimates over the points that did not fail, their
     fits' SEs and one scalar ``eui`` call; with every point failed, None."""
     row = grid.row(target)[b].tolist()
-    good = [g for g in range(len(grid.cells)) if (b, g) not in grid.errors]
+    errors = failure_map(grid.failures)
+    good = [g for g in range(len(grid.cells)) if (b, g) not in errors]
     if not good:
         return None
     lo = min(good, key=lambda g: (row[g], g))
@@ -759,7 +765,9 @@ def test_a_one_point_region_wraps_an_error_that_is_not_a_psem_error(monkeypatch)
 
     def fit_ceps(weighted, points, *rest):
         ceps, failed = real(weighted, points, *rest)
-        return ceps, {**failed, 0: gradient}
+        failed = failed.copy()
+        failed.flat[0] = gradient
+        return ceps, failed
 
     monkeypatch.setattr(psem.sensitivity, "fit_ceps", fit_ceps)
     with pytest.raises(EstimationError) as got:
@@ -828,10 +836,57 @@ def test_a_cached_failure_raises_as_a_copy():
             with pytest.raises(OrderingError) as info:
                 call()
         depths.append(len(traceback.extract_tb(info.value.__traceback__)))
-    stored = w.fit_blocks[core._SCENARIOS[Scenario.C_PROTECT].opening][0].checks.failed[0]
+    stored = opening_failures(w)[0, 0]
     assert info.value is not stored and error_text(info.value) == error_text(stored)
     assert stored.__traceback__ is None and stored.__context__ is None
     assert depths[:4] == [depths[0]] * 4 and depths[4:] == [depths[4]] * 2
+
+
+def c_protect_batch():
+    """The demo trial, whose C_protect opening block fails (A4''), batched with
+    a copy whose active-arm early events are halved, whose opening solves."""
+    table = tables.from_records(demo.synthetic_trial())
+    halved = table.count.copy()
+    early = (table.z == 1) & (table.yt == 1)
+    halved[early] = np.ceil(halved[early] / 2)
+    return fit_missingness(from_counts(np.stack([table.count, halved]), tables.cell_code(
+        table.z, table.yt, table.s, table.y)), demo.implied_weight_model())
+
+
+def opening_failures(w):
+    """The (B, 1) failures of the cached C_protect opening block of ``w``."""
+    return w.fit_blocks[core._SCENARIOS[Scenario.C_PROTECT].opening][0].checks.failed
+
+
+def test_a_failed_opening_block_fails_every_point_with_its_one_error():
+    w = c_protect_batch()
+    config = SensitivityConfig(Scenario.C_PROTECT, symmetric_ranges(Scenario.C_PROTECT, 0.5), 3)
+    beta = dict(zip(Scenario.C_PROTECT.sensitivity_keys, config.grid().T))
+    _, failed = core.fit_targets(w, Scenario.C_PROTECT, beta, Contrast.ADDITIVE)
+    stored = opening_failures(w)[0, 0]
+    assert isinstance(stored, OrderingError) and opening_failures(w)[1, 0] is None
+    grid = psem.sweep(w, config)
+    for failures in (failed, grid.failures):
+        assert failures.shape == (2, len(config.grid()))
+        assert all(e is stored for e in failures[0]) and not failure_map(failures[1:])
+    # the demo trial alone: a one-point region raises a copy of its stored
+    # failure, a wider region the all-failed error that names it
+    one = demo_weighted(False)
+    with pytest.raises(OrderingError) as info:
+        psem.sweep(one, SensitivityConfig(Scenario.C_PROTECT, {}, 3))
+    stored = opening_failures(one)[0, 0]
+    assert info.value is not stored and error_text(info.value) == error_text(stored)
+    with pytest.raises(EstimationError, match=f"{_ALL_FAILED}OrderingError: early"):
+        psem.sweep(one, config)
+
+
+def test_fit_ceps_fails_each_entry_of_a_failed_replicate_with_its_error():
+    w = c_protect_batch()
+    points = [SensitivityPoint(Scenario.C_PROTECT, {"beta0": b}) for b in (0.0, 0.5, 0.5, -0.5)]
+    ceps, failed = core.fit_ceps(w, points, Contrast.ADDITIVE, [0, 1, 0, 0])
+    stored = opening_failures(w)[0, 0]
+    assert failed.shape == (4,) and failed[0] is failed[2] is failed[3] is stored
+    assert failed[1] is None and np.isfinite(ceps[1].mu_se)
 
 
 def test_an_all_failed_region_raises_as_if_swept_alone():

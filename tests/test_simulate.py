@@ -18,7 +18,7 @@ from psem.simulate import (DESIGNS, GeneratorConfig, StudyConfig, _bits, _gen_ar
 from psem.tables import S_MISS, S_NEG, S_POS, S_UNDEF, from_arrays
 from psem.weights import WeightModel, fit_missingness
 
-from conftest import error_text, fit
+from conftest import error_text, failure_map, fit
 
 
 def mc_tol(p, n, k=3.5):
@@ -477,7 +477,8 @@ def test_study_blocks_match_the_one_point_path(monkeypatch, config, failures):
                                    WeightModel.design_known(cell["nu"]))
         try:
             grid = sweep(weighted, gamma, targets=("mu",))
-            ref = (error_text(grid.errors[min(grid.errors)]) if grid.errors
+            points = failure_map(grid.failures)
+            ref = (error_text(points[min(points)]) if points
                    else interval_for(grid, "mu"))
         except PsemError as exc:
             ref = f"{type(exc).__name__}: {exc}"

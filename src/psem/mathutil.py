@@ -169,8 +169,9 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     """Two-sided Fisher exact p for the 2x2 table [[a, b], [c, d]].
 
     Point-probability method: sum hypergeometric probabilities of all
-    tables (same margins) no more probable than the observed one.
-    """
+    tables (same margins) no more probable than the observed one. Each
+    ``math.lgamma`` argument is evaluated once per call, in aligned blocks of 64,
+    and combined as in ``_log_comb``, so every probability keeps its bits."""
     for v in (a, b, c, d):
         if v < 0:
             raise ValueError("table entries must be nonnegative")
@@ -181,12 +182,20 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
         return 1.0
     lo = max(0, col1 - row2)
     hi = min(col1, row1)
-    denom = _log_comb(n, col1)
+    blocks = {}     # j -> math.lgamma of the integers 64 j + 1, ..., 64 j + 64
+
+    def lgamma(x):  # of a run of integers >= 1, each evaluated once per call
+        i = np.asarray(x) - 1
+        run = range(int(i.min()) // 64, int(i.max()) // 64 + 1)
+        for j in set(run) - blocks.keys():
+            blocks[j] = np.fromiter(map(math.lgamma, range(64 * j + 1, 64 * j + 65)), float, 64)
+        return np.concatenate([blocks[j] for j in run])[i - 64 * run.start]
+
+    denom = lgamma(n + 1) - lgamma(col1 + 1) - lgamma(n - col1 + 1)    # _log_comb(n, col1)
 
     def logp(k):    # _log_comb(row1, k) + _log_comb(row2, col1 - k) - denom, per k
-        g1, g2, g3, g4 = (np.fromiter(map(math.lgamma, x.tolist()), float, len(k))
-                          for x in (k + 1, row1 - k + 1, col1 - k + 1, row2 - col1 + k + 1))
-        return ((math.lgamma(row1 + 1) - g1 - g2) + (math.lgamma(row2 + 1) - g3 - g4)) - denom
+        g1, g2, g3, g4 = map(lgamma, (k + 1, row1 - k + 1, col1 - k + 1, row2 - col1 + k + 1))
+        return ((lgamma(row1 + 1) - g1 - g2) + (lgamma(row2 + 1) - g3 - g4)) - denom
 
     # the pmf is log-concave: walk out from its mode until exp() underflows
     # to 0.0 (below about -745), so the terms left out would add nothing

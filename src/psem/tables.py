@@ -72,10 +72,10 @@ def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
     """``from_records(load_csv(path, schema))`` without the record list.
 
     The file is read as bytes, a pipe's all at once: the header line, then
-    chunks of whole lines screened by numpy passes (comma counts, one count per
-    distinct tuple of one-byte key tokens, each tuple parsed once, ids keyed by
-    their bytes, w_ tokens through ``float``). A file the screen cannot vouch
-    for goes down the record path, which reports its first fault exactly."""
+    chunks of whole lines screened by numpy passes (line ends, commas and field
+    sizes, one count per tuple of one-byte key tokens, each parsed once, ids
+    keyed by their bytes, w_ tokens through ``float``). A file the screen cannot
+    vouch for goes down the record path, which reports its first fault exactly."""
     names, data = columns(schema), None
     try:
         with open(path, "rb") as fh:
@@ -105,22 +105,22 @@ def _chunks(fh):
 
 
 def _fields(a, width, limit):
-    """Each nonblank line's field bounds, field j being bytes ``f[:, j] + 1``
-    to ``f[:, j + 1]``, or None if a CR is not part of a CRLF line end, a line
-    has a wrong comma count or a field is over ``limit`` bytes."""
-    sep = np.flatnonzero((a == 44) | (a == 10))     # every comma and newline
-    at = np.flatnonzero(a[sep] == 10)               # the newlines among them
-    cr = a[sep[at] - 1] == 13           # CRLF line ends (a[-1] is a newline)
-    end, start = sep[at] - cr, np.concatenate(([0], sep[at[:-1]] + 1))
-    line = end > start                  # blank lines are skipped
-    if (np.count_nonzero(a == 13) != cr.sum()
-            or (np.diff(at, prepend=-1) - 1 != (width - 1) * line).any()
-            or np.diff(sep).max(initial=sep[0] + 1) > limit + 1):    # a field and its end
+    """Each nonblank line's field bounds and field sizes ``(f, size)``, field j
+    being bytes ``f[:, j] + 1`` to ``f[:, j + 1]``, ``size[:, j]`` bytes long;
+    or None if a CR is not part of a CRLF line end, a line has a wrong comma
+    count or a field is over ``limit`` bytes."""
+    nl, cm = np.flatnonzero(a == 10), np.flatnonzero(a == 44)
+    cr = a[nl - 1] == 13                # CRLF line ends (a[-1] is a newline)
+    end, start = nl - cr, np.concatenate(([0], nl[:-1] + 1))
+    line = end > start                  # blank lines are skipped; they hold no commas
+    rows = np.count_nonzero(line)
+    if np.count_nonzero(a == 13) != cr.sum() or len(cm) != (width - 1) * rows:
         return None
-    f = np.empty((line.sum(), width + 1), np.int64)
+    f = np.empty((rows, width + 1), np.int64, order="F")   # columns contiguous
     f[:, 0], f[:, -1] = start[line] - 1, end[line]
-    f[:, 1:-1] = np.delete(sep, at[~line]).reshape(len(f), width)[:, :-1]
-    return f
+    f[:, 1:-1] = cm.reshape(rows, width - 1)
+    size = np.diff(f) - 1   # all >= 0: each comma in its own line, so width - 1 in each
+    return None if size.min(initial=0) < 0 or size.max(initial=0) > limit else (f, size)
 
 
 def _column(a, f, j):
@@ -137,21 +137,21 @@ def _column(a, f, j):
 def _id_keys(chunk, f, j):
     """One uint64 key per line for its id, field j, after ``str.strip``. An id
     of up to 8 bytes is its own key, its bytes zero-padded (ids hold no NUL);
-    a longer one folds its 8-byte words with ``_FOLD``. Equal ids have equal
-    keys, and only an id over 8 bytes can share a key with another."""
+    a longer one folds its 8-byte words with ``_FOLD`` by Horner's rule. Equal
+    ids have equal keys, and only an id over 8 bytes can share a key with another."""
     a = np.frombuffer(chunk, np.uint8)
     lo, hi = f[:, j] + 1, f[:, j + 1].copy()    # f[:, j + 1] also bounds field j + 1
-    for r in np.flatnonzero(_EDGE[a[lo]] | _EDGE[a[hi - 1]]).tolist():
+    for r in np.flatnonzero(_EDGE.take(a.take(lo)) | _EDGE.take(a.take(hi - 1))).tolist():
         s = chunk[lo[r]:hi[r]].decode()     # ids strip may change, and empty ones by a newline
         lo[r] = hi[r] - len(s.lstrip().encode())
         hi[r] = lo[r] + len(s.strip().encode())
-    words, key = (hi - lo + 7) // 8, np.zeros(len(f), np.uint64)
     word_at = np.ndarray(len(a) + 1, "<u8", chunk + bytes(8), strides=(1,))  # word at each byte
-    for w in np.flatnonzero(np.bincount(words)[1:]) + 1:       # one group per word count
-        r = np.flatnonzero(words == w)
-        at = lo[r, None] + 8 * np.arange(w)
-        word = word_at[at] & _LOW_BYTES[np.minimum(hi[r, None] - at, 8)]
-        key[r] = word @ _FOLD ** np.arange(w - 1, -1, -1, dtype=np.uint64)
+    n = hi - lo
+    key = word_at.take(lo) & _LOW_BYTES.take(np.minimum(n, 8))
+    for w in range(1, (int(n.max(initial=0)) + 7) // 8):     # word w of the longer ids
+        r = np.flatnonzero(n > 8 * w)
+        word = word_at.take(lo[r] + 8 * w) & _LOW_BYTES.take(np.minimum(n[r] - 8 * w, 8))
+        key[r] = key[r] * _FOLD + word
     return key
 
 
@@ -172,11 +172,12 @@ def _screen(fh, path, names):
         for chunk in _chunks(fh):
             chunk.isascii() or chunk.decode()   # a UnicodeDecodeError if not UTF-8
             a = np.frombuffer(chunk, np.uint8)
-            if b'"' in chunk or b"\0" in chunk or (f := _fields(a, width, limit)) is None:
+            if b'"' in chunk or b"\0" in chunk or (bounds := _fields(a, width, limit)) is None:
                 return None
+            f, size = bounds
             if not len(f):                      # blank lines only
                 continue
-            n = f[:, key + 1] - f[:, key] - 1   # key token lengths
+            n = size[:, key]                    # key token lengths
             if n.max() > 1:
                 return None
             tok = (a[f[:, key] + 1] * n) @ (1 << 8 * np.arange(len(key)))  # key bytes

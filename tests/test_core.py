@@ -549,6 +549,29 @@ def test_fisher_drops_only_underflowing_terms(a, b, c, d):
     assert p.hex() == float(_fisher_full_enumeration(a, b, c, d)).hex()
 
 
+@pytest.mark.parametrize("table", [(19812, 80339, 20087, 79762), (60000,) * 4, (3, 7, 7, 3)])
+def test_fisher_evaluates_each_lgamma_once(monkeypatch, table):
+    """Each ``math.lgamma`` argument is evaluated at most once per call. Aligned
+    blocks of 64 integers add at most 63 arguments at each end of a run of
+    consecutive arguments that the walked tables need."""
+    from psem import mathutil
+    a, b, c, d = table
+    row1, row2, col1, n = a + b, c + d, a + c, a + b + c + d
+    calls, walked = [], []
+    lgamma, walk = math.lgamma, mathutil._walk
+    monkeypatch.setattr(mathutil.math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+    monkeypatch.setattr(mathutil, "_walk", lambda logp, *args: walk(
+        lambda k: walked.append(k) or logp(k), *args))
+    fisher_exact_two_sided(a, b, c, d)
+    k = np.concatenate(walked)
+    needed = set(np.concatenate((k + 1, row1 - k + 1, col1 - k + 1, row2 - col1 + k + 1,
+                                 [row1 + 1, row2 + 1, n + 1, col1 + 1, n - col1 + 1])).tolist())
+    runs = sorted(needed)
+    runs = 1 + sum(y - x > 1 for x, y in zip(runs, runs[1:]))
+    assert len(calls) == len(set(calls)) and needed <= set(calls)
+    assert len(calls) - len(needed) <= 2 * 63 * runs
+
+
 def test_check_assumptions_trial_counts():
     from psem.demo import synthetic_trial
     report = psem.check_assumptions(synthetic_trial())

@@ -675,11 +675,84 @@ def test_id_keys_match_the_record_path(tmp_path_factory, drawn, chunk):
     else:
         _assert_same_cells(got, want)
     body = text.encode()[text.encode().index(b"\n") + 1:]
-    f = tables._fields(np.frombuffer(body, np.uint8), 6, 1 << 17)
+    f = tables._fields(np.frombuffer(body, np.uint8), 6, 1 << 17)[0]
     keys = tables._id_keys(body, f, j).tolist()
     for (s, k), (t, m) in itertools.combinations(zip(stripped, keys), 2):
         if s == t or max(len(s.encode()), len(t.encode())) <= 8:
             assert (k == m) == (s == t), (s, t)
+
+
+def _split_fields(data, width, limit):
+    """``_fields``'s ``(bounds, sizes)`` as lists, line by line, or None."""
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    bounds, sizes, start = [], [], 0
+    for raw in data.split(b"\n")[:-1]:
+        if line := raw.removesuffix(b"\r"):
+            fields = line.split(b",")
+            if len(fields) != width or max(map(len, fields)) > limit:
+                return None
+            bounds.append(list(itertools.accumulate((len(x) + 1 for x in fields), initial=start - 1)))
+            sizes.append([len(x) for x in fields])
+        start += len(raw) + 1
+    return bounds, sizes
+
+
+@st.composite
+def _field_lines(draw):
+    """(data, width, limit): lines of 0-10 byte fields, most with ``width`` of
+    them, blank lines among them, each ended by LF, CRLF or a lone CR (an LF
+    is added at the end if missing), with a ``limit`` of 1-8 bytes."""
+    width, limit = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    field = st.text("aé", max_size=5)
+    data = ""
+    for _ in range(draw(st.integers(0, 12))):
+        count = draw(st.sampled_from([width] * 4 + [max(width - 1, 1), width + 1, 0]))
+        data += ",".join(draw(field) for _ in range(count)) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (data if data.endswith("\n") else data + "\n").encode(), width, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_lines())
+@example((b"a,b\n\nab,\r\n", 2, 2))
+@example((b"a,,b\nab\n", 2, 8))        # right comma total, wrong count per line
+def test_fields_match_a_per_line_split(drawn):
+    """``_fields`` checks the comma total and that every field size is >= 0,
+    which is each line's own comma count, and gives a per-line split's bounds
+    and sizes."""
+    data, width, limit = drawn
+    want = _split_fields(data, width, limit)
+    got = tables._fields(np.frombuffer(data, np.uint8), width, limit)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and [x.tolist() for x in got] == list(want)
+
+
+def _documented_key(rid):
+    """README's id key: the bytes of an id up to 8 bytes, zero-padded; else
+    its 8-byte words w_0 .. w_{m-1}, folded as sum w_i _FOLD^(m-1-i) mod 2^64."""
+    data = rid.encode()
+    words = [int.from_bytes(data[i:i + 8], "little") for i in range(0, len(data), 8)]
+    return sum(w * int(tables._FOLD) ** (len(words) - 1 - i)
+               for i, w in enumerate(words)) % 2**64
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_id_keys_follow_their_definition(last):
+    """Stripped ids of 0, 1, 8, 9, 16, 17 and 40 bytes, ASCII and UTF-8, some
+    padded, keyed in one chunk, the id first or last on its line."""
+    ids = ["a" * n for n in (0, 1, 8, 9, 16, 17, 40)]
+    ids += ["é" * (n // 2) + "b" * (n % 2) for n in (1, 8, 9, 16, 17, 40)]
+    ids += ["日本" + "x" * (n - 6) for n in (8, 9, 16, 17, 40)]
+    padded = [(" " if k % 3 == 1 else "") + rid + ("\u3000" if k % 3 == 2 else "")
+              for k, rid in enumerate(ids)]
+    body = "".join(f"0,0,0,1,1,{rid}\n" if last else f"{rid},0,0,0,1,1\n"
+                   for rid in padded).encode()
+    f, _ = tables._fields(np.frombuffer(body, np.uint8), 6, 1 << 17)
+    keys = tables._id_keys(body, f, 5 if last else 0).tolist()
+    assert {len(rid.encode()) for rid in ids} == {0, 1, 8, 9, 16, 17, 40}
+    assert keys == [_documented_key(rid) for rid in ids]
 
 
 def test_read_cells_memory_does_not_grow_with_the_ids(tmp_path):

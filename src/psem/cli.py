@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import math
 import sys
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -50,28 +51,67 @@ def _fmt(value):
     return value
 
 
-def _to_json(obj, indent=0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
+def _to_json(obj) -> str:
+    """``obj`` as indented JSON text: dicts, lists and tuples two spaces a
+    level, floats with 17 significant digits and NaN as ``NaN``; a value of
+    any other type is written as the first of dict, list, bool or None,
+    float and int that it is an instance of, else as the string of it. An
+    infinite float raises ValueError: JSON has no token for it."""
+    out: list[str] = []
+    _json_into(obj, out, "\n")
+    return "".join(out)
+
+
+@functools.cache
+def _json_kind(kind: type) -> str:
+    """How ``_json_into`` writes a value of type ``kind``."""
+    return next((name for base, name in ((dict, "dict"), ((list, tuple), "list"),
+                                         ((bool, type(None)), "literal"), (float, "float"),
+                                         (int, "int")) if issubclass(kind, base)), "str")
+
+
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_into(obj, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
+    break and the indent of the line that holds ``obj``."""
+    kind = _json_kind(type(obj))
+    if kind == "float":
+        if math.isfinite(obj):
+            out.append(format(obj, ".17g"))
+        elif obj != obj:
+            out.append("NaN")
+        else:
+            raise ValueError(f"JSON has no token for the float {obj}")
+    elif kind == "dict":
         if not obj:
-            return "{}"
-        items = ",\n".join(f"{pad}  {encode_basestring(str(k))}: {_to_json(v, indent + 1)}"
-                            for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in obj.items():
+            out += (sep, encode_basestring(str(key)), ": ")
+            _json_into(value, out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif kind == "list":
         if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        return _fmt(obj)
-    if isinstance(obj, (int,)):
-        return str(obj)
-    return encode_basestring(str(obj))
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            out.append(sep)
+            _json_into(value, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    elif kind == "literal":
+        out.append(_JSON_LITERALS[obj])
+    elif kind == "int":
+        out.append(str(obj))
+    else:
+        out.append(encode_basestring(str(obj)))
 
 
 def _write_json(path: Path, obj) -> None:

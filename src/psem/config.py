@@ -82,7 +82,7 @@ class AnalysisConfig:
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         found = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:

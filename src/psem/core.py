@@ -385,12 +385,18 @@ def _opening(weighted: WeightedRecords, build: Callable, rows=None):
     same solved rows and a grid point pays only for its mixture solves. A
     block that fails is cached with its failures, which every fit inherits.
     """
+    st, selectors = _opened(weighted, build)
+    return st.copy(rows), selectors
+
+
+def _opened(weighted: WeightedRecords, build: Callable):
+    """The cached (stack, selectors) that ``_opening`` copies: to read, not to
+    solve on."""
     blocks = weighted.fit_blocks
     if build not in blocks:
         with np.errstate(all="ignore"):
             blocks[build] = build(weighted)
-    st, selectors = blocks[build]
-    return st.copy(rows), selectors
+    return blocks[build]
 
 
 def _check_unit_interval(st: "_Stack", name: str, value, context: str) -> None:
@@ -907,7 +913,14 @@ def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
     """Every target of ``scenario`` (rows as in ``target_map``) at the G Gamma
     points ``beta`` (key -> length-G array) in one pass, (T, B, G) with B = 1
     for one dataset, and each point's first failure, (B, G), None where the
-    point did not fail; a failed point's values are meaningless."""
+    point did not fail; a failed point's values are meaningless. Where every
+    replicate's opening block failed, each point holds its replicate's
+    failure and NaN values, and no point is solved."""
+    opened, _ = _opened(weighted, _SCENARIOS[scenario].opening)
+    if not opened.checks.ok().any():    # every replicate's opening failed: nothing to solve
+        failed = np.broadcast_to(opened.checks.failed, (len(opened.cells.count),
+                                                        len(next(iter(beta.values()))))).copy()
+        return np.full((len(scenario.targets), *failed.shape), np.nan), failed
     st, report = _solve(weighted, scenario, beta)
     names, theta, _ = _finalize(st, False, report)
     with np.errstate(all="ignore"):

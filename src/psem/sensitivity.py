@@ -19,8 +19,11 @@ Several regions of one scenario and contrast (``sweeps``; ``psem analyze``
 passes the no-selection-bias point and all of its Gamma choices) share their
 passes: one point pass over their concatenated grids, and one ``fit_ceps``
 call per covariance pass. Each region's result is the one it gets swept
-alone (``sweep``). ``intervals`` reads every target's interval from a sweep
-in one pass; ``interval_for`` reads one.
+alone (``sweep``). Each ``SweepResult`` holds its failed-point mask
+(``ok()``) and every target's argmin and argmax per replicate
+(``extremes``), read once when the point pass builds it and again only
+where a covariance fit then fails. ``intervals`` reads every target's
+interval from those in one pass; ``interval_for`` reads one.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from .core import (CepResult, Contrast, Scenario, SensitivityPoint, cep,  # noqa: F401
                    fit_ceps, fit_scenario, fit_targets)
 from .errors import ConfigError, EstimationError, PsemError
-from .mathutil import bisect, fresh, norm_cdf, norm_quantile
+from .mathutil import fresh, norm_quantile
 from .weights import WeightedRecords
 
 MAX_GRID_CELLS = 200_000
@@ -102,7 +105,13 @@ class SweepResult:
     failed point's exception (its value is meaningless), else None; ``ceps``
     the fit with covariance at each point holding an extreme, by (b, g).
     ``single`` marks the sweep of one dataset (B = 1), whose intervals read
-    as floats and raise or warn (see ``intervals``)."""
+    as floats and raise or warn (see ``intervals``).
+
+    ``ok()`` (B, G), which points did not fail, and ``extremes``
+    (len(targets), 2, B), per target the first points in grid order holding
+    its minimum and maximum over them, per replicate, are read from
+    ``values`` and ``failures`` on construction, read only; ``sweeps`` reads
+    them again where it marks a point failed."""
     config: SensitivityConfig
     targets: tuple[str, ...]
     cells: np.ndarray
@@ -110,21 +119,27 @@ class SweepResult:
     failures: np.ndarray
     ceps: dict[tuple[int, int], CepResult] = field(default_factory=dict)
     single: bool = False
+    _ok: np.ndarray = field(init=False, repr=False, compare=False)
+    extremes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def row(self, target: str) -> np.ndarray:
-        return self.values[self.config.scenario.targets.index(target)]
+    def __post_init__(self):
+        self._read_extremes()
+
+    def _read_extremes(self) -> None:
+        """Read ``ok()`` and ``extremes`` from ``values`` and ``failures``."""
+        self._ok = ok = np.equal(self.failures, None)
+        names = self.config.scenario.targets
+        rows = self.values[[names.index(t) for t in self.targets]]
+        self.extremes = np.stack((np.where(ok, rows, np.inf).argmin(axis=-1),
+                                  np.where(ok, rows, -np.inf).argmax(axis=-1)), axis=1)
+        ok.flags.writeable = self.extremes.flags.writeable = False
 
     def ok(self) -> np.ndarray:
         """Which points did not fail, (B, G)."""
-        return np.equal(self.failures, None)
+        return self._ok
 
-    def extremes(self, target: str, ok: np.ndarray | None = None):
-        """First points, in grid order, holding the target's minimum and
-        maximum over the points that did not fail (``ok``, by default
-        ``self.ok()``), per replicate: two (B,) arrays."""
-        row, ok = self.row(target), self.ok() if ok is None else ok
-        return (np.where(ok, row, np.inf).argmin(axis=-1),
-                np.where(ok, row, -np.inf).argmax(axis=-1))
+    def row(self, target: str) -> np.ndarray:
+        return self.values[self.config.scenario.targets.index(target)]
 
     def first_errors(self) -> list[Exception | None]:
         """Each replicate's first exception, in grid order, or None. With every
@@ -155,10 +170,12 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     (``tables.from_counts``) are swept each replicate as if alone, and one
     dataset as the batch of one (``SweepResult.single``). Each grid point's
     failure is recorded at (b, g), the error ``fit_scenario`` raises there.
-    Each covariance pass fits every pending (region, replicate, extreme)
-    triple in one ``fit_ceps`` call; a point whose covariance fit fails is
-    marked failed and the extremes are taken again over the remaining
-    points. Nothing raises for batched data; for one dataset the first
+    Each result reads its mask and extremes (``SweepResult.ok()`` and
+    ``extremes``) when built. Each covariance pass fits every pending (region,
+    replicate, extreme) triple in one ``fit_ceps`` call; a point whose
+    covariance fit fails is marked failed, and only a region with such a
+    point reads its mask and extremes again, over the remaining points,
+    before the next pass. Nothing raises for batched data; for one dataset the first
     region, in order, whose every point failed raises a copy of its
     ``first_errors()`` error. No region's result depends on the regions
     swept with it.
@@ -184,8 +201,9 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
             results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop],
                                        failed[:, start:stop], single=single))
             start = stop
-    while pending := [(r, k) for r, res in enumerate(results) for k in _extremes(res)
-                      if k not in res.ceps and res.failures[k] is None]:
+    todo = range(len(results))      # the regions whose extremes may lack a fit
+    while pending := [(r, k) for r in todo for k in _extreme_points(results[r])
+                      if k not in results[r].ceps and results[r].ok()[k]]:
         points = {ri: results[ri[0]].point(ri[1]) for ri in {(r, i) for r, (_, i) in pending}}
         ceps, failed = fit_ceps(weighted, [points[r, i] for r, (_, i) in pending],
                                 contrast, [b for _, (b, _) in pending])
@@ -194,6 +212,9 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
                 results[r].failures[k] = failed[j]
             else:
                 results[r].ceps[k] = ceps[j]
+        todo = sorted({r for j, (r, _) in enumerate(pending) if failed[j] is not None})
+        for r in todo:
+            results[r]._read_extremes()
     for res in results:
         if single and not res.ok().any():
             raise fresh(res.first_errors()[0])
@@ -213,11 +234,10 @@ def _point_passes(sizes: list[int]) -> list[list[int]]:
     return runs
 
 
-def _extremes(result: SweepResult) -> dict:
+def _extreme_points(result: SweepResult) -> dict:
     """Each (replicate, grid index) pair holding some target's extreme, once."""
-    ok = result.ok()
-    return dict.fromkeys((b, i) for t in result.targets for idx in result.extremes(t, ok)
-                         for b, i in enumerate(idx.tolist()))
+    return dict.fromkeys((b, i) for per_target in result.extremes.tolist()
+                         for idx in per_target for b, i in enumerate(idx))
 
 
 def sweep(weighted: WeightedRecords, config: SensitivityConfig,
@@ -256,13 +276,20 @@ def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
         raise ValueError(f"need a scaled gap >= 0 and alpha in (0, 0.5), got {scaled_gap}, {alpha}")
     lo = norm_quantile(1.0 - alpha)
     hi = norm_quantile(1.0 - alpha / 2.0)
-
-    def f(c):
-        return norm_cdf(c + scaled_gap) - norm_cdf(-c) - (1.0 - alpha)
-
-    if f(lo) >= 0.0:
+    # mathutil.bisect of f(c) = norm_cdf(c + gap) - norm_cdf(-c) - (1 - alpha)
+    # written out, each norm_cdf as its 0.5 erfc(-x / sqrt(2)) (at x = -c,
+    # erfc(c / sqrt(2)), the same bits): the same midpoints and sign tests,
+    # with no Python call per step but the two erfc
+    erfc, root2, level = math.erfc, math.sqrt(2.0), 1.0 - alpha
+    if 0.5 * erfc(-(lo + scaled_gap) / root2) - 0.5 * erfc(lo / root2) - level >= 0.0:
         return lo
-    return bisect(f, lo, hi, tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if 0.5 * erfc(-(mid + scaled_gap) / root2) - 0.5 * erfc(mid / root2) - level < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def eui(est_l, se_l, est_u, se_u, alpha: float = 0.05, target: str = "") -> IntervalResult:
@@ -294,15 +321,18 @@ def intervals(grid: SweepResult,
               targets: tuple[str, ...] | None = None) -> dict[str, IntervalResult]:
     """Ignorance interval plus EUI of each of ``targets`` (default: every
     target of the sweep) from a completed sweep, in one pass: the failure
-    mask, the corner mask and every target's extremes are taken once, and one
-    ``eui`` call bisects each entry.
+    mask and every target's extremes are those the sweep holds
+    (``SweepResult.ok()``, ``SweepResult.extremes``), the corner mask is taken
+    once, and one ``eui`` call bisects each entry.
 
     The ignorance interval spans the point estimates over the whole grid, even
     where monotonicity guarantees corner extremes (``extrema_on_corners``).
-    For one dataset the achieving sensitivity-parameter points are retained;
-    in scenario B non-corner extremes trigger a warning per target, in
-    ``targets`` order, that names the failed corner points, whose loss
-    narrows the region, or else points to a numerical problem. On a batched
+    For one dataset every field is read as a Python float or bool in one step,
+    and the achieving sensitivity-parameter points are retained, those of the
+    fits there (``CepResult.sensitivity``); in scenario B non-corner extremes
+    trigger a warning per target, in ``targets`` order, that names the failed
+    corner points, whose loss narrows the region, or else points to a
+    numerical problem. On a batched
     sweep each replicate is treated as if alone, but nothing raises or warns:
     a replicate whose every point failed gets NaN."""
     return _intervals(grid, grid.targets if targets is None else tuple(targets))
@@ -326,31 +356,35 @@ def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, Interva
     if grid.single and not fitted[0]:
         raise EstimationError("no successful grid cells")
     corner = np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
-    extremes = [[i.tolist() for i in grid.extremes(t, ok)] for t in targets]
+    ext = grid.extremes[[grid.targets.index(t) for t in targets]]     # (T, 2, B)
+    extremes = ext.transpose(0, 2, 1).tolist()      # per target and replicate: lo, hi
     # per target and replicate: est_l, se_l, est_u, se_u, the EUI and c_alpha
     out = np.full((7, len(targets), len(fitted)), np.nan)
-    for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
+    for t, target in enumerate(targets):
         row = grid.row(target)
         for b in np.flatnonzero(fitted).tolist():
-            out[:4, t, b] = [x for i in (lo[b], hi[b])
+            out[:4, t, b] = [x for i in extremes[t][b]
                              for x in (row[b, i], grid.ceps[b, i].get(target)[1])]
     res = eui(*out[:4, :, fitted], grid.config.alpha)
     out[4:, :, fitted] = *res.eui, res.c_alpha
+    # per target and replicate: degenerate (c_alpha is NaN there) and extrema on corners
+    flags = np.stack((fitted & np.isnan(out[6]), corner[ext].all(axis=1) & fitted), axis=1)
+    floats = out.transpose(1, 0, 2)
+    if grid.single:     # one dataset's intervals read as Python floats and bools
+        floats, flags = floats[..., 0].tolist(), flags[..., 0].tolist()
     warn = grid.single and grid.config.scenario is Scenario.B   # extremes must be on corners
-    at = np.flatnonzero(corner & ~ok[0] & warn).tolist()     # failed corners, if warned
+    at = np.flatnonzero(corner & ~ok[0]).tolist() if warn else []   # failed corners
     failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
                        + f": {type(e).__name__}: {e})" for i, e in zip(at, grid.failures[0, at]))
     results = {}
-    for t, (target, (lo, hi)) in enumerate(zip(targets, extremes)):
-        # c_alpha is NaN where degenerate
-        fields = [*out[:, t], fitted & np.isnan(out[6, t]), corner[lo] & corner[hi] & fitted]
-        if grid.single:     # one dataset's interval reads as Python floats and bools
-            fields = [f[0].item() for f in fields]
-        est_l, se_l, est_u, se_u, eui_l, eui_u, c, degenerate, on_corners = fields
-        results[target] = IntervalResult(
-            target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c, res.alpha, degenerate,
-            *((grid.point(lo[0]), grid.point(hi[0])) if grid.single else (None, None)),
-            on_corners)
+    for t, target in enumerate(targets):
+        est_l, se_l, est_u, se_u, eui_l, eui_u, c = floats[t]
+        degenerate, on_corners = flags[t]
+        # one dataset's extremes, the points its fits there hold
+        points = ([grid.ceps[0, i].sensitivity for i in extremes[t][0]] if grid.single
+                  else (None, None))
+        results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
+                                         res.alpha, degenerate, *points, on_corners)
         if warn and not on_corners:
             cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
                      "narrowed region" if failed else "check for numerical problems")

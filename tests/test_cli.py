@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import re
+from json.encoder import encode_basestring
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from psem import cli
 from psem.cli import main
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.demo import implied_subcohort_fraction, implied_weight_model, synthetic_trial
@@ -72,6 +74,76 @@ def test_results_json_escapes_control_characters(tmp_path, worked_blocks):
     assert main(["analyze", "--config", str(write_analysis_config(tmp_path, data, out))]) == 0
     text = (out / "results.json").read_text(encoding="utf-8")
     assert "\t" not in text and json.loads(text)["config"]["path"] == str(data)
+
+
+def test_config_values_are_read_literally(tmp_path, worked_blocks):
+    # a % in a value is the character itself, not the start of an interpolation
+    data = tmp_path / "100%" / "worked%1.csv"
+    data.parent.mkdir()
+    write_csv(make_records(worked_blocks), data)
+    out = tmp_path / "out%(dir)s"
+    assert main(["analyze", "--config", str(write_analysis_config(tmp_path, data, out))]) == 0
+    assert json.loads((out / "results.json").read_text(encoding="utf-8"))["config"]["path"] == str(data)
+
+
+def json_reference(obj, indent=0) -> str:
+    """A plain recursive JSON writer, one call per value: the byte reference
+    for ``cli._to_json``."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f"{pad}  {encode_basestring(str(k))}: {json_reference(v, indent + 1)}"
+                            for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {json_reference(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return {True: "true", False: "false", None: "null"}[obj]
+    if isinstance(obj, float):
+        return "NaN" if obj != obj else format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    return encode_basestring(str(obj))
+
+
+JSON_LEAVES = st.one_of(st.floats(allow_infinity=False), st.sampled_from([-0.0, math.nan]),
+                        st.integers(), st.booleans(), st.none(), st.text())
+
+
+def same_json(got, want) -> bool:
+    """``json.loads`` of a written value against the value: tuples read as
+    lists, every finite float equal, NaN read as NaN."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and list(got) == [str(k) for k in want]
+                and all(same_json(g, w) for g, w in zip(got.values(), want.values())))
+    if isinstance(want, (list, tuple)):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(same_json, got, want)))
+    if isinstance(want, float):     # 17 digits may read back as an int: 1.0 is "1"
+        return got != got if want != want else type(got) in (int, float) and got == want
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=30))
+@example(obj={"a\t\u00e9\x00": [(), {}, [-0.0, math.nan, 2**70, True, None]], "": ("\u2028",)})
+def test_to_json_writes_the_reference_bytes(obj):
+    text = cli._to_json(obj)
+    assert text == json_reference(obj)
+    assert same_json(json.loads(text), obj)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64(-math.inf)])
+def test_to_json_refuses_an_infinite_float(value):
+    # JSON has no token for it; "inf" would be text that json.loads rejects
+    with pytest.raises(ValueError, match="JSON has no token"):
+        cli._to_json({"a": [1.0, value]})
 
 
 def read_intervals(out_dir):
@@ -303,13 +375,14 @@ def count_passes(monkeypatch):
     return passes
 
 
-def demo_config(tmp_path, demo_csv, out):
-    """The demo analysis: C_harm, VE, design-known weights, scales 0, 0.5, 1."""
+def demo_config(tmp_path, demo_csv, out, scenario="C_harm", contrast="ve"):
+    """The demo analysis: C_harm, VE, design-known weights, scales 0, 0.5, 1;
+    or another scenario and contrast on the same data, weights and scales."""
     cfg = tmp_path / "demo.ini"
-    cfg.write_text(f"[data]\npath = {demo_csv}\n[scenario]\nname = C_harm\n"
+    cfg.write_text(f"[data]\npath = {demo_csv}\n[scenario]\nname = {scenario}\n"
                    f"[weights]\nmodel = design\nnu = {implied_subcohort_fraction()!r}\n"
-                   f"[sensitivity]\nscales = 0, 0.5, 1\ngrid_points = 21\ncontrast = ve\n"
-                   f"[output]\ndir = {out}\n", encoding="utf-8")
+                   f"[sensitivity]\nscales = 0, 0.5, 1\ngrid_points = 21\n"
+                   f"contrast = {contrast}\n[output]\ndir = {out}\n", encoding="utf-8")
     return cfg
 
 
@@ -321,15 +394,32 @@ DEMO_SHA256 = {
 }
 
 
-def test_analyze_demo_outputs_are_pinned(tmp_path, demo_csv):
+# the same for scenario B, additive contrast, on the same data and scales
+DEMO_B_SHA256 = {
+    "intervals.csv": "2d69af3ffefd2828a3d9edd2b6d0d31355b5bee6ee5a1e738e8c0ce82a99a3c5",
+    "results.json": "5a328d5fbcc4d3765bd4fdebebb3082a3e422426e0bc1060dda559a38afa4376",
+}
+
+
+def demo_digests(tmp_path, demo_csv, *scenario_contrast):
+    """SHA-256 of the demo analysis' outputs, its data path written as "demo.csv"."""
     out = tmp_path / "out"
-    assert main(["analyze", "--config", str(demo_config(tmp_path, demo_csv, out))]) == 0
+    cfg = demo_config(tmp_path, demo_csv, out, *scenario_contrast)
+    assert main(["analyze", "--config", str(cfg)]) == 0
     path = f'"path": "{demo_csv}"'.encode()
     results = (out / "results.json").read_bytes()
     assert results.count(path) == 1
     outputs = {"intervals.csv": (out / "intervals.csv").read_bytes(),
                "results.json": results.replace(path, b'"path": "demo.csv"')}
-    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == DEMO_SHA256
+    return {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()}
+
+
+def test_analyze_demo_outputs_are_pinned(tmp_path, demo_csv):
+    assert demo_digests(tmp_path, demo_csv) == DEMO_SHA256
+
+
+def test_analyze_demo_b_outputs_are_pinned(tmp_path, demo_csv):
+    assert demo_digests(tmp_path, demo_csv, "B", "additive") == DEMO_B_SHA256
 
 
 # SHA-256 of the outputs of two small studies: design B at n = 40 and Gamma

@@ -14,7 +14,7 @@ import psem
 from psem import core, demo, simulate, tables
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError, OrderingError, PsemError
-from psem.mathutil import norm_cdf, norm_quantile
+from psem.mathutil import bisect, norm_cdf, norm_quantile
 from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, solve_c_alpha,
                               symmetric_ranges)
 from psem.tables import from_counts
@@ -250,6 +250,35 @@ def test_c_alpha_bounds_and_monotonicity():
         if last is not None:
             assert c <= last + 1e-9
         last = c
+
+
+def c_alpha_reference(gap, alpha, tol=1e-10):
+    """``solve_c_alpha`` as ``mathutil.bisect`` over ``norm_cdf``."""
+    lo, hi = norm_quantile(1.0 - alpha), norm_quantile(1.0 - alpha / 2.0)
+
+    def f(c):
+        return norm_cdf(c + gap) - norm_cdf(-c) - (1.0 - alpha)
+
+    return lo if f(lo) >= 0.0 else bisect(f, lo, hi, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 4.0),
+                     st.floats(0.0, 2.0**-1022, allow_subnormal=True)),
+       alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+@example(gap=0.0, alpha=0.05)
+@example(gap=5e-324, alpha=0.05)
+@example(gap=50.0, alpha=0.05)
+@example(gap=0.7, alpha=0.1)
+@example(gap=1.0, alpha=1e-17)
+def test_c_alpha_is_the_bisection_to_the_bit(gap, alpha):
+    def outcome(solve):     # below about 1e-16, 1 - alpha is 1.0 and both raise
+        try:
+            return solve(gap, alpha).hex()
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(solve_c_alpha) == outcome(c_alpha_reference)
 
 
 def test_eui_contains_ignorance_always():
@@ -878,6 +907,33 @@ def test_a_failed_opening_block_fails_every_point_with_its_one_error():
     assert info.value is not stored and error_text(info.value) == error_text(stored)
     with pytest.raises(EstimationError, match=f"{_ALL_FAILED}OrderingError: early"):
         psem.sweep(one, config)
+
+
+def test_points_of_a_failed_opening_block_are_not_solved(monkeypatch):
+    """Where every replicate's opening block failed (the demo trial alone, in
+    C_protect), ``fit_targets`` gives each point that failure and NaN values
+    without the scenario's point solve; with one replicate solved, it solves."""
+    row = core._SCENARIOS[Scenario.C_PROTECT]
+    solved = []
+
+    def solve(st, f, beta):
+        solved.append(st.checks.failed.shape)
+        return row.solve(st, f, beta)
+
+    monkeypatch.setitem(core._SCENARIOS, Scenario.C_PROTECT, row._replace(solve=solve))
+    config = SensitivityConfig(Scenario.C_PROTECT, symmetric_ranges(Scenario.C_PROTECT, 1.0), 21)
+    beta = dict(zip(Scenario.C_PROTECT.sensitivity_keys, config.grid().T))
+    one = demo_weighted(False)
+    values, failed = core.fit_targets(one, Scenario.C_PROTECT, beta, Contrast.ADDITIVE)
+    stored = opening_failures(one)[0, 0]
+    assert solved == [] and failed.shape == (1, 21**4) and np.isnan(values).all()
+    assert all(e is stored for e in failed.ravel().tolist())
+    assert error_text(stored) == (
+        "OrderingError: early-event ordering (A4'') fails: the active-arm early rate 0.01119 "
+        "is not below the control rate 0.008032; Wald inference under early no-harm "
+        "monotonicity is invalid here")
+    core.fit_targets(c_protect_batch(), Scenario.C_PROTECT, beta, Contrast.ADDITIVE)
+    assert solved == [(2, 21**4)]
 
 
 def test_fit_ceps_fails_each_entry_of_a_failed_replicate_with_its_error():

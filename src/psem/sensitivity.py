@@ -22,8 +22,8 @@ call per covariance pass. Each region's result is the one it gets swept
 alone (``sweep``). Each ``SweepResult`` holds its failed-point mask
 (``ok()``) and every target's argmin and argmax per replicate
 (``extremes``), read once when the point pass builds it and again only
-where a covariance fit then fails. ``intervals`` reads every target's
-interval from those in one pass; ``interval_for`` reads one.
+where a covariance fit then fails. ``interval_table`` reads a batch's
+intervals from those as arrays; ``intervals`` reads one dataset's as floats.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class SensitivityConfig:
             raise ConfigError(f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 2 and any(lo < hi for lo, hi in self.ranges.values()):
             raise ConfigError("grid_points must be >= 2 for a nondegenerate range")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
+        if not (0.0 < self.alpha < 0.5 and 1.0 - self.alpha / 2.0 < 1.0):  # z_{1-a/2} finite
+            raise ConfigError(f"alpha must be in (0, 0.5), 1 - alpha/2 below 1, got {self.alpha}")
         cells = 1
         for lo, hi in self.ranges.values():
             cells *= self.grid_points if lo < hi else 1
@@ -104,8 +104,7 @@ class SweepResult:
     ``scenario.targets`` order, at every point; ``failures`` (B, G) each
     failed point's exception (its value is meaningless), else None; ``ceps``
     the fit with covariance at each point holding an extreme, by (b, g).
-    ``single`` marks the sweep of one dataset (B = 1), whose intervals read
-    as floats and raise or warn (see ``intervals``).
+    One dataset is swept as the batch of one (B = 1).
 
     ``ok()`` (B, G), which points did not fail, and ``extremes``
     (len(targets), 2, B), per target the first points in grid order holding
@@ -118,7 +117,6 @@ class SweepResult:
     values: np.ndarray
     failures: np.ndarray
     ceps: dict[tuple[int, int], CepResult] = field(default_factory=dict)
-    single: bool = False
     _ok: np.ndarray = field(init=False, repr=False, compare=False)
     extremes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -168,7 +166,7 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     grids of at most ``MAX_GRID_CELLS`` points, or of one region.
     ``targets`` defaults to every CEP target of the scenario. Batched data
     (``tables.from_counts``) are swept each replicate as if alone, and one
-    dataset as the batch of one (``SweepResult.single``). Each grid point's
+    dataset as the batch of one (B = 1). Each grid point's
     failure is recorded at (b, g), the error ``fit_scenario`` raises there.
     Each result reads its mask and extremes (``SweepResult.ok()`` and
     ``extremes``) when built. Each covariance pass fits every pending (region,
@@ -189,7 +187,6 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     if unknown := [t for t in targets if t not in names]:
         raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
                           f"{scenario.value}; targets: {list(names)}")
-    single = weighted.cells.count.ndim == 1     # swept as the batch of one
     grids = [c.grid() for c in configs]
     results: list[SweepResult] = []
     for run in _point_passes([len(g) for g in grids]):
@@ -199,7 +196,7 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
         for r in run:
             stop = start + len(grids[r])
             results.append(SweepResult(configs[r], targets, grids[r], values[..., start:stop],
-                                       failed[:, start:stop], single=single))
+                                       failed[:, start:stop]))
             start = stop
     todo = range(len(results))      # the regions whose extremes may lack a fit
     while pending := [(r, k) for r in todo for k in _extreme_points(results[r])
@@ -216,7 +213,7 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
         for r in todo:
             results[r]._read_extremes()
     for res in results:
-        if single and not res.ok().any():
+        if weighted.cells.count.ndim == 1 and not res.ok().any():     # one dataset
             raise fresh(res.first_errors()[0])
     return results
 
@@ -249,7 +246,7 @@ def sweep(weighted: WeightedRecords, config: SensitivityConfig,
 @dataclass
 class IntervalResult:
     """Ignorance interval and EUI of one target; ``c_alpha`` is NaN where ``degenerate`` (both
-    SEs 0). From a batched sweep each numeric field and EUI bound is a (B,) array."""
+    SEs 0). Each number and flag is a float or bool, or from ``eui`` of arrays an array."""
     target: str
     estimate_lower: float
     estimate_upper: float
@@ -259,7 +256,7 @@ class IntervalResult:
     c_alpha: float
     alpha: float
     degenerate: bool = False
-    # set by intervals, the points for one dataset only; None from a bare eui()
+    # set by intervals; None from a bare eui()
     point_lower: SensitivityPoint | None = None
     point_upper: SensitivityPoint | None = None
     extrema_on_corners: bool | None = None
@@ -320,26 +317,18 @@ def eui(est_l, se_l, est_u, se_u, alpha: float = 0.05, target: str = "") -> Inte
 def intervals(grid: SweepResult,
               targets: tuple[str, ...] | None = None) -> dict[str, IntervalResult]:
     """Ignorance interval plus EUI of each of ``targets`` (default: every
-    target of the sweep) from a completed sweep, in one pass: the failure
-    mask and every target's extremes are those the sweep holds
-    (``SweepResult.ok()``, ``SweepResult.extremes``), the corner mask is taken
-    once, and one ``eui`` call bisects each entry.
-
-    The ignorance interval spans the point estimates over the whole grid, even
-    where monotonicity guarantees corner extremes (``extrema_on_corners``).
-    For one dataset every field is read as a Python float or bool in one step,
-    and the achieving sensitivity-parameter points are retained, those of the
-    fits there (``CepResult.sensitivity``); in scenario B non-corner extremes
-    trigger a warning per target, in ``targets`` order, that names the failed
-    corner points, whose loss narrows the region, or else points to a
-    numerical problem. On a batched
-    sweep each replicate is treated as if alone, but nothing raises or warns:
-    a replicate whose every point failed gets NaN."""
+    target of the sweep) from the sweep of one dataset (B = 1; else a
+    ``ValueError``), its ``interval_table`` read as Python floats and bools,
+    with the points of the fits at the extremes (``CepResult.sensitivity``).
+    With every point failed, the sweep's first error raises. In scenario B
+    non-corner extremes (``extrema_on_corners``) trigger a warning per
+    target, in ``targets`` order, that names the failed corner points, whose
+    loss narrows the region, or else points to a numerical problem."""
     return _intervals(grid, grid.targets if targets is None else tuple(targets))
 
 
 def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
-    """Ignorance interval plus EUI for one target of a completed sweep:
+    """Ignorance interval plus EUI for one target of the sweep of one dataset:
     ``intervals`` of that target."""
     return _intervals(grid, (target,))[target]
 
@@ -347,18 +336,47 @@ def interval_for(grid: SweepResult, target: str = "mu") -> IntervalResult:
 def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, IntervalResult]:
     """The body of ``intervals``; its warnings name the line that called the
     public reader."""
-    for target in targets:
-        if target not in grid.targets:
-            raise KeyError(f"{target!r} is not a target of this sweep; "
-                           f"targets: {list(grid.targets)}")
-    ok = grid.ok()
-    fitted = ok.any(axis=1)    # (B,)
-    if grid.single and not fitted[0]:
-        raise EstimationError("no successful grid cells")
-    corner = np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
+    if len(grid.failures) != 1:
+        raise ValueError(f"intervals and interval_for read one dataset, not a sweep of "
+                         f"{len(grid.failures)} replicates; read those with interval_table")
+    table, flags = interval_table(grid, targets)
+    if not grid.ok()[0].any():
+        raise fresh(grid.first_errors()[0])
+    floats, flags = table[..., 0].T.tolist(), flags[..., 0].T.tolist()
+    extremes = grid.extremes[[grid.targets.index(t) for t in targets], :, 0].tolist()
+    warn = grid.config.scenario is Scenario.B and not all(on for _, on in flags)
+    at = np.flatnonzero(_corners(grid) & ~grid.ok()[0]).tolist() if warn else []
+    failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
+                       + f": {type(e).__name__}: {e})" for i, e in zip(at, grid.failures[0, at]))
+    results = {}
+    for t, target in enumerate(targets):
+        est_l, se_l, est_u, se_u, eui_l, eui_u, c = floats[t]
+        degenerate, on_corners = flags[t]
+        points = [grid.ceps[0, i].sensitivity for i in extremes[t]]
+        results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
+                                         grid.config.alpha, degenerate, *points, on_corners)
+        if warn and not on_corners:     # in scenario B the extremes must be on corners
+            cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
+                     "narrowed region" if failed else "check for numerical problems")
+            warnings.warn(f"ignorance-interval extremes for {target} fall inside the sensitivity "
+                          f"region in scenario B, where the estimate is monotone; {cause}",
+                          RuntimeWarning, stacklevel=3)
+    return results
+
+
+def interval_table(grid: SweepResult, targets: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each replicate's ignorance interval and EUI of each of ``targets``, as if
+    alone, in one pass over the sweep's mask and extremes (``SweepResult.ok()``,
+    ``extremes``), with one ``eui`` call: (7, T, B) floats, est_l, se_l, est_u,
+    se_u, the two EUI bounds and c_alpha, and (2, T, B) bools, degenerate and
+    extrema on corners. A replicate whose every point failed gets NaN and
+    False; nothing warns, and only a target the sweep lacks raises."""
+    if unknown := [t for t in targets if t not in grid.targets]:
+        raise KeyError(f"{unknown[0]!r} is not a target of this sweep; "
+                       f"targets: {list(grid.targets)}")
+    fitted = grid.ok().any(axis=1)    # (B,)
     ext = grid.extremes[[grid.targets.index(t) for t in targets]]     # (T, 2, B)
     extremes = ext.transpose(0, 2, 1).tolist()      # per target and replicate: lo, hi
-    # per target and replicate: est_l, se_l, est_u, se_u, the EUI and c_alpha
     out = np.full((7, len(targets), len(fitted)), np.nan)
     for t, target in enumerate(targets):
         row = grid.row(target)
@@ -367,31 +385,13 @@ def _intervals(grid: SweepResult, targets: tuple[str, ...]) -> dict[str, Interva
                              for x in (row[b, i], grid.ceps[b, i].get(target)[1])]
     res = eui(*out[:4, :, fitted], grid.config.alpha)
     out[4:, :, fitted] = *res.eui, res.c_alpha
-    # per target and replicate: degenerate (c_alpha is NaN there) and extrema on corners
-    flags = np.stack((fitted & np.isnan(out[6]), corner[ext].all(axis=1) & fitted), axis=1)
-    floats = out.transpose(1, 0, 2)
-    if grid.single:     # one dataset's intervals read as Python floats and bools
-        floats, flags = floats[..., 0].tolist(), flags[..., 0].tolist()
-    warn = grid.single and grid.config.scenario is Scenario.B   # extremes must be on corners
-    at = np.flatnonzero(corner & ~ok[0]).tolist() if warn else []   # failed corners
-    failed = "; ".join("(" + ", ".join(f"{k}={v:g}" for k, v in grid.point(i).values.items())
-                       + f": {type(e).__name__}: {e})" for i, e in zip(at, grid.failures[0, at]))
-    results = {}
-    for t, target in enumerate(targets):
-        est_l, se_l, est_u, se_u, eui_l, eui_u, c = floats[t]
-        degenerate, on_corners = flags[t]
-        # one dataset's extremes, the points its fits there hold
-        points = ([grid.ceps[0, i].sensitivity for i in extremes[t][0]] if grid.single
-                  else (None, None))
-        results[target] = IntervalResult(target, est_l, est_u, se_l, se_u, (eui_l, eui_u), c,
-                                         res.alpha, degenerate, *points, on_corners)
-        if warn and not on_corners:
-            cause = (f"the fit failed at region corner(s) {failed}, so the interval covers a "
-                     "narrowed region" if failed else "check for numerical problems")
-            warnings.warn(f"ignorance-interval extremes for {target} fall inside the sensitivity "
-                          f"region in scenario B, where the estimate is monotone; {cause}",
-                          RuntimeWarning, stacklevel=3)
-    return results
+    # c_alpha is NaN where degenerate
+    return out, np.stack((fitted & np.isnan(out[6]), _corners(grid)[ext].all(axis=1) & fitted))
+
+
+def _corners(grid: SweepResult) -> np.ndarray:
+    """Which of the sweep's G points are corners of its region."""
+    return np.logical_and.reduce([(c == c.min()) | (c == c.max()) for c in grid.cells.T])
 
 
 @dataclass

@@ -50,7 +50,7 @@ from . import tables
 from .core import Scenario, cep, fit_scenario  # noqa: F401
 from .errors import ConfigError, PsemError
 from .records import ObservedRecord
-from .sensitivity import (SensitivityConfig, eui, interval_for,  # noqa: F401
+from .sensitivity import (SensitivityConfig, eui, interval_table,  # noqa: F401
                           symmetric_ranges, sweep)
 from .tables import S_MISS, S_NEG, S_POS, S_UNDEF
 from .weights import WeightModel, fit_missingness
@@ -308,8 +308,8 @@ class StudyConfig:
             raise ConfigError(f"gamma scales must be >= 0 and < inf, got {list(self.gamma_scales)}")
         if self.grid_points is not None:
             _check_count("grid_points", self.grid_points, 2)
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
+        if not (0.0 < self.alpha < 0.5 and 1.0 - self.alpha / 2.0 < 1.0):  # z_{1-a/2} finite
+            raise ConfigError(f"alpha must be in (0, 0.5), 1 - alpha/2 below 1, got {self.alpha}")
 
     def cells(self) -> list[dict]:
         return [{"design": self.design, "n": n, "nu": nu, "delta": d,
@@ -374,9 +374,7 @@ def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> tuple[list, np.nd
     of the interval for mu (estimate_lower, se_lower, estimate_upper, se_upper, EUI)."""
     grid = sweep(fit_missingness(tables.from_counts(_cell_counts(draw, cell_id, reps)),
                                  WeightModel.design_known(draw.nu)), gamma, targets=("mu",))
-    mu = interval_for(grid, "mu")
-    return grid.first_errors(), np.column_stack(
-        [mu.estimate_lower, mu.se_lower, mu.estimate_upper, mu.se_upper, *mu.eui])
+    return grid.first_errors(), interval_table(grid, ("mu",))[0][:6, 0].T
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -402,7 +400,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         jobs += [(draw, gamma, cell_id, reps[s:s + block]) for s in reps[::block]]
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.threads, len(jobs))) as pool:
             blocks = list(pool.map(_fit_block, *zip(*jobs)))
     else:
         blocks = list(itertools.starmap(_fit_block, jobs))

@@ -252,6 +252,17 @@ def test_analyze_non_numeric_value_is_config_error(tmp_path, worked_csv, capsys,
     assert f"[{section}] {key} must be" in capsys.readouterr().err
 
 
+def test_analyze_alpha_with_an_infinite_critical_value_is_config_error(tmp_path, worked_csv,
+                                                                        capsys):
+    # 1 - 1e-17 / 2 is 1.0, where z_{1-alpha/2} is infinite
+    out = tmp_path / "o"
+    cfg = write_analysis_config(tmp_path, worked_csv, out)
+    cfg.write_text(cfg.read_text().replace("alpha = 0.05", "alpha = 1e-17"), encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "alpha must be in (0, 0.5), 1 - alpha/2 below 1, got 1e-17" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 @pytest.mark.parametrize("sensitivity, message", [
     ("scales = 0, -1", "scales must be >= 0"),
     ("scales = inf", "finite numbers"), ("beta0 = -inf, 1", "finite numbers")])

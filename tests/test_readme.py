@@ -1,5 +1,9 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and the attributes it names exist."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -18,3 +22,26 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def psem_owners() -> dict:
+    """The package, its modules and the classes they define, by name."""
+    owners = {"psem": psem}
+    for info in pkgutil.iter_modules(psem.__path__):
+        owners[info.name] = module = importlib.import_module(f"psem.{info.name}")
+        owners.update((name, cls) for name, cls in vars(module).items()
+                      if inspect.isclass(cls) and cls.__module__.startswith("psem."))
+    return owners
+
+
+def test_readme_attribute_references_resolve():
+    # `Owner.attr` where Owner is a psem module or class; a function owner
+    # (`intervals.csv`) or any other name (`np.equal`) is not checked
+    owners = psem_owners()
+    refs = set(re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
+    checked = [(o, a) for o, a in sorted(refs) if o in owners]
+    missing = [f"{o}.{a}" for o, a in checked if not hasattr(owners[o], a) and not (
+        dataclasses.is_dataclass(owners[o])
+        and a in {f.name for f in dataclasses.fields(owners[o])})]
+    assert len(checked) >= 15     # the scan finds the references
+    assert missing == []

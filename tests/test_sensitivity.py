@@ -15,8 +15,8 @@ from psem import core, demo, simulate, tables
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError, OrderingError, PsemError
 from psem.mathutil import bisect, norm_cdf, norm_quantile
-from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, solve_c_alpha,
-                              symmetric_ranges)
+from psem.sensitivity import (_ALL_FAILED, SensitivityConfig, SweepResult, interval_table,
+                              solve_c_alpha, symmetric_ranges)
 from psem.tables import from_counts
 from psem.weights import WeightModel, fit_missingness
 
@@ -62,6 +62,10 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="grid_points must be an integer"):
         SensitivityConfig(scenario=Scenario.B, ranges={"beta0": (-1, 1)},
                           grid_points=2.5)
+    # below about 1.11e-16, 1 - alpha/2 is 1.0 and z_{1-alpha/2} is infinite
+    with pytest.raises(ConfigError, match="1 - alpha/2 below 1, got 1e-17"):
+        SensitivityConfig(scenario=Scenario.B, alpha=1e-17)
+    assert SensitivityConfig(scenario=Scenario.B, alpha=1.5e-16).alpha == 1.5e-16
 
 
 def test_grid_points_equal_checked_points():
@@ -568,7 +572,7 @@ def test_contrast_variances_match_the_matmul_form(k, p, contrast, seed):
 def split_replicates(grid):
     """Each replicate of a batched sweep as the one-dataset sweep of its data
     alone, a batch of one: the reference for the batched interval step."""
-    out = [SweepResult(grid.config, grid.targets, grid.cells, v[:, None], f[None], single=True)
+    out = [SweepResult(grid.config, grid.targets, grid.cells, v[:, None], f[None])
            for v, f in zip(grid.values.swapaxes(0, 1), grid.failures)]
     for (b, g), c in grid.ceps.items():
         out[b].ceps[0, g] = c
@@ -576,6 +580,9 @@ def split_replicates(grid):
 
 
 INTERVAL_FLOATS = ("estimate_lower", "estimate_upper", "se_lower", "se_upper", "c_alpha")
+# the rows of interval_table (est_l, se_l, est_u, se_u, eui_l, eui_u, c_alpha) that hold
+# INTERVAL_FLOATS and then the two EUI bounds
+TABLE_ROWS = [0, 2, 1, 3, 6, 4, 5]
 
 
 # a = 0.05 and b = 0.9 with scale 30 make covariance fits fail at some extremes
@@ -606,29 +613,28 @@ def test_batched_interval_is_each_replicates_interval(design, contrast, grid_poi
         except PsemError as exc:    # every point failed: the batch's first error
             assert f"{type(exc).__name__}: {exc}" == error_text(grid.first_errors()[b])
             swept.append(None)
-    for target in grid.targets:
-        batched = psem.interval_for(grid, target)      # no warning: filterwarnings = error
+    table, flags = interval_table(grid, grid.targets)     # no warning: filterwarnings = error
+    for t, target in enumerate(grid.targets):
         for b, one in enumerate(alone):
-            got = [getattr(batched, f)[b] for f in INTERVAL_FLOATS] + [
-                batched.eui[0][b], batched.eui[1][b]]
+            got = table[TABLE_ROWS, t, b]
             try:
                 with warnings.catch_warnings():     # scenario B's corner warning
                     warnings.simplefilter("ignore", RuntimeWarning)
                     ref = psem.interval_for(one, target)
                     own = psem.interval_for(swept[b], target)
-            except EstimationError:
+            except PsemError as exc:    # every point failed: the replicate's first error
                 errors = failure_map(one.failures)
                 assert len(errors) == len(one.cells) and swept[b] is None
+                assert error_text(exc) == error_text(grid.first_errors()[b])
                 assert np.isnan(got).all()
-                assert not batched.degenerate[b] and not batched.extrema_on_corners[b]
+                assert not flags[0, t, b] and not flags[1, t, b]
                 continue
             want = [getattr(ref, f) for f in INTERVAL_FLOATS] + list(ref.eui)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (target, b)
+            assert got.tobytes() == np.array(want).tobytes(), (target, b)
             own = [getattr(own, f) for f in INTERVAL_FLOATS] + list(own.eui)
             assert np.array(own).tobytes() == np.array(want).tobytes(), (target, b)
-            assert batched.degenerate[b] == ref.degenerate
-            assert batched.extrema_on_corners[b] == ref.extrema_on_corners
-            assert (batched.target, batched.alpha) == (ref.target, ref.alpha)
+            assert flags[0, t, b] == ref.degenerate
+            assert flags[1, t, b] == ref.extrema_on_corners
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +661,13 @@ def sweep_bits(grid):
 def result_bits(res):
     """Every field of an IntervalResult, comparable bit for bit."""
     floats = np.array([getattr(res, f) for f in INTERVAL_FLOATS] + list(res.eui))
-    return (res.target, res.alpha, floats.tobytes(), np.asarray(res.degenerate).tolist(),
-            res.point_lower, res.point_upper, np.asarray(res.extrema_on_corners).tolist())
+    return (res.target, res.alpha, floats.tobytes(), res.degenerate,
+            res.point_lower, res.point_upper, res.extrema_on_corners)
+
+
+def table_bits(table, flags):
+    """The arrays of ``interval_table``, comparable bit for bit."""
+    return table.shape, table.tobytes(), flags.shape, flags.tobytes()
 
 
 def interval_bits(grid, target):
@@ -696,7 +707,9 @@ def test_sweeping_regions_together_changes_no_bit(scenario, contrast, regions, g
     for config, grid in zip(configs, together):
         alone = psem.sweeps(w, [config])[0]
         assert sweep_bits(grid) == sweep_bits(alone)
-        for target in grid.targets:
+        assert (table_bits(*interval_table(grid, grid.targets))
+                == table_bits(*interval_table(alone, alone.targets)))
+        for target in grid.targets if not batched else ():
             assert interval_bits(grid, target) == interval_bits(alone, target)
 
 
@@ -732,27 +745,34 @@ def test_intervals_is_interval_for_of_every_target(scenario, contrast, regions, 
                                  else symmetric_ranges(scenario, r), grid_points,
                                  contrast=contrast) for r in regions]
     for grid in psem.sweeps(w, configs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            together = psem.intervals(grid)
-        assert list(together) == list(grid.targets)
-        assert all(w.filename == __file__ for w in caught)
-        alone = [interval_bits(grid, t) for t in grid.targets]
-        # the same fields, and the same warnings in the same order, as one target at a time
-        assert [result_bits(together[t]) for t in grid.targets] == [a[:-1] for a in alone]
-        assert [str(m.message) for m in caught] == [m for a in alone for m in a[-1]]
-        for target, res in together.items():
+        table, flags = interval_table(grid, grid.targets)
+        # every target's table is its table alone
+        assert [table_bits(*interval_table(grid, (t,))) for t in grid.targets] == [
+            table_bits(table[:, [t]], flags[:, [t]]) for t in range(len(grid.targets))]
+        if not batched:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                together = psem.intervals(grid)
+            assert list(together) == list(grid.targets)
+            assert all(w.filename == __file__ for w in caught)
+            alone = [interval_bits(grid, t) for t in grid.targets]
+            # the same fields, and the same warnings in the same order, as one target at a time
+            assert [result_bits(together[t]) for t in grid.targets] == [a[:-1] for a in alone]
+            assert [str(m.message) for m in caught] == [m for a in alone for m in a[-1]]
+        for t, target in enumerate(grid.targets):
             for b in range(len(grid.values[0])):
                 want = interval_from_scratch(grid, target, b)
-                got = [np.ravel(getattr(res, f))[b] for f in INTERVAL_FLOATS] + [
-                    np.ravel(res.eui[0])[b], np.ravel(res.eui[1])[b]]
+                got = table[TABLE_ROWS, t, b]
                 if want is None:
-                    assert batched and np.isnan(got).all()
+                    assert batched and np.isnan(got).all() and not flags[:, t, b].any()
                     continue
                 ref, lower, upper = want
-                assert (np.array(got).tobytes() == np.array(
+                assert (got.tobytes() == np.array(
                     [getattr(ref, f) for f in INTERVAL_FLOATS] + list(ref.eui)).tobytes())
+                assert flags[0, t, b] == ref.degenerate
                 if not batched:
+                    res = together[target]
+                    assert result_bits(res)[2] == got.tobytes()
                     assert (res.point_lower, res.point_upper) == (lower, upper)
                     assert res.degenerate is ref.degenerate
 
@@ -762,6 +782,59 @@ def test_intervals_rejects_unknown_targets(worked_weighted):
     with pytest.raises(KeyError, match=r"'cep_10' is not a target of this sweep"):
         psem.intervals(grid, ("mu", "cep_10"))
     assert list(psem.intervals(grid)) == ["mu"]
+
+
+def test_a_batch_of_one_reads_as_its_one_dataset():
+    # the demo table as a (1, 32) batch: floats and bools, the same bits and the same
+    # warnings as the table itself; scale 60 fails corners, so scenario B warns
+    table = demo_weighted(False).cells
+    code = table.z * 16 + table.yt * 8 + table.s * 2 + table.y
+    one = fit_missingness(from_counts(table.count[None], code), demo.implied_weight_model())
+    warned = 0
+    for contrast in Contrast:
+        cfg = SensitivityConfig(Scenario.B, symmetric_ranges(Scenario.B, 60), 21,
+                                contrast=contrast)
+        flat, batch = psem.sweep(demo_weighted(False), cfg), psem.sweep(one, cfg)
+        assert batch.values.shape == flat.values.shape
+        assert [interval_bits(batch, t) for t in flat.targets] == [
+            interval_bits(flat, t) for t in flat.targets]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = psem.intervals(batch)
+            n = len(caught)
+            want = psem.intervals(flat)
+        assert [result_bits(r) for r in got.values()] == [result_bits(r) for r in want.values()]
+        assert [str(m.message) for m in caught[:n]] == [str(m.message) for m in caught[n:]]
+        warned += n
+        for res in got.values():
+            assert {type(getattr(res, f)) for f in INTERVAL_FLOATS} == {float}
+            assert [type(x) for x in res.eui] == [float, float]
+            assert type(res.degenerate) is type(res.extrema_on_corners) is bool
+    assert warned
+
+
+def test_intervals_read_one_dataset_only():
+    grid = psem.sweep(demo_weighted(True), SensitivityConfig(Scenario.B, {}, 3))
+    for read in (lambda: psem.intervals(grid), lambda: psem.interval_for(grid, "mu")):
+        with pytest.raises(ValueError, match="not a sweep of 3 replicates; read those with "
+                                             "interval_table"):
+            read()
+
+
+def test_a_sweep_whose_every_point_failed_raises_its_first_error():
+    cfg = b_config(-1.0, 1.0, g=3)
+    stored = [EstimationError(f"point {g}") for g in range(3)]
+    failures = np.empty((1, 3), dtype=object)
+    failures[0] = stored
+    grid = SweepResult(cfg, ("mu",), cfg.grid(), np.zeros((3, 1, 3)), failures)
+    for read in (lambda: psem.intervals(grid), lambda: psem.interval_for(grid, "mu")):
+        with pytest.raises(EstimationError) as info:
+            read()
+        assert str(info.value) == str(grid.first_errors()[0]) == f"{_ALL_FAILED}" \
+            "EstimationError: point 0"
+        assert info.value is not grid.first_errors()[0]
+    table, flags = interval_table(grid, grid.targets)
+    assert np.isnan(table).all() and not flags.any()
 
 
 def test_a_one_point_region_raises_its_points_own_error():
@@ -784,6 +857,12 @@ def test_a_one_point_region_raises_its_points_own_error():
                             demo.implied_weight_model())
     assert [error_text(e) for e in psem.sweep(batch, zero).first_errors()] == [
         f"{type(want.value).__name__}: {want.value}", None]
+    # a batch of that table alone sweeps, and its interval raises that error
+    one = psem.sweep(fit_missingness(from_counts(count[None], code),
+                                     demo.implied_weight_model()), zero)
+    with pytest.raises(psem.PsemError) as got:
+        psem.interval_for(one, "mu")
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_a_one_point_region_wraps_an_error_that_is_not_a_psem_error(monkeypatch):

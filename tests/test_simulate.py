@@ -398,8 +398,10 @@ def test_study_config_checks_every_n_and_nu(sample):
     ({"gamma_scales": (0.0, math.inf)}, "gamma scales must be >= 0 and < inf"),
     ({"alpha": 0.7}, r"alpha must be in \(0, 0.5\)"),
     ({"alpha": 0.0}, r"alpha must be in \(0, 0.5\)"),
+    ({"alpha": 1e-17}, "1 - alpha/2 below 1, got 1e-17"),
     ({"grid_points": 2.5}, "grid_points must be >= 2 and < inf, an integer")],
-    ids=["nan_delta", "infinite_gamma_scale", "alpha_0.7", "alpha_0", "fractional_grid_points"])
+    ids=["nan_delta", "infinite_gamma_scale", "alpha_0.7", "alpha_0", "alpha_1e-17",
+         "fractional_grid_points"])
 def test_study_config_rejects_bad_values(kwargs, message):
     # rejected when built, naming the study field: each used to fail inside
     # run_study, naming a derived value (a, a beta range) or none
@@ -428,6 +430,36 @@ def test_study_thread_invariance():
         assert [row[7] for row in serial[1]] == [failures]     # the failures column
         for threads in (2, 3):
             assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
+
+
+def test_a_tiny_alpha_whose_critical_value_is_finite_is_accepted():
+    # 1 - 1.5e-16 / 2 rounds below 1.0, so z_{1-alpha/2} is finite
+    assert StudyConfig("B", (400,), alpha=1.5e-16).alpha == 1.5e-16
+
+
+def test_a_study_asks_for_no_more_workers_than_blocks(monkeypatch):
+    # a recording pool that maps in process: no worker process starts
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    base = StudyConfig("B", (400,), replicates=130, seed=7)    # 3 blocks of at most 64
+    serial = run_study(base).as_table()
+    for threads, workers in ((5000, 3), (2, 2)):
+        assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
+        assert asked.pop() == workers
 
 
 def test_a_study_whose_every_replicate_fails_raises_the_first_error():

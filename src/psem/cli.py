@@ -38,10 +38,7 @@ EXIT_CODES = (
 
 
 def _exit_code(exc: PsemError) -> int:
-    for klass, code in EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 4
+    return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 4)
 
 
 def _fmt(value):
@@ -210,9 +207,7 @@ def cmd_analyze(args) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "results.json", payload)
     with open(cfg.out_dir / "intervals.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(csv_rows)
+        csv.writer(fh).writerows([CSV_HEADER, *csv_rows])
     print(f"wrote {cfg.out_dir / 'results.json'} and {cfg.out_dir / 'intervals.csv'}")
     return 0
 
@@ -229,10 +224,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     header, rows = result.as_table()
     with open(out_dir / "study.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerows([header, *([_fmt(v) for v in row] for row in rows)])
     _write_json(out_dir / "study.json", {
         "version": __version__,
         "config": dataclasses.asdict(study),
@@ -262,8 +254,7 @@ def cmd_diagnose(args) -> int:
                  f"arm0={_opt(report.marker_pos_rates[0])}")
     lines.append(f"A5' marker ordering holds: {report.a5p_ordering}")
     lines.append(f"recommended scenarios: {', '.join(report.recommended) or 'none'}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in report.notes]
     text = "\n".join(lines)
     print(text)
     if args.out:

@@ -99,11 +99,8 @@ def load_analysis_config(path) -> AnalysisConfig:
     if "data" not in ini or "path" not in ini["data"]:
         raise ConfigError("config needs a [data] section with a 'path' key")
     data = ini["data"]
-    schema = {}
-    for logical in ("id", "z", "y_tau", "marker", "y", "measured"):
-        key = f"col_{logical}"
-        if key in data:
-            schema[logical] = data[key]
+    schema = {logical: data[f"col_{logical}"] for logical in
+              ("id", "z", "y_tau", "marker", "y", "measured") if f"col_{logical}" in data}
 
     if "scenario" not in ini or "name" not in ini["scenario"]:
         raise ConfigError("config needs a [scenario] section with a 'name' key")
@@ -140,13 +137,10 @@ def load_analysis_config(path) -> AnalysisConfig:
             if key in ("grid_points", "alpha", "contrast", "scales"):
                 continue
             vals = _floats(sec[key])
-            if len(vals) == 1:
-                ranges[key] = (vals[0], vals[0])
-            elif len(vals) == 2:
-                ranges[key] = (vals[0], vals[1])
-            else:
+            if len(vals) > 2:
                 raise ConfigError(f"sensitivity key {key!r} needs one value "
                                   "or a low, high pair")
+            ranges[key] = (vals[0], vals[-1])
         grid_points = _number(sec, "grid_points", int, 21)
         alpha = _number(sec, "alpha", float, 0.05)
         if "contrast" in sec:

@@ -231,8 +231,10 @@ class _Stack:
         u, grad = np.empty((*count.shape, p)), np.empty((*count.shape, p))
         bread = np.empty((*count.shape[:-1], p, p))
         for j, row in enumerate(fn(d) for fn in self.fns):   # no (p, *count.shape, p) stack
-            u[..., j], grad[...] = row.v, row.g
-            np.matmul(c, grad, out=bread[..., j:j + 1, :])
+            u[..., j], g = row.v, row.g
+            if g.ndim != 2:     # copied to (B, cells, p) unless per cell only, (cells, p)
+                grad[...], g = g, grad
+            np.matmul(c, g, out=bread[..., j:j + 1, :])
         resid = np.max(np.abs(c @ u / n), axis=-1)
         self.checks(~(resid <= 1e-8), EstimationError, lambda r: f"stacked residual "
                     f"{r:.3e} exceeds tolerance; the blockwise solution is inconsistent", resid)
@@ -927,19 +929,27 @@ def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
         return target_map(scenario, names, contrast, st.checks)(theta), st.checks.failed
 
 
+FIT_CHUNK = 128     # fits per stacked sandwich, whose arrays are (fits, cells, p)
+
+
 def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
              contrast: Contrast, rows) -> tuple[list[CepResult], np.ndarray]:
-    """``cep(fit_scenario(...))`` at each of the ``points`` in one stacked fit
-    (``_fit``; rows are 0 for one dataset) and each fit's first failure, (k,),
-    None where the fit did not fail. Each result reads its fit on demand
-    (``CepResult.fit``). No fit's numbers depend on the fits beside it."""
-    st, report = _fit(weighted, points, rows)
-    with np.errstate(all="ignore"):
-        names, theta, cov = _finalize(st, True, report)
-        ceps = _ceps(points[0].scenario, names, theta, cov, contrast, points, st.checks)
-    for j, c in enumerate(ceps):
-        c.stacked = (names, theta, cov, st.cells.count, j)
-    return ceps, st.checks.failed[:, 0]
+    """``cep(fit_scenario(...))`` at each of the ``points`` in stacked fits of at
+    most ``FIT_CHUNK`` points (``_fit``; rows are 0 for one dataset) and each
+    fit's first failure, (k,), None where the fit did not fail. Each result reads
+    its fit on demand (``CepResult.fit``). No fit's numbers depend on the fits
+    beside it, so neither do they depend on where the chunks are cut."""
+    ceps, failed = [], []
+    for s in range(0, len(points), FIT_CHUNK):
+        chunk = points[s:s + FIT_CHUNK]
+        st, report = _fit(weighted, chunk, rows[s:s + FIT_CHUNK])
+        with np.errstate(all="ignore"):
+            names, theta, cov = _finalize(st, True, report)
+            ceps += _ceps(chunk[0].scenario, names, theta, cov, contrast, chunk, st.checks)
+        for j, c in enumerate(ceps[s:]):
+            c.stacked = (names, theta, cov, st.cells.count, j)
+        failed.append(st.checks.failed[:, 0])
+    return ceps, np.concatenate(failed)
 
 
 # ---------------------------------------------------------------------------

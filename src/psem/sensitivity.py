@@ -71,9 +71,7 @@ class SensitivityConfig:
             raise ConfigError("grid_points must be >= 2 for a nondegenerate range")
         if not (0.0 < self.alpha < 0.5 and 1.0 - self.alpha / 2.0 < 1.0):  # z_{1-a/2} finite
             raise ConfigError(f"alpha must be in (0, 0.5), 1 - alpha/2 below 1, got {self.alpha}")
-        cells = 1
-        for lo, hi in self.ranges.values():
-            cells *= self.grid_points if lo < hi else 1
+        cells = math.prod(self.grid_points if lo < hi else 1 for lo, hi in self.ranges.values())
         if cells > MAX_GRID_CELLS:
             raise ConfigError(f"sensitivity grid has {cells} cells; lower "
                               "grid_points or shrink the region")

@@ -364,14 +364,17 @@ class StudyResult:
 
 
 # replicates tallied into one batched cell table and fitted in one pass: at most BLOCK,
-# and on a grid of G points at most BLOCK_POINTS / G (the grid pass holds (B, G) arrays)
-BLOCK, BLOCK_POINTS = 64, 64 * 21
+# and on a grid of G points at most BLOCK_POINTS / G (the grid pass holds (B, G) arrays;
+# core.FIT_CHUNK bounds the covariance pass). With threads, a cell's blocks shrink toward
+# replicates / threads, but never below the SPLIT rule's (SPLIT, SPLIT_POINTS / G)
+BLOCK, BLOCK_POINTS, SPLIT, SPLIT_POINTS = 200, 200 * 21, 64, 64 * 21
 
 
 def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> tuple[list, np.ndarray]:
-    """Draw the replicates ``reps`` of a study cell and sweep them in one pass: each
-    replicate's first exception (None where no point failed), and a row per replicate
-    of the interval for mu (estimate_lower, se_lower, estimate_upper, se_upper, EUI)."""
+    """Draw the replicates ``reps`` of a study cell and sweep them in one pass, whose
+    covariance fits are stacked ``core.FIT_CHUNK`` at a time: each replicate's first
+    exception (None where no point failed), and a row per replicate of the interval
+    for mu (estimate_lower, se_lower, estimate_upper, se_upper, EUI)."""
     grid = sweep(fit_missingness(tables.from_counts(_cell_counts(draw, cell_id, reps)),
                                  WeightModel.design_known(draw.nu)), gamma, targets=("mu",))
     return grid.first_errors(), interval_table(grid, ("mu",))[0][:6, 0].T
@@ -383,8 +386,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     true contrast difference, mean EUI width, bias of the grid-minimum and
     grid-maximum estimates, and the ratio of empirical to average estimated
     standard errors. Per-replicate estimation failures are excluded from
-    the metrics and counted. ``threads`` > 1 maps the blocks of replicates
-    to one process pool; results do not depend on it, bit for bit.
+    the metrics and counted. Replicates are fitted in blocks (``BLOCK``);
+    ``threads`` > 1 maps them to one process pool, cutting each cell into at
+    least min(threads, m) and at most m blocks, m its block count under the
+    ``SPLIT`` rule: the pool starts no more workers than under that rule and
+    leaves none without a block. Results depend neither on blocks nor on
+    threads, bit for bit.
     """
     g = config.grid_points or DESIGNS[config.design].grid_points
     cells, jobs, reps = [], [], range(config.replicates)
@@ -396,7 +403,9 @@ def run_study(config: StudyConfig) -> StudyResult:
         scenario = DESIGNS[cell["design"]].scenario
         gamma = SensitivityConfig(scenario, symmetric_ranges(scenario, cell["gamma_scale"]),
                                   grid_points=g, alpha=config.alpha)
-        block = max(1, min(BLOCK, BLOCK_POINTS // len(gamma.grid())))
+        points = len(gamma.grid())
+        block = max(1, min(SPLIT, SPLIT_POINTS // points),
+                    min(BLOCK, BLOCK_POINTS // points, config.replicates // config.threads))
         jobs += [(draw, gamma, cell_id, reps[s:s + block]) for s in reps[::block]]
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # keeps import psem light

@@ -243,8 +243,12 @@ class DatasetSummary:
 
 
 def summarize(data) -> DatasetSummary:
-    """Per-arm tallies of records, or of their CellTable."""
+    """Per-arm tallies of records, or of their CellTable of one dataset (a
+    ``ValueError`` for a batch of B > 1 replicates)."""
     c = data if isinstance(data, CellTable) else from_records(data)
+    if c.count.size != c.z.size:
+        raise ValueError(f"summarize reads one dataset, not a table of "
+                         f"{c.count.size // c.z.size} replicates")
     meas = (c.yt == 0) & (c.s <= S_POS)
     pos, case, control = meas & (c.s == S_POS), c.y == 1, c.y == 0
     masks = {"n": True, "early_events": c.yt == 1, "final_events": case,
@@ -252,5 +256,5 @@ def summarize(data) -> DatasetSummary:
              "measured_controls": meas & control, "positive_cases": pos & case,
              "positive_controls": pos & control}
     return DatasetSummary(arms={z: ArmSummary(**{
-        k: int(c.count[(c.z == z) & m].sum()) for k, m in masks.items()})
+        k: int(c.count[..., (c.z == z) & m].sum()) for k, m in masks.items()})
         for z in (0, 1)})

@@ -81,27 +81,20 @@ class WeightedRecords:
         return self.cells.n
 
     def normalized_weights(self) -> np.ndarray:
-        """Diagnostic only: measured-survivor weights rescaled to mean 1."""
+        """Diagnostic only: measured-survivor weights rescaled to mean 1, a row
+        per replicate of a batch."""
         w, counts = self._measured_weights()
-        return w / (np.sum(w * counts) / np.sum(counts))
+        return w / (np.sum(w * counts, -1, keepdims=True) / np.sum(counts, -1, keepdims=True))
 
     def _measured_weights(self):
+        """The measured survivors' weights (cells,) and counts (..., cells)."""
         mask = (self.cells.yt == 0) & (self.cells.s != S_MISS)
-        return self.cells.w[mask], self.cells.count[mask]
+        return self.cells.w[mask], self.cells.count[..., mask]
 
 
 def _logistic_design(terms, z, y):
-    cols = []
-    for t in terms:
-        if t == "intercept":
-            cols.append(np.ones_like(z, dtype=float))
-        elif t == "z":
-            cols.append(z.astype(float))
-        elif t == "y":
-            cols.append(y.astype(float))
-        else:
-            cols.append((z * y).astype(float))
-    return np.column_stack(cols)
+    cols = {"intercept": np.ones(len(z)), "z": z, "y": y, "z*y": z * y}
+    return np.column_stack([cols[t] for t in terms])
 
 
 def _logistic_mle(x, measured, total, max_iter=50, tol=1e-12):
@@ -208,12 +201,12 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
                            certainty_cases=certainty)
 
 
-def effective_sample(weighted: WeightedRecords) -> float:
+def effective_sample(weighted: WeightedRecords) -> float | np.ndarray:
     """Kish effective sample size (sum w)^2 / (sum w^2) of the measured
-    survivor weights; equals their count when all weights are equal."""
+    survivor weights, (B,) for a batch; equals their count when all weights
+    are equal."""
     w, counts = weighted._measured_weights()
-    if counts.sum() <= 0:
+    if (counts.sum(-1) <= 0).any():
         raise DataError("no measured markers; effective sample undefined")
-    sw = float(np.sum(counts * w))
-    sw2 = float(np.sum(counts * w * w))
-    return sw * sw / sw2
+    sw, sw2 = np.sum(counts * w, -1), np.sum(counts * w * w, -1)
+    return float(sw * sw / sw2) if counts.ndim == 1 else sw * sw / sw2

@@ -433,9 +433,20 @@ def test_analyze_demo_b_outputs_are_pinned(tmp_path, demo_csv):
     assert demo_digests(tmp_path, demo_csv, "B", "additive") == DEMO_B_SHA256
 
 
-# SHA-256 of the outputs of two small studies: design B at n = 40 and Gamma
-# scale 6, where 1 of 60 replicates fails, and design C on a 3-point grid
+# SHA-256 of the outputs of three studies: design B at n = 40 and Gamma scale 6,
+# where 1 of 60 replicates fails; design C on a 3-point grid; and the benchmark's
+# simulate_b study, whose 400 replicates cross block and covariance-stack
+# boundaries, serially and at 2 threads (the same study.csv; study.json echoes threads)
 STUDY_SHA256 = {
+    "B_n1600_gamma1": (
+        "design = B\nn = 1600\nnu = 1\ndelta = 0.2\ngamma_scales = 1\nreplicates = 400\nseed = 1\n",
+        {"study.csv": "f15b38b5d67fc50394bbaeb6324f5b37169522b86feadb550abc6e638e8a7c15",
+         "study.json": "9d11b0a88a17650168c18cded83422ba6995dd4bcc2c070867bd4ab7ae16bd2d"}),
+    "B_n1600_gamma1_threads2": (
+        "design = B\nn = 1600\nnu = 1\ndelta = 0.2\ngamma_scales = 1\nreplicates = 400\nseed = 1\n"
+        "threads = 2\n",
+        {"study.csv": "f15b38b5d67fc50394bbaeb6324f5b37169522b86feadb550abc6e638e8a7c15",
+         "study.json": "5c4f16c98af1abae19c515f1f6a2adb86af32da0a63471c29dcba2713e304b26"}),
     "B_n40_gamma6": (
         "design = B\nn = 40\ndelta = 0.2\ngamma_scales = 6\nreplicates = 60\nseed = 1\n",
         {"study.csv": "751dfae06cf98842e8d57ef533706e26d7d1f5013f397151e28b4ae4367ad8c6",

@@ -1024,6 +1024,26 @@ def test_fit_ceps_fails_each_entry_of_a_failed_replicate_with_its_error():
     assert failed[1] is None and np.isfinite(ceps[1].mu_se)
 
 
+def test_fit_ceps_chunks_change_no_bit(monkeypatch):
+    # stacks of at most 3 fits: 10 points in chunks of 3, 3, 3 and 1, the replicate
+    # whose opening fails in the last two; each fit against its own call, bit for bit
+    monkeypatch.setattr(core, "FIT_CHUNK", 3)
+    w, keys = c_protect_batch(), Scenario.C_PROTECT.sensitivity_keys
+    points = [SensitivityPoint(Scenario.C_PROTECT, dict(zip(keys, [0.5 * s, -s, s, 0.25 * s])))
+              for s in np.linspace(-1.0, 1.0, 10).tolist()]
+    rows = [1] * 7 + [0, 1, 0]
+    ceps, failed = core.fit_ceps(w, points, Contrast.ADDITIVE, rows)
+    assert failed.shape == (10,) and list(failure_map(failed)) == [7, 9]
+    assert failed[7] is failed[9] is opening_failures(w)[0, 0]
+    for k, (point, row) in enumerate(zip(points, rows)):
+        (alone,), (alone_failed,) = core.fit_ceps(w, [point], Contrast.ADDITIVE, [row])
+        assert error_text(failed[k]) == error_text(alone_failed)
+        if alone_failed is None:
+            fit, ref = ceps[k].fit, alone.fit
+            assert cep_bits(ceps[k]) == cep_bits(alone) and ceps[k].sensitivity == point
+            assert (fit.theta.tobytes(), fit.cov.tobytes()) == (ref.theta.tobytes(), ref.cov.tobytes())
+
+
 def test_an_all_failed_region_raises_as_if_swept_alone():
     w = demo_weighted(False)
     failing = b_config(50.0, 60.0, g=3)     # no mixture root at any point

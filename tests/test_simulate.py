@@ -417,33 +417,14 @@ def test_study_seed_determinism():
     assert r1.as_table() == r2.as_table()
 
 
-def test_study_thread_invariance():
-    # 150 replicates are not a multiple of the block size, so the blocks
-    # differ in size and the workers split them unevenly; in the second
-    # study 1 of 60 replicates fails, so its exception crosses the pool
-    for base, failures in [
-            (StudyConfig(design="B", n_values=(400,), deltas=(0.3,),
-                         gamma_scales=(0.0,), replicates=150, seed=7), 0),
-            (StudyConfig("B", (40,), gamma_scales=(6.0,), replicates=60, seed=1), 1)]:
-        assert base.replicates % simulate.BLOCK
-        serial = run_study(base).as_table()
-        assert [row[7] for row in serial[1]] == [failures]     # the failures column
-        for threads in (2, 3):
-            assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
-
-
-def test_a_tiny_alpha_whose_critical_value_is_finite_is_accepted():
-    # 1 - 1.5e-16 / 2 rounds below 1.0, so z_{1-alpha/2} is finite
-    assert StudyConfig("B", (400,), alpha=1.5e-16).alpha == 1.5e-16
-
-
-def test_a_study_asks_for_no_more_workers_than_blocks(monkeypatch):
-    # a recording pool that maps in process: no worker process starts
-    asked = []
+def mapped_in_process(config):
+    """``run_study(config)`` with its pool mapped in process, so no worker process
+    starts: its table, the replicates of each block and the workers it asks for."""
+    sizes, workers, real = [], [], simulate._fit_block
 
     class Pool:
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -454,12 +435,43 @@ def test_a_study_asks_for_no_more_workers_than_blocks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-    base = StudyConfig("B", (400,), replicates=130, seed=7)    # 3 blocks of at most 64
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+        m.setattr(simulate, "_fit_block", lambda *job: sizes.append(len(job[-1])) or real(*job))
+        return run_study(config).as_table(), sizes, workers
+
+
+def test_study_thread_invariance():
+    # 151 replicates make blocks of unequal size at 2 and 3 threads (75, 75 and 1;
+    # 64, 64 and 23), and the workers split them unevenly; in the second study
+    # 1 of 60 replicates fails, so its exception crosses the pool
+    for base, failures in [
+            (StudyConfig(design="B", n_values=(400,), deltas=(0.3,),
+                         gamma_scales=(0.0,), replicates=151, seed=7), 0),
+            (StudyConfig("B", (40,), gamma_scales=(6.0,), replicates=60, seed=1), 1)]:
+        serial = run_study(base).as_table()
+        assert [row[7] for row in serial[1]] == [failures]     # the failures column
+        for threads in (2, 3):
+            config = dataclasses.replace(base, threads=threads)
+            assert run_study(config).as_table() == serial
+            if failures == 0:
+                assert len(set(mapped_in_process(config)[1])) > 1
+
+
+def test_a_tiny_alpha_whose_critical_value_is_finite_is_accepted():
+    # 1 - 1.5e-16 / 2 rounds below 1.0, so z_{1-alpha/2} is finite
+    assert StudyConfig("B", (400,), alpha=1.5e-16).alpha == 1.5e-16
+
+
+def test_a_study_asks_for_no_more_workers_than_blocks():
+    # at most 3 blocks, the count in blocks of at most 64 (``SPLIT``), and at
+    # least min(threads, 3): one block serially, 65 + 65 at 2 threads
+    base = StudyConfig("B", (400,), replicates=130, seed=7)
     serial = run_study(base).as_table()
-    for threads, workers in ((5000, 3), (2, 2)):
-        assert run_study(dataclasses.replace(base, threads=threads)).as_table() == serial
-        assert asked.pop() == workers
+    for threads, sizes in ((1, [130]), (2, [65, 65]), (3, [64, 64, 2]), (5000, [64, 64, 2])):
+        table, blocks, workers = mapped_in_process(dataclasses.replace(base, threads=threads))
+        assert table == serial and blocks == sizes
+        assert workers == ([min(threads, len(sizes))] if threads > 1 else [])
 
 
 def test_a_study_whose_every_replicate_fails_raises_the_first_error():
@@ -472,15 +484,30 @@ def test_a_study_whose_every_replicate_fails_raises_the_first_error():
 
 
 def test_study_blocks_shrink_on_large_grids(monkeypatch):
-    # a block holds at most 64 * 21 (replicate, point) pairs: 5 replicates
-    # of the 4**4 = 256 points of design C at grid_points = 4, 64 at one point
+    # a block holds at most 200 * 21 (replicate, point) pairs: 16 replicates
+    # of the 4**4 = 256 points of design C at grid_points = 4, all 70 at one point
     sizes, real = [], simulate._fit_block
     monkeypatch.setattr(simulate, "_fit_block",
                         lambda *job: sizes.append(len(job[-1])) or real(*job))
     cfg = StudyConfig("C", (4000,), gamma_scales=(0.0, 1.0), grid_points=4,
                       replicates=70, seed=3)
     assert [r.replicates + r.failures for r in run_study(cfg).rows] == [70, 70]
-    assert sizes == [64, 6] + [5] * 14
+    assert sizes == [70] + [16] * 4 + [6]
+
+
+def test_study_results_do_not_depend_on_the_block_size():
+    # blocks of 1, 64 and 200 replicates of a 21-point grid, where some replicates fail
+    config = StudyConfig("B", (40,), gamma_scales=(6.0,), replicates=250, seed=1)
+    outputs = []
+    for block in (1, 64, simulate.BLOCK):
+        with pytest.MonkeyPatch.context() as m:
+            for name in ("BLOCK", "SPLIT"):
+                m.setattr(simulate, name, block)
+                m.setattr(simulate, f"{name}_POINTS", block * 21)
+            table, sizes, _ = mapped_in_process(config)
+        assert sizes == [block] * (250 // block) + [250 % block] * (250 % block > 0)
+        outputs.append(table)
+    assert outputs[0][1][0][7] > 0 and outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("config, failures", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psem import tables
+from psem.core import check_assumptions
 from psem.errors import ConfigError, DataError, PositivityError, SeparationError
 from psem.weights import (WeightModel, effective_sample, fit_missingness)
 
@@ -125,6 +126,35 @@ def test_normalized_weights_mean_one():
     ], WeightModel.design_known(0.25))
     norm, counts = w.normalized_weights(), w._measured_weights()[1]
     assert np.sum(norm * counts) / np.sum(counts) == pytest.approx(1.0)
+
+
+def test_batched_summaries_read_each_replicate():
+    # from_counts tables of two replicates and of one row: the weight summaries
+    # reduce over the cell axis, each replicate as if alone; summarize and
+    # check_assumptions read one dataset, a row of one too
+    model = WeightModel.design_known(0.25)
+    one = weighted_from_blocks([(2, 1, 0, 0, 1), (2, 1, 0, 1, 0), (6, 1, 0, None, 0),
+                                (3, 0, 1, "*", 1), (4, 0, 0, 0, 0)], model)
+    c = one.cells
+    code = tables.cell_code(c.z, c.yt, c.s, c.y)
+    counts = np.stack([c.count, 3 * c.count + code % 2])
+    batch = fit_missingness(tables.from_counts(counts, code), model)
+    alone = [fit_missingness(tables.from_counts(row, code), model) for row in counts]
+    w, m = one._measured_weights()
+    sw, sw2 = float(np.sum(m * w)), float(np.sum(m * w * w))    # the one-dataset formula
+    assert type(effective_sample(one)) is float and effective_sample(one) == sw * sw / sw2
+    sizes, norms = effective_sample(batch), batch.normalized_weights()
+    assert sizes.shape == (2,) and norms.shape == (2, len(w))
+    for b, a in enumerate(alone):
+        assert sizes[b] == effective_sample(a)
+        assert norms[b].tobytes() == a.normalized_weights().tobytes()
+    row = fit_missingness(tables.from_counts(c.count[None], code), model)
+    assert effective_sample(row).tolist() == [effective_sample(one)]
+    assert tables.summarize(row.cells) == tables.summarize(one.cells)
+    assert check_assumptions(row) == check_assumptions(one)
+    for call, data in ((tables.summarize, batch.cells), (check_assumptions, batch)):
+        with pytest.raises(ValueError, match="reads one dataset, not a table of 2 replicates"):
+            call(data)
 
 
 def test_horvitz_thompson_unbiased_marker_rate():

@@ -147,9 +147,11 @@ def columns(schema) -> dict[str, str]:
 
 
 def layout(path, header: list[str] | None, names: dict[str, str]) -> _Layout:
-    """The checked layout of the file's ``header`` row (None: the file is empty)."""
+    """The checked layout of the file's ``header`` row (None: the file is empty),
+    a leading UTF-8 byte-order mark (U+FEFF) dropped from its first name."""
     if header is None:
         raise DataError(f"{path}: empty file (a header row is required)")
+    header = [name.removeprefix("\ufeff") for name in header[:1]] + header[1:]
     missing = [c for k, c in names.items() if k != "measured" and c not in header]
     if missing:
         raise DataError(f"{path}: missing required columns {missing}")

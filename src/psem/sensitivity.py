@@ -17,8 +17,9 @@ the equation above is the estimate spread in standard-error units.
 
 Several regions of one scenario and contrast (``sweeps``; ``psem analyze``
 passes the no-selection-bias point and all of its Gamma choices) share their
-passes: one point pass over their concatenated grids, and one ``fit_ceps``
-call per covariance pass. Each region's result is the one it gets swept
+passes: one point pass over their concatenated grids when these hold at most
+``MAX_GRID_CELLS`` points (else one each), and one ``fit_ceps`` call per
+covariance pass. Each region's result is the one it gets swept
 alone (``sweep``). Each ``SweepResult`` holds its failed-point mask
 (``ok()``) and every target's argmin and argmax per replicate
 (``extremes``), read once when the point pass builds it and again only
@@ -90,7 +91,10 @@ class SensitivityConfig:
 
 def symmetric_ranges(scenario: Scenario, scale: float) -> dict:
     """The region [-scale, scale] on every legal parameter of ``scenario``;
-    scale 0 is the no-selection-bias point (no ranges)."""
+    scale 0 is the no-selection-bias point (no ranges). A scale below 0 or
+    not finite is a ``ConfigError``."""
+    if not 0 <= scale < math.inf:       # NaN fails too
+        raise ConfigError(f"sensitivity scale must be >= 0 and finite, got {scale}")
     return ({k: (-scale, scale) for k in scenario.sensitivity_keys}
             if scale > 0 else {})
 
@@ -160,8 +164,10 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     array passes, and fits with covariance and contrast errors only at each
     target's argmin and argmax.
 
-    Regions go into point passes in order, each pass over the concatenated
-    grids of at most ``MAX_GRID_CELLS`` points, or of one region.
+    All regions share one point pass over their concatenated grids when these
+    hold at most ``MAX_GRID_CELLS`` points together, and each region gets a
+    pass of its own otherwise, so no pass holds more (``SensitivityConfig``
+    bounds each region).
     ``targets`` defaults to every CEP target of the scenario. Batched data
     (``tables.from_counts``) are swept each replicate as if alone, and one
     dataset as the batch of one (B = 1). Each grid point's
@@ -185,9 +191,9 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
     if unknown := [t for t in targets if t not in names]:
         raise ConfigError(f"sweep targets {unknown} are not targets of scenario "
                           f"{scenario.value}; targets: {list(names)}")
-    grids = [c.grid() for c in configs]
+    grids, regions = [c.grid() for c in configs], range(len(configs))
     results: list[SweepResult] = []
-    for run in _point_passes([len(g) for g in grids]):
+    for run in ([regions] if sum(map(len, grids)) <= MAX_GRID_CELLS else [[r] for r in regions]):
         cells = np.concatenate([grids[r] for r in run])
         values, failed = fit_targets(weighted, scenario, dict(zip(keys, cells.T)), contrast)
         start = 0
@@ -214,19 +220,6 @@ def sweeps(weighted: WeightedRecords, configs: list[SensitivityConfig],
         if weighted.cells.count.ndim == 1 and not res.ok().any():     # one dataset
             raise fresh(res.first_errors()[0])
     return results
-
-
-def _point_passes(sizes: list[int]) -> list[list[int]]:
-    """The regions of grid sizes ``sizes``, by index in order, cut into runs of
-    at most ``MAX_GRID_CELLS`` points, or of one region."""
-    runs, total = [], MAX_GRID_CELLS
-    for r, size in enumerate(sizes):
-        if total + size > MAX_GRID_CELLS:
-            runs.append([])
-            total = 0
-        runs[-1].append(r)
-        total += size
-    return runs
 
 
 def _extreme_points(result: SweepResult) -> dict:

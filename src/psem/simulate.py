@@ -212,13 +212,13 @@ def _cell_counts(config: GeneratorConfig, cell_id: int, reps) -> np.ndarray:
     draw, r = _drawer(config), len(bits)
     weight = (1 << np.arange(r)).astype(np.min_scalar_type((1 << r) - 1))   # uint8 to 8 bits
     rng = _rng_for(config.seed, cell_id, 0)
-    fresh, tally = rng.bit_generator.state, np.empty((len(reps), len(code)))
+    fresh, tally = rng.bit_generator.state, np.empty((len(reps), 32), dtype=np.int64)
     for b, rep in enumerate(reps):
         fresh["state"]["key"] = _key(config.seed, cell_id, rep)
         rng.bit_generator.state = fresh     # counter 0, empty buffer: as _rng_for(..., rep)
         pattern = np.einsum("k,kn->n", weight, draw(rng).view(np.uint8))   # @ is slower on ints
-        tally[b] = np.bincount(pattern, minlength=len(code))
-    return (tally @ (code[:, None] == np.arange(32))).astype(np.int64)
+        tally[b] = np.bincount(code, np.bincount(pattern, minlength=len(code)), 32)
+    return tally
 
 
 def generate(config: GeneratorConfig):
@@ -365,9 +365,8 @@ class StudyResult:
 
 # replicates tallied into one batched cell table and fitted in one pass: at most BLOCK,
 # and on a grid of G points at most BLOCK_POINTS / G (the grid pass holds (B, G) arrays;
-# core.FIT_CHUNK bounds the covariance pass). With threads, a cell's blocks shrink toward
-# replicates / threads, but never below the SPLIT rule's (SPLIT, SPLIT_POINTS / G)
-BLOCK, BLOCK_POINTS, SPLIT, SPLIT_POINTS = 200, 200 * 21, 64, 64 * 21
+# core.FIT_CHUNK bounds the covariance pass), whatever the number of threads
+BLOCK, BLOCK_POINTS = 200, 200 * 21
 
 
 def _fit_block(draw: GeneratorConfig, gamma, cell_id, reps) -> tuple[list, np.ndarray]:
@@ -386,12 +385,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     true contrast difference, mean EUI width, bias of the grid-minimum and
     grid-maximum estimates, and the ratio of empirical to average estimated
     standard errors. Per-replicate estimation failures are excluded from
-    the metrics and counted. Replicates are fitted in blocks (``BLOCK``);
-    ``threads`` > 1 maps them to one process pool, cutting each cell into at
-    least min(threads, m) and at most m blocks, m its block count under the
-    ``SPLIT`` rule: the pool starts no more workers than under that rule and
-    leaves none without a block. Results depend neither on blocks nor on
-    threads, bit for bit.
+    the metrics and counted. Replicates are fitted in blocks (``BLOCK``) sized
+    by the grid alone; ``threads`` only maps the blocks to a pool of
+    min(threads, blocks) worker processes, and none starts when that is 1.
+    Results depend neither on blocks nor on threads, bit for bit.
     """
     g = config.grid_points or DESIGNS[config.design].grid_points
     cells, jobs, reps = [], [], range(config.replicates)
@@ -403,13 +400,11 @@ def run_study(config: StudyConfig) -> StudyResult:
         scenario = DESIGNS[cell["design"]].scenario
         gamma = SensitivityConfig(scenario, symmetric_ranges(scenario, cell["gamma_scale"]),
                                   grid_points=g, alpha=config.alpha)
-        points = len(gamma.grid())
-        block = max(1, min(SPLIT, SPLIT_POINTS // points),
-                    min(BLOCK, BLOCK_POINTS // points, config.replicates // config.threads))
+        block = max(1, min(BLOCK, BLOCK_POINTS // len(gamma.grid())))
         jobs += [(draw, gamma, cell_id, reps[s:s + block]) for s in reps[::block]]
-    if config.threads > 1:
+    if (workers := min(config.threads, len(jobs))) > 1:
         from concurrent.futures import ProcessPoolExecutor  # keeps import psem light
-        with ProcessPoolExecutor(max_workers=min(config.threads, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_fit_block, *zip(*jobs)))
     else:
         blocks = list(itertools.starmap(_fit_block, jobs))

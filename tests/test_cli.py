@@ -516,14 +516,15 @@ def test_point_passes_split_in_region_order_under_the_cell_bound(tmp_path, demo_
     from psem import sensitivity
     from psem.config import load_analysis_config
     cfg = demo_config(tmp_path, demo_csv, tmp_path / "whole")
+    passes = count_passes(monkeypatch)
     assert main(["analyze", "--config", str(cfg)]) == 0
     grids = [c.grid() for _, c in load_analysis_config(cfg).gamma_choices()]
-    assert [len(g) for g in grids] == [1, 441, 441]
-    # a bound under the demo's 883 points, which each region still meets
+    assert [len(p) for p in passes["points"]] == [1 + 441 + 441]
+    # a bound under the demo's 883 points, which each region still meets: one pass each
     monkeypatch.setattr(sensitivity, "MAX_GRID_CELLS", 442)
-    passes = count_passes(monkeypatch)
+    passes["points"].clear()
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
-    assert [len(p) for p in passes["points"]] == [1 + 441, 441]
+    assert [len(p) for p in passes["points"]] == [1, 441, 441]
     assert np.concatenate(passes["points"]).tobytes() == np.concatenate(grids).tobytes()
     for name in ("results.json", "intervals.csv"):
         assert ((tmp_path / "whole" / name).read_bytes()

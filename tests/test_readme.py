@@ -45,3 +45,18 @@ def test_readme_attribute_references_resolve():
         and a in {f.name for f in dataclasses.fields(owners[o])})]
     assert len(checked) >= 15     # the scan finds the references
     assert missing == []
+
+
+def test_readme_batching_numbers_match_the_code():
+    # the study block, covariance stack and sweep pass bounds that README quotes
+    from psem import core, sensitivity, simulate
+    text = " ".join(README.read_text(encoding="utf-8").split())     # lines joined
+
+    def quoted(pattern):
+        return [int(g.replace(",", "")) for g in re.search(pattern, text).groups()]
+
+    block, per_point, grid = quoted(r"blocks of (\d+), or of (\d+) × (\d+) / G")
+    assert (block, per_point * grid) == (simulate.BLOCK, simulate.BLOCK_POINTS)
+    assert quoted(r"more than ([\d,]+) \(replicate, point\) pairs") == [simulate.BLOCK_POINTS]
+    assert quoted(r"at most (\d+) fits \(`core\.FIT_CHUNK`\)") == [core.FIT_CHUNK]
+    assert quoted(r"`MAX_GRID_CELLS` \(([\d,]+)\)") == [sensitivity.MAX_GRID_CELLS]

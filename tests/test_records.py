@@ -615,6 +615,29 @@ def test_read_cells_reads_a_pipe_once(tmp_path, case):
         _assert_same_cells(got[0], want)
 
 
+@pytest.mark.parametrize("case", ["screen", "quoted", "pipe"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, case):
+    """A file that starts with a UTF-8 byte-order mark gives the cells of the
+    same file without it: through the byte screen, through the record path
+    (a quoted id) and through a named pipe."""
+    rows = _trial_rows(200, 5)
+    if case == "quoted":
+        rows[100][0] = '"p100"'
+    text = _WIDE + "".join(",".join(r) + "\n" for r in rows)
+    want = tables.read_cells(_write(tmp_path, text))
+    path = tmp_path / "bom.csv"
+    if case == "pipe":
+        os.mkfifo(path)
+        threading.Thread(target=lambda: path.write_text("\ufeff" + text, encoding="utf-8"),
+                         daemon=True).start()   # opens once the reader has
+    else:
+        path.write_text("\ufeff" + text, encoding="utf-8")
+    with mock.patch.object(tables, "load_csv", wraps=load_csv) as walk:
+        got = tables.read_cells(path)
+    assert walk.called == (case == "quoted")
+    _assert_same_cells(got, want)
+
+
 def test_equal_id_hashes_go_down_the_record_path(tmp_path, monkeypatch):
     """Ids are screened by key: with every key equal, distinct ids still
     give the screen's cells and a repeated id the record path's error."""

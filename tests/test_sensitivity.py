@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psem
-from psem import core, demo, simulate, tables
+from psem import core, demo, sensitivity, simulate, tables
 from psem.core import Contrast, Scenario, SensitivityPoint
 from psem.errors import ConfigError, EstimationError, OrderingError, PsemError
 from psem.mathutil import bisect, norm_cdf, norm_quantile
@@ -66,6 +66,13 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="1 - alpha/2 below 1, got 1e-17"):
         SensitivityConfig(scenario=Scenario.B, alpha=1e-17)
     assert SensitivityConfig(scenario=Scenario.B, alpha=1.5e-16).alpha == 1.5e-16
+
+
+@pytest.mark.parametrize("scale", [math.nan, -1.0, -math.inf, math.inf])
+def test_symmetric_ranges_rejects_a_scale_below_0_or_not_finite(scale):
+    # NaN and -1 used to give no ranges, the no-selection-bias point
+    with pytest.raises(ConfigError, match="sensitivity scale must be >= 0 and finite"):
+        symmetric_ranges(Scenario.C_HARM, scale)
 
 
 def test_grid_points_equal_checked_points():
@@ -689,20 +696,33 @@ EXPLICIT = {Scenario.B: {"beta0": (-2.0, 55.0)},
        contrast=st.sampled_from(list(Contrast)),
        regions=st.lists(st.sampled_from([0, 0.25, 0.5, 1, 3, 30, 40, 60, "explicit"]),
                         min_size=1, max_size=4),
-       grid_points=st.sampled_from([3, 7, 21]), batched=st.booleans())
+       grid_points=st.sampled_from([3, 7, 21]), batched=st.booleans(),
+       bound=st.integers(1, 2 * 4 * 21**2))
 @example(scenario=Scenario.B, contrast=Contrast.LOG_RR, regions=[0, 0.5, 1, 30],
-         grid_points=21, batched=False)
+         grid_points=21, batched=False, bound=sensitivity.MAX_GRID_CELLS)
 @example(scenario=Scenario.B, contrast=Contrast.VE, regions=[60, "explicit", 0.25],
-         grid_points=21, batched=True)
+         grid_points=21, batched=True, bound=62)
 @example(scenario=Scenario.C_HARM, contrast=Contrast.ADDITIVE, regions=[3, 0, 40, 60],
-         grid_points=7, batched=False)
+         grid_points=7, batched=False, bound=148)
 def test_sweeping_regions_together_changes_no_bit(scenario, contrast, regions, grid_points,
-                                                   batched):
+                                                   batched, bound):
+    """With the pass bound ``MAX_GRID_CELLS`` patched to ``bound`` (raised to
+    the largest region's size), the regions share one point pass when their
+    grids fit it together, else get one each, and each region's result is the
+    one it gets swept alone, bit for bit."""
     w = demo_weighted(batched)
     configs = [SensitivityConfig(scenario, EXPLICIT[scenario] if r == "explicit"
                                  else symmetric_ranges(scenario, r), grid_points,
                                  contrast=contrast) for r in regions]
-    together = psem.sweeps(w, configs)
+    sizes = [len(c.grid()) for c in configs]
+    passes, real = [], sensitivity.fit_targets
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sensitivity, "MAX_GRID_CELLS", bound := max(bound, *sizes))
+        m.setattr(sensitivity, "fit_targets", lambda weighted, scenario, beta, contrast: (
+            passes.append(len(beta[scenario.sensitivity_keys[0]]))
+            or real(weighted, scenario, beta, contrast)))
+        together = psem.sweeps(w, configs)
+    assert passes == ([sum(sizes)] if sum(sizes) <= bound else sizes)
     assert len(together) == len(configs)
     for config, grid in zip(configs, together):
         alone = psem.sweeps(w, [config])[0]

@@ -442,20 +442,16 @@ def mapped_in_process(config):
 
 
 def test_study_thread_invariance():
-    # 151 replicates make blocks of unequal size at 2 and 3 threads (75, 75 and 1;
-    # 64, 64 and 23), and the workers split them unevenly; in the second study
-    # 1 of 60 replicates fails, so its exception crosses the pool
-    for base, failures in [
-            (StudyConfig(design="B", n_values=(400,), deltas=(0.3,),
-                         gamma_scales=(0.0,), replicates=151, seed=7), 0),
-            (StudyConfig("B", (40,), gamma_scales=(6.0,), replicates=60, seed=1), 1)]:
-        serial = run_study(base).as_table()
-        assert [row[7] for row in serial[1]] == [failures]     # the failures column
-        for threads in (2, 3):
-            config = dataclasses.replace(base, threads=threads)
-            assert run_study(config).as_table() == serial
-            if failures == 0:
-                assert len(set(mapped_in_process(config)[1])) > 1
+    # 250 replicates of a 21-point grid run in blocks of 200 and 50, so 2 and 3
+    # threads start a real pool of 2 workers, which split the replicates
+    # unevenly; 1 replicate fails, so its exception crosses the pool
+    base = StudyConfig("B", (40,), gamma_scales=(6.0,), replicates=250, seed=1)
+    serial = run_study(base).as_table()
+    assert [row[7] for row in serial[1]] == [1]     # the failures column
+    for threads in (2, 3):
+        config = dataclasses.replace(base, threads=threads)
+        assert run_study(config).as_table() == serial
+        assert mapped_in_process(config)[1:] == ([200, 50], [2])
 
 
 def test_a_tiny_alpha_whose_critical_value_is_finite_is_accepted():
@@ -464,14 +460,14 @@ def test_a_tiny_alpha_whose_critical_value_is_finite_is_accepted():
 
 
 def test_a_study_asks_for_no_more_workers_than_blocks():
-    # at most 3 blocks, the count in blocks of at most 64 (``SPLIT``), and at
-    # least min(threads, 3): one block serially, 65 + 65 at 2 threads
-    base = StudyConfig("B", (400,), replicates=130, seed=7)
+    # blocks of 200 replicates at every threads value, and a pool of at most
+    # one worker per block: none at 1 thread, 2 at 2, 3 at 3 and at 5000
+    base = StudyConfig("B", (400,), replicates=450, seed=7)
     serial = run_study(base).as_table()
-    for threads, sizes in ((1, [130]), (2, [65, 65]), (3, [64, 64, 2]), (5000, [64, 64, 2])):
+    for threads in (1, 2, 3, 5000):
         table, blocks, workers = mapped_in_process(dataclasses.replace(base, threads=threads))
-        assert table == serial and blocks == sizes
-        assert workers == ([min(threads, len(sizes))] if threads > 1 else [])
+        assert table == serial and blocks == [200, 200, 50]
+        assert workers == ([min(threads, 3)] if threads > 1 else [])
 
 
 def test_a_study_whose_every_replicate_fails_raises_the_first_error():
@@ -501,9 +497,8 @@ def test_study_results_do_not_depend_on_the_block_size():
     outputs = []
     for block in (1, 64, simulate.BLOCK):
         with pytest.MonkeyPatch.context() as m:
-            for name in ("BLOCK", "SPLIT"):
-                m.setattr(simulate, name, block)
-                m.setattr(simulate, f"{name}_POINTS", block * 21)
+            m.setattr(simulate, "BLOCK", block)
+            m.setattr(simulate, "BLOCK_POINTS", block * 21)
             table, sizes, _ = mapped_in_process(config)
         assert sizes == [block] * (250 // block) + [250 % block] * (250 % block > 0)
         outputs.append(table)

@@ -34,7 +34,6 @@ standard errors for any contrast come from a single consistent object.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -246,16 +245,11 @@ class _Stack:
             bread = np.where(ok[..., None], bread, np.eye(p))
         try:
             bread_inv = np.linalg.inv(bread)
-        except np.linalg.LinAlgError:      # one replicate at a time: the singular fail alone
-            bread_inv = bread.reshape(-1, p, p).copy()
-            for b, m in enumerate(bread_inv):
-                try:
-                    bread_inv[b] = np.linalg.inv(m)
-                except np.linalg.LinAlgError:
-                    bread_inv[b] = np.eye(p)
-                    self.checks(np.arange(len(bread_inv))[:, None] == b, EstimationError,
-                                lambda: "singular bread matrix in the stacked fit")
-            bread_inv = bread_inv.reshape(bread.shape)
+        except np.linalg.LinAlgError:   # inv raises where LU meets a zero pivot: slogdet's sign 0
+            singular = (np.linalg.slogdet(bread)[0] == 0)[:, None]
+            self.checks(singular, EstimationError,
+                        lambda: "singular bread matrix in the stacked fit")
+            bread_inv = np.linalg.inv(np.where(singular[..., None], np.eye(p), bread))
         cov = bread_inv @ meat @ np.swapaxes(bread_inv, -1, -2) / n
         return theta, (0.5 * (cov + np.swapaxes(cov, -1, -2))).reshape(*theta.shape[1:], p, p)
 
@@ -338,16 +332,12 @@ def _sace_margins(st: "_Stack", f, state, weight, direction: Direction,
     return lo, hi
 
 
-@functools.cache
-def _remainder_names(z: int, strata: tuple[str, ...]):
-    return f"risk{z}", f"risk{z}_10", tuple((f"p{s}", f"risk{z}_{s}") for s in strata)
-
-
 def _remainder(st: "_Stack", z: int, strata: tuple[str, ...], context: str) -> None:
     """Mixture-identity remainder risk_z(1,0) = (risk_z - sum_s p_s
     risk_z(s)) / p(1,0) over the other ``strata``, subtracted in the order
     given. Checks it lies in [0, 1] and adds its row."""
-    total, out, terms = _remainder_names(z, strata)
+    total, out = f"risk{z}", f"risk{z}_10"
+    terms = [(f"p{s}", f"risk{z}_{s}") for s in strata]
     value = st.sol[total]
     for p, r in terms:
         value = value - st.sol[p] * st.sol[r]
@@ -624,29 +614,28 @@ def _cell_s_values(cells, s_definition):
     None when unavailable) and y; returning None means the marker is needed
     but unavailable. Cells whose state is computable without the marker get
     weight 1; marker-dependent cells get the IPW weight (0 if unmeasured).
+    Every state the definition returns, with the marker or without, must be
+    0 or 1.
     """
     s_vals = np.zeros(len(cells.count))
     m_vals = np.zeros(len(cells.count))
     for i in range(len(cells.count)):
-        marker = {S_NEG: 0, S_POS: 1}.get(int(cells.s[i]))
+        s = int(cells.s[i])
         view = SimpleNamespace(z=int(cells.z[i]), y_tau=int(cells.yt[i]),
                                marker=None, y=int(cells.y[i]))
-        blind = s_definition(view)
-        if blind is not None:
-            s_vals[i], m_vals[i] = float(blind), 1.0
-            continue
-        if marker is None:
-            if cells.s[i] == S_UNDEF:
+        val, weight = s_definition(view), 1.0
+        if val is None:
+            if s == S_UNDEF:
                 raise DataError(
                     "the intermediate-state definition must be computable "
                     "for early-event records (their marker never exists)")
-            s_vals[i], m_vals[i] = 0.0, 0.0   # unmeasured: dropped, reweighted
-            continue
-        view.marker = marker
-        val = s_definition(view)
+            if s not in (S_NEG, S_POS):
+                continue    # unmeasured: state and weight 0, dropped and reweighted
+            view.marker, weight = s, cells.w[i]     # S_NEG, S_POS are the markers 0, 1
+            val = s_definition(view)
         if val not in (0, 1):
             raise DataError(f"intermediate state must be 0 or 1, got {val!r}")
-        s_vals[i], m_vals[i] = float(val), float(cells.w[i])
+        s_vals[i], m_vals[i] = val, weight
     return s_vals, m_vals
 
 
@@ -1041,12 +1030,8 @@ def check_assumptions(data, alpha: float = 0.05) -> AssumptionReport:
         denom = float(np.sum(cells.count * sel))
         pos_rates[z] = (float(np.sum(cells.count * sel * f.pos) / denom)
                         if denom > 0 else None)
-    if pos_rates[0] is None or pos_rates[1] is None:
-        a5p = None
-        cb = None if pos_rates[0] is None else pos_rates[0] == 0.0
-    else:
-        a5p = pos_rates[0] < pos_rates[1]
-        cb = pos_rates[0] == 0.0
+    a5p = None if None in pos_rates.values() else pos_rates[0] < pos_rates[1]
+    cb = None if pos_rates[0] is None else pos_rates[0] == 0.0
 
     a4_ok = fisher_p >= alpha
     recommended, notes = [], []

@@ -45,12 +45,12 @@ def bisect(f, lo: float, hi: float, tol: float) -> float:
 
 
 @functools.cache
-def norm_quantile(q: float, tol: float = 1e-12) -> float:
-    """Inverse standard normal CDF by bisection on norm_cdf, memoized: a
-    pure function of (q, tol), and intervals ask for the same few."""
+def norm_quantile(q: float) -> float:
+    """Inverse standard normal CDF by bisection on norm_cdf to a bracket of
+    1e-12, memoized: a pure function of q, and intervals ask for the same few."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile requires q in (0,1), got {q}")
-    return bisect(lambda x: norm_cdf(x) - q, -40.0, 40.0, tol)
+    return bisect(lambda x: norm_cdf(x) - q, -40.0, 40.0, 1e-12)
 
 
 class Checks:

@@ -121,7 +121,7 @@ def load_csv(path, schema: dict[str, str] | None = None, text=None) -> list[Obse
     """
     names = columns(schema)
     try:
-        with text or open(path, newline="", encoding="utf-8") as fh:
+        with text or open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             lay = layout(path, next(reader, None), names)
             return [parse_row(lay, i, r) for i, r in _rows(lay, filter(None, reader))]
@@ -148,7 +148,9 @@ def columns(schema) -> dict[str, str]:
 
 def layout(path, header: list[str] | None, names: dict[str, str]) -> _Layout:
     """The checked layout of the file's ``header`` row (None: the file is empty),
-    a leading UTF-8 byte-order mark (U+FEFF) dropped from its first name."""
+    a leading UTF-8 byte-order mark (U+FEFF) dropped from its first name: the
+    byte screen's header line and a caller's ``text`` stream may still carry
+    one (``load_csv`` decodes the files it opens as ``utf-8-sig``)."""
     if header is None:
         raise DataError(f"{path}: empty file (a header row is required)")
     header = [name.removeprefix("\ufeff") for name in header[:1]] + header[1:]

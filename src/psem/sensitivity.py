@@ -257,9 +257,10 @@ class IntervalResult:
         return self.estimate_lower, self.estimate_upper
 
 
-def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
-    """Critical value on [z_{1-a}, z_{1-a/2}] by bisection; the gap is the
-    ignorance-interval width in units of the larger standard error."""
+def solve_c_alpha(scaled_gap: float, alpha: float) -> float:
+    """Critical value on [z_{1-a}, z_{1-a/2}] by bisection to a bracket of
+    1e-10; the gap is the ignorance-interval width in units of the larger
+    standard error."""
     if not (scaled_gap >= 0 and 0.0 < alpha < 0.5):     # a NaN fails too
         raise ValueError(f"need a scaled gap >= 0 and alpha in (0, 0.5), got {scaled_gap}, {alpha}")
     lo = norm_quantile(1.0 - alpha)
@@ -271,7 +272,7 @@ def solve_c_alpha(scaled_gap: float, alpha: float, tol: float = 1e-10) -> float:
     erfc, root2, level = math.erfc, math.sqrt(2.0), 1.0 - alpha
     if 0.5 * erfc(-(lo + scaled_gap) / root2) - 0.5 * erfc(lo / root2) - level >= 0.0:
         return lo
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if 0.5 * erfc(-(mid + scaled_gap) / root2) - 0.5 * erfc(mid / root2) - level < 0.0:
             lo = mid

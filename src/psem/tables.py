@@ -86,7 +86,7 @@ def read_cells(path, schema: dict[str, str] | None = None) -> CellTable:
         screened = None
     if screened is not None:
         return _from_codes(*screened)
-    text = None if data is None else io.TextIOWrapper(io.BytesIO(data), "utf-8", newline="")
+    text = None if data is None else io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline="")
     return from_records(load_csv(path, schema, text))
 
 

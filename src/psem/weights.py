@@ -97,13 +97,14 @@ def _logistic_design(terms, z, y):
     return np.column_stack([cols[t] for t in terms])
 
 
-def _logistic_mle(x, measured, total, max_iter=50, tol=1e-12):
-    """Newton-Raphson logistic MLE on aggregated rows.
+def _logistic_mle(x, measured, total):
+    """Newton-Raphson logistic MLE on aggregated rows: at most 50 steps, done
+    once no coefficient moves by 1e-12 or more.
 
     x: design matrix (rows = strata), measured/total: successes and trials.
     """
     psi = np.zeros(x.shape[1])
-    for _ in range(max_iter):
+    for _ in range(50):
         eta = x @ psi
         p = np.array([expit(v) for v in eta])
         score = x.T @ (measured - total * p)
@@ -118,7 +119,7 @@ def _logistic_mle(x, measured, total, max_iter=50, tol=1e-12):
         if np.max(np.abs(psi)) > 15.0:
             raise SeparationError(
                 "missingness MLE diverged (separation); use design-known weights")
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < 1e-12:
             return psi
     raise SeparationError("missingness MLE did not converge; use design-known weights")
 
@@ -166,17 +167,12 @@ def fit_missingness(records, model: WeightModel | None = None) -> WeightedRecord
                 certainty = True
                 fit_rows = ~case_rows
                 terms = tuple(t for t in terms if "y" not in t)
-        if fit_rows.any() and not np.all(m_s[fit_rows] == 0):
-            x = _logistic_design(terms, z_s[fit_rows], y_s[fit_rows])
-            psi = _logistic_mle(x, m_s[fit_rows], n_s[fit_rows])
-            eta = x @ psi
-            fitted = np.array([expit(v) for v in eta])
-        else:
+        if np.all(m_s[fit_rows] == 0):      # also where no row is modeled
             raise DataError("no measured markers among the modeled survivors")
-        out = np.empty(len(n_s))
-        out[fit_rows] = fitted
-        if certainty:
-            out[~fit_rows] = 1.0
+        x = _logistic_design(terms, z_s[fit_rows], y_s[fit_rows])
+        psi = _logistic_mle(x, m_s[fit_rows], n_s[fit_rows])
+        out = np.ones(len(n_s))     # the certainty cases keep pi = 1
+        out[fit_rows] = [expit(v) for v in x @ psi]
         pi[surv] = out
 
     blind = missing & (pi >= 1.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import psem
 from psem import core, tables
 from psem.core import Contrast, Direction, Scenario, SensitivityPoint
-from psem.errors import (ConfigError, EstimationError, OrderingError)
+from psem.errors import ConfigError, DataError, EstimationError, OrderingError
 from psem.mathutil import expit, fisher_exact_two_sided
 from psem.weights import WeightModel, fit_missingness
 
@@ -158,6 +158,20 @@ def test_selection_sace_ordering_violation(gbh_blocks):
     w = weighted_from_blocks(gbh_blocks)
     with pytest.raises(OrderingError):
         psem.selection_sace(w, s_survivor, 0.0, Direction.REVERSED)
+
+
+@pytest.mark.parametrize("definition, message", [
+    (lambda r: 2 * (1 - r.y_tau), "intermediate state must be 0 or 1, got 2"),
+    (lambda r: math.nan, "intermediate state must be 0 or 1, got nan"),
+    (lambda r: 0 if r.y_tau else None if r.marker is None else 2,
+     "intermediate state must be 0 or 1, got 2"),
+    (lambda r: None if r.marker is None else 1, "computable for early-event records")],
+    ids=["marker_free_2", "marker_free_nan", "with_marker_2", "early_needs_marker"])
+def test_selection_sace_checks_every_state_value(gbh_blocks, definition, message):
+    """A state of neither 0 nor 1 is a DataError whether the definition read
+    the marker or not, as is an early-event record whose state needs it."""
+    with pytest.raises(DataError, match=message):
+        psem.selection_sace(weighted_from_blocks(gbh_blocks), definition, 0.0)
 
 
 def test_selection_sace_reversed_direction():

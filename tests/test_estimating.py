@@ -87,7 +87,7 @@ def test_batched_sandwich_skips_replicates_that_already_failed():
     count = np.zeros((4, 32))
     count[[0, 1, 3], :2] = [[3.0, 5.0], [4.0, 4.0], [2.0, 6.0]]
     # replicate 2 is empty, so its mean fails and its bread is all NaN; the
-    # singular bread of replicate 1 sends the inverse replicate by replicate
+    # singular bread of replicate 1 fails it alone, and the batch inverts again
     with np.errstate(all="ignore"):
         st = _mean_stack(tables.from_counts(count), scale=np.array([[1.0], [0.0], [1.0], [1.0]]))
         theta, cov = st.sandwich()
@@ -96,6 +96,28 @@ def test_batched_sandwich_skips_replicates_that_already_failed():
     assert str(failed[1]) == "singular bread matrix in the stacked fit"
     assert str(failed[2]) == "empty stratum: no observations for every cell"
     for b in (0, 3):
+        theta_b, cov_b = _mean_stack(tables.from_counts(count[b])).sandwich()
+        assert np.array_equal(theta[:, b, 0], theta_b[:, 0, 0])
+        assert cov[b, 0] == pytest.approx(cov_b[0, 0], rel=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), counts=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)),
+                                       min_size=1, max_size=12))
+def test_batched_sandwich_fails_exactly_the_singular_breads(data, counts):
+    """A batch in which a random subset of replicates has a singular bread (a
+    row scaled by 0): each of those fails with the singular-bread message, and
+    every other replicate reads its own one-dataset sandwich."""
+    singular = np.array(data.draw(st.lists(st.booleans(), min_size=len(counts),
+                                           max_size=len(counts))))
+    count = np.zeros((len(counts), 32))
+    count[:, :2] = counts
+    stack = _mean_stack(tables.from_counts(count), scale=np.where(singular, 0.0, 1.0)[:, None])
+    theta, cov = stack.sandwich()
+    failed = failure_map(stack.checks.failed, flat=True)
+    assert sorted(failed) == np.flatnonzero(singular).tolist()
+    assert {str(e) for e in failed.values()} <= {"singular bread matrix in the stacked fit"}
+    for b in np.flatnonzero(~singular).tolist():
         theta_b, cov_b = _mean_stack(tables.from_counts(count[b])).sandwich()
         assert np.array_equal(theta[:, b, 0], theta_b[:, 0, 0])
         assert cov[b, 0] == pytest.approx(cov_b[0, 0], rel=1e-15)

@@ -57,6 +57,12 @@ def test_certainty_sampled_cases_get_unit_probability():
             assert cells.pi[i] == pytest.approx(1.0 if cells.y[i] else 0.2, abs=1e-12)
 
 
+def test_no_measured_marker_beside_certainty_cases_is_an_error():
+    blocks = [(30, 0, 0, 0, 1), (80, 0, 0, None, 0)]    # cases measured, no control
+    with pytest.raises(DataError, match="no measured markers among the modeled survivors"):
+        weighted_from_blocks(blocks, WeightModel.estimated_logistic(("intercept", "y")))
+
+
 def test_default_model_selection():
     full = weighted_from_blocks([(10, 1, 0, 0, 0)])
     assert full.model.kind == "design" and full.model.nu == 1.0

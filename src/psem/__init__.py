@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .core import (CepResult, Contrast, RiskEstimates, Scenario,
                    SensitivityPoint, cep, check_assumptions, delta_method,
-                   estimate_identified, fit_scenario, mean_shift_cep,
-                   selection_sace, Direction)
+                   fit_scenario, mean_shift_cep, selection_sace, Direction)
 from .errors import (ConfigError, DataError, EstimationError,
                      IncompatibleSensitivityError, OrderingError, PsemError,
                      PositivityError, SeparationError)

@@ -25,10 +25,11 @@ of the reversed-direction always-survivor solve in scenario A, the second
 the marginal mixing parameter of scenario C_harm. They are never
 interchangeable and are therefore separate configuration keys.
 
-Every fit stacks its estimating functions (identified means, IPW means,
-odds-ratio constraints, mixture constraints, derived quantities) into one
-system and reports the joint empirical sandwich covariance, so delta-method
-standard errors for any contrast come from a single consistent object.
+Every fitted quantity (identified means, IPW means, odds-ratio and
+selection solves, derived quantities) is a smooth function of the at most 32
+cell counts, and a fit reports their joint delta-method covariance over the
+counts (``_Stack``), so standard errors for any contrast come from a single
+consistent object.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def _col(c):
 
 class _Dual:
     """Forward-mode dual number (Griewank and Walther, 2008): a value (float or
-    array) and its gradient, whose trailing axis of length p broadcasts against
-    the value's shape. In ``+ - *``, numpy operands defer to it as constants."""
+    array) and its gradient, whose trailing axis broadcasts against the value's
+    shape. In ``+ - * /``, numpy operands defer to it as constants."""
 
     __slots__ = ("v", "g")
     __array_ufunc__ = None
@@ -160,54 +161,60 @@ class _Dual:
             return _Dual(self.v * o.v, self.g * _col(o.v) + _col(self.v) * o.g)
         return _Dual(self.v * o, self.g * _col(o))
 
+    def __truediv__(self, o):
+        if isinstance(o, _Dual):
+            v = self.v / o.v
+            return _Dual(v, (self.g - _col(v) * o.g) / _col(o.v))
+        return _Dual(self.v / o, self.g / _col(o))
+
     __radd__, __rmul__ = __add__, __mul__
 
 
+def _logistic(x):
+    """mathutil.expit elementwise, overflow-free."""
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
 def _expit(x: _Dual) -> _Dual:
-    """mathutil.expit on duals: d expit = e (1 - e) dx, overflow-free."""
-    e = np.exp(-np.logaddexp(0.0, -x.v))
+    """expit on duals: d expit = e (1 - e) dx."""
+    e = _logistic(x.v)
     return _Dual(e, x.g * _col(e * (1.0 - e)))
 
 
 class _Stack:
-    """Named estimating-function rows over the dataset cells.
+    """Named parameters, each a smooth function of the cell counts c.
 
-    Rows are either per-cell functions (length-ncells arrays) or
-    deterministic constraints (zero at the solution). Counts are (B, ncells),
-    one dataset's (ncells,) read as the batch of one. Solutions are computed
-    blockwise by the scenario builders: (B, 1) before the first mixture
-    solve, then (B, G) over the Gamma points, failing elementwise through
-    ``checks``. This class assembles the sandwich at one point per replicate,
-    rows and exact Jacobian in one pass, and checks the stacked residual.
-    With counts c_i, n = sum_i c_i, rows psi_i:
-
-        A = d/dtheta (1/n) sum_i c_i psi_i,   B = (1/n) sum_i c_i psi_i psi_i^T,
-        cov(theta_hat) = A^{-1} B A^{-T} / n.
-
-    Constraint rows add nothing to B at the solution while A carries their
-    Jacobian, which gives derived parameters delta-method-consistent
-    variances inside one stacked system (Stefanski and Boos, 2002).
+    Counts are (B, ncells), one dataset's (ncells,) read as the batch of one.
+    Solutions are computed blockwise by the scenario builders: (B, 1) before the
+    first mixture solve, then (B, G) over the Gamma points, failing elementwise
+    through ``checks``. Each parameter carries a rule, ``rule(stack, duals)``,
+    that returns its ``_Dual`` over the cells (J = d theta / dc) from the duals
+    of the parameters added before it; point passes evaluate none. Every
+    parameter is homogeneous of degree 0 in c, so under multinomial sampling
+    cov(theta_hat) = sum_k c_k J_k J_k^T, the influence-function variance of
+    the stacked M-estimator (Stefanski and Boos, 2002; Bishop, Fienberg and
+    Holland, 1975, ch. 14).
     """
 
     def __init__(self, cells):
         self.cells = replace(cells, count=cells.count.reshape(-1, cells.count.shape[-1]))
         self.names: list[str] = []
-        self.fns: list[Callable] = []
+        self.rules: list[Callable] = []
         self.sol: dict[str, np.ndarray] = {}
         self.checks = Checks((len(self.cells.count), 1))
 
-    def add(self, name: str, value, fn: Callable) -> None:
+    def add(self, name: str, value, rule: Callable) -> None:
         if name in self.sol:
             raise ValueError(f"duplicate parameter {name}")
         self.names.append(name)
-        self.fns.append(fn)
+        self.rules.append(rule)
         self.sol[name] = value
 
     def copy(self, rows=None) -> "_Stack":
         """A copy to solve on; with ``rows``, of those replicates."""
         new = _Stack(self.cells if rows is None else replace(
             self.cells, count=self.cells.count[rows]))
-        new.names, new.fns = list(self.names), list(self.fns)
+        new.names, new.rules = list(self.names), list(self.rules)
         new.sol = {k: v if rows is None else v[rows] for k, v in self.sol.items()}
         new.checks.failed = self.checks.failed.copy() if rows is None else self.checks.failed[rows]
         return new
@@ -219,66 +226,68 @@ class _Stack:
             out[j] = self.sol[name]
         return out
 
-    def sandwich(self) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, cov) at one point per replicate: (p, B, 1) and (B, 1, p, p)."""
+    def rows(self, *values) -> None:
+        """Record implicit rows at the solution for ``variance``'s residual check."""
+        for v in values:
+            self.resid = np.maximum(self.resid, np.abs(v))
+
+    def variance(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, cov) at one point per replicate: (p, B, 1) and (B, 1, p, p).
+        An element fails where an implicit row exceeds 1e-8 at its solution, or
+        where a value or a cell gradient is not finite (as where an implicit
+        solve is singular)."""
         count = self.cells.count
-        c = count[..., None, :]
-        n = c.sum(axis=-1, keepdims=True)
         theta = self.theta()
-        p = len(theta)
-        d = dict(zip(self.names, map(_Dual, theta, np.eye(p))))
-        u, grad = np.empty((*count.shape, p)), np.empty((*count.shape, p))
-        bread = np.empty((*count.shape[:-1], p, p))
-        for j, row in enumerate(fn(d) for fn in self.fns):   # no (p, *count.shape, p) stack
-            u[..., j], g = row.v, row.g
-            if g.ndim != 2:     # copied to (B, cells, p) unless per cell only, (cells, p)
-                grad[...], g = g, grad
-            np.matmul(c, g, out=bread[..., j:j + 1, :])
-        resid = np.max(np.abs(c @ u / n), axis=-1)
-        self.checks(~(resid <= 1e-8), EstimationError, lambda r: f"stacked residual "
-                    f"{r:.3e} exceeds tolerance; the blockwise solution is inconsistent", resid)
-        meat = np.swapaxes(np.multiply(u, count[..., None], out=grad), -1, -2) @ u / n
-        bread = bread / n
-        dead = ~np.isfinite(bread).all((-2, -1), keepdims=True)
-        self.checks(dead[..., 0], EstimationError, lambda: "the stacked fit's bread is not finite")
-        if not (ok := self.checks.ok()).all():     # a failed replicate inverts I, not its NaN bread
-            bread = np.where(ok[..., None], bread, np.eye(p))
-        try:
-            bread_inv = np.linalg.inv(bread)
-        except np.linalg.LinAlgError:   # inv raises where LU meets a zero pivot: slogdet's sign 0
-            singular = (np.linalg.slogdet(bread)[0] == 0)[:, None]
-            self.checks(singular, EstimationError,
-                        lambda: "singular bread matrix in the stacked fit")
-            bread_inv = np.linalg.inv(np.where(singular[..., None], np.eye(p), bread))
-        cov = bread_inv @ meat @ np.swapaxes(bread_inv, -1, -2) / n
-        return theta, (0.5 * (cov + np.swapaxes(cov, -1, -2))).reshape(*theta.shape[1:], p, p)
+        jac = np.empty((*theta.shape[1:], len(theta), count.shape[-1]))
+        self.resid = np.zeros(theta.shape[1:])
+        duals = {}
+        for j, (name, rule) in enumerate(zip(self.names, self.rules)):
+            duals[name] = rule(self, duals)
+            jac[..., j, :] = duals[name].g
+        self.checks(~(self.resid <= 1e-8), EstimationError, lambda r: f"stacked residual "
+                    f"{r:.3e} exceeds tolerance; the blockwise solution is inconsistent",
+                    self.resid)
+        self.checks(~(np.isfinite(theta).all(0) & np.isfinite(jac).all((-2, -1))),
+                    EstimationError, lambda: "a value of the stacked fit or its cell "
+                    "gradient is not finite")
+        cov = (jac * count[:, None, None, :]) @ np.swapaxes(jac, -1, -2)
+        return theta, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def _derived(st: "_Stack", name: str, f: Callable):
+    """Parameter ``name`` = f(earlier parameters), read by name from a mapping;
+    its rule is f on their duals. Adds it; returns its value."""
+    value = f(st.sol)
+    st.add(name, value, lambda _, d: f(d))
+    return value
 
 
 def _mean(st: "_Stack", name: str, sel, resp, what: str):
     """Weighted mean ``name`` of resp over the cells, (B, 1), selection
-    weights sel >= 0. Adds its row sel * (resp - theta); returns it."""
+    weights sel >= 0; its cell gradient is sel (resp - mean) / denom. Adds
+    it; returns it."""
     count = st.cells.count
     denom = np.sum(count * sel, axis=-1, keepdims=True)
     st.checks(denom <= 0.0, EstimationError, lambda: f"empty stratum: no observations for {what}")
     value = np.sum(count * sel * resp, axis=-1, keepdims=True) / denom
-    st.add(name, value, lambda d: sel * (resp - d[name]))
+    st.add(name, value, lambda s, _: _Dual(s.sol[name], sel * (resp - _col(s.sol[name])) / _col(
+        np.sum(s.cells.count * sel, axis=-1, keepdims=True))))
     return value
 
 
 def _p10(st: "_Stack", others: tuple[str, ...]):
     """Mixing share p(1,0) = 1 - sum of the shares ``others``, subtracted in
-    the order given. Checks it is positive, adds its row, returns it."""
+    the order given. Adds it, checks it is positive, returns it."""
     def share(v):
         acc = 1.0
         for o in others:
             acc = acc - v[o]
         return acc
 
-    value = share(st.sol)
+    value = _derived(st, "p10", share)
     st.checks(value <= 0.0, EstimationError, lambda v: f"estimated p(1,0) = {v:.6g} is "
               "not positive; the always-survivor effect-modification stratum is "
               "empty in these data", value)
-    st.add("p10", value, lambda d: share(d) - d["p10"])
     return value
 
 
@@ -287,11 +296,27 @@ def _split(st: "_Stack", a: str, b: str, target: str, w: str, beta: float,
     """Odds-ratio split of the mixture ``target`` = w a + (1 - w) b, with
     odds(a)/odds(b) = exp(beta) as a product-form row (polynomial, so
     defined at boundary risks, where odds are not). ``w_b`` names b's weight
-    where it is a parameter of its own. Adds both rows; returns (a, b)."""
+    where it is a parameter of its own. The cell gradients follow from both
+    rows by the implicit-function theorem. Adds a and b; returns them."""
     va, vb = solve_logit_mixture(st.sol[target], st.sol[w], beta, st.checks)
-    st.add(a, va, lambda d: d[a] * (1.0 - d[b]) - np.exp(beta) * d[b] * (1.0 - d[a]))
-    st.add(b, vb, (lambda d: d[target] - d[w] * d[a] - (1 - d[w]) * d[b])
-           if w_b is None else (lambda d: d[target] - d[w] * d[a] - d[w_b] * d[b]))
+    eb = np.exp(beta)
+
+    def weight_b(v):
+        return 1 - v[w] if w_b is None else v[w_b]
+
+    def rule_a(s, d):   # both rows, solved for da: the odds row has no cell input
+        x, y = s.sol[a], s.sol[b]
+        mix = d[target] - d[w] * x - weight_b(d) * y
+        s.rows(x * (1.0 - y) - eb * y * (1.0 - x), mix.v)
+        da, db = (1.0 - y) + eb * y, x + eb * (1.0 - x)    # d odds / da, -d odds / db
+        return _Dual(x, mix.g * _col(db / (da * weight_b(s.sol) + db * s.sol[w])))
+
+    def rule_b(s, d):   # the odds row, given a
+        x, y = s.sol[a], s.sol[b]
+        return _Dual(y, d[a].g * _col(((1.0 - y) + eb * y) / (x + eb * (1.0 - x))))
+
+    st.add(a, va, rule_a)
+    st.add(b, vb, rule_b)
     return va, vb
 
 
@@ -299,20 +324,32 @@ def _selection(st: "_Stack", alpha: str, out: str, lo: str, hi: str, q: str,
                beta: float) -> tuple[float, float]:
     """Logistic selection solve: ``alpha`` solves the margin identity
     lo = hi ((1-q) expit(alpha) + q expit(alpha+beta)) and
-    ``out`` = expit(alpha+beta) q hi / lo. Adds both rows; returns them."""
+    ``out`` = expit(alpha+beta) q hi / lo. The cell gradient of each follows
+    from its own row by the implicit-function theorem. Adds both; returns them."""
     rho = st.sol[lo] / st.sol[hi]
     w1, w0 = solve_logit_mixture(rho, st.sol[q], beta, st.checks)
     a, adjusted = np.log(w0 / (1.0 - w0)), w1 * st.sol[q] / rho
-    st.add(alpha, a, lambda d: d[lo] - d[hi] * ((1 - d[q]) * _expit(d[alpha])
-                                                + d[q] * _expit(d[alpha] + beta)))
-    st.add(out, adjusted,
-           lambda d: d[out] * d[lo] - _expit(d[alpha] + beta) * d[q] * d[hi])
+
+    def rule_alpha(s, d):   # the margin row, in alpha alone
+        e0, e1 = _logistic(s.sol[alpha]), _logistic(s.sol[alpha] + beta)
+        margin = d[lo] - d[hi] * ((1 - d[q]) * e0 + d[q] * e1)
+        s.rows(margin.v)
+        slope = s.sol[hi] * ((1 - s.sol[q]) * e0 * (1.0 - e0) + s.sol[q] * e1 * (1.0 - e1))
+        return _Dual(s.sol[alpha], margin.g / _col(slope))
+
+    def rule_out(s, d):     # the outcome row, given alpha
+        row = s.sol[out] * d[lo] - _expit(d[alpha] + beta) * d[q] * d[hi]
+        s.rows(row.v)
+        return _Dual(s.sol[out], -row.g / _col(s.sol[lo]))
+
+    st.add(alpha, a, rule_alpha)
+    st.add(out, adjusted, rule_out)
     return a, adjusted
 
 
 def _sace_margins(st: "_Stack", f, state, weight, direction: Direction,
                   names: tuple[str, str, str, str], label: str) -> tuple[str, str]:
-    """Beta-free rows of one always-stratum selection solve on the binary
+    """Beta-free means of one always-stratum selection solve on the binary
     per-cell ``state`` with weights ``weight``. ``names``: the state rate in
     arm 1 and arm 0, then the outcome mean of state-1 records in the other
     arm (q) and the shrinking arm (the direct always-stratum mean). Checks
@@ -335,22 +372,17 @@ def _sace_margins(st: "_Stack", f, state, weight, direction: Direction,
 def _remainder(st: "_Stack", z: int, strata: tuple[str, ...], context: str) -> None:
     """Mixture-identity remainder risk_z(1,0) = (risk_z - sum_s p_s
     risk_z(s)) / p(1,0) over the other ``strata``, subtracted in the order
-    given. Checks it lies in [0, 1] and adds its row."""
+    given. Adds it and checks it lies in [0, 1]."""
     total, out = f"risk{z}", f"risk{z}_10"
     terms = [(f"p{s}", f"risk{z}_{s}") for s in strata]
-    value = st.sol[total]
-    for p, r in terms:
-        value = value - st.sol[p] * st.sol[r]
-    value = value / st.sol["p10"]
-    _check_unit_interval(st, out, value, context)
 
-    def row(d):
-        acc = d[total]
+    def remainder(v):
+        acc = v[total]
         for p, r in terms:
-            acc = acc - d[p] * d[r]
-        return acc - d["p10"] * d[out]
+            acc = acc - v[p] * v[r]
+        return acc / v["p10"]
 
-    st.add(out, value, row)
+    _check_unit_interval(st, out, _derived(st, out, remainder), context)
 
 
 def _features(cells):
@@ -374,7 +406,7 @@ def _opening(weighted: WeightedRecords, build: Callable, rows=None):
 
     The block is solved once per dataset and cached on ``weighted``, so every
     fit of that dataset, point-only or with covariance, continues from the
-    same solved rows and a grid point pays only for its mixture solves. A
+    same solved parameters and a grid point pays only for its mixture solves. A
     block that fails is cached with its failures, which every fit inherits.
     """
     st, selectors = _opened(weighted, build)
@@ -400,8 +432,8 @@ def _check_unit_interval(st: "_Stack", name: str, value, context: str) -> None:
 
 def _finalize(st: "_Stack", with_cov: bool, report: list[str] | None = None):
     """Extract (names, theta, cov) from a solved stack, optionally skipping
-    the sandwich (point-estimate-only path used inside grid sweeps)."""
-    theta, cov = st.sandwich() if with_cov else (st.theta(), None)
+    the variance (point-estimate-only path used inside grid sweeps)."""
+    theta, cov = st.variance() if with_cov else (st.theta(), None)
     if report is None:
         return tuple(st.names), theta, cov
     idx = [st.names.index(nm) for nm in report]
@@ -576,25 +608,6 @@ def _ceps(scenario: Scenario, names: tuple[str, ...], theta, cov, contrast: Cont
 
 
 # ---------------------------------------------------------------------------
-# identified quantities
-
-
-@np.errstate(all="ignore")
-def estimate_identified(weighted: WeightedRecords,
-                        scenario: Scenario) -> RiskEstimates:
-    """Nonparametrically identified pieces under equal early clinical risk:
-    per-arm survivor risks and the IPW mixing proportions."""
-    if scenario not in (Scenario.A, Scenario.B):
-        raise ConfigError("risk_z and the mixing proportions are directly "
-                          "identified only in scenarios A and B")
-    st, f = _opening(weighted, _identified)
-    if scenario is Scenario.A:
-        _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
-    _p10(st, tuple(f"p{s}" for s in scenario.strata if s != "10"))
-    return RiskEstimates(scenario, SensitivityPoint(scenario), *_one(st), st.cells.n)
-
-
-# ---------------------------------------------------------------------------
 # the always-survivor estimator under a logistic selection-bias model
 
 
@@ -641,8 +654,7 @@ def _cell_s_values(cells, s_definition):
 
 @np.errstate(all="ignore")
 def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
-                   direction: Direction = Direction.STANDARD_MONOTONE,
-                   ordering_label: str = "the survivor ordering") -> SaceFit:
+                   direction: Direction = Direction.STANDARD_MONOTONE) -> SaceFit:
     """Always-stratum outcome means under a logistic selection-bias model.
 
     With intermediate state S defined by ``s_definition`` and monotonicity
@@ -655,7 +667,7 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
     the arms. beta = 0 is the no-selection-bias model.
 
     Requires the supporting ordering P(S(1)=1) < P(S(0)=1) (reversed:
-    flipped); violations raise OrderingError naming ``ordering_label``.
+    flipped); violations raise OrderingError naming "the survivor ordering".
     """
     cells = weighted.cells
     s_vals, m_vals = _cell_s_values(cells, s_definition)
@@ -663,7 +675,7 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
     q, direct, out = (("q0", "p11t", "p11c") if direction is Direction.STANDARD_MONOTONE
                       else ("q1", "p11c", "p11t"))
     lo, hi = _sace_margins(st, _features(cells), s_vals, m_vals, direction,
-                           ("pS1", "pS0", q, direct), ordering_label)
+                           ("pS1", "pS0", q, direct), "the survivor ordering")
     alpha, _ = _selection(st, "alpha", out, lo, hi, q, beta)
     _, (p11t, p11c), cov = _one(st, True, ("p11t", "p11c"))
     return SaceFit(p11_treated=float(p11t), p11_control=float(p11c), cov=cov,
@@ -676,8 +688,8 @@ def selection_sace(weighted: WeightedRecords, s_definition, beta: float,
 
 # Opening blocks: everything a scenario fit does before its first mixture
 # solve. Each takes the dataset and returns, for _opening, the stack and the
-# per-cell selectors later rows read; solved values are read from st.sol.
-# A scenario's solve then adds its rows at the Gamma points ``beta``
+# per-cell selectors later parameters read; solved values are read from st.sol.
+# A scenario's solve then adds its parameters at the Gamma points ``beta``
 # (sensitivity key -> length-G array, or a scalar at one point).
 
 
@@ -725,19 +737,19 @@ def _early_rates(weighted, risk0_name: str):
     f = _features(cells)
     st = _Stack(cells)
     _mean(st, risk0_name, (1 - f.z) * f.surv, f.y, "arm-0 survivors")
-    pyt1 = _mean(st, "pyt1", f.z, 1 - f.surv, "arm-1 records")
-    pyt0 = _mean(st, "pyt0", 1 - f.z, 1 - f.surv, "arm-0 records")
-    return st, f, pyt1, pyt0
+    _mean(st, "pyt1", f.z, 1 - f.surv, "arm-1 records")
+    _mean(st, "pyt0", 1 - f.z, 1 - f.surv, "arm-0 records")
+    return st, f
 
 
 def _c_protect_opening(weighted):
-    st, f, pyt1, pyt0 = _early_rates(weighted, "risk0")
-    st.checks(np.logical_not(pyt1 < pyt0), OrderingError,
+    st, f = _early_rates(weighted, "risk0")
+    st.checks(np.logical_not(st.sol["pyt1"] < st.sol["pyt0"]), OrderingError,
               lambda a, b: "early-event ordering (A4'') fails: the active-arm early rate "
               f"{a:.4g} is not below the control rate {b:.4g}; Wald inference under "
-              "early no-harm monotonicity is invalid here", pyt1, pyt0)
-    phi = (1.0 - pyt0) / (1.0 - pyt1)   # P(control survives early | active does)
-    st.add("phi", phi, lambda d: d["phi"] * (1 - d["pyt1"]) - (1 - d["pyt0"]))
+              "early no-harm monotonicity is invalid here", st.sol["pyt1"], st.sol["pyt0"])
+    # P(control survives early | active does)
+    _derived(st, "phi", lambda v: (1.0 - v["pyt0"]) / (1.0 - v["pyt1"]))
 
     _mean(st, "s1m", f.z * f.m, f.pos, "measured arm-1 survivor markers")
     _mean(st, "mrisk1_1", f.z * f.m * f.pos, f.y, "active positive survivors")
@@ -746,9 +758,9 @@ def _c_protect_opening(weighted):
 
 
 def _c_harm_opening(weighted):
-    st, f, pyt1, pyt0 = _early_rates(weighted, "riskm0")
-    phi_r = (1.0 - pyt1) / (1.0 - pyt0)   # P(active survives early | control does)
-    st.add("phi_r", phi_r, lambda d: d["phi_r"] * (1 - d["pyt0"]) - (1 - d["pyt1"]))
+    st, f = _early_rates(weighted, "riskm0")
+    # P(active survives early | control does)
+    _derived(st, "phi_r", lambda v: (1.0 - v["pyt1"]) / (1.0 - v["pyt0"]))
 
     _mean(st, "risk1", f.z * f.surv, f.y, "arm-1 survivors")
     _mean(st, "p00", f.z * f.m, f.neg, "measured arm-1 survivor markers")
@@ -777,7 +789,7 @@ def _a_solve(st, f, beta):
     marker under marker monotonicity.
 
     Two selection-model solves, each the ``selection_sace`` block on the
-    rows _a_opening added: the standard direction on state (survivor and
+    means _a_opening added: the standard direction on state (survivor and
     marker-negative) recovers the (0,0) stratum risks with ``beta0``; the
     reversed direction on state (survivor and marker-positive) recovers the
     (1,1) stratum risks with ``beta1_reversed``. The (1,0) risks then come
@@ -801,30 +813,24 @@ def _c_protect_solve(st, f, beta):
     Requires the testable ordering A4'': the active arm must show the lower
     early-event rate.
     """
-    phi, s1m = st.sol["phi"], st.sol["s1m"]
+    s1m = st.sol["s1m"]
     p10, _ = _split(st, "p10", "ep_pos_rate", "s1m", "phi", beta["beta4"])
-    p00 = 1.0 - p10
+    p00 = _derived(st, "p00", lambda v: 1.0 - v["p10"])
     st.checks((p10 <= 0.0) | (p00 <= 0.0), EstimationError,
               lambda v: f"always-survivor marker split degenerate: p(1,0) = {v:.6g}", p10)
-    st.add("p00", p00, lambda d: 1.0 - d["p10"] - d["p00"])
     _split(st, "risk0_00", "risk0_10", "risk0", "p00", beta["beta0"], "p10")
 
     st.checks((s1m <= 0.0) | (s1m >= 1.0), EstimationError,
               lambda: "active-arm survivor markers are all one value; the early-"
               "protected split is undefined")
-    w1s = p10 * phi / s1m
-    w0s = p00 * phi / (1.0 - s1m)
+    w1s = _derived(st, "w1s", lambda v: v["p10"] * v["phi"] / v["s1m"])
+    w0s = _derived(st, "w0s", lambda v: v["p00"] * v["phi"] / (1.0 - v["s1m"]))
     _check_unit_interval(st, "always-survivor share among positives", w1s, "B.4 split")
     _check_unit_interval(st, "always-survivor share among negatives", w0s, "B.4 split")
-    st.add("w1s", w1s, lambda d: d["w1s"] * d["s1m"] - d["p10"] * d["phi"])
-    st.add("w0s", w0s, lambda d: d["w0s"] * (1 - d["s1m"]) - d["p00"] * d["phi"])
 
-    r110, _ = _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", beta["beta3"])
-    r100, _ = _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", beta["beta2"])
-
-    risk1 = p00 * r100 + p10 * r110
-    st.add("risk1", risk1,
-           lambda d: d["p00"] * d["risk1_00"] + d["p10"] * d["risk1_10"] - d["risk1"])
+    _split(st, "risk1_10", "risk1_1star", "mrisk1_1", "w1s", beta["beta3"])
+    _split(st, "risk1_00", "risk1_0star", "mrisk1_0", "w0s", beta["beta2"])
+    _derived(st, "risk1", lambda v: v["p00"] * v["risk1_00"] + v["p10"] * v["risk1_10"])
 
 
 def _c_harm_solve(st, f, beta):
@@ -846,8 +852,8 @@ class _Row(NamedTuple):
     keys: tuple[str, ...]        # legal sensitivity parameters
     strata: tuple[str, ...]      # marker strata (s1, s0) with a CEP
     opening: Callable            # beta-free opening block, see _opening
-    solve: Callable              # solve(st, selectors, beta): rows after it
-    report: list[str] | None     # reported names; None reports every row
+    solve: Callable              # solve(st, selectors, beta): parameters after it
+    report: list[str] | None     # reported names; None reports every parameter
 
 
 _SCENARIOS = {
@@ -918,7 +924,7 @@ def fit_targets(weighted: WeightedRecords, scenario: Scenario, beta: dict,
         return target_map(scenario, names, contrast, st.checks)(theta), st.checks.failed
 
 
-FIT_CHUNK = 128     # fits per stacked sandwich, whose arrays are (fits, cells, p)
+FIT_CHUNK = 128     # fits per covariance pass, whose cell Jacobian is (fits, p, cells)
 
 
 def fit_ceps(weighted: WeightedRecords, points: list[SensitivityPoint],
@@ -960,20 +966,19 @@ def mean_shift_cep(weighted: WeightedRecords, alpha0: float, alpha1: float,
     if scenario not in (Scenario.A, Scenario.B):
         raise ConfigError("the mean-shift method applies to scenarios A and B")
     st, f = _opening(weighted, _identified)
-    mu10 = _mean(st, "mu10", f.z * f.m * f.neg, f.y, "active negative survivors")
-    mu00 = _mean(st, "mu00", (1 - f.z) * f.m * f.neg, f.y, "control negative survivors")
-    mu11 = _mean(st, "mu11", f.z * f.m * f.pos, f.y, "active positive survivors")
-    st.add("risk1_00", mu10, lambda d: d["mu10"] - d["risk1_00"])
-    st.add("risk0_00", mu00 + alpha0, lambda d: d["mu00"] + alpha0 - d["risk0_00"])
+    _mean(st, "mu10", f.z * f.m * f.neg, f.y, "active negative survivors")
+    _mean(st, "mu00", (1 - f.z) * f.m * f.neg, f.y, "control negative survivors")
+    _mean(st, "mu11", f.z * f.m * f.pos, f.y, "active positive survivors")
+    _derived(st, "risk1_00", lambda v: v["mu10"])
+    _derived(st, "risk0_00", lambda v: v["mu00"] + alpha0)
 
     report = ["risk1", "risk0", "p00", "p10", "risk1_00", "risk1_10",
               "risk0_00", "risk0_10"]
     if scenario is Scenario.A:
-        mu01 = _mean(st, "mu01", (1 - f.z) * f.m * f.pos, f.y,
-                     "control positive survivors")
+        _mean(st, "mu01", (1 - f.z) * f.m * f.pos, f.y, "control positive survivors")
         _mean(st, "p11", (1 - f.z) * f.m, f.pos, "measured arm-0 survivor markers")
-        st.add("risk1_11", mu11 - alpha1, lambda d: d["mu11"] - alpha1 - d["risk1_11"])
-        st.add("risk0_11", mu01, lambda d: d["mu01"] - d["risk0_11"])
+        _derived(st, "risk1_11", lambda v: v["mu11"] - alpha1)
+        _derived(st, "risk0_11", lambda v: v["mu01"])
         report += ["p11", "risk1_11", "risk0_11"]
     others = tuple(s for s in scenario.strata if s != "10")
     _p10(st, tuple(f"p{s}" for s in others))

@@ -16,8 +16,7 @@ Two weight models are supported:
   the downstream estimators condition only on (z, y_tau, marker, y).
 
 Fitted probabilities must stay above the floor ``eps``; violations raise
-PositivityError. Weights are raw 1/pi (never normalized); a normalized
-variant is exposed for diagnostics only.
+PositivityError. Weights are raw 1/pi (never normalized).
 """
 
 from __future__ import annotations
@@ -79,12 +78,6 @@ class WeightedRecords:
     @property
     def n(self) -> float:
         return self.cells.n
-
-    def normalized_weights(self) -> np.ndarray:
-        """Diagnostic only: measured-survivor weights rescaled to mean 1, a row
-        per replicate of a batch."""
-        w, counts = self._measured_weights()
-        return w / (np.sum(w * counts, -1, keepdims=True) / np.sum(counts, -1, keepdims=True))
 
     def _measured_weights(self):
         """The measured survivors' weights (cells,) and counts (..., cells)."""

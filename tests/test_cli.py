@@ -343,21 +343,21 @@ def test_analyze_bad_weights_value_is_config_error(tmp_path, worked_csv, capsys,
 
 def test_one_dataset_sweep_makes_one_sandwich_per_pass(worked_weighted, monkeypatch):
     # one dataset is a batch of one: each covariance pass stacks every
-    # pending extreme into one sandwich, not one sandwich per extreme
+    # pending extreme into one variance pass, not one per extreme
     from psem import core, sensitivity
     from psem.core import Scenario
     sandwiches, passes = [], []
-    real_sandwich, real_fit = core._Stack.sandwich, sensitivity.fit_ceps
+    real_variance, real_fit = core._Stack.variance, sensitivity.fit_ceps
 
     def counted(st):
         sandwiches.append(st)
-        return real_sandwich(st)
+        return real_variance(st)
 
     def fit(weighted, points, *rest):
         passes.append(len(points))
         return real_fit(weighted, points, *rest)
 
-    monkeypatch.setattr(core._Stack, "sandwich", counted)
+    monkeypatch.setattr(core._Stack, "variance", counted)
     monkeypatch.setattr(sensitivity, "fit_ceps", fit)
     config = sensitivity.SensitivityConfig(
         scenario=Scenario.B, ranges={"beta0": (-1.0, 1.0)}, grid_points=5)
@@ -400,15 +400,15 @@ def demo_config(tmp_path, demo_csv, out, scenario="C_harm", contrast="ve"):
 # SHA-256 of the demo analysis' outputs, results.json with its data path
 # written as "demo.csv": a change of any reported bit changes them
 DEMO_SHA256 = {
-    "intervals.csv": "9e8405d97823f0b9ee7d141f2f532d9ad1c850dbc7112d9abe9b2e07d389a30a",
-    "results.json": "a3a86ff218f949dd6097d78ad7f45b2a50b94a60d90334c8bc6857375ead10ce",
+    "intervals.csv": "54c65ab2e70228f770ed6d791f695014246efce1ccaab8545a4c25ff3264b66a",
+    "results.json": "0491a4c6742794fe4fa872182a344085a8211675d3421a88572d97707ef4f51e",
 }
 
 
 # the same for scenario B, additive contrast, on the same data and scales
 DEMO_B_SHA256 = {
-    "intervals.csv": "2d69af3ffefd2828a3d9edd2b6d0d31355b5bee6ee5a1e738e8c0ce82a99a3c5",
-    "results.json": "5a328d5fbcc4d3765bd4fdebebb3082a3e422426e0bc1060dda559a38afa4376",
+    "intervals.csv": "eda4ae962f7969a35861607f73175e72c9eb0c7ec4a0f5753339fb1dad8a5956",
+    "results.json": "5bbc9d91018618c9008e5e3423bc6988cdcb6267f9c1a963d1560ad64a999f08",
 }
 
 
@@ -440,22 +440,22 @@ def test_analyze_demo_b_outputs_are_pinned(tmp_path, demo_csv):
 STUDY_SHA256 = {
     "B_n1600_gamma1": (
         "design = B\nn = 1600\nnu = 1\ndelta = 0.2\ngamma_scales = 1\nreplicates = 400\nseed = 1\n",
-        {"study.csv": "f15b38b5d67fc50394bbaeb6324f5b37169522b86feadb550abc6e638e8a7c15",
-         "study.json": "9d11b0a88a17650168c18cded83422ba6995dd4bcc2c070867bd4ab7ae16bd2d"}),
+        {"study.csv": "51344c82abf0934daa1c090f64813304bf2edcbb34a4d2aa5f800514baa87e52",
+         "study.json": "7a2c70726a25d06c18cc81513863b955387250e1291a835be3480468be83b082"}),
     "B_n1600_gamma1_threads2": (
         "design = B\nn = 1600\nnu = 1\ndelta = 0.2\ngamma_scales = 1\nreplicates = 400\nseed = 1\n"
         "threads = 2\n",
-        {"study.csv": "f15b38b5d67fc50394bbaeb6324f5b37169522b86feadb550abc6e638e8a7c15",
-         "study.json": "5c4f16c98af1abae19c515f1f6a2adb86af32da0a63471c29dcba2713e304b26"}),
+        {"study.csv": "51344c82abf0934daa1c090f64813304bf2edcbb34a4d2aa5f800514baa87e52",
+         "study.json": "2d234647922b4373a630f4aed05e75c6b6b9c352ce300ca952a4628eec63987b"}),
     "B_n40_gamma6": (
         "design = B\nn = 40\ndelta = 0.2\ngamma_scales = 6\nreplicates = 60\nseed = 1\n",
-        {"study.csv": "751dfae06cf98842e8d57ef533706e26d7d1f5013f397151e28b4ae4367ad8c6",
-         "study.json": "b2de18dbee112741b1287d4fa05572244249216cc633a71d4e69254f8e6d8689"}),
+        {"study.csv": "eaecf7528d85d02edd3300c5531aaec1011f7835e1a2ccf631e146bbc8bfeeb2",
+         "study.json": "901203d3b690394f63958a5dd7e1cd3bd869fb5bd5df124d4c7f327af127dab0"}),
     "C_n400_gamma05": (
         "design = C\nn = 400\ndelta = 0.2\ngamma_scales = 0.5\ngrid_points = 3\n"
         "replicates = 20\nseed = 1\n",
-        {"study.csv": "e91fdd5851d1258acd4d65a9edb48ff70ad9ae194691b0643bdf4279fe183847",
-         "study.json": "d35dbf470c9582af4d4ef5342caf4d58568ddd06b689ae8d623799de61cdb7ba"}),
+        {"study.csv": "73a30343e76c44b763aead0bc32b96ace69e6e86bd53e00d6ebf297cd9794509",
+         "study.json": "b47824561b004d5c87de46a51716794252c0f695b0227ebd0abbb6376da7821f"}),
 }
 
 
@@ -885,7 +885,7 @@ def test_failed_extreme_covariance_fit(monkeypatch, tmp_path, worked_csv):
 
     def fit(weighted, points, *rest):
         ceps, errors = real_fit(weighted, points, *rest)
-        if not failed:          # the first pending region-corner sandwich, not Gamma = 0
+        if not failed:          # the first pending region-corner covariance fit, not Gamma = 0
             j = next(j for j, p in enumerate(points) if abs(p.get("beta0")) == 1.0)
             failed.append(points[j])
             errors = errors.copy()

@@ -45,7 +45,7 @@ def s_positive_survivor(r):
 
 
 def test_identified_full_cohort(worked_weighted):
-    est = psem.estimate_identified(worked_weighted, Scenario.B)
+    est = fit(worked_weighted, Scenario.B)
     assert est.value("risk1") == pytest.approx(0.26, abs=1e-12)
     assert est.value("risk0") == pytest.approx(0.30, abs=1e-12)
     assert est.value("p00") == pytest.approx(0.4, abs=1e-12)
@@ -60,19 +60,17 @@ def test_identified_ipw_proportion():
         (4, 1, 0, 0, 1), (1, 1, 0, 1, 1),
         (10, 0, 0, 0, 0),
     ], WeightModel.design_known(0.5))
-    est = psem.estimate_identified(w, Scenario.B)
+    est = fit(w, Scenario.B)
     assert est.value("p00") == pytest.approx(12 / 25, abs=1e-12)
 
 
 def test_identified_degenerate_marker_split():
     w = weighted_from_blocks([(30, 1, 0, 0, 0), (10, 0, 0, 0, 0)])
     with pytest.raises(EstimationError, match=r"p\(1,0\)"):
-        psem.estimate_identified(w, Scenario.B)
+        fit(w, Scenario.B)
 
 
 _P10_CALLERS = {
-    "identified_A": lambda w: psem.estimate_identified(w, Scenario.A),
-    "identified_B": lambda w: psem.estimate_identified(w, Scenario.B),
     "fit_B": lambda w: fit(w, Scenario.B, beta0=0.5),
     "fit_A": lambda w: fit(w, Scenario.A, beta0=0.5, beta1_reversed=-0.5),
     "fit_C_harm": lambda w: fit(w, Scenario.C_HARM, beta0=0.5, beta1_marginal=0.5),
@@ -93,11 +91,6 @@ def test_p10_callers_share_one_error(caller):
                        match=r"^estimated p\(1,0\) = (0|-0\.5) is not positive; the "
                              r"always-survivor effect-modification stratum is empty"):
         _P10_CALLERS[caller](w)
-
-
-def test_identified_scenario_c_rejected(worked_weighted):
-    with pytest.raises(ConfigError):
-        psem.estimate_identified(worked_weighted, Scenario.C_PROTECT)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +304,8 @@ def test_scenario_a_null_generator():
 def test_scenario_a_solves_are_selection_sace(seed, nu):
     # (0,0) risks: the standard direction on survivor & marker-negative at
     # beta0; (1,1) risks: the reversed direction on survivor & marker-
-    # positive at beta1_reversed. The extra rows of A's stack do not move
-    # the sandwich of this block (Stefanski and Boos, 2002) beyond round-off.
+    # positive at beta1_reversed. A's other parameters do not enter the cell
+    # gradients of these four, so their standard errors are equal too.
     w = scenario_dataset(Scenario.A, seed, 3000, nu)
     for beta0, beta1 in ((0.0, 0.0), (0.8, -0.5), (-1.2, 1.5)):
         est = fit(w, Scenario.A, beta0=beta0, beta1_reversed=beta1)
@@ -321,8 +314,7 @@ def test_scenario_a_solves_are_selection_sace(seed, nu):
         for name, sace, k in (("risk1_00", neg, 0), ("risk0_00", neg, 1),
                               ("risk1_11", pos, 0), ("risk0_11", pos, 1)):
             assert est.value(name) == (sace.p11_treated, sace.p11_control)[k], name
-            assert est.se(name) == pytest.approx(math.sqrt(sace.cov[k, k]),
-                                                 rel=1e-12, abs=0), name
+            assert est.se(name) == math.sqrt(sace.cov[k, k]), name
 
 
 def test_scenario_solves_add_no_means(monkeypatch):

@@ -12,7 +12,7 @@ PUBLIC = [
     "SensitivityPoint", "SeparationError", "StudyConfig", "StudyResult",
     "WeightModel", "WeightedRecords", "cep",
     "check_assumptions", "core", "delta_method", "effective_sample", "errors",
-    "estimate_identified", "eui", "fit_missingness", "fit_scenario",
+    "eui", "fit_missingness", "fit_scenario",
     "generate", "interval_for", "intervals", "load_csv", "mathutil", "mean_shift_cep",
     "oracle_estimands", "records", "run_study", "selection_sace",
     "sensitivity", "simulate", "summarize", "sweep", "sweeps", "tables",

@@ -1,6 +1,8 @@
 """Every name a psem module imports is read in that module. The one exception
 is a binding that ``bench/tracer.py`` patches in the module's namespace: its
-import line carries ``# noqa: F401`` and the tracer's ``WRAPPED`` names it."""
+import line carries ``# noqa: F401`` and the tracer's ``WRAPPED`` names it.
+Every local name a psem function assigns is read, by it or by a function
+nested in it, unless the name starts with "_"."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -49,3 +51,39 @@ def test_the_unread_imports_are_the_tracer_bindings():
     assert kept == {"cli.cep", "cli.fit_scenario", "cli.load_csv", "cli.interval_for",
                     "cli.sweep", "sensitivity.cep", "sensitivity.fit_scenario",
                     "simulate.cep", "simulate.fit_scenario", "simulate.eui"}
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def dead_locals(path: Path) -> list[str]:
+    """"function.name" of each local that a function of ``path`` assigns in its
+    own body (nested functions and classes have theirs) and that neither it
+    nor a function nested in it reads; names starting with "_" are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, _SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        stored = {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Nonlocal):
+                read.update(node.names)
+        out += [f"{fn.name}.{name}" for name in sorted(stored - read) if not name.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES + [ROOT / "src" / "psem" / "__init__.py"],
+                         ids=[p.stem for p in MODULES] + ["__init__"])
+def test_every_assigned_local_is_read(path):
+    assert dead_locals(path) == []

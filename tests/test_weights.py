@@ -126,14 +126,6 @@ def test_effective_sample_empty_errors():
         effective_sample(w)
 
 
-def test_normalized_weights_mean_one():
-    w = weighted_from_blocks([
-        (2, 1, 0, 0, 1), (2, 1, 0, 1, 0), (6, 1, 0, None, 0),
-    ], WeightModel.design_known(0.25))
-    norm, counts = w.normalized_weights(), w._measured_weights()[1]
-    assert np.sum(norm * counts) / np.sum(counts) == pytest.approx(1.0)
-
-
 def test_batched_summaries_read_each_replicate():
     # from_counts tables of two replicates and of one row: the weight summaries
     # reduce over the cell axis, each replicate as if alone; summarize and
@@ -149,11 +141,10 @@ def test_batched_summaries_read_each_replicate():
     w, m = one._measured_weights()
     sw, sw2 = float(np.sum(m * w)), float(np.sum(m * w * w))    # the one-dataset formula
     assert type(effective_sample(one)) is float and effective_sample(one) == sw * sw / sw2
-    sizes, norms = effective_sample(batch), batch.normalized_weights()
-    assert sizes.shape == (2,) and norms.shape == (2, len(w))
+    sizes = effective_sample(batch)
+    assert sizes.shape == (2,)
     for b, a in enumerate(alone):
         assert sizes[b] == effective_sample(a)
-        assert norms[b].tobytes() == a.normalized_weights().tobytes()
     row = fit_missingness(tables.from_counts(c.count[None], code), model)
     assert effective_sample(row).tolist() == [effective_sample(one)]
     assert tables.summarize(row.cells) == tables.summarize(one.cells)
